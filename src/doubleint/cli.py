@@ -2,22 +2,25 @@
 
 Exit codes: 0 success, 1 invalid observer parameters, 2 malformed
 configuration, 3 diverged simulation (or a sweep with more than 5% of rows
-flagged).  Config files are JSON; unknown keys are a hard error so typos
-never pass silently.
+flagged).  Config files are JSON; the keys, types and defaults of each
+section are the fields of its dataclass, plus the few keys no dataclass
+holds (R, metrics_windows, variants).  Unknown keys are a hard error so
+typos never pass silently; a malformed config names the bad field's path.
 """
 
 import argparse
 import dataclasses
 import json
 import sys
+import typing
 from pathlib import Path
 
 from . import io, scenarios
 from .errors import ConfigError, DivergedState, DoubleIntError, InvalidParams
 from .observers import ObserverParams, validate_params
-from .signals import NoiseTerm, SignalSpec
-from .solver import ObserverState, SimConfig, simulate, trajectory_metrics
-from .sweep import SweepConfig, bode_from_transfer, default_grid, sweep_observer
+from .signals import SignalSpec
+from .solver import SimConfig, simulate, trajectory_metrics
+from .sweep import SweepConfig, bode_from_transfer, sweep_observer
 
 EXIT_OK = 0
 EXIT_INVALID_PARAMS = 1
@@ -27,99 +30,107 @@ EXIT_DIVERGED = 3
 MAX_FLAGGED_FRACTION = 0.05
 
 
-def _check_keys(d: dict, allowed: set[str], context: str) -> None:
-    unknown = set(d) - allowed
+_TOP_TYPES = {"command": str, "format": str, "params": dict, "signal": dict, "sim": dict,
+              "sweep": dict}
+_SHAPES = {float: "a number", int: "an integer", str: "a string", dict: "an object"}
+
+
+def _fields(cls) -> dict:
+    return {f.name: f.type for f in dataclasses.fields(cls) if f.init}
+
+
+# params keys: the ObserverParams fields, and R = 1/epsilon in place of epsilon
+_PARAM_TYPES = {**_fields(ObserverParams), "R": float}
+
+
+def _convert(tp, value, path: str):
+    """value, checked for the JSON shape of type tp and converted to it.
+
+    tp is a key of _SHAPES, a dataclass, a NamedTuple, or tuple[T, ...] or
+    tuple[T1, T2, ...] of these.  Ranges are left to the library validators.
+    """
+    if tp is int and isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if tp in _SHAPES:
+        if isinstance(value, bool) or not isinstance(value, (int, float) if tp is float else tp):
+            raise ConfigError(f"{path}: expected {_SHAPES[tp]}, got {json.dumps(value)[:40]}")
+        try:
+            return float(value) if tp is float else value
+        except OverflowError:
+            raise ConfigError(f"{path}: number out of range") from None
+    if dataclasses.is_dataclass(tp):
+        return _new(tp, _typed(_fields(tp), value, path), path)
+    if hasattr(tp, "_fields"):
+        return tp(*_convert(tuple[tuple(tp.__annotations__.values())], value, path))
+    if not isinstance(value, list):
+        raise ConfigError(f"{path}: expected a list, got {json.dumps(value)[:40]}")
+    items = typing.get_args(tp)
+    if items[-1] is Ellipsis:
+        items = items[:1] * len(value)
+    if len(value) != len(items):
+        raise ConfigError(f"{path}: expected {len(items)} items, got {len(value)}")
+    return tuple(_convert(t, v, f"{path}[{i}]") for i, (t, v) in enumerate(zip(items, value)))
+
+
+def _typed(types: dict, obj, path: str) -> dict:
+    """The keys of the JSON object obj at path, each converted to its type in types."""
+    _convert(dict, obj, path or "config")
+    unknown = obj.keys() - types.keys()
     if unknown:
-        raise ConfigError(f"unknown {context} keys: {sorted(unknown)}")
+        raise ConfigError(f"unknown {path or 'config'} keys: {sorted(unknown)}")
+    return {k: _convert(types[k], v, f"{path}.{k}" if path else k) for k, v in obj.items()}
 
 
-def _build_params(d: dict) -> ObserverParams:
-    _check_keys(d, {"k1", "k2", "k3", "R", "epsilon", "alpha3", "mode"}, "params")
-    for key in ("k1", "k2", "k3"):
-        if key not in d:
-            raise ConfigError(f"params.{key} is required")
-    if ("R" in d) == ("epsilon" in d):
-        raise ConfigError("params needs exactly one of R or epsilon")
-    eps = 1.0 / float(d["R"]) if "R" in d else float(d["epsilon"])
+def _new(cls, kwargs: dict, path: str):
+    """cls(**kwargs): absent fields take the dataclass defaults."""
+    for f in dataclasses.fields(cls):
+        required = f.default is f.default_factory is dataclasses.MISSING
+        if f.init and required and f.name not in kwargs:
+            raise ConfigError(f"{path}.{f.name} is required")
     try:
-        return ObserverParams(
-            k1=float(d["k1"]),
-            k2=float(d["k2"]),
-            k3=float(d["k3"]),
-            epsilon=eps,
-            alpha3=float(d.get("alpha3", 1.0)),
-            mode=d.get("mode", "nonlinear"),
-        )
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ConfigError(str(exc)) from exc
-
-
-def _build_signal(d: dict) -> SignalSpec:
-    _check_keys(d, {"kind", "amplitude", "omega", "noise"}, "signal")
-    noise = []
-    for i, term in enumerate(d.get("noise", [])):
-        _check_keys(term, {"amp", "omega", "phase"}, f"signal.noise[{i}]")
-        noise.append(
-            NoiseTerm(float(term["amp"]), float(term["omega"]), term.get("phase", "sine"))
-        )
-    try:
-        return SignalSpec(
-            kind=d.get("kind", "sinusoid"),
-            amplitude=float(d.get("amplitude", 1.0)),
-            omega=float(d.get("omega", 1.0)),
-            noise=tuple(noise),
-        )
+        return cls(**kwargs)
     except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+        raise ConfigError(f"{path}.{exc}") from exc
 
 
-def _build_sim(d: dict, method_override: str | None) -> tuple[SimConfig, list]:
-    _check_keys(
-        d,
-        {"step_h", "duration", "initial_state", "method", "record_stride", "metrics_windows"},
-        "sim",
-    )
-    duration = float(d.get("duration", 20.0))
-    x0 = d.get("initial_state", [0.0, 0.0, 0.0])
-    if len(x0) != 3:
-        raise ConfigError("sim.initial_state must have exactly 3 components")
+def _build_params(cfg: dict, over: dict, path: str) -> ObserverParams:
+    """The params section with a variant's typed keys (whose R or epsilon wins) laid over it."""
+    kwargs = _typed(_PARAM_TYPES, cfg.get("params", {}), "params")
+    if over.keys() & {"R", "epsilon"}:
+        kwargs = {k: v for k, v in kwargs.items() if k not in ("R", "epsilon")}
+    kwargs.update(over)
+    if ("R" in kwargs) == ("epsilon" in kwargs):
+        raise ConfigError(f"{path} needs exactly one of R or epsilon")
+    if "R" in kwargs:
+        rate = kwargs.pop("R")
+        if rate == 0.0:
+            raise ConfigError(f"{path}.R must be nonzero")
+        kwargs["epsilon"] = 1.0 / rate
+    return _new(ObserverParams, kwargs, path)
+
+
+def _build_sim(obj: dict, method: str | None) -> tuple[SimConfig, tuple]:
+    kwargs = _typed({**_fields(SimConfig), "metrics_windows": tuple[tuple[float, float], ...]},
+                    obj, "sim")
+    windows = kwargs.pop("metrics_windows", None)
+    if method:
+        kwargs["method"] = method
+    cfg = _new(SimConfig, kwargs, "sim")
     # long runs default to a sparser record grid to bound memory
-    default_stride = 1 if duration <= 60.0 else 100
-    cfg = SimConfig(
-        step_h=float(d.get("step_h", 0.001)),
-        duration=duration,
-        initial_state=ObserverState(*(float(v) for v in x0)),
-        method=method_override or d.get("method", "rk4"),
-        record_stride=int(d.get("record_stride", default_stride)),
-    )
-    windows = [(float(a), float(b)) for a, b in d.get("metrics_windows", [[0.0, duration]])]
-    return cfg, windows
+    if "record_stride" not in kwargs and cfg.duration > 60.0:
+        cfg = dataclasses.replace(cfg, record_stride=100)
+    return cfg, ((0.0, cfg.duration),) if windows is None else windows
 
 
-def _build_sweep(d: dict, method_override: str | None,
-                 discard_override: float | None) -> tuple[SweepConfig, list[dict]]:
-    _check_keys(
-        d,
-        {"freqs_hz", "amplitude", "step_h", "samples", "discard_fraction", "channels",
-         "method", "init_state", "variants"},
-        "sweep",
-    )
-    variants = d.get("variants", [{}])
-    for i, v in enumerate(variants):
-        _check_keys(v, {"k1", "k2", "k3", "R", "epsilon", "alpha3", "mode", "amplitude"},
-                    f"sweep.variants[{i}]")
-    discard = d.get("discard_fraction", 0.0) if discard_override is None else discard_override
-    cfg = SweepConfig(
-        freqs_hz=tuple(float(f) for f in d.get("freqs_hz", default_grid())),
-        amplitude=float(d.get("amplitude", 1.0)),
-        step_h=float(d.get("step_h", 0.001)),
-        samples=int(d.get("samples", 50000)),
-        discard_fraction=float(discard),
-        channels=tuple(int(c) for c in d.get("channels", (1, 2, 3))),
-        method=method_override or d.get("method", "rk4"),
-        init_state=d.get("init_state", "zero"),
-    )
-    return cfg, variants
+def _build_sweep(obj: dict, method: str | None,
+                 discard: float | None) -> tuple[SweepConfig, tuple]:
+    kwargs = _typed({**_fields(SweepConfig), "variants": tuple[dict, ...]}, obj, "sweep")
+    variants = kwargs.pop("variants", ({},))
+    if method:
+        kwargs["method"] = method
+    if discard is not None:
+        kwargs["discard_fraction"] = discard
+    return _new(SweepConfig, kwargs, "sweep"), variants
 
 
 def load_config(path) -> dict:
@@ -128,7 +139,7 @@ def load_config(path) -> dict:
             cfg = json.load(f)
     except OSError as exc:
         raise ConfigError(f"cannot read config file: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ConfigError("config root must be a JSON object")
@@ -136,10 +147,9 @@ def load_config(path) -> dict:
 
 
 def _check_top(cfg: dict, command: str) -> None:
-    _check_keys(cfg, {"command", "params", "signal", "sim", "sweep", "output_dir", "format"},
-                "config")
-    stated = cfg.get("command")
-    if stated is not None and stated != command:
+    _typed(_TOP_TYPES, cfg, "")
+    stated = cfg.get("command", command)
+    if stated != command:
         raise ConfigError(f"config command {stated!r} does not match subcommand {command!r}")
     fmt = cfg.get("format", "csv")
     if fmt not in ("csv", "json"):
@@ -148,7 +158,7 @@ def _check_top(cfg: dict, command: str) -> None:
 
 def cmd_validate(cfg: dict) -> int:
     _check_top(cfg, "validate")
-    params = _build_params(cfg.get("params", {}))
+    params = _build_params(cfg, {}, "params")
     report = validate_params(params)
     print(report)
     return EXIT_OK if report.ok else EXIT_INVALID_PARAMS
@@ -157,38 +167,24 @@ def cmd_validate(cfg: dict) -> int:
 def cmd_simulate(cfg: dict, out_dir, fmt: str | None = None,
                  method: str | None = None) -> int:
     _check_top(cfg, "simulate")
-    params = _build_params(cfg.get("params", {}))
-    report = validate_params(params)
-    if not report.ok:
-        print(report, file=sys.stderr)
-        return EXIT_INVALID_PARAMS
-    spec = _build_signal(cfg.get("signal", {}))
+    params = _build_params(cfg, {}, "params")
+    spec = _convert(SignalSpec, cfg.get("signal", {}), "signal")
     sim_cfg, windows = _build_sim(cfg.get("sim", {}), method)
     fmt = fmt or cfg.get("format", "csv")
-    out = io.ensure_dir(out_dir)
     try:
         traj = simulate(params, spec, sim_cfg)
-    except DivergedState as exc:
-        print(f"simulation diverged at t={exc.time:.6g} s", file=sys.stderr)
-        return EXIT_DIVERGED
+        metrics = trajectory_metrics(traj, windows)
+    except ConfigError as exc:
+        raise ConfigError(f"sim.{exc}") from exc
+    out = io.ensure_dir(out_dir)
     if fmt == "csv":
         io.write_trajectory_csv(out / "trajectory.csv", traj)
     else:
         io.write_json(out / "trajectory.json", io.trajectory_to_dict(traj))
-    io.write_json(out / "metrics.json", trajectory_metrics(traj, windows))
+    io.write_json(out / "metrics.json", metrics)
     io.write_json(out / "config.json", _effective(cfg, "simulate"))
     print(f"wrote trajectory ({traj.times.size} samples) to {out}")
     return EXIT_OK
-
-
-def _variant_params(base: dict, variant: dict) -> dict:
-    merged = dict(base)
-    merged.update({k: v for k, v in variant.items() if k != "amplitude"})
-    if "R" in variant:
-        merged.pop("epsilon", None)
-    elif "epsilon" in variant:
-        merged.pop("R", None)
-    return merged
 
 
 def _variant_tag(params: ObserverParams, amplitude: float) -> str:
@@ -199,22 +195,24 @@ def _variant_tag(params: ObserverParams, amplitude: float) -> str:
 def cmd_sweep(cfg: dict, out_dir, fmt: str | None = None, method: str | None = None,
               discard: float | None = None, workers: int = 1) -> int:
     _check_top(cfg, "sweep")
-    base_params = cfg.get("params", {})
     sweep_cfg, variants = _build_sweep(cfg.get("sweep", {}), method, discard)
+    runs = []
+    for i, variant in enumerate(variants):
+        path = f"sweep.variants[{i}]"
+        over = _typed({**_PARAM_TYPES, "amplitude": float}, variant, path)
+        run_cfg = sweep_cfg
+        if "amplitude" in over:
+            run_cfg = dataclasses.replace(sweep_cfg, amplitude=over.pop("amplitude"))
+        runs.append((_build_params(cfg, over, path if over else "params"), run_cfg))
     fmt = fmt or cfg.get("format", "csv")
     out = io.ensure_dir(out_dir)
     total = flagged = 0
     written = []
-    for variant in variants:
-        params = _build_params(_variant_params(base_params, variant))
-        report = validate_params(params)
-        if not report.ok:
-            print(report, file=sys.stderr)
-            return EXIT_INVALID_PARAMS
-        run_cfg = sweep_cfg
-        if "amplitude" in variant:
-            run_cfg = dataclasses.replace(sweep_cfg, amplitude=float(variant["amplitude"]))
-        curve = sweep_observer(params, run_cfg, workers=workers)
+    for params, run_cfg in runs:
+        try:
+            curve = sweep_observer(params, run_cfg, workers=workers)
+        except ConfigError as exc:
+            raise ConfigError(f"sweep.{exc}") from exc
         tag = _variant_tag(params, run_cfg.amplitude)
         written.append(_write_curve(out, f"bode_{tag}", curve, fmt))
         total += len(curve.rows)

@@ -37,7 +37,7 @@ class NoiseTerm:
         if self.phase not in PHASE_KINDS:
             raise ValueError(f"phase must be one of {PHASE_KINDS}, got {self.phase!r}")
         if self.amp < 0 or self.omega < 0:
-            raise ValueError("noise amplitude and angular rate must be >= 0")
+            raise ValueError("amp and omega must be >= 0")
 
     def eval(self, t: float) -> float:
         if self.phase == "sine":
@@ -70,7 +70,7 @@ class SignalSpec:
         if self.kind not in KINDS:
             raise ValueError(f"kind must be one of {KINDS}, got {self.kind!r}")
         if self.amplitude < 0 or self.omega < 0:
-            raise ValueError("amplitude and angular rate must be >= 0")
+            raise ValueError("amplitude and omega must be >= 0")
 
 
 # Noise used by the reproduction scenarios:

@@ -3,7 +3,8 @@
 The public entry points are simulate() and step().  The inner loops are
 hand-inlined per (mode, method) pair and operate on plain floats: a sweep
 over the full frequency grid takes ~10^7 RK4 steps, which rules out per-step
-calls into observers.rhs.  A consistency test pins the kernels to rhs().
+calls into observers.rhs.  test_kernels_match_public_step pins every kernel
+to step().
 """
 
 import math
@@ -19,6 +20,10 @@ METHODS = ("rk4", "euler")
 
 # Explicit-method stability guard on the dominant linear rate k3/eps^4.
 STABILITY_LIMIT = 2.0
+
+# A recorded row takes about 11 float64 (time, input, states, truths, errors);
+# runs whose record would exceed 1 GiB are refused before allocating it.
+MAX_RECORD_ROWS = 2**30 // (11 * 8)
 
 
 @dataclass(frozen=True)
@@ -70,12 +75,16 @@ class Trajectory:
 
 
 def _check_config(p: ObserverParams, cfg: SimConfig) -> None:
-    if cfg.step_h <= 0.0 or cfg.duration <= 0.0:
-        raise ConfigError("step_h and duration must be positive")
+    for name in ("step_h", "duration"):
+        if not 0.0 < getattr(cfg, name) < math.inf:
+            raise ConfigError(f"{name} must be finite and positive, got {getattr(cfg, name)!r}")
     if cfg.method not in METHODS:
         raise ConfigError(f"method must be one of {METHODS}, got {cfg.method!r}")
     if cfg.record_stride < 1:
         raise ConfigError("record_stride must be >= 1")
+    if cfg.duration / cfg.step_h >= MAX_RECORD_ROWS * cfg.record_stride:
+        raise ConfigError(f"record_stride {cfg.record_stride} keeps over {MAX_RECORD_ROWS} rows "
+                          "(1 GiB): raise it or shorten duration")
     rate = cfg.step_h * p.k3 / p.epsilon**4
     if not rate < STABILITY_LIMIT:
         raise ConfigError(
@@ -304,7 +313,7 @@ def trajectory_metrics(traj: Trajectory, windows: list[tuple[float, float]] | No
         m = traj.window(lo, hi)
         e = traj.errors[m]
         if e.size == 0:
-            raise ConfigError(f"metrics window [{lo:g}, {hi:g}] contains no samples")
+            raise ConfigError(f"metrics_windows: [{lo:g}, {hi:g}] contains no samples")
         out["windows"].append(
             {
                 "t_lo": lo,

@@ -10,7 +10,7 @@ parallel; output order is always by frequency.
 import math
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -18,7 +18,7 @@ from . import analytic
 from .errors import ConfigError, DivergedState, IllConditioned, InvalidParams
 from .observers import ObserverParams, ObserverState, validate_params
 from .signals import SignalSpec
-from .solver import SimConfig, simulate
+from .solver import MAX_RECORD_ROWS, SimConfig, simulate
 
 TWO_PI = 2.0 * math.pi
 
@@ -42,18 +42,6 @@ class SweepConfig:
     channels: tuple[int, ...] = (1, 2, 3)
     method: str = "rk4"
     init_state: str = "zero"
-
-    def to_dict(self) -> dict:
-        return {
-            "freqs_hz": list(self.freqs_hz),
-            "amplitude": self.amplitude,
-            "step_h": self.step_h,
-            "samples": self.samples,
-            "discard_fraction": self.discard_fraction,
-            "channels": list(self.channels),
-            "method": self.method,
-            "init_state": self.init_state,
-        }
 
 
 @dataclass(frozen=True)
@@ -155,11 +143,13 @@ class BodeCurve:
 def _check_sweep_config(p: ObserverParams, cfg: SweepConfig) -> None:
     freqs = cfg.freqs_hz
     if not freqs:
-        raise ConfigError("frequency grid is empty")
+        raise ConfigError("freqs_hz must not be empty")
     if any(f <= 0.0 for f in freqs) or any(b <= a for a, b in zip(freqs, freqs[1:])):
-        raise ConfigError("frequencies must be strictly increasing and positive")
-    if cfg.samples < 1:
-        raise ConfigError("samples must be a positive integer")
+        raise ConfigError("freqs_hz must be strictly increasing and positive")
+    if not 0.0 < cfg.amplitude:
+        raise ConfigError(f"amplitude must be positive, got {cfg.amplitude!r}")
+    if not 1 <= cfg.samples < MAX_RECORD_ROWS:
+        raise ConfigError(f"samples must lie in [1, {MAX_RECORD_ROWS - 1}], got {cfg.samples}")
     if not 0.0 <= cfg.discard_fraction < 1.0:
         raise ConfigError("discard_fraction must lie in [0, 1)")
     if any(ch not in (1, 2, 3) for ch in cfg.channels) or not cfg.channels:
@@ -167,7 +157,7 @@ def _check_sweep_config(p: ObserverParams, cfg: SweepConfig) -> None:
     if cfg.init_state not in INIT_KINDS:
         raise ConfigError(f"init_state must be one of {INIT_KINDS}")
     if cfg.init_state == "steady_state" and p.mode != "linear" and p.alpha3 != 1.0:
-        raise ConfigError("steady_state init needs a linear observer (or alpha3=1)")
+        raise ConfigError("init_state steady_state needs a linear observer (or alpha3=1)")
     span = cfg.samples * cfg.step_h
     period = 1.0 / freqs[0]
     if span < period:
@@ -190,7 +180,7 @@ def _initial_state(p: ObserverParams, cfg: SweepConfig, omega: float) -> Observe
 
 
 def replace_mode_linear(p: ObserverParams) -> ObserverParams:
-    return ObserverParams(p.k1, p.k2, p.k3, p.epsilon, 1.0, "linear")
+    return replace(p, alpha3=1.0, mode="linear")
 
 
 def _run_frequency(p: ObserverParams, cfg: SweepConfig, f_hz: float) -> list[BodeRow]:
@@ -201,7 +191,6 @@ def _run_frequency(p: ObserverParams, cfg: SweepConfig, f_hz: float) -> list[Bod
         duration=cfg.samples * cfg.step_h,
         initial_state=_initial_state(p, cfg, omega),
         method=cfg.method,
-        record_stride=1,
     )
     rows = []
     try:
@@ -227,8 +216,10 @@ def _run_frequency(p: ObserverParams, cfg: SweepConfig, f_hz: float) -> list[Bod
             if fit.amplitude > 0.0
             else -math.inf
         )
+        finite = all(map(math.isfinite, (mag_db, fit.phase, fit.residual_rms)))
         rows.append(
-            BodeRow(f_hz, omega, ch, mag_db, fit.phase, None, fit.residual_rms, "sweep", "ok")
+            BodeRow(f_hz, omega, ch, mag_db, fit.phase, None, fit.residual_rms, "sweep",
+                    "ok" if finite else "nonfinite_fit")
         )
     return rows
 
@@ -251,7 +242,7 @@ def sweep_observer(p: ObserverParams, cfg: SweepConfig, workers: int = 1) -> Bod
         per_freq = [_run_frequency(p, cfg, f) for f in cfg.freqs_hz]
     rows = tuple(row for rows in per_freq for row in rows)
     return phase_unwrap(
-        BodeCurve(rows, params_meta(p), cfg.to_dict(), "sweep")
+        BodeCurve(rows, params_meta(p), asdict(cfg), "sweep")
     )
 
 
@@ -260,12 +251,7 @@ def _worker(args) -> list[BodeRow]:
 
 
 def params_meta(p: ObserverParams) -> dict:
-    return {
-        "k1": p.k1, "k2": p.k2, "k3": p.k3,
-        "epsilon": p.epsilon, "R": 1.0 / p.epsilon,
-        "alpha3": p.alpha3, "alpha2": p.alpha2, "alpha1": p.alpha1,
-        "mode": p.mode,
-    }
+    return {**asdict(p), "R": 1.0 / p.epsilon}
 
 
 def phase_unwrap(curve: BodeCurve) -> BodeCurve:
@@ -307,5 +293,5 @@ def bode_from_transfer(p: ObserverParams, cfg: SweepConfig) -> BodeCurve:
                 BodeRow(f_hz, omega, ch, te.gain_db, te.phase, None, None, "analytic", "ok")
             )
     return phase_unwrap(
-        BodeCurve(tuple(rows), params_meta(p), cfg.to_dict(), "analytic")
+        BodeCurve(tuple(rows), params_meta(p), asdict(cfg), "analytic")
     )

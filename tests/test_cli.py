@@ -1,9 +1,18 @@
+import contextlib
+import copy
+import io
 import json
+import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from doubleint.cli import main
+from doubleint import SignalSpec, SimConfig, SweepConfig
+from doubleint.cli import _build_sim, _build_sweep, _convert, main
 from doubleint.io import BODE_HEADER, TRAJECTORY_HEADER
 from doubleint.scenarios import SCENARIO_NAMES, expand_scenario
 
@@ -249,3 +258,140 @@ def test_trajectory_csv_number_format(tmp_path):
     # fixed 9-significant-digit scientific formatting
     assert all("e" in cell for cell in first if cell)
     assert first[0] == "0.00000000e+00"
+
+
+# Small valid configs, one per config-reading command; each runs in milliseconds.
+SMALL_CONFIGS = {
+    "validate": {"command": "validate", "params": SCENARIO_PARAMS["params"]},
+    "simulate": {
+        "params": SCENARIO_PARAMS["params"],
+        "signal": {"kind": "paper_reference",
+                   "noise": [{"amp": 0.1, "omega": 10.0, "phase": "sine"}]},
+        "sim": {"step_h": 0.001, "duration": 0.02, "initial_state": [0.0, 1.0, 0.0],
+                "record_stride": 2, "metrics_windows": [[0.0, 0.02]]},
+        "format": "json",
+    },
+    "sweep": {
+        "params": LINEAR_PARAMS,
+        "sweep": {"freqs_hz": [5.1], "samples": 200, "amplitude": 2.0, "channels": [1, 3],
+                  "variants": [{"R": 4.0}, {"epsilon": 0.3, "amplitude": 0.5}]},
+    },
+}
+
+
+def _run(command, cfg_path, out_dir):
+    argv = [command, "--config", str(cfg_path)]
+    return main(argv if command == "validate" else argv + ["--out", str(out_dir)])
+
+
+def _edit(command, section, key, value):
+    cfg = copy.deepcopy(SMALL_CONFIGS[command])
+    (cfg if section is None else cfg.setdefault(section, {}))[key] = value
+    return cfg
+
+
+# (command, section or None for the top level, key, bad value, JSON path the error names)
+MALFORMED = [
+    ("simulate", "sim", "duration", "abc", "sim.duration"),
+    ("simulate", "sim", "duration", "nan", "sim.duration"),
+    ("simulate", "sim", "duration", math.nan, "sim.duration"),
+    ("simulate", "sim", "duration", math.inf, "sim.duration"),
+    ("simulate", "sim", "duration", 1e300, "sim.record_stride"),
+    ("simulate", "signal", "noise", [{"omega": 10.0}], "signal.noise[0].amp"),
+    ("simulate", "params", "R", 0, "params.R"),
+    ("validate", "params", "k1", None, "params.k1"),
+    ("validate", None, "params", 5, "params"),
+    ("simulate", "sim", "initial_state", 5, "sim.initial_state"),
+    ("sweep", "sweep", "channels", ["a"], "sweep.channels[0]"),
+    ("sweep", "sweep", "freqs_hz", 5, "sweep.freqs_hz"),
+    ("simulate", "sim", "metrics_windows", [[0.0]], "sim.metrics_windows[0]"),
+    ("sweep", "sweep", "variants", 3, "sweep.variants"),
+    ("sweep", "sweep", "amplitude", -1, "sweep.amplitude"),
+    ("simulate", "sim", "record_stride", 1.5, "sim.record_stride"),
+    ("simulate", "sim", "duration", True, "sim.duration"),
+    ("simulate", None, "output_dir", "runs", "output_dir"),
+    ("simulate", "sim", "metrics_windows", [[100.0, 200.0]], "sim.metrics_windows"),
+]
+
+
+@pytest.mark.parametrize("command, section, key, value, path", MALFORMED,
+                         ids=[f"{case[2]}={json.dumps(case[3])}" for case in MALFORMED])
+def test_malformed_config_names_path(tmp_path, capsys, command, section, key, value, path):
+    cfg = write_cfg(tmp_path, _edit(command, section, key, value))
+    assert _run(command, cfg, tmp_path / "out") == 2
+    err = capsys.readouterr().err
+    assert "config error:" in err and path in err, err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("text", ["[" * 100000 + "]" * 100000,
+                                  '{"params": {"k1": 1%s}}' % ("0" * 5000)],
+                         ids=["deep_nesting", "5001_digit_int"])
+def test_unparsable_config_exits_2(tmp_path, capsys, text):
+    path = tmp_path / "cfg.json"
+    path.write_text(text)
+    assert main(["validate", "--config", str(path)]) == 2
+    assert "config error: config is not valid JSON" in capsys.readouterr().err
+
+
+def _paths(obj, path=()):
+    yield path
+    if isinstance(obj, (dict, list)):
+        for key, value in obj.items() if isinstance(obj, dict) else enumerate(obj):
+            yield from _paths(value, path + (key,))
+
+
+# Replacement values by JSON type; none of them is valid anywhere in a config,
+# and a number is never generated, so no swapped config starts a long run.
+_SWAPS = {
+    type(None): st.none(),
+    bool: st.booleans(),
+    str: st.text(max_size=4),
+    list: st.lists(st.none() | st.booleans() | st.text(max_size=2), max_size=3),
+    dict: st.dictionaries(st.text(max_size=3), st.none(), min_size=1, max_size=2),
+}
+
+
+@st.composite
+def type_swapped_configs(draw):
+    command = draw(st.sampled_from(sorted(SMALL_CONFIGS)))
+    cfg = copy.deepcopy(SMALL_CONFIGS[command])
+    path = draw(st.sampled_from(list(_paths(cfg))[1:]))
+    parent = cfg
+    for key in path[:-1]:
+        parent = parent[key]
+    kind = type(parent[path[-1]])
+    parent[path[-1]] = draw(st.one_of(*(s for k, s in _SWAPS.items() if k is not kind)))
+    return command, cfg
+
+
+@settings(max_examples=150, deadline=None)
+@given(type_swapped_configs())
+def test_type_swapped_config_never_tracebacks(case):
+    command, cfg = case
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = _run(command, path, Path(tmp) / "out")
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err.getvalue()
+
+
+def test_empty_sections_build_dataclass_defaults():
+    assert _build_sweep({}, None, None) == (SweepConfig(), ({},))
+    assert _build_sim({}, None) == (SimConfig(), ((0.0, SimConfig().duration),))
+    assert _convert(SignalSpec, {}, "signal") == SignalSpec()
+
+
+def test_sweep_nonfinite_fit_flagged_exit_3(tmp_path, capsys):
+    cfg = {
+        "params": LINEAR_PARAMS,
+        "sweep": {"freqs_hz": [5.1, 10.1], "samples": 500, "amplitude": 1e300},
+    }
+    out_dir = tmp_path / "f"
+    assert main(["sweep", "--config", write_cfg(tmp_path, cfg), "--out", str(out_dir)]) == 3
+    assert "flagged rows: 6/6" in capsys.readouterr().out
+    rows = (out_dir / "bode_linear_a1_R5_Am1e+300.csv").read_text().splitlines()[1:]
+    assert {r.split(",")[-1] for r in rows} == {"nonfinite_fit"}
