@@ -20,7 +20,7 @@ from .errors import ConfigError, DivergedState, DoubleIntError, InvalidParams
 from .observers import ObserverParams, validate_params
 from .signals import SignalSpec
 from .solver import SimConfig, simulate, trajectory_metrics
-from .sweep import SweepConfig, bode_from_transfer, sweep_observer
+from .sweep import SweepConfig, bode_from_transfer, check_sweep_config, sweep_observer
 
 EXIT_OK = 0
 EXIT_INVALID_PARAMS = 1
@@ -197,22 +197,32 @@ def cmd_sweep(cfg: dict, out_dir, fmt: str | None = None, method: str | None = N
     _check_top(cfg, "sweep")
     sweep_cfg, variants = _build_sweep(cfg.get("sweep", {}), method, discard)
     runs = []
+    # every variant is checked before the first one runs, so a bad one writes nothing
     for i, variant in enumerate(variants):
         path = f"sweep.variants[{i}]"
         over = _typed({**_PARAM_TYPES, "amplitude": float}, variant, path)
         run_cfg = sweep_cfg
         if "amplitude" in over:
             run_cfg = dataclasses.replace(sweep_cfg, amplitude=over.pop("amplitude"))
-        runs.append((_build_params(cfg, over, path if over else "params"), run_cfg))
+        params = _build_params(cfg, over, path if over else "params")
+        report = validate_params(params)
+        if not report.ok:
+            raise InvalidParams(report)
+        try:
+            check_sweep_config(params, run_cfg)
+        except ConfigError as exc:
+            # messages lead with the field name: a field the variant set, or a
+            # guard its params decide (step_h*k3/eps^4), is the variant's error
+            field = str(exc).split()[0]
+            own = field in variant or (variant and field not in _fields(SweepConfig))
+            raise ConfigError(f"{path if own else 'sweep'}.{exc}") from exc
+        runs.append((params, run_cfg))
     fmt = fmt or cfg.get("format", "csv")
     out = io.ensure_dir(out_dir)
     total = flagged = 0
     written = []
     for params, run_cfg in runs:
-        try:
-            curve = sweep_observer(params, run_cfg, workers=workers)
-        except ConfigError as exc:
-            raise ConfigError(f"sweep.{exc}") from exc
+        curve = sweep_observer(params, run_cfg, workers=workers)
         tag = _variant_tag(params, run_cfg.amplitude)
         written.append(_write_curve(out, f"bode_{tag}", curve, fmt))
         total += len(curve.rows)

@@ -1,84 +1,68 @@
 """CSV/JSON serialization of trajectories and Bode curves.
 
-CSV files use '.' decimals, '\\n' line endings and fixed 9-significant-digit
-scientific formatting, unconditionally, so outputs diff cleanly across
-platforms.  Unavailable cells (no ground truth, flagged rows) are empty.
+Each table has one column list, which names the CSV header cells and the
+JSON keys alike.  CSV files use '.' decimals, '\\n' line endings and fixed
+9-significant-digit scientific formatting, unconditionally, so outputs diff
+cleanly across platforms.  Unavailable cells (no ground truth, flagged rows)
+are empty in CSV; in JSON a trajectory without ground truth has no truth or
+error keys, and a non-finite Bode value is null.
 """
 
 import json
 import math
 from pathlib import Path
 
-from .solver import Trajectory
-from .sweep import BodeCurve
+import numpy as np
 
-TRAJECTORY_HEADER = "t,x1,x2,x3,a,a1,a2,a3,e1,e2,e3"
-BODE_HEADER = (
-    "f_hz,omega_rad_s,channel,magnitude_db,phase_rad,phase_unwrapped_rad,"
-    "residual_rms,source,flag"
-)
+from .solver import Trajectory
+from .sweep import BodeCurve, BodeRow
+
+TRAJECTORY_COLUMNS = ("t", "x1", "x2", "x3", "a", "a1", "a2", "a3", "e1", "e2", "e3")
+BODE_COLUMNS = ("f_hz", "omega_rad_s", "channel", "magnitude_db", "phase_rad",
+                "phase_unwrapped_rad", "residual_rms", "source", "flag")
+TRAJECTORY_HEADER = ",".join(TRAJECTORY_COLUMNS)
+BODE_HEADER = ",".join(BODE_COLUMNS)
+
+
+def _columns(traj: Trajectory) -> list[np.ndarray]:
+    """1-D views of traj in TRAJECTORY_COLUMNS order; truth and errors only if present."""
+    cols = [traj.times, *traj.states.T, traj.inputs]
+    if traj.truths is not None:
+        cols += [*traj.truths.T, *traj.errors.T]
+    return cols
+
+
+def write_trajectory_csv(path, traj: Trajectory) -> None:
+    cols = _columns(traj)
+    missing = len(TRAJECTORY_COLUMNS) - len(cols)
+    row = ",".join(["%.8e"] * len(cols)) + "," * missing + "\n"
+    with open(path, "w", newline="") as f:
+        f.write(TRAJECTORY_HEADER + "\n")
+        # one row at a time: a whole-table tolist() holds every cell as a Python float
+        f.writelines(row % tuple(r.tolist()) for r in np.column_stack(cols))
+
+
+def trajectory_to_dict(traj: Trajectory) -> dict:
+    return {name: col.tolist() for name, col in zip(TRAJECTORY_COLUMNS, _columns(traj))}
+
+
+def _bode_values(r: BodeRow) -> tuple:
+    """The cells of one Bode row in BODE_COLUMNS order."""
+    return (r.f_hz, r.omega, r.channel, r.magnitude_db, r.phase_rad, r.phase_unwrapped_rad,
+            r.residual_rms, r.source, r.flag)
 
 
 def _num(v) -> str:
     if v is None:
         return ""
-    if isinstance(v, float) and math.isnan(v):
-        return "nan"
-    return f"{v:.8e}"
-
-
-def write_trajectory_csv(path, traj: Trajectory) -> None:
-    with open(path, "w", newline="") as f:
-        f.write(TRAJECTORY_HEADER + "\n")
-        has_truth = traj.truths is not None
-        for i in range(traj.times.size):
-            cells = [
-                _num(traj.times[i]),
-                _num(traj.states[i, 0]),
-                _num(traj.states[i, 1]),
-                _num(traj.states[i, 2]),
-                _num(traj.inputs[i]),
-            ]
-            if has_truth:
-                cells += [_num(traj.truths[i, j]) for j in range(3)]
-                cells += [_num(traj.errors[i, j]) for j in range(3)]
-            else:
-                cells += [""] * 6
-            f.write(",".join(cells) + "\n")
-
-
-def trajectory_to_dict(traj: Trajectory) -> dict:
-    out = {
-        "t": [float(v) for v in traj.times],
-        "x1": [float(v) for v in traj.states[:, 0]],
-        "x2": [float(v) for v in traj.states[:, 1]],
-        "x3": [float(v) for v in traj.states[:, 2]],
-        "a": [float(v) for v in traj.inputs],
-    }
-    if traj.truths is not None:
-        for j, name in enumerate(("a1", "a2", "a3")):
-            out[name] = [float(v) for v in traj.truths[:, j]]
-        for j, name in enumerate(("e1", "e2", "e3")):
-            out[name] = [float(v) for v in traj.errors[:, j]]
-    return out
+    return f"{v:.8e}" if isinstance(v, float) else str(v)
 
 
 def write_bode_csv(path, curve: BodeCurve) -> None:
     with open(path, "w", newline="") as f:
         f.write(BODE_HEADER + "\n")
         for r in curve.rows:
-            cells = [
-                _num(r.f_hz),
-                _num(r.omega),
-                str(r.channel),
-                _num(r.magnitude_db),
-                _num(r.phase_rad),
-                _num(r.phase_unwrapped_rad),
-                _num(r.residual_rms),
-                r.source,
-                r.flag,
-            ]
-            f.write(",".join(cells) + "\n")
+            f.write(",".join(map(_num, _bode_values(r))) + "\n")
 
 
 def bode_to_dict(curve: BodeCurve) -> dict:
@@ -87,30 +71,19 @@ def bode_to_dict(curve: BodeCurve) -> dict:
         "source": curve.source,
         "params": curve.params,
         "config": curve.config,
-        "rows": [
-            {
-                "f_hz": r.f_hz,
-                "omega_rad_s": r.omega,
-                "channel": r.channel,
-                "magnitude_db": _json_float(r.magnitude_db),
-                "phase_rad": _json_float(r.phase_rad),
-                "phase_unwrapped_rad": _json_float(r.phase_unwrapped_rad),
-                "residual_rms": _json_float(r.residual_rms),
-                "source": r.source,
-                "flag": r.flag,
-            }
-            for r in curve.rows
-        ],
+        "rows": [dict(zip(BODE_COLUMNS, map(_json_float, _bode_values(r))))
+                 for r in curve.rows],
     }
 
 
 def _json_float(v):
-    if v is None or (isinstance(v, float) and not math.isfinite(v)):
+    if isinstance(v, float) and not math.isfinite(v):
         return None
     return v
 
 
 def write_json(path, obj) -> None:
+    # streaming dump: json.dumps would hold the whole text of a long trajectory
     with open(path, "w", newline="") as f:
         json.dump(obj, f, indent=2, sort_keys=True)
         f.write("\n")

@@ -25,6 +25,10 @@ STABILITY_LIMIT = 2.0
 # runs whose record would exceed 1 GiB are refused before allocating it.
 MAX_RECORD_ROWS = 2**30 // (11 * 8)
 
+# Steps run in pure Python at ~10^5-10^6 per second, so 10^9 steps is about an
+# hour of RK4; longer runs are refused before they start.
+MAX_STEPS = 10**9
+
 
 @dataclass(frozen=True)
 class SimConfig:
@@ -74,7 +78,11 @@ class Trajectory:
         return (self.times >= t_lo) & (self.times <= t_hi)
 
 
-def _check_config(p: ObserverParams, cfg: SimConfig) -> None:
+def check_config(p: ObserverParams, cfg: SimConfig) -> None:
+    """Raise ConfigError, its message led by the field name, when simulate rejects cfg.
+
+    p must pass validate_params.
+    """
     for name in ("step_h", "duration"):
         if not 0.0 < getattr(cfg, name) < math.inf:
             raise ConfigError(f"{name} must be finite and positive, got {getattr(cfg, name)!r}")
@@ -85,6 +93,9 @@ def _check_config(p: ObserverParams, cfg: SimConfig) -> None:
     if cfg.duration / cfg.step_h >= MAX_RECORD_ROWS * cfg.record_stride:
         raise ConfigError(f"record_stride {cfg.record_stride} keeps over {MAX_RECORD_ROWS} rows "
                           "(1 GiB): raise it or shorten duration")
+    if cfg.duration / cfg.step_h >= MAX_STEPS:
+        raise ConfigError(f"duration {cfg.duration:g} takes over {MAX_STEPS} steps of "
+                          f"{cfg.step_h:g}: shorten it or raise step_h")
     rate = cfg.step_h * p.k3 / p.epsilon**4
     if not rate < STABILITY_LIMIT:
         raise ConfigError(
@@ -265,7 +276,7 @@ def simulate(p: ObserverParams, spec: signals.SignalSpec, cfg: SimConfig) -> Tra
     report = validate_params(p)
     if not report.ok:
         raise InvalidParams(report)
-    _check_config(p, cfg)
+    check_config(p, cfg)
     n = max(1, round(cfg.duration / cfg.step_h))
     stride = cfg.record_stride
     m = n // stride + 1

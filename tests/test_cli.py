@@ -311,6 +311,7 @@ MALFORMED = [
     ("simulate", "sim", "duration", True, "sim.duration"),
     ("simulate", None, "output_dir", "runs", "output_dir"),
     ("simulate", "sim", "metrics_windows", [[100.0, 200.0]], "sim.metrics_windows"),
+    ("simulate", None, "sim", {"duration": 1e9, "record_stride": 1000000}, "sim.duration"),
 ]
 
 
@@ -395,3 +396,16 @@ def test_sweep_nonfinite_fit_flagged_exit_3(tmp_path, capsys):
     assert "flagged rows: 6/6" in capsys.readouterr().out
     rows = (out_dir / "bode_linear_a1_R5_Am1e+300.csv").read_text().splitlines()[1:]
     assert {r.split(",")[-1] for r in rows} == {"nonfinite_fit"}
+
+
+@pytest.mark.parametrize("variant, message", [
+    ({"amplitude": -1}, "sweep.variants[1].amplitude must be positive"),
+    ({"R": 7}, "sweep.variants[1].step_h*k3/eps^4 = 2.4 exceeds the stability limit"),
+], ids=["amplitude", "stability"])
+def test_sweep_checks_every_variant_before_running(tmp_path, capsys, variant, message):
+    cfg = {"params": LINEAR_PARAMS,
+           "sweep": {"freqs_hz": [5.1], "samples": 200, "variants": [{}, variant]}}
+    out_dir = tmp_path / "v"
+    assert main(["sweep", "--config", write_cfg(tmp_path, cfg), "--out", str(out_dir)]) == 2
+    assert f"config error: {message}" in capsys.readouterr().err
+    assert not list(out_dir.glob("bode_*")) and not list(out_dir.glob("analytic_*"))
