@@ -12,6 +12,8 @@ from .analytic import (
     cutoff_frequency,
     is_hurwitz_cubic,
     limit_transfer,
+    sinusoid_states,
+    step_map,
     transfer_eval,
 )
 from .errors import (
@@ -43,7 +45,15 @@ from .signals import (
     make_input_fn,
     paper_reference_spec,
 )
-from .solver import SimConfig, Trajectory, settle_time, simulate, step, trajectory_metrics
+from .solver import (
+    SimConfig,
+    Trajectory,
+    integrate,
+    settle_time,
+    simulate,
+    step,
+    trajectory_metrics,
+)
 from .sweep import (
     BodeCurve,
     BodeRow,

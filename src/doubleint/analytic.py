@@ -7,14 +7,25 @@ The linear observer has channel transfer functions
 whose eps -> 0 limits are the ideal responses s^(j-3): double integrator,
 integrator, unity.  These closed forms are the oracle the sweep pipeline is
 validated against.
+
+One fixed Euler or RK4 step of the linear observer is an affine map
+(step_map), so its response to a sinusoidal drive has a closed form too
+(sinusoid_states): the exact discrete-time counterpart of H_j, which the
+sweep uses for its linear lanes.
 """
 
 import cmath
 import math
 from dataclasses import dataclass
 
-from .errors import CutoffNotFound, DomainError, SingularAtDC, SingularDenominator
+import numpy as np
+
+from .errors import CutoffNotFound, DivergedState, DomainError, SingularAtDC, SingularDenominator
 from .observers import ObserverParams
+
+# Rows per block of the transient M^k d: powers M^0..M^(BLOCK-1) are formed
+# once and each block start M^(j BLOCK) d by repeated multiplication.
+BLOCK = 256
 
 CHANNELS = (1, 2, 3)
 
@@ -117,3 +128,78 @@ def cutoff_frequency(p: ObserverParams, channel: int, drop_db: float = 3.0,
         else:
             b = mid
     return math.sqrt(a * b)
+
+
+def step_map(p: ObserverParams, h: float, method: str = "rk4"):
+    """One fixed step of the linear observer as the affine map (M, b0, b1, b2).
+
+    x_{n+1} = M x_n + b0 a(t_n) + b1 a(t_n + h/2) + b2 a(t_n + h) for the
+    step solver.step takes.  M is the method's stability polynomial of hA:
+    I + hA for Euler, the degree-4 Taylor polynomial of exp(hA) for RK4.
+    """
+    if p.mode != "linear":
+        raise DomainError("step_map requires linear-mode parameters")
+    eps = p.epsilon
+    inv = 1.0 / eps**4
+    eye = np.eye(3)
+    z = h * np.array([[0.0, 1.0, 0.0],
+                      [0.0, 0.0, 1.0],
+                      [-p.k1 * eps * inv, -p.k2 * eps * eps * inv, -p.k3 * inv]])
+    g = np.array([0.0, 0.0, h * p.k3 * inv])
+    if method == "euler":
+        return eye + z, g, np.zeros(3), np.zeros(3)
+    if method == "rk4":
+        m = eye + z @ (eye + z @ (eye + z @ (eye + z / 4.0) / 3.0) / 2.0)
+        b0 = (eye + z @ (eye + z @ (eye / 2.0 + z / 4.0))) @ g / 6.0
+        b1 = (4.0 * eye + z @ (2.0 * eye + z / 2.0)) @ g / 6.0
+        return m, b0, b1, g / 6.0
+    raise DomainError(f"method must be rk4 or euler, got {method!r}")
+
+
+def _power_rows(m: np.ndarray, d: np.ndarray, rows: int) -> np.ndarray:
+    """Rows M^k d for k = 0..rows-1, from blocked powers of M.
+
+    Only products of M are formed (no eigendecomposition, which loses
+    accuracy when M is near-defective).
+    """
+    powers = np.empty((BLOCK, 3, 3))
+    powers[0] = np.eye(3)
+    k = 1
+    while k < BLOCK:
+        hi = min(2 * k, BLOCK)
+        powers[k:hi] = powers[:hi - k] @ (powers[k - 1] @ m)
+        k = hi
+    m_block = powers[-1] @ m
+    starts = np.empty((-(-rows // BLOCK), 3))
+    v = d
+    for j in range(starts.shape[0]):
+        starts[j] = v
+        v = m_block @ v
+    # einsum keeps to its own loops: no BLAS threads, the same sums everywhere
+    return np.einsum("brc,jc->jbr", powers, starts).reshape(-1, 3)[:rows]
+
+
+def sinusoid_states(p: ObserverParams, h: float, method: str, amplitude: float, omega: float,
+                    x0, n: int) -> np.ndarray:
+    """States at t = k h, k = 0..n, of n fixed steps from x0 driven by amplitude sin(omega t).
+
+    The closed form of the step map's orbit: x_k = Im(P e^(i omega k h)) +
+    M^k (x0 - Im P) with P = (e^(i omega h) I - M)^-1 amplitude (b0 + b1
+    e^(i omega h/2) + b2 e^(i omega h)).  Row 0 is x0.  Raises DivergedState
+    at the time of the first non-finite row.
+    """
+    m, b0, b1, b2 = step_map(p, h, method)
+    z = cmath.exp(1j * omega * h)
+    forcing = b0 + b1 * cmath.exp(0.5j * omega * h) + b2 * z
+    with np.errstate(all="ignore"):
+        # huge amplitudes overflow here: the non-finite rows are reported below
+        phasor = amplitude * np.linalg.solve(z * np.eye(3) - m, forcing)
+        states = _power_rows(m, np.asarray(x0, dtype=float) - phasor.imag, n + 1)
+        theta = omega * (np.arange(n + 1) * h)
+        states += np.outer(np.sin(theta), phasor.real)
+        states += np.outer(np.cos(theta), phasor.imag)
+    states[0] = x0
+    bad = ~np.isfinite(states).all(axis=1)
+    if bad.any():
+        raise DivergedState(int(bad.argmax()) * h)
+    return states

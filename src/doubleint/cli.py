@@ -13,6 +13,7 @@ import dataclasses
 import json
 import sys
 import typing
+import warnings
 from pathlib import Path
 
 from . import io, scenarios
@@ -207,7 +208,9 @@ def cmd_sweep(cfg: dict, out_dir, fmt: str | None = None, method: str | None = N
         params = _build_params(cfg, over, path if over else "params")
         report = validate_params(params)
         if not report.ok:
-            raise InvalidParams(report)
+            # the report names no path: lead with the variant's when its keys set params
+            print(f"{path}: {report}" if over else report, file=sys.stderr)
+            return EXIT_INVALID_PARAMS
         try:
             check_sweep_config(params, run_cfg)
         except ConfigError as exc:
@@ -297,32 +300,39 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _plain_warning(message, category, filename, lineno, file=None, line=None) -> None:
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    try:
-        if args.cmd == "validate":
-            return cmd_validate(load_config(args.config))
-        if args.cmd == "simulate":
-            return cmd_simulate(load_config(args.config), args.out, args.format, args.method)
-        if args.cmd == "sweep":
-            return cmd_sweep(load_config(args.config), args.out, args.format, args.method,
-                             args.discard, args.threads)
-        if args.cmd == "reproduce":
-            return cmd_reproduce(args.scenario, args.out, args.format, args.method,
+    with warnings.catch_warnings():
+        # library warnings reach CLI users as one plain line, without source location
+        warnings.showwarning = _plain_warning
+        try:
+            if args.cmd == "validate":
+                return cmd_validate(load_config(args.config))
+            if args.cmd == "simulate":
+                return cmd_simulate(load_config(args.config), args.out, args.format, args.method)
+            if args.cmd == "sweep":
+                return cmd_sweep(load_config(args.config), args.out, args.format, args.method,
                                  args.discard, args.threads)
-        raise ConfigError(f"unknown command {args.cmd!r}")
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_BAD_CONFIG
-    except InvalidParams as exc:
-        print(exc.report, file=sys.stderr)
-        return EXIT_INVALID_PARAMS
-    except DivergedState as exc:
-        print(f"simulation diverged at t={exc.time:.6g} s", file=sys.stderr)
-        return EXIT_DIVERGED
-    except DoubleIntError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_CONFIG
+            if args.cmd == "reproduce":
+                return cmd_reproduce(args.scenario, args.out, args.format, args.method,
+                                     args.discard, args.threads)
+            raise ConfigError(f"unknown command {args.cmd!r}")
+        except ConfigError as exc:
+            print(f"config error: {exc}", file=sys.stderr)
+            return EXIT_BAD_CONFIG
+        except InvalidParams as exc:
+            print(exc.report, file=sys.stderr)
+            return EXIT_INVALID_PARAMS
+        except DivergedState as exc:
+            print(f"simulation diverged at t={exc.time:.6g} s", file=sys.stderr)
+            return EXIT_DIVERGED
+        except DoubleIntError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_BAD_CONFIG
 
 
 if __name__ == "__main__":

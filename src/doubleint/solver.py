@@ -1,10 +1,10 @@
 """Fixed-step integration of an observer against a signal.
 
-The public entry points are simulate() and step().  The inner loops are
-hand-inlined per (mode, method) pair and operate on plain floats: a sweep
-over the full frequency grid takes ~10^7 RK4 steps, which rules out per-step
-calls into observers.rhs.  test_kernels_match_public_step pins every kernel
-to step().
+The public entry points are simulate(), integrate() (its times and states
+alone) and step().  The inner loops are hand-inlined per (mode, method) pair
+and operate on plain floats: a nonlinear sweep over the full frequency grid
+takes ~10^7 RK4 steps, which rules out per-step calls into observers.rhs.
+test_kernels_match_public_step pins every kernel to step().
 """
 
 import math
@@ -266,12 +266,11 @@ _KERNELS = {
 }
 
 
-def simulate(p: ObserverParams, spec: signals.SignalSpec, cfg: SimConfig) -> Trajectory:
-    """Integrate the observer against the signal and record a trajectory.
+def integrate(p: ObserverParams, spec: signals.SignalSpec,
+              cfg: SimConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Record times and states of the run simulate records, without its other columns.
 
-    Raises InvalidParams when validate_params rejects p, ConfigError on bad
-    settings or stability-guard violation, DivergedState (with the time of
-    the first non-finite recorded sample) on numerical blowup.
+    Raises what simulate raises.
     """
     report = validate_params(p)
     if not report.ok:
@@ -281,11 +280,21 @@ def simulate(p: ObserverParams, spec: signals.SignalSpec, cfg: SimConfig) -> Tra
     stride = cfg.record_stride
     m = n // stride + 1
     states = np.empty((m, 3))
-    a_fn = signals.make_input_fn(spec)
     kernel = _KERNELS[(cfg.method, p.mode)]
-    kernel(p, cfg.initial_state, a_fn, cfg.step_h, n, stride, states)
-    times = np.arange(m) * (stride * cfg.step_h)
-    inputs = np.fromiter((a_fn(t) for t in times), dtype=float, count=m)
+    kernel(p, cfg.initial_state, signals.make_input_fn(spec), cfg.step_h, n, stride, states)
+    return np.arange(m) * (stride * cfg.step_h), states
+
+
+def simulate(p: ObserverParams, spec: signals.SignalSpec, cfg: SimConfig) -> Trajectory:
+    """Integrate the observer against the signal and record a trajectory.
+
+    Raises InvalidParams when validate_params rejects p, ConfigError on bad
+    settings or stability-guard violation, DivergedState (with the time of
+    the first non-finite recorded sample) on numerical blowup.
+    """
+    times, states = integrate(p, spec, cfg)
+    a_fn = signals.make_input_fn(spec)
+    inputs = np.fromiter((a_fn(t) for t in times), dtype=float, count=times.size)
     truths = errors = None
     if signals.supports_truth(spec):
         truths = signals.truth_arrays(spec, times)

@@ -3,8 +3,11 @@
 For each grid frequency the observer is driven with A_m sin(2 pi f t), each
 requested output channel is fitted with a single sinusoid at the drive
 frequency by least squares, and the fitted amplitude/phase become one Bode
-row.  Frequencies are independent work items and may be computed in
-parallel; output order is always by frequency.
+row.  Nonlinear lanes run the solver's step-by-step kernel; linear lanes
+take the same discretization's states from its exact step map
+(analytic.sinusoid_states), which agrees with the kernel to rounding.
+Frequencies are independent work items and may be computed in parallel;
+output order is always by frequency.
 """
 
 import math
@@ -18,7 +21,7 @@ from . import analytic
 from .errors import ConfigError, DivergedState, IllConditioned, InvalidParams
 from .observers import ObserverParams, ObserverState, validate_params
 from .signals import SignalSpec
-from .solver import MAX_RECORD_ROWS, SimConfig, check_config, simulate
+from .solver import MAX_RECORD_ROWS, SimConfig, check_config, integrate
 
 TWO_PI = 2.0 * math.pi
 
@@ -96,14 +99,12 @@ def fit_sinusoid(times: np.ndarray, values: np.ndarray, omega: float) -> Sinusoi
     cy = _dot(c, y)
     c1 = (cc * sy - sc * cy) / det
     c2 = (ss * cy - sc * sy) / det
-    resid = y - c1 * s - c2 * c
-    return SinusoidFit(
-        c1,
-        c2,
-        math.hypot(c1, c2),
-        math.atan2(c2, c1),
-        math.sqrt(float(np.mean(resid**2))),
-    )
+    with np.errstate(over="ignore"):
+        # outputs near the float range overflow to an inf residual, which the
+        # sweep flags nonfinite_fit
+        resid = y - c1 * s - c2 * c
+        residual_rms = math.sqrt(float(np.mean(resid**2)))
+    return SinusoidFit(c1, c2, math.hypot(c1, c2), math.atan2(c2, c1), residual_rms)
 
 
 @dataclass(frozen=True)
@@ -196,21 +197,26 @@ def replace_mode_linear(p: ObserverParams) -> ObserverParams:
 
 def _run_frequency(p: ObserverParams, cfg: SweepConfig, f_hz: float) -> list[BodeRow]:
     omega = TWO_PI * f_hz
-    spec = SignalSpec("sinusoid", cfg.amplitude, omega)
-    sim_cfg = replace(_frequency_sim(cfg), initial_state=_initial_state(p, cfg, omega))
+    x0 = _initial_state(p, cfg, omega)
     rows = []
     try:
-        traj = simulate(p, spec, sim_cfg)
+        if p.mode == "linear":
+            times = np.arange(cfg.samples + 1) * cfg.step_h
+            states = analytic.sinusoid_states(p, cfg.step_h, cfg.method, cfg.amplitude, omega,
+                                              x0, cfg.samples)
+        else:
+            times, states = integrate(p, SignalSpec("sinusoid", cfg.amplitude, omega),
+                                      replace(_frequency_sim(cfg), initial_state=x0))
     except DivergedState:
         return [
             BodeRow(f_hz, omega, ch, math.nan, math.nan, None, None, "sweep", "diverged")
             for ch in cfg.channels
         ]
-    lo = int(traj.times.size * cfg.discard_fraction)
-    t_fit = traj.times[lo:]
+    lo = int(times.size * cfg.discard_fraction)
+    t_fit = times[lo:]
     for ch in cfg.channels:
         try:
-            fit = fit_sinusoid(t_fit, traj.states[lo:, ch - 1], omega)
+            fit = fit_sinusoid(t_fit, states[lo:, ch - 1], omega)
         except IllConditioned:
             rows.append(
                 BodeRow(f_hz, omega, ch, math.nan, math.nan, None, None, "sweep",

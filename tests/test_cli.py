@@ -3,6 +3,8 @@ import copy
 import io
 import json
 import math
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -11,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import doubleint
 from doubleint import SignalSpec, SimConfig, SweepConfig
 from doubleint.cli import _build_sim, _build_sweep, _convert, main
 from doubleint.io import BODE_HEADER, TRAJECTORY_HEADER
@@ -409,3 +412,35 @@ def test_sweep_checks_every_variant_before_running(tmp_path, capsys, variant, me
     assert main(["sweep", "--config", write_cfg(tmp_path, cfg), "--out", str(out_dir)]) == 2
     assert f"config error: {message}" in capsys.readouterr().err
     assert not list(out_dir.glob("bode_*")) and not list(out_dir.glob("analytic_*"))
+
+
+def test_sweep_overflowing_fit_exits_3_without_runtime_warning(tmp_path):
+    cfg = {
+        "params": LINEAR_PARAMS,
+        "sweep": {"freqs_hz": [5.1, 10.1], "samples": 500, "amplitude": 1e300},
+    }
+    env = {"PYTHONPATH": str(Path(doubleint.__file__).parents[1]), "PATH": ""}
+    done = subprocess.run(
+        [sys.executable, "-m", "doubleint.cli", "sweep", "--config", write_cfg(tmp_path, cfg),
+         "--out", str(tmp_path / "f")],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 3
+    assert "flagged rows: 6/6" in done.stdout
+    assert done.stderr == ""
+
+
+def test_sweep_variant_invalid_params_names_the_variant(tmp_path, capsys):
+    cfg = {"params": LINEAR_PARAMS,
+           "sweep": {"freqs_hz": [5.1], "samples": 200, "variants": [{}, {"k1": -1}]}}
+    out_dir = tmp_path / "v"
+    assert main(["sweep", "--config", write_cfg(tmp_path, cfg), "--out", str(out_dir)]) == 1
+    assert capsys.readouterr().err.startswith("sweep.variants[1]: invalid: k=(-1, ")
+    assert not list(out_dir.glob("bode_*"))
+
+
+def test_sweep_short_span_warning_is_one_plain_line(tmp_path, capsys):
+    cfg = {"params": LINEAR_PARAMS,
+           "sweep": {"freqs_hz": [0.1], "samples": 100, "variants": [{}, {"amplitude": 2}]}}
+    assert main(["sweep", "--config", write_cfg(tmp_path, cfg), "--out", str(tmp_path)]) == 0
+    assert capsys.readouterr().err.splitlines() == [
+        "warning: run length 0.1 s is shorter than one period (10 s) of the lowest frequency"]
