@@ -40,10 +40,9 @@ from .observers import (
 from .signals import (
     NoiseTerm,
     SignalSpec,
-    eval_input,
-    eval_truth,
     make_input_fn,
     paper_reference_spec,
+    truth_arrays,
 )
 from .solver import (
     SimConfig,

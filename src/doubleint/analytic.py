@@ -29,6 +29,9 @@ BLOCK = 256
 
 CHANNELS = (1, 2, 3)
 
+# Log-spaced points on which cutoff_frequency brackets the crossing before bisecting.
+CUTOFF_GRID_POINTS = 4000
+
 
 @dataclass(frozen=True)
 class TransferEval:
@@ -84,8 +87,7 @@ def is_hurwitz_cubic(c2: float, c1: float, c0: float) -> bool:
 
 
 def cutoff_frequency(p: ObserverParams, channel: int, drop_db: float = 3.0,
-                     bracket: tuple[float, float] = (1e-3, 1e5),
-                     grid_points: int = 4000) -> float:
+                     bracket: tuple[float, float] = (1e-3, 1e5)) -> float:
     """Bandwidth edge: largest omega where the channel stays within drop_db
     of the ideal integrator response.
 
@@ -109,13 +111,13 @@ def cutoff_frequency(p: ObserverParams, channel: int, drop_db: float = 3.0,
     if not 0.0 < lo < hi:
         raise DomainError("bracket must satisfy 0 < lo < hi")
     log_lo, log_hi = math.log10(lo), math.log10(hi)
-    grid = [10.0 ** (log_lo + (log_hi - log_lo) * i / (grid_points - 1))
-            for i in range(grid_points)]
+    n = CUTOFF_GRID_POINTS
+    grid = [10.0 ** (log_lo + (log_hi - log_lo) * i / (n - 1)) for i in range(n)]
     above = [rel_gain(om) >= thr for om in grid]
     if above[-1]:
         raise CutoffNotFound(f"gain still within {drop_db:g} dB at bracket end {hi:g} rad/s")
     last = None
-    for i in range(grid_points - 1):
+    for i in range(n - 1):
         if above[i] and not above[i + 1]:
             last = i
     if last is None:

@@ -176,7 +176,9 @@ def cmd_simulate(cfg: dict, out_dir, fmt: str | None = None,
         traj = simulate(params, spec, sim_cfg)
         metrics = trajectory_metrics(traj, windows)
     except ConfigError as exc:
-        raise ConfigError(f"sim.{exc}") from exc
+        # messages lead with the field name, which is the signal's or the sim's
+        field = str(exc).split()[0].split("[")[0]
+        raise ConfigError(f"{'signal' if field in _fields(SignalSpec) else 'sim'}.{exc}") from exc
     out = io.ensure_dir(out_dir)
     if fmt == "csv":
         io.write_trajectory_csv(out / "trajectory.csv", traj)

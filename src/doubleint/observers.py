@@ -23,7 +23,6 @@ from .errors import DivergedState, DomainError
 MODES = ("nonlinear", "linear")
 
 # Practical floor on epsilon so that the 1/eps^4 feedback scale stays <= 1e12.
-# Configurable through validate_params(epsilon_floor=...).
 EPSILON_FLOOR = 1e-3
 
 
@@ -122,7 +121,7 @@ class ValidationReport:
         return "\n".join(lines)
 
 
-def validate_params(p: ObserverParams, epsilon_floor: float = EPSILON_FLOOR) -> ValidationReport:
+def validate_params(p: ObserverParams) -> ValidationReport:
     """Check every parameter constraint; never raises.
 
     Reported violation names: positivity, epsilon range, alpha range,
@@ -137,11 +136,11 @@ def validate_params(p: ObserverParams, epsilon_floor: float = EPSILON_FLOOR) -> 
         violations.append(
             Violation("epsilon range", f"epsilon must lie in (0, 1), got {p.epsilon:g}")
         )
-    elif p.epsilon < epsilon_floor:
+    elif p.epsilon < EPSILON_FLOOR:
         violations.append(
             Violation(
                 "epsilon range",
-                f"epsilon={p.epsilon:g} below practical floor {epsilon_floor:g} "
+                f"epsilon={p.epsilon:g} below practical floor {EPSILON_FLOOR:g} "
                 f"(keeps 1/eps^4 bounded)",
             )
         )

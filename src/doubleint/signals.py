@@ -7,12 +7,13 @@ they recover the integrals of the clean reference, not of the noise.
 """
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
-from .errors import UnsupportedTruth
+from .errors import ConfigError, UnsupportedTruth
 
 # Reference waveform constants: a3(t) = -REF_COEF * REF_RATE^2 * sin(REF_RATE t),
 # whose printed antiderivatives are a2 = REF_COEF*REF_RATE*cos(REF_RATE t) and
@@ -21,8 +22,20 @@ from .errors import UnsupportedTruth
 REF_COEF = 0.1
 REF_RATE = 3.14
 
+# Largest phase omega*t a run may reach: half the float range, so that rounding
+# in the last step's times cannot carry a phase to inf, where sin is undefined.
+MAX_PHASE = sys.float_info.max / 2
+
 KINDS = ("sinusoid", "paper_reference", "composite")
 PHASE_KINDS = ("sine", "cosine")
+
+
+def _check_term(amp_name: str, amp: float, omega: float) -> None:
+    # an infinite amplitude is a run that diverges; NaN is no amplitude at all
+    if not amp >= 0.0:
+        raise ValueError(f"{amp_name} must be >= 0, got {amp!r}")
+    if not 0.0 <= omega < math.inf:
+        raise ValueError(f"omega must be finite and >= 0, got {omega!r}")
 
 
 @dataclass(frozen=True)
@@ -36,13 +49,7 @@ class NoiseTerm:
     def __post_init__(self):
         if self.phase not in PHASE_KINDS:
             raise ValueError(f"phase must be one of {PHASE_KINDS}, got {self.phase!r}")
-        if self.amp < 0 or self.omega < 0:
-            raise ValueError("amp and omega must be >= 0")
-
-    def eval(self, t: float) -> float:
-        if self.phase == "sine":
-            return self.amp * math.sin(self.omega * t)
-        return self.amp * math.cos(self.omega * t)
+        _check_term("amp", self.amp, self.omega)
 
 
 @dataclass(frozen=True)
@@ -57,8 +64,9 @@ class SignalSpec:
       - ``composite``: same evaluation as ``sinusoid`` but the noise terms
         count as part of the signal, so no ground truth is defined.
 
-    Noise terms are added on top of the base waveform by eval_input and are
-    always excluded from eval_truth.
+    make_input_fn(spec) evaluates a(t): the base waveform plus every noise
+    term.  truth_arrays(spec, times) evaluates the ground truth, which always
+    excludes the noise terms.
     """
 
     kind: str = "sinusoid"
@@ -69,8 +77,7 @@ class SignalSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"kind must be one of {KINDS}, got {self.kind!r}")
-        if self.amplitude < 0 or self.omega < 0:
-            raise ValueError("amplitude and omega must be >= 0")
+        _check_term("amplitude", self.amplitude, self.omega)
 
 
 # Noise used by the reproduction scenarios:
@@ -89,62 +96,47 @@ def paper_reference_spec(with_noise: bool = True) -> SignalSpec:
     return SignalSpec("paper_reference", REF_COEF * REF_RATE**2, REF_RATE, noise)
 
 
-def _base_value(spec: SignalSpec, t: float) -> float:
+def _waveform(spec: SignalSpec) -> tuple[float, float]:
+    """(amplitude, rate) of the base waveform amplitude * sin(rate t)."""
     if spec.kind == "paper_reference":
-        return -REF_COEF * REF_RATE * REF_RATE * math.sin(REF_RATE * t)
-    return spec.amplitude * math.sin(spec.omega * t)
+        return -REF_COEF * REF_RATE * REF_RATE, REF_RATE
+    return spec.amplitude, spec.omega
 
 
-def eval_input(spec: SignalSpec, t: float) -> float:
-    """Signal value at time t: base waveform plus all noise terms."""
-    v = _base_value(spec, t)
-    for term in spec.noise:
-        v += term.eval(t)
-    return v
+def check_horizon(spec: SignalSpec, t_end: float) -> None:
+    """Raise ConfigError, its message led by the field name, when a phase
+    omega*t of the signal overflows before t_end."""
+    rates = [("omega", _waveform(spec)[1])]
+    rates += [(f"noise[{i}].omega", n.omega) for i, n in enumerate(spec.noise)]
+    for name, w in rates:
+        if w * t_end > MAX_PHASE:
+            raise ConfigError(f"{name} {w:g} overflows the phase omega*t before t = {t_end:g}")
 
 
-def eval_truth(spec: SignalSpec, t: float) -> tuple[float, float, float]:
-    """Closed-form (double integral, onefold integral, clean value) at time t.
+def truth_arrays(spec: SignalSpec, times: np.ndarray) -> np.ndarray:
+    """Closed-form ground truth at times: shape (len(times), 3), columns (a1, a2, a3).
 
-    Integrals follow the zero-at-zero convention for the sinusoid kind.  The
-    paper_reference kind returns the printed antiderivatives verbatim, whose
-    onefold integral does not vanish at t=0.
+    a3 is the clean signal (noise excluded), a2 and a1 its onefold and double
+    integrals.  Integrals follow the zero-at-zero convention for the sinusoid
+    kind.  The paper_reference kind returns the printed antiderivatives
+    verbatim, whose onefold integral does not vanish at t=0.
 
     Raises UnsupportedTruth for the composite kind.
     """
     if spec.kind == "composite":
         raise UnsupportedTruth("composite signals have no closed-form integrals")
-    if spec.kind == "paper_reference":
-        a3 = -REF_COEF * REF_RATE * REF_RATE * math.sin(REF_RATE * t)
-        a2 = REF_COEF * REF_RATE * math.cos(REF_RATE * t)
-        a1 = REF_COEF * math.sin(REF_RATE * t)
-        return a1, a2, a3
-    a, w = spec.amplitude, spec.omega
-    if w == 0.0:
-        return 0.0, 0.0, 0.0
-    a3 = a * math.sin(w * t)
-    a2 = a * (1.0 - math.cos(w * t)) / w
-    a1 = a * (t - math.sin(w * t) / w) / w
-    return a1, a2, a3
-
-
-def truth_arrays(spec: SignalSpec, times: np.ndarray) -> np.ndarray:
-    """Vectorized eval_truth: shape (len(times), 3) columns (a1, a2, a3)."""
-    if spec.kind == "composite":
-        raise UnsupportedTruth("composite signals have no closed-form integrals")
     t = np.asarray(times, dtype=float)
+    amp, w = _waveform(spec)
+    if w == 0.0:
+        return np.zeros((t.size, 3))
+    s = np.sin(w * t)
     if spec.kind == "paper_reference":
-        a3 = -REF_COEF * REF_RATE * REF_RATE * np.sin(REF_RATE * t)
-        a2 = REF_COEF * REF_RATE * np.cos(REF_RATE * t)
-        a1 = REF_COEF * np.sin(REF_RATE * t)
+        a2 = REF_COEF * REF_RATE * np.cos(w * t)
+        a1 = REF_COEF * s
     else:
-        a, w = spec.amplitude, spec.omega
-        if w == 0.0:
-            return np.zeros((t.size, 3))
-        a3 = a * np.sin(w * t)
-        a2 = a * (1.0 - np.cos(w * t)) / w
-        a1 = a * (t - np.sin(w * t) / w) / w
-    return np.column_stack([a1, a2, a3])
+        a2 = amp * (1.0 - np.cos(w * t)) / w
+        a1 = amp * (t - s / w) / w
+    return np.column_stack([a1, a2, amp * s])
 
 
 def supports_truth(spec: SignalSpec) -> bool:
@@ -152,16 +144,13 @@ def supports_truth(spec: SignalSpec) -> bool:
 
 
 def make_input_fn(spec: SignalSpec) -> Callable[[float], float]:
-    """Scalar closure a(t) for use in integration hot loops."""
-    if spec.kind == "paper_reference":
-        amp, w = -REF_COEF * REF_RATE * REF_RATE, REF_RATE
-    else:
-        amp, w = spec.amplitude, spec.omega
+    """Scalar closure a(t), the base waveform plus every noise term, for use
+    in integration hot loops."""
+    amp, w = _waveform(spec)
     if not spec.noise:
         return lambda t: amp * math.sin(w * t)
 
-    # noise terms unrolled into a flat tuple, summation order preserved so the
-    # closure is bit-identical to eval_input
+    # noise terms unrolled into a flat tuple, added in their order after the base
     terms = tuple((n.amp, n.omega, n.phase == "sine") for n in spec.noise)
     sin, cos = math.sin, math.cos
 

@@ -276,6 +276,7 @@ def integrate(p: ObserverParams, spec: signals.SignalSpec,
     if not report.ok:
         raise InvalidParams(report)
     check_config(p, cfg)
+    signals.check_horizon(spec, cfg.duration + cfg.step_h)
     n = max(1, round(cfg.duration / cfg.step_h))
     stride = cfg.record_stride
     m = n // stride + 1

@@ -20,7 +20,7 @@ import numpy as np
 from . import analytic
 from .errors import ConfigError, DivergedState, IllConditioned, InvalidParams
 from .observers import ObserverParams, ObserverState, validate_params
-from .signals import SignalSpec
+from .signals import MAX_PHASE, SignalSpec
 from .solver import MAX_RECORD_ROWS, SimConfig, check_config, integrate
 
 TWO_PI = 2.0 * math.pi
@@ -158,8 +158,8 @@ def check_sweep_config(p: ObserverParams, cfg: SweepConfig) -> None:
     freqs = cfg.freqs_hz
     if not freqs:
         raise ConfigError("freqs_hz must not be empty")
-    if any(f <= 0.0 for f in freqs) or any(b <= a for a, b in zip(freqs, freqs[1:])):
-        raise ConfigError("freqs_hz must be strictly increasing and positive")
+    if any(not 0.0 < f < math.inf for f in freqs) or any(b <= a for a, b in zip(freqs, freqs[1:])):
+        raise ConfigError("freqs_hz must be finite, positive and strictly increasing")
     if not 0.0 < cfg.amplitude:
         raise ConfigError(f"amplitude must be positive, got {cfg.amplitude!r}")
     if not 1 <= cfg.samples < MAX_RECORD_ROWS:
@@ -173,6 +173,10 @@ def check_sweep_config(p: ObserverParams, cfg: SweepConfig) -> None:
     if cfg.init_state == "steady_state" and p.mode != "linear" and p.alpha3 != 1.0:
         raise ConfigError("init_state steady_state needs a linear observer (or alpha3=1)")
     check_config(p, _frequency_sim(cfg))
+    span = cfg.samples * cfg.step_h
+    if TWO_PI * freqs[-1] * span > MAX_PHASE:
+        raise ConfigError(f"freqs_hz {freqs[-1]:g} Hz overflows the phase 2 pi f t "
+                          f"within {span:g} s")
 
 
 def _initial_state(p: ObserverParams, cfg: SweepConfig, omega: float) -> ObserverState:

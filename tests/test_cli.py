@@ -289,11 +289,15 @@ def _run(command, cfg_path, out_dir):
 
 def _edit(command, section, key, value):
     cfg = copy.deepcopy(SMALL_CONFIGS[command])
-    (cfg if section is None else cfg.setdefault(section, {}))[key] = value
+    if key is None:
+        cfg.update(value)
+    else:
+        (cfg if section is None else cfg.setdefault(section, {}))[key] = value
     return cfg
 
 
-# (command, section or None for the top level, key, bad value, JSON path the error names)
+# (command, section or None for the top level, key, bad value, JSON path the error names);
+# a row with no key gives whole top-level sections to replace
 MALFORMED = [
     ("simulate", "sim", "duration", "abc", "sim.duration"),
     ("simulate", "sim", "duration", "nan", "sim.duration"),
@@ -315,11 +319,30 @@ MALFORMED = [
     ("simulate", None, "output_dir", "runs", "output_dir"),
     ("simulate", "sim", "metrics_windows", [[100.0, 200.0]], "sim.metrics_windows"),
     ("simulate", None, "sim", {"duration": 1e9, "record_stride": 1000000}, "sim.duration"),
+    ("simulate", "signal", "omega", math.inf, "signal.omega"),
+    ("simulate", "signal", "omega", math.nan, "signal.omega"),
+    ("simulate", "signal", "amplitude", math.nan, "signal.amplitude"),
+    ("simulate", "signal", "noise", [{"amp": 0.1, "omega": math.inf}], "signal.noise[0].omega"),
+    ("simulate", "signal", "noise", [{"amp": math.nan, "omega": 1.0}], "signal.noise[0].amp"),
+    # omega*t overflows once t passes ~18 s
+    ("simulate", None, None, {"signal": {"kind": "sinusoid", "omega": 1e307},
+                              "sim": {"duration": 20.0, "record_stride": 100}}, "signal.omega"),
+    ("simulate", None, None, {"signal": {"noise": [{"amp": 0.1, "omega": 1e307}]},
+                              "sim": {"duration": 20.0, "record_stride": 100}},
+     "signal.noise[0].omega"),
+    ("sweep", "sweep", "freqs_hz", [5.1, math.nan], "sweep.freqs_hz"),
+    ("sweep", "sweep", "freqs_hz", [5.1, math.inf], "sweep.freqs_hz"),
+    # 2 pi f overflows
+    ("sweep", "sweep", "freqs_hz", [5.1, 1e308], "sweep.freqs_hz"),
+    # 2 pi f t overflows within the 50 s run
+    ("sweep", None, None, {"params": {**LINEAR_PARAMS, "mode": "nonlinear", "alpha3": 0.5},
+                           "sweep": {"freqs_hz": [1.0, 1e307], "samples": 50000}},
+     "sweep.freqs_hz"),
 ]
 
 
 @pytest.mark.parametrize("command, section, key, value, path", MALFORMED,
-                         ids=[f"{case[2]}={json.dumps(case[3])}" for case in MALFORMED])
+                         ids=[f"{case[2] or ''}={json.dumps(case[3])}" for case in MALFORMED])
 def test_malformed_config_names_path(tmp_path, capsys, command, section, key, value, path):
     cfg = write_cfg(tmp_path, _edit(command, section, key, value))
     assert _run(command, cfg, tmp_path / "out") == 2

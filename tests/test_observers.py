@@ -103,10 +103,6 @@ def test_validate_alpha_and_epsilon_ranges():
     assert "epsilon range" in [v.name for v in report.violations]
     report = validate_params(ObserverParams(0.1, 0.1, 1.0, 1e-4, 0.3, "nonlinear"))
     assert "epsilon range" in [v.name for v in report.violations]
-    # floor is configurable
-    assert validate_params(
-        ObserverParams(0.1, 0.1, 1.0, 1e-4, 0.3, "nonlinear"), epsilon_floor=1e-5
-    ).ok
 
 
 def test_validate_accepts_all_study_parameter_sets():

@@ -19,7 +19,7 @@ from doubleint import (
     step,
     trajectory_metrics,
 )
-from doubleint.signals import make_input_fn
+from doubleint.signals import make_input_fn, truth_arrays
 
 
 def zero_spec():
@@ -93,6 +93,15 @@ def test_time_grid_is_multiplicative(nl_params, noisy_spec):
 def test_errors_match_states_minus_truths(nl_params, noisy_spec):
     traj = simulate(nl_params, noisy_spec, SimConfig(0.001, 2.0))
     assert np.array_equal(traj.errors, traj.states - traj.truths)
+
+
+def test_inputs_and_truths_come_from_the_signal_evaluators(nl_params, noisy_spec):
+    cfg = SimConfig(0.001, 2.0, ObserverState(0.0, 1.0, 0.0), "rk4", 7)
+    traj = simulate(nl_params, noisy_spec, cfg)
+    assert traj.times.size == 2000 // 7 + 1
+    a_fn = make_input_fn(noisy_spec)
+    assert np.array_equal(traj.inputs, [a_fn(t) for t in traj.times])
+    assert np.array_equal(traj.truths, truth_arrays(noisy_spec, traj.times))
 
 
 def test_composite_signal_has_no_truth_columns(nl_params):
