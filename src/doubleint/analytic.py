@@ -60,7 +60,17 @@ def transfer_eval(p: ObserverParams, channel: int, omega: float) -> TransferEval
     den = _denominator(p, s)
     if abs(den) < 1e-300:
         raise SingularDenominator(f"denominator vanished at omega={omega:g}")
-    value = s ** (channel - 1) * p.k3 / den
+    try:
+        value = s ** (channel - 1) * p.k3 / den
+    except OverflowError:
+        value = complex(math.nan, math.nan)
+    if not (cmath.isfinite(den) and cmath.isfinite(value)):
+        # s^(channel-1) or den overflowed at a huge omega: divide both by s^3,
+        # which leaves powers of 1/s that shrink instead
+        u = 1.0 / s
+        eps = p.epsilon
+        value = p.k3 * u ** (4 - channel) / (
+            ((p.k1 * eps * u + p.k2 * eps**2) * u + p.k3) * u + eps**4)
     gain = abs(value)
     gain_db = 20.0 * math.log10(gain) if gain > 0.0 else -math.inf
     return TransferEval(channel, omega, value, gain, gain_db, cmath.phase(value))

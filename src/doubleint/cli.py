@@ -169,7 +169,12 @@ def cmd_simulate(cfg: dict, out_dir, fmt: str | None = None,
                  method: str | None = None) -> int:
     _check_top(cfg, "simulate")
     params = _build_params(cfg, {}, "params")
-    spec = _convert(SignalSpec, cfg.get("signal", {}), "signal")
+    signal = cfg.get("signal", {})
+    spec = _convert(SignalSpec, signal, "signal")
+    # the reference's amplitude and rate are fixed constants: a value given here would be ignored
+    for key in ("amplitude", "omega"):
+        if spec.kind == "paper_reference" and key in signal:
+            raise ConfigError(f"signal.{key} is fixed for kind paper_reference; remove it")
     sim_cfg, windows = _build_sim(cfg.get("sim", {}), method)
     fmt = fmt or cfg.get("format", "csv")
     try:

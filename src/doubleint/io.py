@@ -3,9 +3,12 @@
 Each table has one column list, which names the CSV header cells and the
 JSON keys alike.  CSV files use '.' decimals, '\\n' line endings and fixed
 9-significant-digit scientific formatting, unconditionally, so outputs diff
-cleanly across platforms.  Unavailable cells (no ground truth, flagged rows)
-are empty in CSV; in JSON a trajectory without ground truth has no truth or
-error keys, and a non-finite Bode value is null.
+cleanly across platforms.  JSON files are the text of
+json.dump(obj, f, indent=2, sort_keys=True) plus a newline: numbers are
+Python's shortest round-trip repr, and a non-finite trajectory value is the
+NaN/Infinity/-Infinity token.  Unavailable cells (no ground truth, flagged
+rows) are empty in CSV; in JSON a trajectory without ground truth has no
+truth or error keys, and a non-finite Bode value is null.
 """
 
 import json
@@ -82,11 +85,44 @@ def _json_float(v):
     return v
 
 
+# items per json.dumps call on a number list: bounds the text held at once
+JSON_CHUNK = 4096
+
+
 def write_json(path, obj) -> None:
-    # streaming dump: json.dumps would hold the whole text of a long trajectory
+    """Write exactly the text of json.dump(obj, f, indent=2, sort_keys=True) and a newline.
+
+    The indented encoder is pure Python and writes one item at a time, so a
+    dict with str keys is laid out here, key by key, and each of its values
+    that is a list of plain numbers goes through json's C encoder in chunks.
+    Number text holds no ", ", so the C encoder's item separator marks the
+    indented layout's line breaks.
+    """
     with open(path, "w", newline="") as f:
-        json.dump(obj, f, indent=2, sort_keys=True)
+        if type(obj) is dict and obj and all(type(k) is str for k in obj):
+            sep = "{\n  "
+            for key in sorted(obj):
+                f.write(f"{sep}{json.dumps(key)}: ")
+                _write_value(f, obj[key])
+                sep = ",\n  "
+            f.write("\n}")
+        else:
+            json.dump(obj, f, indent=2, sort_keys=True)
         f.write("\n")
+
+
+def _write_value(f, v) -> None:
+    """v as an indented value one level into the top-level dict."""
+    # every item is checked: bool is an int subclass, and anything else needs the full encoder
+    if not (type(v) is list and v and set(map(type, v)) <= {float, int}):
+        f.write(json.dumps(v, indent=2, sort_keys=True).replace("\n", "\n  "))
+        return
+    f.write("[\n    ")
+    for i in range(0, len(v), JSON_CHUNK):
+        if i:
+            f.write(",\n    ")
+        f.write(json.dumps(v[i:i + JSON_CHUNK])[1:-1].replace(", ", ",\n    "))
+    f.write("\n  ]")
 
 
 def ensure_dir(path) -> Path:

@@ -85,9 +85,21 @@ class ObserverParams:
         return cls(k1, k2, k3, 1.0 / R, alpha3, mode)
 
     def gain_threshold(self) -> float:
-        """Lower bound the middle gain k2 must strictly exceed."""
+        """Lower bound the middle gain k2 must strictly exceed.
+
+        inf when k3 is zero or eps^expo overflows, nan when eps^expo is not
+        real (a negative epsilon under a fractional power).
+        """
+        if self.k3 == 0:
+            return math.inf
         expo = 3.0 * self.alpha3 if self.mode == "nonlinear" else 3.0
-        return self.epsilon**expo * self.k1 / self.k3 if self.k3 != 0 else math.inf
+        try:
+            scale = math.pow(self.epsilon, expo)
+        except OverflowError:
+            scale = math.inf
+        except ValueError:
+            scale = math.nan
+        return scale * self.k1 / self.k3
 
 
 @dataclass(frozen=True)

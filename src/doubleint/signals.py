@@ -22,6 +22,10 @@ from .errors import ConfigError, UnsupportedTruth
 REF_COEF = 0.1
 REF_RATE = 3.14
 
+# Phase |omega t| below which truth_arrays integrates a sinusoid by its Taylor
+# series: the first dropped term is below 1e-18 of the value there.
+SERIES_PHASE = 1e-4
+
 # Largest phase omega*t a run may reach: half the float range, so that rounding
 # in the last step's times cannot carry a phase to inf, where sin is undefined.
 MAX_PHASE = sys.float_info.max / 2
@@ -59,8 +63,10 @@ class SignalSpec:
     kind:
       - ``sinusoid``: amplitude * sin(omega t), closed-form truth available.
       - ``paper_reference``: the fixed reference -0.1*3.14^2*sin(3.14 t)
-        with its printed antiderivatives as truth (amplitude/omega fields
-        are ignored for this kind).
+        with its printed antiderivatives as truth.  Evaluation reads the
+        constants REF_COEF and REF_RATE, never the amplitude/omega fields
+        (paper_reference_spec() fills them with the reference's values; a
+        CLI config that sets them is rejected).
       - ``composite``: same evaluation as ``sinusoid`` but the noise terms
         count as part of the signal, so no ground truth is defined.
 
@@ -131,12 +137,22 @@ def truth_arrays(spec: SignalSpec, times: np.ndarray) -> np.ndarray:
         return np.zeros((t.size, 3))
     s = np.sin(w * t)
     if spec.kind == "paper_reference":
-        a2 = REF_COEF * REF_RATE * np.cos(w * t)
-        a1 = REF_COEF * s
-    else:
-        a2 = amp * (1.0 - np.cos(w * t)) / w
-        a1 = amp * (t - s / w) / w
-    return np.column_stack([a1, a2, amp * s])
+        return np.column_stack([REF_COEF * s, REF_COEF * REF_RATE * np.cos(w * t), amp * s])
+    x = w * t
+    a1, a2 = np.empty_like(t), np.empty_like(t)
+    # below |omega t| = SERIES_PHASE the closed forms cancel to rounding noise
+    # (and t/omega overflows for a tiny omega); two Taylor terms are exact to
+    # rounding there
+    near = np.abs(x) < SERIES_PHASE
+    far = ~near
+    with np.errstate(over="ignore", invalid="ignore"):
+        # an integral past the float range is inf; an infinite amplitude gives nan at t = 0
+        xn, tn = x[near], t[near]
+        a2[near] = amp * xn * tn / 2.0 * (1.0 - xn * xn / 12.0)
+        a1[near] = amp * xn * tn * tn / 6.0 * (1.0 - xn * xn / 20.0)
+        a2[far] = amp * (1.0 - np.cos(x[far])) / w
+        a1[far] = amp * (t[far] - s[far] / w) / w
+        return np.column_stack([a1, a2, amp * s])
 
 
 def supports_truth(spec: SignalSpec) -> bool:

@@ -86,6 +86,8 @@ def check_config(p: ObserverParams, cfg: SimConfig) -> None:
     for name in ("step_h", "duration"):
         if not 0.0 < getattr(cfg, name) < math.inf:
             raise ConfigError(f"{name} must be finite and positive, got {getattr(cfg, name)!r}")
+    if not all(map(math.isfinite, cfg.initial_state)):
+        raise ConfigError(f"initial_state must be finite, got {tuple(cfg.initial_state)!r}")
     if cfg.method not in METHODS:
         raise ConfigError(f"method must be one of {METHODS}, got {cfg.method!r}")
     if cfg.record_stride < 1:
@@ -322,7 +324,8 @@ def trajectory_metrics(traj: Trajectory, windows: list[tuple[float, float]] | No
     """Per-channel RMS/max error metrics plus the end-window drift ratio.
 
     The drift ratio is max|e1| over the last 10% of the run divided by
-    max|e1| over the [50%, 60%] window (0/0 counts as 0: no drift).
+    max|e1| over the [50%, 60%] window (0/0 counts as 0: no drift); it is
+    None when the [50%, 60%] window holds no recorded sample.
     """
     if traj.errors is None:
         return {"has_truth": False}
@@ -335,16 +338,24 @@ def trajectory_metrics(traj: Trajectory, windows: list[tuple[float, float]] | No
         e = traj.errors[m]
         if e.size == 0:
             raise ConfigError(f"metrics_windows: [{lo:g}, {hi:g}] contains no samples")
+        with np.errstate(over="ignore"):
+            # an error past ~1e154 squares to inf: its rms is inf, without a numpy warning
+            rms = np.sqrt(np.mean(e**2, axis=0))
         out["windows"].append(
             {
                 "t_lo": lo,
                 "t_hi": hi,
-                "rms": [float(v) for v in np.sqrt(np.mean(e**2, axis=0))],
+                "rms": [float(v) for v in rms],
                 "max_abs": [float(v) for v in np.max(np.abs(e), axis=0)],
             }
         )
     e1 = np.abs(traj.errors[:, 0])
-    tail = e1[traj.window(0.9 * t_end, t_end)].max()
-    mid = e1[traj.window(0.5 * t_end, 0.6 * t_end)].max()
-    out["drift_ratio_e1"] = 0.0 if tail == 0.0 else float(tail / mid) if mid > 0.0 else math.inf
+    mid_window = e1[traj.window(0.5 * t_end, 0.6 * t_end)]
+    if mid_window.size == 0:
+        # a record of a few samples can skip the window
+        out["drift_ratio_e1"] = None
+        return out
+    tail = float(e1[traj.window(0.9 * t_end, t_end)].max())
+    mid = float(mid_window.max())
+    out["drift_ratio_e1"] = 0.0 if tail == 0.0 else tail / mid if mid > 0.0 else math.inf
     return out

@@ -95,13 +95,13 @@ def fit_sinusoid(times: np.ndarray, values: np.ndarray, omega: float) -> Sinusoi
             "exceeds 1e8"
         )
     det = ss * cc - sc * sc
-    sy = _dot(s, y)
-    cy = _dot(c, y)
-    c1 = (cc * sy - sc * cy) / det
-    c2 = (ss * cy - sc * sy) / det
-    with np.errstate(over="ignore"):
-        # outputs near the float range overflow to an inf residual, which the
-        # sweep flags nonfinite_fit
+    with np.errstate(over="ignore", invalid="ignore"):
+        # outputs near the float range overflow to an inf or nan coefficient or
+        # residual, which the sweep flags nonfinite_fit
+        sy = _dot(s, y)
+        cy = _dot(c, y)
+        c1 = (cc * sy - sc * cy) / det
+        c2 = (ss * cy - sc * sy) / det
         resid = y - c1 * s - c2 * c
         residual_rms = math.sqrt(float(np.mean(resid**2)))
     return SinusoidFit(c1, c2, math.hypot(c1, c2), math.atan2(c2, c1), residual_rms)

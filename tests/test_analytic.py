@@ -115,6 +115,17 @@ def test_hurwitz_matches_validate_params():
         assert validate_params(p).ok == is_hurwitz_cubic(k3 / eps**3, float(k2), float(k1))
 
 
+@pytest.mark.parametrize("omega", [1e110, 1e200, 1e300])
+def test_transfer_eval_past_overflow_follows_the_asymptote(omega):
+    # H_c(i omega) -> k3 (i omega)^(c-4) / eps^4; s^(c-1) or the cubic overflows here
+    p = lin(k3=2.0)
+    te = transfer_eval(p, 3, omega)
+    assert te.gain_db == pytest.approx(20.0 * math.log10(2.0 / (0.2**4 * omega)), rel=1e-12)
+    assert te.phase == pytest.approx(-math.pi / 2, rel=1e-12)
+    gains = [transfer_eval(p, ch, omega).gain for ch in (1, 2, 3)]
+    assert all(math.isfinite(g) for g in gains) and gains[0] <= gains[1] <= gains[2]
+
+
 def test_cutoff_monotone_in_rate():
     cuts = [cutoff_frequency(lin(eps=1.0 / R), 3) for R in (3, 4, 5)]
     assert cuts[0] < cuts[1] < cuts[2]

@@ -324,6 +324,10 @@ MALFORMED = [
     ("simulate", "signal", "amplitude", math.nan, "signal.amplitude"),
     ("simulate", "signal", "noise", [{"amp": 0.1, "omega": math.inf}], "signal.noise[0].omega"),
     ("simulate", "signal", "noise", [{"amp": math.nan, "omega": 1.0}], "signal.noise[0].amp"),
+    ("simulate", "sim", "initial_state", [math.nan, 0.0, 0.0], "sim.initial_state"),
+    # the small simulate config's signal is the paper_reference kind, whose waveform is fixed
+    ("simulate", "signal", "amplitude", 7.0, "signal.amplitude"),
+    ("simulate", "signal", "omega", 50.0, "signal.omega"),
     # omega*t overflows once t passes ~18 s
     ("simulate", None, None, {"signal": {"kind": "sinusoid", "omega": 1e307},
                               "sim": {"duration": 20.0, "record_stride": 100}}, "signal.omega"),
@@ -392,10 +396,8 @@ def type_swapped_configs(draw):
     return command, cfg
 
 
-@settings(max_examples=150, deadline=None)
-@given(type_swapped_configs())
-def test_type_swapped_config_never_tracebacks(case):
-    command, cfg = case
+def _assert_documented_exit(command, cfg):
+    """The command on cfg ends with a documented exit code and prints no traceback."""
     err = io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "cfg.json"
@@ -404,6 +406,65 @@ def test_type_swapped_config_never_tracebacks(case):
             code = _run(command, path, Path(tmp) / "out")
     assert code in (0, 1, 2, 3)
     assert "Traceback" not in err.getvalue()
+
+
+@settings(max_examples=150, deadline=None)
+@given(type_swapped_configs())
+def test_type_swapped_config_never_tracebacks(case):
+    _assert_documented_exit(*case)
+
+
+# Numbers that reach the edges of every range check: non-finite, signed zeros,
+# negatives, subnormals and the ends of the float range.
+_FLOATS = st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, -1.0, 5e-324, 1e-300,
+                           1e-3, 0.5, 3.0, 1e300, 1.7e308]) | st.floats()
+_INTS = st.sampled_from([0, -1, 1, 2, 3, 2**63]) | st.integers(-(10**9), 10**9)
+# the strategy, not the library, keeps each drawn run short
+MAX_DRAWN_STEPS = 20_000
+
+# The numeric fields of the small configs' sim, signal and sweep sections, by number type.
+_NUMERIC_FIELDS = {
+    "simulate": {
+        ("sim", "step_h"): float, ("sim", "duration"): float, ("sim", "record_stride"): int,
+        ("sim", "initial_state", 0): float, ("sim", "initial_state", 2): float,
+        ("sim", "metrics_windows", 0, 0): float, ("sim", "metrics_windows", 0, 1): float,
+        ("signal", "amplitude"): float, ("signal", "omega"): float,
+        ("signal", "noise", 0, "amp"): float, ("signal", "noise", 0, "omega"): float,
+    },
+    "sweep": {
+        ("sweep", "freqs_hz", 0): float, ("sweep", "samples"): int,
+        ("sweep", "amplitude"): float, ("sweep", "step_h"): float,
+        ("sweep", "discard_fraction"): float, ("sweep", "channels", 1): int,
+        ("sweep", "variants", 0, "R"): float, ("sweep", "variants", 1, "epsilon"): float,
+        ("sweep", "variants", 1, "amplitude"): float,
+    },
+}
+
+
+@st.composite
+def numeric_range_configs(draw):
+    command = draw(st.sampled_from(sorted(_NUMERIC_FIELDS)))
+    cfg = copy.deepcopy(SMALL_CONFIGS[command])
+    fields = _NUMERIC_FIELDS[command]
+    for path in draw(st.lists(st.sampled_from(list(fields)), min_size=1, max_size=4, unique=True)):
+        parent = cfg
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = draw(_INTS if fields[path] is int else _FLOATS)
+    if command == "simulate":
+        cfg["signal"]["kind"] = draw(st.sampled_from(["paper_reference", "sinusoid", "composite"]))
+        sim = cfg["sim"]
+        if 0.0 < sim["step_h"] < math.inf and 0.0 < sim["duration"] < math.inf:
+            sim["duration"] = min(sim["duration"], sim["step_h"] * MAX_DRAWN_STEPS)
+    else:
+        cfg["sweep"]["samples"] = min(cfg["sweep"]["samples"], MAX_DRAWN_STEPS)
+    return command, cfg
+
+
+@settings(max_examples=150, deadline=None)
+@given(numeric_range_configs())
+def test_numeric_range_config_never_tracebacks(case):
+    _assert_documented_exit(*case)
 
 
 def test_empty_sections_build_dataclass_defaults():

@@ -1,9 +1,15 @@
-"""Literal output of the CSV/JSON writers on edge-case values."""
+"""Literal output of the CSV/JSON writers on edge-case values, and the JSON
+writer's bytes against json.dump's."""
 
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from doubleint import io
 from doubleint.solver import Trajectory
@@ -72,3 +78,42 @@ def test_flagged_bode_row(tmp_path):
              "source": "sweep", "flag": "nonfinite_fit"},
         ],
     }
+
+
+# Values whose text is easy to get wrong: the indented layout, key escapes and number tokens.
+_KEYS = st.sampled_from(["", "a", ", ", "a, b", "\n", "é", "snow ☃, \n", '"q"']) | st.text(max_size=4)
+_NUMBERS = (st.sampled_from([NAN, INF, -INF, -0.0, 0.0, 5e-324, 1e300, 2**70, -(2**200)])
+            | st.floats() | st.integers(min_value=-(2**200), max_value=2**200))
+_SCALARS = _NUMBERS | st.booleans() | st.none() | st.text(max_size=4)
+_VALUES = st.recursive(
+    _SCALARS,
+    lambda kids: st.lists(kids, max_size=5) | st.dictionaries(_KEYS, kids, max_size=4),
+    max_leaves=20)
+# a list of numbers past one chunk whose last item may be anything
+_SPOILED = st.builds(lambda nums, last: nums + [last], st.lists(_NUMBERS, min_size=3, max_size=8),
+                     st.booleans() | st.none() | st.text(max_size=2) | _VALUES)
+_DOCS = (st.dictionaries(_KEYS, st.lists(_NUMBERS, max_size=10) | _SPOILED | _VALUES, max_size=6)
+         | st.dictionaries(st.integers(-3, 3), _VALUES, max_size=3)
+         | _VALUES)
+
+
+def _json_text(obj) -> str:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "doc.json"
+        io.write_json(path, obj)
+        return path.read_bytes().decode()
+
+
+@settings(max_examples=200, deadline=None)
+@given(_DOCS)
+def test_write_json_matches_indented_json_dump(obj):
+    with pytest.MonkeyPatch.context() as mp:
+        # 3-item chunks: lists longer than one chunk are common
+        mp.setattr(io, "JSON_CHUNK", 3)
+        assert _json_text(obj) == json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+def test_write_json_long_columns_match_indented_json_dump():
+    floats = (np.arange(10_000) * 0.1 - 7.3).tolist()
+    doc = {"t": floats, "x1": floats[:4097], "tail": floats[:5000] + [True], "n": list(range(9000))}
+    assert _json_text(doc) == json.dumps(doc, indent=2, sort_keys=True) + "\n"

@@ -105,6 +105,16 @@ def test_validate_alpha_and_epsilon_ranges():
     assert "epsilon range" in [v.name for v in report.violations]
 
 
+@pytest.mark.parametrize("eps, alpha3, mode, threshold", [
+    (1e300, 1.0, "linear", math.inf),  # eps^3 overflows
+    (-0.5, 0.3, "nonlinear", math.nan),  # eps^(3 alpha3) is not real
+])
+def test_validate_reports_a_threshold_it_cannot_compute(eps, alpha3, mode, threshold):
+    report = validate_params(ObserverParams(0.1, 0.1, 1.0, eps, alpha3, mode))
+    assert {v.name for v in report.violations} == {"epsilon range", "gain inequality"}
+    assert report.gain_threshold == pytest.approx(threshold, nan_ok=True)
+
+
 def test_validate_accepts_all_study_parameter_sets():
     for eps in (1.0 / 3.0, 0.25, 0.2):
         for alpha3 in (0.3, 0.5, 1.0):

@@ -120,6 +120,17 @@ def test_truth_arrays_match_scalar():
         assert tuple(row) == pytest.approx(expected, rel=1e-15)
 
 
+@pytest.mark.parametrize("w", [5e-324, 1e-200, 1e-6])
+def test_truth_at_small_phase_follows_the_series(w):
+    # t - sin(wt)/w cancels to noise for a small wt, and t/w overflows for a tiny w;
+    # the leading series terms are within (wt)^2/20 <= 1.25e-10 of the values
+    ts = np.array([0.0, 0.02, 50.0])
+    arr = truth_arrays(SignalSpec("sinusoid", 1.5, w), ts)
+    assert np.all(np.isfinite(arr))
+    assert arr[:, 0] == pytest.approx(1.5 * w * ts**3 / 6.0, rel=1e-9, abs=1e-300)
+    assert arr[:, 1] == pytest.approx(1.5 * w * ts**2 / 2.0, rel=1e-9, abs=1e-300)
+
+
 def test_invalid_specs_rejected():
     with pytest.raises(ValueError):
         SignalSpec("sawtooth", 1.0, 1.0)

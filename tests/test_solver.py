@@ -127,6 +127,13 @@ def test_config_validation(lin_params):
         simulate(lin_params, zero_spec(), SimConfig(0.001, 1.0, method="rk5"))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_nonfinite_initial_state_rejected(lin_params, bad):
+    cfg = SimConfig(0.001, 1.0, ObserverState(0.0, bad, 0.0))
+    with pytest.raises(ConfigError, match="^initial_state must be finite"):
+        simulate(lin_params, zero_spec(), cfg)
+
+
 def test_invalid_params_rejected():
     bad = ObserverParams(0.1, 0.0, 1.0, 0.2, 1.0, "linear")
     with pytest.raises(InvalidParams):
@@ -166,6 +173,19 @@ def test_metrics_empty_window(lin_params):
     traj = simulate(lin_params, zero_spec(), SimConfig(0.001, 1.0))
     with pytest.raises(ConfigError):
         trajectory_metrics(traj, [(5.0, 6.0)])
+
+
+def test_metrics_drift_ratio_without_a_reference_sample(lin_params):
+    # a one-step record, times (0, h), has no sample in [0.5 h, 0.6 h]
+    traj = simulate(lin_params, SignalSpec("sinusoid", 1.0, 1.0), SimConfig(0.001, 0.001))
+    assert traj.times.size == 2
+    assert trajectory_metrics(traj)["drift_ratio_e1"] is None
+
+
+def test_metrics_rms_overflows_to_inf():
+    traj = _fake_traj([0.0, 1.0, 2.0], [1e200, -1e200, 0.0])
+    window = trajectory_metrics(traj)["windows"][0]
+    assert window["rms"][0] == math.inf and window["max_abs"][0] == 1e200
 
 
 def _fake_traj(times, e1):
