@@ -84,7 +84,13 @@ def limit_transfer(channel: int, omega: float) -> complex:
         return complex(1.0, 0.0)
     if omega == 0.0:
         raise SingularAtDC(f"ideal channel-{channel} response is unbounded at omega=0")
-    return (1j * omega) ** (channel - 3)
+    s = 1j * omega
+    value = s ** (channel - 3)
+    if not cmath.isfinite(value):
+        # s^2 overflowed at a huge omega (and its reciprocal came out nan):
+        # powers of 1/s shrink instead
+        value = (1.0 / s) ** (3 - channel)
+    return value
 
 
 def is_hurwitz_cubic(c2: float, c1: float, c0: float) -> bool:

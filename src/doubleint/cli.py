@@ -34,6 +34,9 @@ MAX_FLAGGED_FRACTION = 0.05
 _TOP_TYPES = {"command": str, "format": str, "params": dict, "signal": dict, "sim": dict,
               "sweep": dict}
 _SHAPES = {float: "a number", int: "an integer", str: "a string", dict: "an object"}
+# sections a command does not read, refused so that no setting is silently ignored;
+# validate reads only params and accepts a simulate or sweep config whole
+_UNREAD = {"simulate": ("sweep",), "sweep": ("signal", "sim")}
 
 
 def _fields(cls) -> dict:
@@ -117,8 +120,8 @@ def _build_sim(obj: dict, method: str | None) -> tuple[SimConfig, tuple]:
     if method:
         kwargs["method"] = method
     cfg = _new(SimConfig, kwargs, "sim")
-    # long runs default to a sparser record grid to bound memory
-    if "record_stride" not in kwargs and cfg.duration > 60.0:
+    # long runs of at least 100 steps default to a sparser record grid to bound memory
+    if "record_stride" not in kwargs and cfg.duration > 60.0 and cfg.duration >= 100 * cfg.step_h:
         cfg = dataclasses.replace(cfg, record_stride=100)
     return cfg, ((0.0, cfg.duration),) if windows is None else windows
 
@@ -149,6 +152,9 @@ def load_config(path) -> dict:
 
 def _check_top(cfg: dict, command: str) -> None:
     _typed(_TOP_TYPES, cfg, "")
+    for section in _UNREAD.get(command, ()):
+        if section in cfg:
+            raise ConfigError(f"{section}: section is not read by {command}; remove it")
     stated = cfg.get("command", command)
     if stated != command:
         raise ConfigError(f"config command {stated!r} does not match subcommand {command!r}")

@@ -102,20 +102,22 @@ def paper_reference_spec(with_noise: bool = True) -> SignalSpec:
     return SignalSpec("paper_reference", REF_COEF * REF_RATE**2, REF_RATE, noise)
 
 
-def _waveform(spec: SignalSpec) -> tuple[float, float]:
-    """(amplitude, rate) of the base waveform amplitude * sin(rate t)."""
+def terms(spec: SignalSpec) -> tuple[tuple[float, float, bool], ...]:
+    """The signal's sinusoidal terms in summation order, (amp, omega, is_sine)
+    each: the base waveform first, then every noise term in the order given."""
     if spec.kind == "paper_reference":
-        return -REF_COEF * REF_RATE * REF_RATE, REF_RATE
-    return spec.amplitude, spec.omega
+        base = (-REF_COEF * REF_RATE * REF_RATE, REF_RATE, True)
+    else:
+        base = (spec.amplitude, spec.omega, True)
+    return (base, *((n.amp, n.omega, n.phase == "sine") for n in spec.noise))
 
 
 def check_horizon(spec: SignalSpec, t_end: float) -> None:
     """Raise ConfigError, its message led by the field name, when a phase
     omega*t of the signal overflows before t_end."""
-    rates = [("omega", _waveform(spec)[1])]
-    rates += [(f"noise[{i}].omega", n.omega) for i, n in enumerate(spec.noise)]
-    for name, w in rates:
+    for i, (_, w, _) in enumerate(terms(spec)):
         if w * t_end > MAX_PHASE:
+            name = f"noise[{i - 1}].omega" if i else "omega"
             raise ConfigError(f"{name} {w:g} overflows the phase omega*t before t = {t_end:g}")
 
 
@@ -132,7 +134,7 @@ def truth_arrays(spec: SignalSpec, times: np.ndarray) -> np.ndarray:
     if spec.kind == "composite":
         raise UnsupportedTruth("composite signals have no closed-form integrals")
     t = np.asarray(times, dtype=float)
-    amp, w = _waveform(spec)
+    amp, w, _ = terms(spec)[0]
     if w == 0.0:
         return np.zeros((t.size, 3))
     s = np.sin(w * t)
@@ -161,19 +163,25 @@ def supports_truth(spec: SignalSpec) -> bool:
 
 def make_input_fn(spec: SignalSpec) -> Callable[[float], float]:
     """Scalar closure a(t), the base waveform plus every noise term, for use
-    in integration hot loops."""
-    amp, w = _waveform(spec)
-    if not spec.noise:
-        return lambda t: amp * math.sin(w * t)
+    in integration hot loops.
 
-    # noise terms unrolled into a flat tuple, added in their order after the base
-    terms = tuple((n.amp, n.omega, n.phase == "sine") for n in spec.noise)
-    sin, cos = math.sin, math.cos
-
-    def noisy(t: float) -> float:
-        v = amp * sin(w * t)
-        for a_n, w_n, is_sin in terms:
-            v += a_n * (sin(w_n * t) if is_sin else cos(w_n * t))
-        return v
-
-    return noisy
+    The closure is compiled from terms(spec), one statement per term:
+    ``v = a0 * sin(w0 * t)``, then ``v += a_i * sin|cos(w_i * t)``, then
+    ``return v``.  So the terms are summed left to right in the order of the
+    list, each product and each addition one float operation.  The source
+    holds only term indices and the names sin/cos; the values enter as
+    arguments of the compiled factory, so every float (inf, nan, -0.0,
+    subnormals) is used as given.  One statement per term, rather than one
+    nested expression, keeps the compiler's recursion flat for any number of
+    terms.
+    """
+    spec_terms = terms(spec)
+    products = [f"a{i} * {'sin' if is_sine else 'cos'}(w{i} * t)"
+                for i, (_, _, is_sine) in enumerate(spec_terms)]
+    body = [f"v = {products[0]}", *(f"v += {c}" for c in products[1:]), "return v"]
+    args = ", ".join(f"a{i}, w{i}" for i in range(len(spec_terms)))
+    source = (f"def factory({args}):\n    def a(t):\n"
+              + "".join(f"        {line}\n" for line in body) + "    return a\n")
+    namespace = {"sin": math.sin, "cos": math.cos}
+    exec(compile(source, "<doubleint.signals a(t)>", "exec"), namespace)
+    return namespace["factory"](*(x for amp, omega, _ in spec_terms for x in (amp, omega)))

@@ -98,6 +98,12 @@ def check_config(p: ObserverParams, cfg: SimConfig) -> None:
     if cfg.duration / cfg.step_h >= MAX_STEPS:
         raise ConfigError(f"duration {cfg.duration:g} takes over {MAX_STEPS} steps of "
                           f"{cfg.step_h:g}: shorten it or raise step_h")
+    if cfg.duration < cfg.step_h:
+        raise ConfigError(f"duration {cfg.duration:g} is shorter than one step_h {cfg.step_h:g}")
+    steps = round(cfg.duration / cfg.step_h)
+    if cfg.record_stride > steps:
+        raise ConfigError(f"record_stride {cfg.record_stride} exceeds the run's {steps} steps, "
+                          "which would record only t = 0")
     rate = cfg.step_h * p.k3 / p.epsilon**4
     if not rate < STABILITY_LIMIT:
         raise ConfigError(
@@ -279,7 +285,7 @@ def integrate(p: ObserverParams, spec: signals.SignalSpec,
         raise InvalidParams(report)
     check_config(p, cfg)
     signals.check_horizon(spec, cfg.duration + cfg.step_h)
-    n = max(1, round(cfg.duration / cfg.step_h))
+    n = round(cfg.duration / cfg.step_h)
     stride = cfg.record_stride
     m = n // stride + 1
     states = np.empty((m, 3))

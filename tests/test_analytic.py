@@ -83,6 +83,16 @@ def test_limit_transfer_examples():
     assert limit_transfer(3, 0.0) == complex(1.0, 0.0)
 
 
+@pytest.mark.parametrize("omega", [1e154, 1e200, 1e300, 1.7e308])
+def test_limit_transfer_stays_finite_at_huge_omega(omega):
+    # (i omega)^-2 overflows past omega ~ 1e154; the ideal response only shrinks
+    expected = {1: complex(-1.0 / omega / omega, 0.0), 2: complex(0.0, -1.0 / omega), 3: 1.0}
+    for channel, value in expected.items():
+        h = limit_transfer(channel, omega)
+        assert cmath.isfinite(h)
+        assert h == pytest.approx(value, rel=1e-15, abs=1e-320)
+
+
 def test_limit_convergence_spot():
     # deviation from the ideal response shrinks with eps at a fixed frequency
     omega = 1.0

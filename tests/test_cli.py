@@ -54,6 +54,12 @@ def test_validate_alpha_violation(tmp_path, capsys):
     assert "alpha range violated" in capsys.readouterr().out
 
 
+def test_validate_reads_only_params(tmp_path, capsys):
+    cfg = {**SMALL_CONFIGS["simulate"], "sweep": SMALL_CONFIGS["sweep"]["sweep"]}
+    assert main(["validate", "--config", write_cfg(tmp_path, cfg)]) == 0
+    assert "valid" in capsys.readouterr().out
+
+
 def test_malformed_json_exits_2(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text("{not json")
@@ -115,6 +121,29 @@ def test_simulate_json_format(tmp_path):
     doc = json.loads((out_dir / "trajectory.json").read_text())
     assert len(doc["t"]) == 201
     assert set(doc) >= {"t", "x1", "x2", "x3", "a", "a1", "e1"}
+
+
+def test_simulate_long_coarse_run_keeps_every_step(tmp_path):
+    # 61 steps of 1 s: the default stride of 100 for long runs would record only t = 0
+    cfg = {
+        "params": {"k1": 0.01, "k2": 0.1, "k3": 0.1, "R": 1.1},
+        "signal": {"kind": "sinusoid", "amplitude": 1.0, "omega": 0.5},
+        "sim": {"duration": 61.0, "step_h": 1.0},
+        "format": "json",
+    }
+    out_dir = tmp_path / "run"
+    assert main(["simulate", "--config", write_cfg(tmp_path, cfg), "--out", str(out_dir)]) == 0
+    times = json.loads((out_dir / "trajectory.json").read_text())["t"]
+    assert times == [float(j) for j in range(62)]
+
+
+@pytest.mark.parametrize("sim, stride", [({"duration": 61.0, "step_h": 1.0}, 1),
+                                         ({"duration": 100.0, "step_h": 1.0}, 100),
+                                         ({"duration": 60.0}, 1),
+                                         ({"duration": 61.0}, 100),
+                                         ({"duration": 61.0, "record_stride": 3}, 3)])
+def test_long_runs_of_100_steps_default_to_stride_100(sim, stride):
+    assert _build_sim(sim, None)[0].record_stride == stride
 
 
 def test_simulate_divergence_exit_3(tmp_path, capsys):
@@ -334,6 +363,13 @@ MALFORMED = [
     ("simulate", None, None, {"signal": {"noise": [{"amp": 0.1, "omega": 1e307}]},
                               "sim": {"duration": 20.0, "record_stride": 100}},
      "signal.noise[0].omega"),
+    # a run shorter than one step, or than one record stride
+    ("simulate", "sim", "duration", 0.0005, "sim.duration"),
+    ("simulate", None, "sim", {"duration": 0.003, "record_stride": 5}, "sim.record_stride"),
+    # a section the command does not read is refused, not ignored
+    ("sweep", None, "signal", {"kind": "sinusoid", "omega": 50.0, "amplitude": 7.0}, "signal"),
+    ("sweep", None, "sim", {"duration": 1.0}, "sim"),
+    ("simulate", None, "sweep", {"samples": 100}, "sweep"),
     ("sweep", "sweep", "freqs_hz", [5.1, math.nan], "sweep.freqs_hz"),
     ("sweep", "sweep", "freqs_hz", [5.1, math.inf], "sweep.freqs_hz"),
     # 2 pi f overflows

@@ -1,7 +1,10 @@
 import math
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from doubleint import NoiseTerm, SignalSpec, UnsupportedTruth, make_input_fn, truth_arrays
 from doubleint.errors import ConfigError
@@ -108,6 +111,46 @@ def test_make_input_fn_adds_noise_terms_in_order_bitwise():
         for n in REFERENCE_NOISE:
             v += n.amp * (math.sin if n.phase == "sine" else math.cos)(n.omega * t)
         assert fn(t) == v
+
+
+def _left_to_right(spec, t):
+    """a(t) summed by hand: the base waveform, then each noise term in order."""
+    if spec.kind == "paper_reference":
+        v = -REF_COEF * REF_RATE * REF_RATE * math.sin(REF_RATE * t)
+    else:
+        v = spec.amplitude * math.sin(spec.omega * t)
+    for n in spec.noise:
+        v += n.amp * (math.sin if n.phase == "sine" else math.cos)(n.omega * t)
+    return v
+
+
+def _same_bits(a, b):
+    return (math.isnan(a) and math.isnan(b)) or struct.pack("<d", a) == struct.pack("<d", b)
+
+
+_AMPS = st.sampled_from([0.0, 5e-324, 1e300, math.inf]) | st.floats(0.0, 1e3)
+# omega * t stays finite: sin and cos are undefined at inf
+_OMEGAS = st.sampled_from([0.0, 5e-324, REF_RATE]) | st.floats(0.0, 1e6)
+
+
+@settings(max_examples=300, deadline=None)
+@given(kind=st.sampled_from(["sinusoid", "paper_reference", "composite"]),
+       amp=_AMPS, omega=_OMEGAS,
+       noise=st.lists(st.builds(NoiseTerm, _AMPS, _OMEGAS, st.sampled_from(["sine", "cosine"])),
+                      max_size=8),
+       t=st.sampled_from([0.0, -0.0, 5e-324]) | st.floats(-1e6, 1e6))
+def test_make_input_fn_is_the_left_to_right_sum(kind, amp, omega, noise, t):
+    spec = SignalSpec(kind, amp, omega, tuple(noise))
+    assert _same_bits(make_input_fn(spec)(t), _left_to_right(spec, t))
+
+
+def test_make_input_fn_compiles_5000_terms():
+    noise = tuple(NoiseTerm(1.0 / (i + 1), 0.5 * i, "sine" if i % 3 else "cosine")
+                  for i in range(5000))
+    spec = SignalSpec("sinusoid", 2.0, 3.0, noise)
+    fn = make_input_fn(spec)
+    for t in (0.0, 0.25, 7.5):
+        assert _same_bits(fn(t), _left_to_right(spec, t))
 
 
 def test_truth_arrays_match_scalar():

@@ -13,6 +13,7 @@ from doubleint import (
     SignalSpec,
     SimConfig,
     Trajectory,
+    integrate,
     rhs,
     settle_time,
     simulate,
@@ -125,6 +126,22 @@ def test_config_validation(lin_params):
         simulate(lin_params, zero_spec(), SimConfig(0.001, 1.0, record_stride=0))
     with pytest.raises(ConfigError):
         simulate(lin_params, zero_spec(), SimConfig(0.001, 1.0, method="rk5"))
+
+
+@pytest.mark.parametrize("duration, stride, field", [(0.0009, 1, "duration"),
+                                                      (5e-324, 1, "duration"),
+                                                      (0.003, 5, "record_stride"),
+                                                      (0.0024, 3, "record_stride")])
+def test_run_shorter_than_its_step_or_stride_rejected(lin_params, duration, stride, field):
+    # 0.003 s at stride 5 would run 3 steps and record only t = 0
+    cfg = SimConfig(0.001, duration, record_stride=stride)
+    with pytest.raises(ConfigError, match=f"^{field} "):
+        integrate(lin_params, zero_spec(), cfg)
+
+
+def test_run_of_exactly_its_stride_records_both_ends(lin_params):
+    times, _ = integrate(lin_params, zero_spec(), SimConfig(0.001, 0.003, record_stride=3))
+    assert times.tolist() == [0.0, 0.003]
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
