@@ -12,7 +12,7 @@ from .analytic import (
     cutoff_frequency,
     is_hurwitz_cubic,
     limit_transfer,
-    sinusoid_states,
+    signal_states,
     step_map,
     transfer_eval,
 )

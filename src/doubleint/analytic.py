@@ -9,9 +9,9 @@ integrator, unity.  These closed forms are the oracle the sweep pipeline is
 validated against.
 
 One fixed Euler or RK4 step of the linear observer is an affine map
-(step_map), so its response to a sinusoidal drive has a closed form too
-(sinusoid_states): the exact discrete-time counterpart of H_j, which the
-sweep uses for its linear lanes.
+(step_map), so its response to any signal, a finite sum of sinusoids, has a
+closed form too (signal_states): the exact discrete-time counterpart of H_j,
+from which every linear run, simulated or swept, takes its states.
 """
 
 import cmath
@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import signals
 from .errors import CutoffNotFound, DivergedState, DomainError, SingularAtDC, SingularDenominator
 from .observers import ObserverParams
 
@@ -85,7 +86,12 @@ def limit_transfer(channel: int, omega: float) -> complex:
     if omega == 0.0:
         raise SingularAtDC(f"ideal channel-{channel} response is unbounded at omega=0")
     s = 1j * omega
-    value = s ** (channel - 3)
+    try:
+        value = s ** (channel - 3)
+    except (OverflowError, ZeroDivisionError):
+        # the power passes the float range at a tiny omega (or s^2 underflows
+        # to 0): infinite, with the phase of the channel's finite values
+        return complex(-math.inf, -0.0) if channel == 1 else complex(0.0, -math.inf)
     if not cmath.isfinite(value):
         # s^2 overflowed at a huge omega (and its reciprocal came out nan):
         # powers of 1/s shrink instead
@@ -174,6 +180,22 @@ def step_map(p: ObserverParams, h: float, method: str = "rk4"):
     raise DomainError(f"method must be rk4 or euler, got {method!r}")
 
 
+def is_schur_stable(m: np.ndarray) -> bool:
+    """Whether the spectral radius of the square matrix m is below 1.
+
+    rho(m) < 1 exactly when some power of m has a norm below 1 (Gelfand's
+    formula).  The powers m^(2^j), j < 64, come from squaring, so no LAPACK
+    eigensolver is loaded (~1 MB of peak memory).  A non-finite m fails.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        # an unstable m overflows to inf or nan, whose norm is never below 1
+        for _ in range(64):
+            if np.abs(m).sum(axis=1).max() < 1.0:
+                return True
+            m = m @ m
+    return False
+
+
 def _power_rows(m: np.ndarray, d: np.ndarray, rows: int) -> np.ndarray:
     """Rows M^k d for k = 0..rows-1, from blocked powers of M.
 
@@ -197,27 +219,47 @@ def _power_rows(m: np.ndarray, d: np.ndarray, rows: int) -> np.ndarray:
     return np.einsum("brc,jc->jbr", powers, starts).reshape(-1, 3)[:rows]
 
 
-def sinusoid_states(p: ObserverParams, h: float, method: str, amplitude: float, omega: float,
-                    x0, n: int) -> np.ndarray:
-    """States at t = k h, k = 0..n, of n fixed steps from x0 driven by amplitude sin(omega t).
+def signal_states(p: ObserverParams, spec: signals.SignalSpec, h: float, method: str, x0,
+                  n: int, stride: int = 1) -> np.ndarray:
+    """States at t = k h, k = 0, stride, 2 stride, ... <= n, of n fixed steps
+    from x0 driven by the signal of spec.
 
-    The closed form of the step map's orbit: x_k = Im(P e^(i omega k h)) +
-    M^k (x0 - Im P) with P = (e^(i omega h) I - M)^-1 amplitude (b0 + b1
-    e^(i omega h/2) + b2 e^(i omega h)).  Row 0 is x0.  Raises DivergedState
-    at the time of the first non-finite row.
+    The closed form of the step map's orbit.  Each term amp sin|cos(omega t)
+    of signals.terms(spec) is the imaginary or real part R of amp e^(i omega
+    t), whose forced orbit is R(P e^(i omega k h)) with P = (e^(i omega h) I -
+    M)^-1 amp (b0 + b1 e^(i omega h/2) + b2 e^(i omega h)); the transient
+    M^k (x0 - sum R(P)) takes the run from x0 onto them.  Row 0 is x0.
+    Needs e^(i omega h) I - M invertible for every term, which rho(M) < 1
+    guarantees.  Raises DivergedState at the time of the first non-finite
+    row.
     """
     m, b0, b1, b2 = step_map(p, h, method)
-    z = cmath.exp(1j * omega * h)
-    forcing = b0 + b1 * cmath.exp(0.5j * omega * h) + b2 * z
+    eye = np.eye(3)
+    rows = n // stride + 1
+    # integer k times h, as step i of a stepped run starts at t = i*h
+    k_h = (np.arange(rows) * stride) * h
+    d = np.asarray(x0, dtype=float)
+    forced = []
     with np.errstate(all="ignore"):
         # huge amplitudes overflow here: the non-finite rows are reported below
-        phasor = amplitude * np.linalg.solve(z * np.eye(3) - m, forcing)
-        states = _power_rows(m, np.asarray(x0, dtype=float) - phasor.imag, n + 1)
-        theta = omega * (np.arange(n + 1) * h)
-        states += np.outer(np.sin(theta), phasor.real)
-        states += np.outer(np.cos(theta), phasor.imag)
+        for amp, omega, is_sine in signals.terms(spec):
+            z = cmath.exp(1j * omega * h)
+            forcing = b0 + b1 * cmath.exp(0.5j * omega * h) + b2 * z
+            phasor = amp * np.linalg.solve(z * eye - m, forcing)
+            d = d - (phasor.imag if is_sine else phasor.real)
+            forced.append((phasor, omega, is_sine))
+        states = _power_rows(np.linalg.matrix_power(m, stride), d, rows)
+        for phasor, omega, is_sine in forced:
+            theta = omega * k_h
+            # Im(P e^(i theta)) = Re P sin + Im P cos; Re(P e^(i theta)) = Re P cos - Im P sin
+            if is_sine:
+                states += np.outer(np.sin(theta), phasor.real)
+                states += np.outer(np.cos(theta), phasor.imag)
+            else:
+                states += np.outer(np.cos(theta), phasor.real)
+                states -= np.outer(np.sin(theta), phasor.imag)
     states[0] = x0
     bad = ~np.isfinite(states).all(axis=1)
     if bad.any():
-        raise DivergedState(int(bad.argmax()) * h)
+        raise DivergedState(int(bad.argmax()) * stride * h)
     return states

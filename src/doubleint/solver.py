@@ -1,10 +1,12 @@
 """Fixed-step integration of an observer against a signal.
 
 The public entry points are simulate(), integrate() (its times and states
-alone) and step().  The inner loops are hand-inlined per (mode, method) pair
-and operate on plain floats: a nonlinear sweep over the full frequency grid
-takes ~10^7 RK4 steps, which rules out per-step calls into observers.rhs.
-test_kernels_match_public_step pins every kernel to step().
+alone) and step().  A linear run does not step: analytic.signal_states gives
+the same discretization's orbit in closed form.  A nonlinear run steps
+through a kernel per method, hand-inlined on plain floats: a nonlinear sweep
+over the full frequency grid takes ~10^7 RK4 steps, which rules out
+per-step calls into observers.rhs.  test_kernels_match_public_step pins both
+kernels to step() bit for bit.
 """
 
 import math
@@ -12,13 +14,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import signals
+from . import analytic, signals
 from .errors import ConfigError, DivergedState, InvalidParams
 from .observers import ObserverParams, ObserverState, power_sign, rhs, validate_params
 
 METHODS = ("rk4", "euler")
 
-# Explicit-method stability guard on the dominant linear rate k3/eps^4.
+# Explicit-method stability guard on the dominant linear rate k3/eps^4, a
+# heuristic; linear params are also held to the exact rho(M) < 1.
 STABILITY_LIMIT = 2.0
 
 # A recorded row takes about 11 float64 (time, input, states, truths, errors);
@@ -109,6 +112,14 @@ def check_config(p: ObserverParams, cfg: SimConfig) -> None:
         raise ConfigError(
             f"step_h*k3/eps^4 = {rate:.3g} exceeds the stability limit {STABILITY_LIMIT}"
         )
+    if p.mode == "linear":
+        # the closed form of a linear run needs e^(i omega h) I - M invertible
+        # at every omega; gains near the float range overflow M to inf or nan
+        with np.errstate(over="ignore", invalid="ignore"):
+            m = analytic.step_map(p, cfg.step_h, cfg.method)[0]
+        if not analytic.is_schur_stable(m):
+            raise ConfigError(f"step_h {cfg.step_h:g} makes the linear {cfg.method} step "
+                              "unstable: its step map's spectral radius is not below 1")
 
 
 def step(p: ObserverParams, state: ObserverState, t: float, h: float, a_fn,
@@ -138,45 +149,6 @@ def step(p: ObserverParams, state: ObserverState, t: float, h: float, a_fn,
     if not all(map(math.isfinite, out)):
         raise DivergedState(t + h)
     return out
-
-
-def _run_rk4_linear(p, x0, a_fn, h, n, stride, out):
-    k1, k2, k3 = p.k1, p.k2, p.k3
-    eps = p.epsilon
-    e2 = eps * eps
-    inv = 1.0 / eps**4
-    x1, x2, x3 = x0
-    out[0, 0], out[0, 1], out[0, 2] = x1, x2, x3
-    isfinite = math.isfinite
-    j = 0
-    for i in range(n):
-        t = i * h
-        a_t = a_fn(t)
-        a_m = a_fn(t + 0.5 * h)
-        a_n = a_fn(t + h)
-        d3a = -(k1 * (eps * x1) + k2 * (e2 * x2) + k3 * (x3 - a_t)) * inv
-        y1 = x1 + 0.5 * h * x2
-        y2 = x2 + 0.5 * h * x3
-        y3 = x3 + 0.5 * h * d3a
-        d3b = -(k1 * (eps * y1) + k2 * (e2 * y2) + k3 * (y3 - a_m)) * inv
-        d1b, d2b = y2, y3
-        y1 = x1 + 0.5 * h * d1b
-        y2 = x2 + 0.5 * h * d2b
-        y3 = x3 + 0.5 * h * d3b
-        d3c = -(k1 * (eps * y1) + k2 * (e2 * y2) + k3 * (y3 - a_m)) * inv
-        d1c, d2c = y2, y3
-        y1 = x1 + h * d1c
-        y2 = x2 + h * d2c
-        y3 = x3 + h * d3c
-        d3d = -(k1 * (eps * y1) + k2 * (e2 * y2) + k3 * (y3 - a_n)) * inv
-        x1 += h * (x2 + 2.0 * (d1b + d1c) + y2) / 6.0
-        x2 += h * (x3 + 2.0 * (d2b + d2c) + y3) / 6.0
-        x3 += h * (d3a + 2.0 * (d3b + d3c) + d3d) / 6.0
-        if (i + 1) % stride == 0:
-            j += 1
-            out[j, 0], out[j, 1], out[j, 2] = x1, x2, x3
-            if not (isfinite(x1) and isfinite(x2) and isfinite(x3)):
-                raise DivergedState((i + 1) * h)
 
 
 def _run_rk4_nonlinear(p, x0, a_fn, h, n, stride, out):
@@ -220,28 +192,6 @@ def _run_rk4_nonlinear(p, x0, a_fn, h, n, stride, out):
                 raise DivergedState((i + 1) * h)
 
 
-def _run_euler_linear(p, x0, a_fn, h, n, stride, out):
-    k1, k2, k3 = p.k1, p.k2, p.k3
-    eps = p.epsilon
-    e2 = eps * eps
-    inv = 1.0 / eps**4
-    x1, x2, x3 = x0
-    out[0, 0], out[0, 1], out[0, 2] = x1, x2, x3
-    isfinite = math.isfinite
-    j = 0
-    for i in range(n):
-        a_t = a_fn(i * h)
-        d3 = -(k1 * (eps * x1) + k2 * (e2 * x2) + k3 * (x3 - a_t)) * inv
-        x1 += h * x2
-        x2 += h * x3
-        x3 += h * d3
-        if (i + 1) % stride == 0:
-            j += 1
-            out[j, 0], out[j, 1], out[j, 2] = x1, x2, x3
-            if not (isfinite(x1) and isfinite(x2) and isfinite(x3)):
-                raise DivergedState((i + 1) * h)
-
-
 def _run_euler_nonlinear(p, x0, a_fn, h, n, stride, out):
     k1, k2, k3 = p.k1, p.k2, p.k3
     a1, a2, a3 = p.alpha1, p.alpha2, p.alpha3
@@ -266,12 +216,7 @@ def _run_euler_nonlinear(p, x0, a_fn, h, n, stride, out):
                 raise DivergedState((i + 1) * h)
 
 
-_KERNELS = {
-    ("rk4", "linear"): _run_rk4_linear,
-    ("rk4", "nonlinear"): _run_rk4_nonlinear,
-    ("euler", "linear"): _run_euler_linear,
-    ("euler", "nonlinear"): _run_euler_nonlinear,
-}
+_KERNELS = {"rk4": _run_rk4_nonlinear, "euler": _run_euler_nonlinear}
 
 
 def integrate(p: ObserverParams, spec: signals.SignalSpec,
@@ -288,9 +233,13 @@ def integrate(p: ObserverParams, spec: signals.SignalSpec,
     n = round(cfg.duration / cfg.step_h)
     stride = cfg.record_stride
     m = n // stride + 1
-    states = np.empty((m, 3))
-    kernel = _KERNELS[(cfg.method, p.mode)]
-    kernel(p, cfg.initial_state, signals.make_input_fn(spec), cfg.step_h, n, stride, states)
+    if p.mode == "linear":
+        states = analytic.signal_states(p, spec, cfg.step_h, cfg.method, cfg.initial_state, n,
+                                        stride)
+    else:
+        states = np.empty((m, 3))
+        _KERNELS[cfg.method](p, cfg.initial_state, signals.make_input_fn(spec), cfg.step_h, n,
+                             stride, states)
     return np.arange(m) * (stride * cfg.step_h), states
 
 
@@ -298,8 +247,9 @@ def simulate(p: ObserverParams, spec: signals.SignalSpec, cfg: SimConfig) -> Tra
     """Integrate the observer against the signal and record a trajectory.
 
     Raises InvalidParams when validate_params rejects p, ConfigError on bad
-    settings or stability-guard violation, DivergedState (with the time of
-    the first non-finite recorded sample) on numerical blowup.
+    settings or a stability-guard violation (for linear params also rho(M)
+    >= 1), DivergedState (with the time of the first non-finite recorded
+    sample) on numerical blowup.
     """
     times, states = integrate(p, spec, cfg)
     a_fn = signals.make_input_fn(spec)

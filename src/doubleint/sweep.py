@@ -5,7 +5,8 @@ requested output channel is fitted with a single sinusoid at the drive
 frequency by least squares, and the fitted amplitude/phase become one Bode
 row.  Nonlinear lanes run the solver's step-by-step kernel; linear lanes
 take the same discretization's states from its exact step map
-(analytic.sinusoid_states), which agrees with the kernel to rounding.
+(analytic.signal_states, as every linear run does), which agrees with
+stepping to rounding.
 Frequencies are independent work items and may be computed in parallel;
 output order is always by frequency.
 """
@@ -203,14 +204,13 @@ def _run_frequency(p: ObserverParams, cfg: SweepConfig, f_hz: float) -> list[Bod
     omega = TWO_PI * f_hz
     x0 = _initial_state(p, cfg, omega)
     rows = []
+    spec = SignalSpec("sinusoid", cfg.amplitude, omega)
     try:
         if p.mode == "linear":
             times = np.arange(cfg.samples + 1) * cfg.step_h
-            states = analytic.sinusoid_states(p, cfg.step_h, cfg.method, cfg.amplitude, omega,
-                                              x0, cfg.samples)
+            states = analytic.signal_states(p, spec, cfg.step_h, cfg.method, x0, cfg.samples)
         else:
-            times, states = integrate(p, SignalSpec("sinusoid", cfg.amplitude, omega),
-                                      replace(_frequency_sim(cfg), initial_state=x0))
+            times, states = integrate(p, spec, replace(_frequency_sim(cfg), initial_state=x0))
     except DivergedState:
         return [
             BodeRow(f_hz, omega, ch, math.nan, math.nan, None, None, "sweep", "diverged")

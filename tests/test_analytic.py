@@ -93,6 +93,29 @@ def test_limit_transfer_stays_finite_at_huge_omega(omega):
         assert h == pytest.approx(value, rel=1e-15, abs=1e-320)
 
 
+@pytest.mark.parametrize("channel, omega", [(1, 1e-155), (1, 1e-160), (1, 1e-300), (1, 5e-324),
+                                            (2, 1e-310), (2, 5e-324)])
+def test_limit_transfer_is_infinite_past_the_float_range_at_tiny_omega(channel, omega):
+    # (i omega)^-2 = -1/omega^2 and (i omega)^-1 = -i/omega pass 1.8e308 here; the
+    # phase stays that of the finite values, -pi and -pi/2
+    h = limit_transfer(channel, omega)
+    assert abs(h) == math.inf
+    assert cmath.phase(h) == (-math.pi if channel == 1 else -math.pi / 2)
+    assert cmath.phase(limit_transfer(channel, 1.0)) == cmath.phase(h)
+
+
+def test_limit_transfer_stays_finite_down_to_the_float_range():
+    assert limit_transfer(1, 1e-154) == (1j * 1e-154) ** -2
+    assert limit_transfer(2, 1e-300) == (1j * 1e-300) ** -1
+
+
+@pytest.mark.parametrize("R", [3.0, 5.0])
+@pytest.mark.parametrize("channel", [1, 2])
+def test_cutoff_bracket_may_start_at_a_tiny_omega(channel, R):
+    p = lin(eps=1.0 / R)
+    assert cutoff_frequency(p, channel, bracket=(1e-300, 1e5)) == cutoff_frequency(p, channel)
+
+
 def test_limit_convergence_spot():
     # deviation from the ideal response shrinks with eps at a fixed frequency
     omega = 1.0

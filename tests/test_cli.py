@@ -370,6 +370,11 @@ MALFORMED = [
     ("sweep", None, "signal", {"kind": "sinusoid", "omega": 50.0, "amplitude": 7.0}, "signal"),
     ("sweep", None, "sim", {"duration": 1.0}, "sim"),
     ("simulate", None, "sweep", {"samples": 100}, "sweep"),
+    # h*k3/eps^4 = 1.6 passes the rate guard, but Euler's spectral radius is 1.0016
+    ("simulate", None, None, {"params": {"k1": 1.0, "k2": 0.2, "k3": 1.0, "R": 2.0,
+                                         "alpha3": 1.0, "mode": "linear"},
+                              "sim": {"step_h": 0.1, "duration": 1.0, "method": "euler"}},
+     "sim.step_h 0.1 makes the linear euler step unstable"),
     ("sweep", "sweep", "freqs_hz", [5.1, math.nan], "sweep.freqs_hz"),
     ("sweep", "sweep", "freqs_hz", [5.1, math.inf], "sweep.freqs_hz"),
     # 2 pi f overflows

@@ -66,9 +66,10 @@ def test_rk4_step_matches_matrix_exponential():
 
 
 @pytest.mark.parametrize("method", ["rk4", "euler"])
-@pytest.mark.parametrize("mode,alpha3", [("nonlinear", 0.3), ("linear", 1.0)])
+@pytest.mark.parametrize("mode,alpha3", [("nonlinear", 0.3)])
 def test_kernels_match_public_step(method, mode, alpha3, noisy_spec):
-    # the inlined simulation kernels must agree bit-for-bit with step()/rhs()
+    # the inlined nonlinear kernels must agree bit-for-bit with step()/rhs();
+    # linear runs are closed form, checked against step() in test_oracle.py
     p = ObserverParams(0.1, 0.1, 1.0, 0.2, alpha3, mode)
     h, n = 0.001, 50
     cfg = SimConfig(h, n * h, ObserverState(0.0, 1.0, 0.0), method, 1)
@@ -117,6 +118,21 @@ def test_stability_guard(lin_params):
     # h*k3/eps^4 = 2.5 >= 2 for h=0.004 at R=5
     with pytest.raises(ConfigError):
         simulate(lin_params, zero_spec(), SimConfig(0.004, 1.0))
+
+
+@pytest.mark.parametrize("method, refused", [("euler", True), ("rk4", False)])
+def test_linear_step_must_keep_its_spectral_radius_below_one(method, refused):
+    # k = (1, 0.2, 1), R = 2, h = 0.1: h*k3/eps^4 = 1.6 passes the rate guard, but
+    # Euler moves the lightly damped pole pair out of the unit disc (rho(M) = 1.0016)
+    p = ObserverParams.from_rate(1.0, 0.2, 1.0, 2.0, 1.0, "linear")
+    cfg = SimConfig(0.1, 1.0, method=method)
+    if refused:
+        with pytest.raises(ConfigError, match="^step_h 0.1 makes the linear euler step unstable"):
+            integrate(p, zero_spec(), cfg)
+    else:
+        integrate(p, zero_spec(), cfg)
+    # the nonlinear observer has no step map: only the rate guard applies
+    integrate(ObserverParams.from_rate(1.0, 0.2, 1.0, 2.0, 0.9), zero_spec(), cfg)
 
 
 def test_config_validation(lin_params):
