@@ -10,7 +10,7 @@ kernels to step() bit for bit.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -57,19 +57,6 @@ class Trajectory:
     inputs: np.ndarray
     truths: np.ndarray | None = None
     errors: np.ndarray | None = None
-    config: SimConfig | None = field(default=None, repr=False)
-
-    @property
-    def x1(self):
-        return self.states[:, 0]
-
-    @property
-    def x2(self):
-        return self.states[:, 1]
-
-    @property
-    def x3(self):
-        return self.states[:, 2]
 
     def error(self, channel: int) -> np.ndarray:
         if self.errors is None:
@@ -258,7 +245,7 @@ def simulate(p: ObserverParams, spec: signals.SignalSpec, cfg: SimConfig) -> Tra
     if signals.supports_truth(spec):
         truths = signals.truth_arrays(spec, times)
         errors = states - truths
-    return Trajectory(times, states, inputs, truths, errors, cfg)
+    return Trajectory(times, states, inputs, truths, errors)
 
 
 def settle_time(traj: Trajectory, threshold: float, channel: int = 1) -> float:

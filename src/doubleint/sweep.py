@@ -3,10 +3,11 @@
 For each grid frequency the observer is driven with A_m sin(2 pi f t), each
 requested output channel is fitted with a single sinusoid at the drive
 frequency by least squares, and the fitted amplitude/phase become one Bode
-row.  Nonlinear lanes run the solver's step-by-step kernel; linear lanes
-take the same discretization's states from its exact step map
-(analytic.signal_states, as every linear run does), which agrees with
-stepping to rounding.
+row.  Every frequency's lane is one solver.integrate run, so it steps or
+takes the closed form exactly as a simulation of the same params would.
+check_sweep_config is the only check that can refuse a sweep: a lane that
+passed it ends in rows, flagged when its run diverges or its start state
+overflows.
 Frequencies are independent work items and may be computed in parallel;
 output order is always by frequency.
 """
@@ -15,6 +16,7 @@ import math
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
+from itertools import repeat
 
 import numpy as np
 
@@ -173,22 +175,29 @@ def check_sweep_config(p: ObserverParams, cfg: SweepConfig) -> None:
         raise ConfigError(f"init_state must be one of {INIT_KINDS}")
     if cfg.init_state == "steady_state" and p.mode != "linear" and p.alpha3 != 1.0:
         raise ConfigError("init_state steady_state needs a linear observer (or alpha3=1)")
-    check_config(p, _frequency_sim(cfg))
-    span = cfg.samples * cfg.step_h
-    if TWO_PI * freqs[-1] * span > MAX_PHASE:
+    sim = _frequency_sim(cfg)
+    check_config(p, sim)
+    # the phase bound integrate's check_horizon applies to every lane
+    t_end = sim.duration + sim.step_h
+    if TWO_PI * freqs[-1] * t_end > MAX_PHASE:
         raise ConfigError(f"freqs_hz {freqs[-1]:g} Hz overflows the phase 2 pi f t "
-                          f"within {span:g} s")
+                          f"within {t_end:g} s")
 
 
 def _initial_state(p: ObserverParams, cfg: SweepConfig, omega: float) -> ObserverState:
+    """The lane's start state; raises DivergedState(0.0) when it is not finite."""
     if cfg.init_state == "zero":
         return ObserverState(0.0, 0.0, 0.0)
     # exact forced steady state of the linear dynamics at the drive frequency;
     # the input A_m sin(omega t) is the imaginary part of A_m e^(i omega t)
-    p_lin = p if p.mode == "linear" else replace_mode_linear(p)
-    return ObserverState(
+    p_lin = replace(p, mode="linear")
+    x0 = ObserverState(
         *(cfg.amplitude * analytic.transfer_eval(p_lin, j, omega).value.imag for j in (1, 2, 3))
     )
+    if not all(map(math.isfinite, x0)):
+        # an amplitude near the float range: the lane diverges before its first step
+        raise DivergedState(0.0)
+    return x0
 
 
 def _frequency_sim(cfg: SweepConfig) -> SimConfig:
@@ -196,21 +205,13 @@ def _frequency_sim(cfg: SweepConfig) -> SimConfig:
     return SimConfig(step_h=cfg.step_h, duration=cfg.samples * cfg.step_h, method=cfg.method)
 
 
-def replace_mode_linear(p: ObserverParams) -> ObserverParams:
-    return replace(p, alpha3=1.0, mode="linear")
-
-
 def _run_frequency(p: ObserverParams, cfg: SweepConfig, f_hz: float) -> list[BodeRow]:
     omega = TWO_PI * f_hz
-    x0 = _initial_state(p, cfg, omega)
     rows = []
     spec = SignalSpec("sinusoid", cfg.amplitude, omega)
     try:
-        if p.mode == "linear":
-            times = np.arange(cfg.samples + 1) * cfg.step_h
-            states = analytic.signal_states(p, spec, cfg.step_h, cfg.method, x0, cfg.samples)
-        else:
-            times, states = integrate(p, spec, replace(_frequency_sim(cfg), initial_state=x0))
+        x0 = _initial_state(p, cfg, omega)
+        times, states = integrate(p, spec, replace(_frequency_sim(cfg), initial_state=x0))
     except DivergedState:
         return [
             BodeRow(f_hz, omega, ch, math.nan, math.nan, None, None, "sweep", "diverged")
@@ -261,17 +262,13 @@ def sweep_observer(p: ObserverParams, cfg: SweepConfig, workers: int = 1) -> Bod
         )
     if workers > 1 and len(cfg.freqs_hz) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            per_freq = list(pool.map(_worker, [(p, cfg, f) for f in cfg.freqs_hz]))
+            per_freq = list(pool.map(_run_frequency, repeat(p), repeat(cfg), cfg.freqs_hz))
     else:
-        per_freq = [_run_frequency(p, cfg, f) for f in cfg.freqs_hz]
+        per_freq = list(map(_run_frequency, repeat(p), repeat(cfg), cfg.freqs_hz))
     rows = tuple(row for rows in per_freq for row in rows)
     return phase_unwrap(
         BodeCurve(rows, params_meta(p), asdict(cfg), "sweep")
     )
-
-
-def _worker(args) -> list[BodeRow]:
-    return _run_frequency(*args)
 
 
 def params_meta(p: ObserverParams) -> dict:

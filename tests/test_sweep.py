@@ -21,6 +21,7 @@ from doubleint import (
 )
 
 LIN = ObserverParams(0.1, 0.1, 1.0, 0.2, 1.0, "linear")
+NL1 = ObserverParams(0.1, 0.1, 1.0, 0.2, 1.0, "nonlinear")
 NL3 = ObserverParams(0.1, 0.1, 1.0, 1.0 / 3.0, 0.3, "nonlinear")
 
 
@@ -138,9 +139,8 @@ def test_single_frequency_sweep_matches_transfer():
 
 
 def test_degeneration_sweep_rows_identical():
-    nl1 = ObserverParams(0.1, 0.1, 1.0, 0.2, 1.0, "nonlinear")
     cfg = SweepConfig(freqs_hz=(0.6, 5.1, 20.1), samples=20000, discard_fraction=0.25)
-    a = sweep_observer(nl1, cfg)
+    a = sweep_observer(NL1, cfg)
     b = sweep_observer(LIN, cfg)
     for ra, rb in zip(a.rows, b.rows):
         assert abs(ra.magnitude_db - rb.magnitude_db) <= 1e-9
@@ -174,19 +174,32 @@ def test_residual_sanity_steady_state():
     assert checked >= 10
 
 
-def test_divergent_rows_flagged_not_fatal():
-    cfg = SweepConfig(freqs_hz=(5.1, 10.1), samples=500, amplitude=math.inf)
-    curve = sweep_observer(LIN, cfg)
-    assert len(curve.rows) == 6
-    assert all(r.flag == "diverged" for r in curve.rows)
-    assert all(math.isnan(r.magnitude_db) for r in curve.rows)
+OVERFLOWED_START = SweepConfig(freqs_hz=(0.1, 5.1), samples=200, amplitude=1.7e308,
+                               init_state="steady_state")
+
+
+@pytest.mark.filterwarnings("ignore:run length")
+@pytest.mark.parametrize("p, cfg, flags", [
+    (LIN, SweepConfig(freqs_hz=(5.1, 10.1), samples=500, amplitude=math.inf),
+     ("diverged",) * 6),
+    # the 0.1 Hz steady-state start overflows, so that lane diverges at t = 0 in
+    # either mode; at 5.1 Hz the start is finite, and the linear closed form stays
+    # finite while its fit overflows
+    (LIN, OVERFLOWED_START, ("diverged",) * 3 + ("nonfinite_fit",) * 3),
+    (NL1, OVERFLOWED_START, ("diverged",) * 6),
+], ids=["infinite-amplitude", "overflowed-start-linear", "overflowed-start-nonlinear"])
+def test_divergent_rows_flagged_not_fatal(p, cfg, flags):
+    curve = sweep_observer(p, cfg)
+    assert tuple(r.flag for r in curve.rows) == flags
+    assert all(math.isnan(r.magnitude_db) for r in curve.rows if r.flag == "diverged")
     assert curve.flagged_fraction == 1.0
 
 
-def test_parallel_matches_sequential():
+@pytest.mark.parametrize("p", [LIN, NL3], ids=["linear", "nonlinear"])
+def test_parallel_matches_sequential(p):
     cfg = SweepConfig(freqs_hz=(0.6, 1.1, 5.1, 10.1), samples=5000, discard_fraction=0.5)
-    seq = sweep_observer(LIN, cfg, workers=1)
-    par = sweep_observer(LIN, cfg, workers=2)
+    seq = sweep_observer(p, cfg, workers=1)
+    par = sweep_observer(p, cfg, workers=2)
     assert seq.rows == par.rows
 
 
@@ -208,6 +221,12 @@ def test_sweep_config_validation():
                                         samples=100))
     with pytest.warns(UserWarning):
         sweep_observer(LIN, SweepConfig(freqs_hz=(0.1,), samples=100))
+    # the phase bound covers the lane's last step, at (samples + 1) * step_h
+    edge = SweepConfig(freqs_hz=(1.0729190571588854e307,), step_h=1.0, samples=1)
+    for alpha3, mode in ((1.0, "linear"), (0.5, "nonlinear")):
+        p = ObserverParams(0.001, 1.0, 0.01, 1.0 / 1.1, alpha3, mode)
+        with pytest.raises(ConfigError, match="^freqs_hz"):
+            sweep_observer(p, edge)
 
 
 def _mag_crossing_hz(curve, level_db, channel=3):
