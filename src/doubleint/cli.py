@@ -113,12 +113,10 @@ def _build_params(cfg: dict, over: dict, path: str) -> ObserverParams:
     return _new(ObserverParams, kwargs, path)
 
 
-def _build_sim(obj: dict, method: str | None) -> tuple[SimConfig, tuple]:
+def _build_sim(obj: dict) -> tuple[SimConfig, tuple]:
     kwargs = _typed({**_fields(SimConfig), "metrics_windows": tuple[tuple[float, float], ...]},
                     obj, "sim")
     windows = kwargs.pop("metrics_windows", None)
-    if method:
-        kwargs["method"] = method
     cfg = _new(SimConfig, kwargs, "sim")
     # long runs of at least 100 steps default to a sparser record grid to bound memory
     if "record_stride" not in kwargs and cfg.duration > 60.0 and cfg.duration >= 100 * cfg.step_h:
@@ -126,14 +124,9 @@ def _build_sim(obj: dict, method: str | None) -> tuple[SimConfig, tuple]:
     return cfg, ((0.0, cfg.duration),) if windows is None else windows
 
 
-def _build_sweep(obj: dict, method: str | None,
-                 discard: float | None) -> tuple[SweepConfig, tuple]:
+def _build_sweep(obj: dict) -> tuple[SweepConfig, tuple]:
     kwargs = _typed({**_fields(SweepConfig), "variants": tuple[dict, ...]}, obj, "sweep")
     variants = kwargs.pop("variants", ({},))
-    if method:
-        kwargs["method"] = method
-    if discard is not None:
-        kwargs["discard_fraction"] = discard
     return _new(SweepConfig, kwargs, "sweep"), variants
 
 
@@ -150,9 +143,15 @@ def load_config(path) -> dict:
     return cfg
 
 
-def _check_top(cfg: dict, command: str) -> None:
+def _effective(cfg: dict, command: str, args: argparse.Namespace) -> dict:
+    """cfg, checked at the top level, with the command and the CLI flags set.
+
+    This is all the command reads and what config.json echoes.  A flag lands in
+    the section the command reads; a section or flag it does not read is refused.
+    """
     _typed(_TOP_TYPES, cfg, "")
-    for section in _UNREAD.get(command, ()):
+    unread = _UNREAD.get(command, ())
+    for section in unread:
         if section in cfg:
             raise ConfigError(f"{section}: section is not read by {command}; remove it")
     stated = cfg.get("command", command)
@@ -161,19 +160,28 @@ def _check_top(cfg: dict, command: str) -> None:
     fmt = cfg.get("format", "csv")
     if fmt not in ("csv", "json"):
         raise ConfigError(f"format must be csv or json, got {fmt!r}")
+    out = {**cfg, "command": command}
+    if getattr(args, "format", None):
+        out["format"] = args.format
+    read = "sim" if command == "simulate" else "sweep"
+    for flag, section, key in (("method", read, "method"),
+                               ("discard", "sweep", "discard_fraction")):
+        value = getattr(args, flag, None)
+        if value is not None:
+            if section in unread:
+                raise ConfigError(f"--{flag}: flag is not read by {command}; remove it")
+            out[section] = {**out.get(section, {}), key: value}
+    return out
 
 
 def cmd_validate(cfg: dict) -> int:
-    _check_top(cfg, "validate")
     params = _build_params(cfg, {}, "params")
     report = validate_params(params)
     print(report)
     return EXIT_OK if report.ok else EXIT_INVALID_PARAMS
 
 
-def cmd_simulate(cfg: dict, out_dir, fmt: str | None = None,
-                 method: str | None = None) -> int:
-    _check_top(cfg, "simulate")
+def cmd_simulate(cfg: dict, out_dir) -> int:
     params = _build_params(cfg, {}, "params")
     signal = cfg.get("signal", {})
     spec = _convert(SignalSpec, signal, "signal")
@@ -181,8 +189,7 @@ def cmd_simulate(cfg: dict, out_dir, fmt: str | None = None,
     for key in ("amplitude", "omega"):
         if spec.kind == "paper_reference" and key in signal:
             raise ConfigError(f"signal.{key} is fixed for kind paper_reference; remove it")
-    sim_cfg, windows = _build_sim(cfg.get("sim", {}), method)
-    fmt = fmt or cfg.get("format", "csv")
+    sim_cfg, windows = _build_sim(cfg.get("sim", {}))
     try:
         traj = simulate(params, spec, sim_cfg)
         metrics = trajectory_metrics(traj, windows)
@@ -191,14 +198,26 @@ def cmd_simulate(cfg: dict, out_dir, fmt: str | None = None,
         field = str(exc).split()[0].split("[")[0]
         raise ConfigError(f"{'signal' if field in _fields(SignalSpec) else 'sim'}.{exc}") from exc
     out = io.ensure_dir(out_dir)
-    if fmt == "csv":
+    if cfg.get("format", "csv") == "csv":
         io.write_trajectory_csv(out / "trajectory.csv", traj)
     else:
         io.write_json(out / "trajectory.json", io.trajectory_to_dict(traj))
     io.write_json(out / "metrics.json", metrics)
-    io.write_json(out / "config.json", _effective(cfg, "simulate"))
+    io.write_json(out / "config.json", cfg)
     print(f"wrote trajectory ({traj.times.size} samples) to {out}")
     return EXIT_OK
+
+
+def _passes(cfg: dict, run_cfg: SweepConfig) -> bool:
+    """Whether the params section alone builds, is valid and passes check_sweep_config."""
+    try:
+        base = _build_params(cfg, {}, "params")
+        if validate_params(base).ok:
+            check_sweep_config(base, run_cfg)
+            return True
+    except ConfigError:
+        pass
+    return False
 
 
 def _variant_tag(params: ObserverParams, amplitude: float) -> str:
@@ -206,10 +225,8 @@ def _variant_tag(params: ObserverParams, amplitude: float) -> str:
             f"_Am{amplitude:g}")
 
 
-def cmd_sweep(cfg: dict, out_dir, fmt: str | None = None, method: str | None = None,
-              discard: float | None = None, workers: int = 1) -> int:
-    _check_top(cfg, "sweep")
-    sweep_cfg, variants = _build_sweep(cfg.get("sweep", {}), method, discard)
+def cmd_sweep(cfg: dict, out_dir, workers: int = 1) -> int:
+    sweep_cfg, variants = _build_sweep(cfg.get("sweep", {}))
     runs = []
     # every variant is checked before the first one runs, so a bad one writes nothing
     for i, variant in enumerate(variants):
@@ -227,13 +244,13 @@ def cmd_sweep(cfg: dict, out_dir, fmt: str | None = None, method: str | None = N
         try:
             check_sweep_config(params, run_cfg)
         except ConfigError as exc:
-            # messages lead with the field name: a field the variant set, or a
-            # guard its params decide (step_h*k3/eps^4), is the variant's error
-            field = str(exc).split()[0]
-            own = field in variant or (variant and field not in _fields(SweepConfig))
+            # messages lead with the field name: the error is the variant's when it sets
+            # that field, or sets params that fail where an earlier variant or the
+            # params section alone passes
+            own = str(exc).split()[0] in variant or over and (runs or _passes(cfg, run_cfg))
             raise ConfigError(f"{path if own else 'sweep'}.{exc}") from exc
         runs.append((params, run_cfg))
-    fmt = fmt or cfg.get("format", "csv")
+    fmt = cfg.get("format", "csv")
     out = io.ensure_dir(out_dir)
     total = flagged = 0
     written = []
@@ -246,7 +263,7 @@ def cmd_sweep(cfg: dict, out_dir, fmt: str | None = None, method: str | None = N
         if params.mode == "linear":
             ref = bode_from_transfer(params, run_cfg)
             written.append(_write_curve(out, f"analytic_{tag}", ref, fmt))
-    io.write_json(out / "config.json", _effective(cfg, "sweep"))
+    io.write_json(out / "config.json", cfg)
     print(f"wrote {len(written)} curves to {out}; flagged rows: {flagged}/{total}")
     if total and flagged / total > MAX_FLAGGED_FRACTION:
         return EXIT_DIVERGED
@@ -263,20 +280,6 @@ def _write_curve(out: Path, stem: str, curve, fmt: str):
     return path
 
 
-def _effective(cfg: dict, command: str) -> dict:
-    out = dict(cfg)
-    out["command"] = command
-    return out
-
-
-def cmd_reproduce(name: str, out_dir, fmt: str | None = None, method: str | None = None,
-                  discard: float | None = None, workers: int = 1) -> int:
-    cfg = scenarios.expand_scenario(name)
-    if cfg["command"] == "simulate":
-        return cmd_simulate(cfg, out_dir, fmt, method)
-    return cmd_sweep(cfg, out_dir, fmt, method, discard, workers)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="doubleint",
@@ -285,31 +288,26 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="cmd", required=True)
 
-    def add_common(p, config_required=True):
-        if config_required:
-            p.add_argument("--config", required=True, help="JSON run configuration")
+    def add_run(p, sweeps: bool):
         p.add_argument("--out", default="out", help="output directory")
         p.add_argument("--format", choices=("csv", "json"), default=None)
         p.add_argument("--method", choices=("rk4", "euler"), default=None)
+        if sweeps:
+            p.add_argument("--discard", type=float, default=None,
+                           help="override discard fraction before fitting")
+            p.add_argument("--threads", type=int, default=1, help="parallel sweep workers")
 
     p = sub.add_parser("validate", help="check observer parameters")
     p.add_argument("--config", required=True)
-
-    p = sub.add_parser("simulate", help="integrate the observer against a signal")
-    add_common(p)
-
-    p = sub.add_parser("sweep", help="frequency-sweep Bode characterization")
-    add_common(p)
-    p.add_argument("--discard", type=float, default=None,
-                   help="override discard fraction before fitting")
-    p.add_argument("--threads", type=int, default=1, help="parallel sweep workers")
+    for name, text in (("simulate", "integrate the observer against a signal"),
+                       ("sweep", "frequency-sweep Bode characterization")):
+        p = sub.add_parser(name, help=text)
+        p.add_argument("--config", required=True, help="JSON run configuration")
+        add_run(p, sweeps=name == "sweep")
 
     p = sub.add_parser("reproduce", help="run a canned scenario (fig1..fig6)")
     p.add_argument("--scenario", required=True, choices=scenarios.SCENARIO_NAMES)
-    add_common(p, config_required=False)
-    p.add_argument("--discard", type=float, default=None)
-    p.add_argument("--threads", type=int, default=1)
-
+    add_run(p, sweeps=True)
     return parser
 
 
@@ -323,17 +321,17 @@ def main(argv=None) -> int:
         # library warnings reach CLI users as one plain line, without source location
         warnings.showwarning = _plain_warning
         try:
-            if args.cmd == "validate":
-                return cmd_validate(load_config(args.config))
-            if args.cmd == "simulate":
-                return cmd_simulate(load_config(args.config), args.out, args.format, args.method)
-            if args.cmd == "sweep":
-                return cmd_sweep(load_config(args.config), args.out, args.format, args.method,
-                                 args.discard, args.threads)
             if args.cmd == "reproduce":
-                return cmd_reproduce(args.scenario, args.out, args.format, args.method,
-                                     args.discard, args.threads)
-            raise ConfigError(f"unknown command {args.cmd!r}")
+                cfg = scenarios.expand_scenario(args.scenario)
+                command = cfg["command"]
+            else:
+                cfg, command = load_config(args.config), args.cmd
+            cfg = _effective(cfg, command, args)
+            if command == "validate":
+                return cmd_validate(cfg)
+            if command == "simulate":
+                return cmd_simulate(cfg, args.out)
+            return cmd_sweep(cfg, args.out, args.threads)
         except ConfigError as exc:
             print(f"config error: {exc}", file=sys.stderr)
             return EXIT_BAD_CONFIG

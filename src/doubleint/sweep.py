@@ -228,11 +228,9 @@ def _run_frequency(p: ObserverParams, cfg: SweepConfig, f_hz: float) -> list[Bod
                         "ill_conditioned")
             )
             continue
-        mag_db = (
-            20.0 * math.log10(fit.amplitude / cfg.amplitude)
-            if fit.amplitude > 0.0
-            else -math.inf
-        )
+        # a zero amplitude is -inf dB; a NaN one, from an overflowed fit, stays NaN
+        ratio = fit.amplitude / cfg.amplitude
+        mag_db = -math.inf if ratio == 0.0 else 20.0 * math.log10(ratio)
         finite = all(map(math.isfinite, (mag_db, fit.phase, fit.residual_rms)))
         rows.append(
             BodeRow(f_hz, omega, ch, mag_db, fit.phase, None, fit.residual_rms, "sweep",

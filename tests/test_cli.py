@@ -143,7 +143,7 @@ def test_simulate_long_coarse_run_keeps_every_step(tmp_path):
                                          ({"duration": 61.0}, 100),
                                          ({"duration": 61.0, "record_stride": 3}, 3)])
 def test_long_runs_of_100_steps_default_to_stride_100(sim, stride):
-    assert _build_sim(sim, None)[0].record_stride == stride
+    assert _build_sim(sim)[0].record_stride == stride
 
 
 def test_simulate_divergence_exit_3(tmp_path, capsys):
@@ -188,6 +188,56 @@ def test_reproduce_fig3_matches_explicit_config(tmp_path):
     assert main(["simulate", "--config", explicit, "--out", str(out_b)]) == 0
     for name in ("trajectory.csv", "metrics.json", "config.json"):
         assert (out_a / name).read_bytes() == (out_b / name).read_bytes(), name
+
+
+NONLINEAR_PARAMS = {**LINEAR_PARAMS, "alpha3": 0.3, "mode": "nonlinear"}
+
+ROUND_TRIP_CONFIGS = {
+    "simulate": {"params": NONLINEAR_PARAMS,
+                 "signal": {"kind": "sinusoid", "amplitude": 1.0, "omega": 6.28},
+                 "sim": {"duration": 0.5}},
+    "sweep": {"params": NONLINEAR_PARAMS,
+              "sweep": {"freqs_hz": [1.1, 5.1], "samples": 2000,
+                        "variants": [{"alpha3": 1.0, "mode": "linear"}, {"R": 4}]}},
+}
+
+JSON_EULER = ["--format", "json", "--method", "euler"]
+
+
+@pytest.mark.parametrize("source, flags", [
+    ("simulate", []), ("simulate", JSON_EULER),
+    ("sweep", []), ("sweep", JSON_EULER), ("sweep", ["--discard", "0.5"]),
+    ("fig5", []), ("fig5", JSON_EULER),
+], ids=lambda v: (" ".join(v) or "no-flags") if isinstance(v, list) else v)
+def test_config_json_reruns_the_same_files(tmp_path, source, flags):
+    if source in ROUND_TRIP_CONFIGS:
+        argv = [source, "--config", write_cfg(tmp_path, ROUND_TRIP_CONFIGS[source])]
+    else:
+        argv = ["reproduce", "--scenario", source]
+    first, again = tmp_path / "first", tmp_path / "again"
+    assert main([*argv, *flags, "--out", str(first)]) == 0
+    echo = json.loads((first / "config.json").read_text())
+    # each flag is in the echo, so a byte-equal rerun shows that the first run used it
+    read = echo["sim" if echo["command"] == "simulate" else "sweep"]
+    for flag, value in zip(flags[::2], flags[1::2]):
+        where, key = {"--format": (echo, "format"), "--method": (read, "method"),
+                      "--discard": (read, "discard_fraction")}[flag]
+        assert str(where[key]) == value
+    assert main([echo["command"], "--config", str(first / "config.json"),
+                 "--out", str(again)]) == 0
+    names = sorted(path.name for path in first.iterdir())
+    assert names == sorted(path.name for path in again.iterdir())
+    for name in names:
+        assert (first / name).read_bytes() == (again / name).read_bytes(), name
+
+
+def test_flag_the_command_does_not_read_exits_2(tmp_path, capsys):
+    out_dir = tmp_path / "out"
+    assert main(["reproduce", "--scenario", "fig3", "--discard", "0.5",
+                 "--out", str(out_dir)]) == 2
+    assert capsys.readouterr().err == (
+        "config error: --discard: flag is not read by simulate; remove it\n")
+    assert not out_dir.exists()
 
 
 def test_sweep_single_frequency_linear(tmp_path):
@@ -509,8 +559,8 @@ def test_numeric_range_config_never_tracebacks(case):
 
 
 def test_empty_sections_build_dataclass_defaults():
-    assert _build_sweep({}, None, None) == (SweepConfig(), ({},))
-    assert _build_sim({}, None) == (SimConfig(), ((0.0, SimConfig().duration),))
+    assert _build_sweep({}) == (SweepConfig(), ({},))
+    assert _build_sim({}) == (SimConfig(), ((0.0, SimConfig().duration),))
     assert _convert(SignalSpec, {}, "signal") == SignalSpec()
 
 
@@ -526,13 +576,35 @@ def test_sweep_nonfinite_fit_flagged_exit_3(tmp_path, capsys):
     assert {r.split(",")[-1] for r in rows} == {"nonfinite_fit"}
 
 
-@pytest.mark.parametrize("variant, message", [
-    ({"amplitude": -1}, "sweep.variants[1].amplitude must be positive"),
-    ({"R": 7}, "sweep.variants[1].step_h*k3/eps^4 = 2.4 exceeds the stability limit"),
-], ids=["amplitude", "stability"])
-def test_sweep_checks_every_variant_before_running(tmp_path, capsys, variant, message):
-    cfg = {"params": LINEAR_PARAMS,
-           "sweep": {"freqs_hz": [5.1], "samples": 200, "variants": [{}, variant]}}
+SHORT_SWEEP = {"params": LINEAR_PARAMS, "sweep": {"freqs_hz": [5.1], "samples": 200}}
+
+
+def _euler_sweep(k2: float) -> dict:
+    # k = (1, k2, 1), R = 2, Euler at h = 0.1: rho(M) is 1.0016 at k2 = 0.2, 1.0003 at
+    # k2 = 0.3 and 0.99906 at k2 = 0.4
+    return {"params": {"k1": 1, "k2": k2, "k3": 1, "R": 2, "mode": "linear"},
+            "sweep": {"freqs_hz": [1.0], "samples": 100, "step_h": 0.1, "method": "euler"}}
+
+
+@pytest.mark.parametrize("base, variants, message", [
+    (SHORT_SWEEP, [{}, {"amplitude": -1}], "sweep.variants[1].amplitude must be positive"),
+    # rho(M) = 5.6 at R = 8 (R = 5: 0.999998)
+    (SHORT_SWEEP, [{}, {"R": 8}],
+     "sweep.variants[1].step_h 0.001 makes the linear rk4 step unstable"),
+    (SHORT_SWEEP, [{"R": 8}, {}],
+     "sweep.variants[0].step_h 0.001 makes the linear rk4 step unstable"),
+    (_euler_sweep(0.4), [{}, {"k2": 0.2}],
+     "sweep.variants[1].step_h 0.1 makes the linear euler step unstable"),
+    # the params section alone is unstable, so the variant {} names the sweep; a
+    # variant after a stable one names itself
+    (_euler_sweep(0.3), [{}, {"k2": 0.2}],
+     "sweep.step_h 0.1 makes the linear euler step unstable"),
+    (_euler_sweep(0.3), [{"k2": 0.4}, {"k2": 0.2}],
+     "sweep.variants[1].step_h 0.1 makes the linear euler step unstable"),
+], ids=["amplitude", "stability", "first-variant-unstable", "variant-params-unstable",
+        "params-unstable", "after-a-stable-variant"])
+def test_sweep_checks_every_variant_before_running(tmp_path, capsys, base, variants, message):
+    cfg = {**base, "sweep": {**base["sweep"], "variants": variants}}
     out_dir = tmp_path / "v"
     assert main(["sweep", "--config", write_cfg(tmp_path, cfg), "--out", str(out_dir)]) == 2
     assert f"config error: {message}" in capsys.readouterr().err

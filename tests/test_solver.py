@@ -115,9 +115,22 @@ def test_composite_signal_has_no_truth_columns(nl_params):
 
 
 def test_stability_guard(lin_params):
-    # h*k3/eps^4 = 2.5 >= 2 for h=0.004 at R=5
-    with pytest.raises(ConfigError):
-        simulate(lin_params, zero_spec(), SimConfig(0.004, 1.0))
+    # linear params are refused only when the step map is unstable: at R = 5 RK4 is
+    # stable below h = 0.00446, and h = 0.0045 has rho(M) = 1.042
+    with pytest.raises(ConfigError, match="^step_h 0.0045 makes the linear rk4 step unstable"):
+        simulate(lin_params, zero_spec(), SimConfig(0.0045, 1.0))
+    # h = 0.004: h*k3/eps^4 = 2.5 is past the nonlinear heuristic's 2, but rho(M) = 0.999992
+    h, n = 0.004, 250
+    spec = SignalSpec("sinusoid", 1.0, 3.0)
+    x0 = ObserverState(0.0, 1.0, 0.0)
+    states = simulate(lin_params, spec, SimConfig(h, n * h, x0)).states
+    a_fn = make_input_fn(spec)
+    stepped = [x0]
+    for i in range(n):
+        stepped.append(step(lin_params, stepped[-1], i * h, h, a_fn))
+    stepped = np.array(stepped)
+    # the oracle tests' tolerance: 1e-9 of each channel's peak
+    assert np.all(np.abs(states - stepped) <= 1e-12 + 1e-9 * np.abs(stepped).max(axis=0))
 
 
 @pytest.mark.parametrize("method, refused", [("euler", True), ("rk4", False)])

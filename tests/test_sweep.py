@@ -193,6 +193,10 @@ def test_divergent_rows_flagged_not_fatal(p, cfg, flags):
     assert tuple(r.flag for r in curve.rows) == flags
     assert all(math.isnan(r.magnitude_db) for r in curve.rows if r.flag == "diverged")
     assert curve.flagged_fraction == 1.0
+    # no fit amplitude here is zero, so no row reads -inf dB; a NaN fit amplitude
+    # (channel 3 at 5.1 Hz of the linear overflowed start) reads nan
+    assert -math.inf not in [r.magnitude_db for r in curve.rows]
+    assert math.isnan(curve.rows[-1].magnitude_db)
 
 
 @pytest.mark.parametrize("p", [LIN, NL3], ids=["linear", "nonlinear"])
