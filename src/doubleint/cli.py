@@ -171,6 +171,13 @@ def _effective(cfg: dict, command: str, args: argparse.Namespace) -> dict:
             if section in unread:
                 raise ConfigError(f"--{flag}: flag is not read by {command}; remove it")
             out[section] = {**out.get(section, {}), key: value}
+    # --threads sets how a sweep runs, not what it computes: it stays out of the config
+    threads = getattr(args, "threads", None)
+    if threads is not None:
+        if "sweep" in unread:
+            raise ConfigError(f"--threads: flag is not read by {command}; remove it")
+        if threads < 1:
+            raise ConfigError(f"--threads must be >= 1, got {threads}")
     return out
 
 
@@ -295,7 +302,8 @@ def build_parser() -> argparse.ArgumentParser:
         if sweeps:
             p.add_argument("--discard", type=float, default=None,
                            help="override discard fraction before fitting")
-            p.add_argument("--threads", type=int, default=1, help="parallel sweep workers")
+            p.add_argument("--threads", type=int, default=None,
+                           help="parallel sweep workers (default 1)")
 
     p = sub.add_parser("validate", help="check observer parameters")
     p.add_argument("--config", required=True)
@@ -331,7 +339,7 @@ def main(argv=None) -> int:
                 return cmd_validate(cfg)
             if command == "simulate":
                 return cmd_simulate(cfg, args.out)
-            return cmd_sweep(cfg, args.out, args.threads)
+            return cmd_sweep(cfg, args.out, args.threads or 1)
         except ConfigError as exc:
             print(f"config error: {exc}", file=sys.stderr)
             return EXIT_BAD_CONFIG

@@ -240,6 +240,20 @@ def test_flag_the_command_does_not_read_exits_2(tmp_path, capsys):
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("scenario, threads, message", [
+    ("fig3", "2", "--threads: flag is not read by simulate; remove it"),
+    ("fig2", "0", "--threads must be >= 1, got 0"),
+    ("fig1", "-1", "--threads must be >= 1, got -1"),
+])
+def test_threads_flag_not_read_or_below_one_exits_2(tmp_path, capsys, scenario, threads,
+                                                     message):
+    out_dir = tmp_path / "out"
+    assert main(["reproduce", "--scenario", scenario, "--threads", threads,
+                 "--out", str(out_dir)]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not out_dir.exists()
+
+
 def test_sweep_single_frequency_linear(tmp_path):
     cfg = {
         "params": LINEAR_PARAMS,
@@ -420,7 +434,8 @@ MALFORMED = [
     ("sweep", None, "signal", {"kind": "sinusoid", "omega": 50.0, "amplitude": 7.0}, "signal"),
     ("sweep", None, "sim", {"duration": 1.0}, "sim"),
     ("simulate", None, "sweep", {"samples": 100}, "sweep"),
-    # h*k3/eps^4 = 1.6 passes the rate guard, but Euler's spectral radius is 1.0016
+    # linear params are held to their step map's rho(M) < 1, not to the nonlinear rate
+    # guard (h*k3/eps^4 = 1.6 would pass it): Euler's rho(M) here is 1.0016
     ("simulate", None, None, {"params": {"k1": 1.0, "k2": 0.2, "k3": 1.0, "R": 2.0,
                                          "alpha3": 1.0, "mode": "linear"},
                               "sim": {"step_h": 0.1, "duration": 1.0, "method": "euler"}},

@@ -1,4 +1,5 @@
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from doubleint import (
     rhs,
     validate_params,
 )
+from doubleint.solver import _POWER_SIGN
 
 finite_floats = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
 alphas = st.floats(min_value=1e-3, max_value=1.0)
@@ -40,6 +42,31 @@ def test_power_sign_monotone(x, y, alpha):
 @given(finite_floats)
 def test_power_sign_identity_at_one(x):
     assert power_sign(x, 1.0) == x
+
+
+# the solver's kernels inline power_sign as this expression
+inlined_power_sign = eval(f"lambda v, a: {_POWER_SIGN.format(v='v', e='a')}")
+
+
+def _bits(x: float) -> bytes:
+    return struct.pack("<d", x)
+
+
+def test_inlined_power_sign_is_power_sign_bit_for_bit():
+    a3s = (0.3, 0.5, 1.0)
+    exponents = [e for a3 in a3s for e in (a3, *derive_alphas(a3))]
+    tiny = [5e-324, 1e-320, 2.2250738585072e-308, math.ulp(0.0) * 3]
+    xs = [0.0, math.inf, math.nan, *tiny, *(10.0**k for k in range(-300, 301, 7)),
+          0.2, 1.0, 0.1 * 3.14, 1e308, 1.7976931348623157e308]
+    for x in xs:
+        for v in (x, -x):
+            for a in exponents:
+                assert _bits(inlined_power_sign(v, a)) == _bits(power_sign(v, a)), (v, a)
+
+
+@given(st.floats(), st.floats(min_value=1e-3, max_value=1.0))
+def test_inlined_power_sign_property(x, alpha):
+    assert _bits(inlined_power_sign(x, alpha)) == _bits(power_sign(x, alpha))
 
 
 def test_derive_alphas_examples():

@@ -18,6 +18,7 @@ from doubleint import (
     settle_time,
     simulate,
     step,
+    solver,
     trajectory_metrics,
 )
 from doubleint.signals import make_input_fn, truth_arrays
@@ -65,20 +66,73 @@ def test_rk4_step_matches_matrix_exponential():
     assert 16.0 < ratio < 64.0  # local truncation order h^5
 
 
+def _counting(monkeypatch):
+    """Make integrate's a(t) record every time it is evaluated at; return that list."""
+    seen = []
+
+    def counting_make_input_fn(spec):
+        a_fn = make_input_fn(spec)
+
+        def a(t):
+            seen.append(t)
+            return a_fn(t)
+
+        return a
+
+    monkeypatch.setattr(solver.signals, "make_input_fn", counting_make_input_fn)
+    return seen
+
+
+def _input_calls(method, h, n):
+    """a(t) evaluations of n kernel steps: Euler evaluates a(i*h) once per step; RK4
+    evaluates a(t + h/2) and a(t + h), and a(t) unless it is the last step's a(t + h),
+    which is when t = i*h and (i-1)*h + h are the same float."""
+    if method == "euler":
+        return n
+    return 3 * n - sum(i * h == (i - 1) * h + h for i in range(1, n))
+
+
 @pytest.mark.parametrize("method", ["rk4", "euler"])
 @pytest.mark.parametrize("mode,alpha3", [("nonlinear", 0.3)])
-def test_kernels_match_public_step(method, mode, alpha3, noisy_spec):
-    # the inlined nonlinear kernels must agree bit-for-bit with step()/rhs();
+def test_kernels_match_public_step(monkeypatch, method, mode, alpha3, noisy_spec):
+    # the compiled nonlinear kernels must agree bit for bit with step()/rhs();
     # linear runs are closed form, checked against step() in test_oracle.py
     p = ObserverParams(0.1, 0.1, 1.0, 0.2, alpha3, mode)
-    h, n = 0.001, 50
-    cfg = SimConfig(h, n * h, ObserverState(0.0, 1.0, 0.0), method, 1)
-    traj = simulate(p, noisy_spec, cfg)
+    h, n = 0.001, 2100
     a_fn = make_input_fn(noisy_spec)
-    state = ObserverState(0.0, 1.0, 0.0)
-    for i in range(n):
-        state = step(p, state, i * h, h, a_fn, method)
-        assert tuple(traj.states[i + 1]) == state
+    seen = _counting(monkeypatch)
+    for x0 in ((0.0, 1.0, 0.0), (0.0, -0.0, 0.0)):
+        stepped = [ObserverState(*x0)]
+        for i in range(n):
+            stepped.append(step(p, stepped[-1], i * h, h, a_fn, method))
+        for stride in (1, 7):
+            seen.clear()
+            cfg = SimConfig(h, n * h, ObserverState(*x0), method, stride)
+            _, states = integrate(p, noisy_spec, cfg)
+            expected = np.array(stepped[::stride])
+            assert np.array_equal(states.view(np.int64), expected.view(np.int64)), (x0, stride)
+            assert len(seen) == _input_calls(method, h, n)
+    if method == "rk4":
+        # both the reused and the evaluated a(t) occur on this grid
+        assert 2 * n < len(seen) < 3 * n - 1
+
+
+@pytest.mark.parametrize("method, stride, steps", [("rk4", 1, 1), ("rk4", 7, 7),
+                                                   ("euler", 1, 2), ("euler", 7, 7)])
+def test_nonlinear_divergence_stops_at_the_first_nonfinite_record(monkeypatch, method, stride,
+                                                                  steps):
+    # a(0) = inf * sin(0) is nan, which power_sign maps to 0, and a(t > 0) is inf: RK4's
+    # state is non-finite after one step, Euler's x3 alone after two.  The run stops at
+    # the first recorded row that is not finite, that of step `steps`
+    p = ObserverParams(0.1, 0.1, 1.0, 0.2, 0.3, "nonlinear")
+    h = 0.001
+    seen = _counting(monkeypatch)
+    cfg = SimConfig(h, 1.0, ObserverState(0.0, 1.0, 0.0), method, stride)
+    with pytest.raises(DivergedState) as err:
+        integrate(p, SignalSpec("sinusoid", math.inf, 1.0), cfg)
+    assert err.value.time == steps * h
+    # no input is evaluated for a step after the one that raised
+    assert len(seen) == _input_calls(method, h, steps)
 
 
 def test_time_grid_is_multiplicative(nl_params, noisy_spec):
@@ -135,8 +189,9 @@ def test_stability_guard(lin_params):
 
 @pytest.mark.parametrize("method, refused", [("euler", True), ("rk4", False)])
 def test_linear_step_must_keep_its_spectral_radius_below_one(method, refused):
-    # k = (1, 0.2, 1), R = 2, h = 0.1: h*k3/eps^4 = 1.6 passes the rate guard, but
-    # Euler moves the lightly damped pole pair out of the unit disc (rho(M) = 1.0016)
+    # k = (1, 0.2, 1), R = 2, h = 0.1: linear params are held to rho(M) < 1 alone, and
+    # Euler moves the lightly damped pole pair out of the unit disc (rho(M) = 1.0016),
+    # though h*k3/eps^4 = 1.6 is below the nonlinear rate guard's 2
     p = ObserverParams.from_rate(1.0, 0.2, 1.0, 2.0, 1.0, "linear")
     cfg = SimConfig(0.1, 1.0, method=method)
     if refused:
