@@ -86,14 +86,14 @@ def _typed(types: dict, obj, path: str) -> dict:
 
 
 def _new(cls, kwargs: dict, path: str):
-    """cls(**kwargs): absent fields take the dataclass defaults."""
+    """cls(**kwargs), absent fields taking the dataclass defaults; cls's refusals name path."""
     for f in dataclasses.fields(cls):
         required = f.default is f.default_factory is dataclasses.MISSING
         if f.init and required and f.name not in kwargs:
             raise ConfigError(f"{path}.{f.name} is required")
     try:
         return cls(**kwargs)
-    except ValueError as exc:
+    except (ValueError, ConfigError) as exc:
         raise ConfigError(f"{path}.{exc}") from exc
 
 
@@ -117,10 +117,11 @@ def _build_sim(obj: dict) -> tuple[SimConfig, tuple]:
     kwargs = _typed({**_fields(SimConfig), "metrics_windows": tuple[tuple[float, float], ...]},
                     obj, "sim")
     windows = kwargs.pop("metrics_windows", None)
-    cfg = _new(SimConfig, kwargs, "sim")
     # long runs of at least 100 steps default to a sparser record grid to bound memory
-    if "record_stride" not in kwargs and cfg.duration > 60.0 and cfg.duration >= 100 * cfg.step_h:
-        cfg = dataclasses.replace(cfg, record_stride=100)
+    d, h = kwargs.get("duration", SimConfig.duration), kwargs.get("step_h", SimConfig.step_h)
+    if "record_stride" not in kwargs and d > 60.0 and d >= 100 * h:
+        kwargs["record_stride"] = 100
+    cfg = _new(SimConfig, kwargs, "sim")
     return cfg, ((0.0, cfg.duration),) if windows is None else windows
 
 
@@ -215,18 +216,6 @@ def cmd_simulate(cfg: dict, out_dir) -> int:
     return EXIT_OK
 
 
-def _passes(cfg: dict, run_cfg: SweepConfig) -> bool:
-    """Whether the params section alone builds, is valid and passes check_sweep_config."""
-    try:
-        base = _build_params(cfg, {}, "params")
-        if validate_params(base).ok:
-            check_sweep_config(base, run_cfg)
-            return True
-    except ConfigError:
-        pass
-    return False
-
-
 def _variant_tag(params: ObserverParams, amplitude: float) -> str:
     return (f"{params.mode}_a{params.alpha3:g}_R{1.0 / params.epsilon:g}"
             f"_Am{amplitude:g}")
@@ -241,7 +230,8 @@ def cmd_sweep(cfg: dict, out_dir, workers: int = 1) -> int:
         over = _typed({**_PARAM_TYPES, "amplitude": float}, variant, path)
         run_cfg = sweep_cfg
         if "amplitude" in over:
-            run_cfg = dataclasses.replace(sweep_cfg, amplitude=over.pop("amplitude"))
+            run_cfg = _new(SweepConfig, {**dataclasses.asdict(sweep_cfg),
+                                         "amplitude": over.pop("amplitude")}, path)
         params = _build_params(cfg, over, path if over else "params")
         report = validate_params(params)
         if not report.ok:
@@ -251,11 +241,8 @@ def cmd_sweep(cfg: dict, out_dir, workers: int = 1) -> int:
         try:
             check_sweep_config(params, run_cfg)
         except ConfigError as exc:
-            # messages lead with the field name: the error is the variant's when it sets
-            # that field, or sets params that fail where an earlier variant or the
-            # params section alone passes
-            own = str(exc).split()[0] in variant or over and (runs or _passes(cfg, run_cfg))
-            raise ConfigError(f"{path if own else 'sweep'}.{exc}") from exc
+            # every such error depends on the params: the variant's when it sets any
+            raise ConfigError(f"{path if over else 'sweep'}.{exc}") from exc
         runs.append((params, run_cfg))
     fmt = cfg.get("format", "csv")
     out = io.ensure_dir(out_dir)

@@ -15,16 +15,14 @@ initial state (0, 1, 0).  Note the onefold-integral truth at t = 0 is
 0.1*3.14 = 0.314, so the simulations start with e2(0) = 0.686.
 """
 
+from dataclasses import asdict
+
 from .errors import ConfigError
+from .signals import REFERENCE_NOISE
 
 _GAINS = {"k1": 0.1, "k2": 0.1, "k3": 1.0}
 
-_NOISE = [
-    {"amp": 0.1, "omega": 10.0, "phase": "sine"},
-    {"amp": 0.1, "omega": 10.0, "phase": "cosine"},
-    {"amp": 0.05, "omega": 50.0, "phase": "sine"},
-    {"amp": 0.05, "omega": 50.0, "phase": "cosine"},
-]
+_NOISE = [asdict(term) for term in REFERENCE_NOISE]
 
 
 def _simulate_scenario(alpha3: float, mode: str, duration: float, stride: int) -> dict:

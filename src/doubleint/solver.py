@@ -46,13 +46,37 @@ MAX_STEPS = 10**9
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Integration settings for one simulation run."""
+    """Integration settings for one simulation run; building one with a setting
+    out of range raises ConfigError, its message led by the field name."""
 
     step_h: float = 0.001
     duration: float = 20.0
     initial_state: ObserverState = ObserverState(0.0, 0.0, 0.0)
     method: str = "rk4"
     record_stride: int = 1
+
+    def __post_init__(self):
+        h, d, stride = self.step_h, self.duration, self.record_stride
+        for name, value in (("step_h", h), ("duration", d)):
+            if not 0.0 < value < math.inf:
+                raise ConfigError(f"{name} must be finite and positive, got {value!r}")
+        if not all(map(math.isfinite, self.initial_state)):
+            raise ConfigError(f"initial_state must be finite, got {tuple(self.initial_state)!r}")
+        if self.method not in METHODS:
+            raise ConfigError(f"method must be one of {METHODS}, got {self.method!r}")
+        if stride < 1:
+            raise ConfigError("record_stride must be >= 1")
+        if d / h >= MAX_RECORD_ROWS * stride:
+            raise ConfigError(f"record_stride {stride} keeps over {MAX_RECORD_ROWS} rows "
+                              "(1 GiB): raise it or shorten duration")
+        if d / h >= MAX_STEPS:
+            raise ConfigError(f"duration {d:g} takes over {MAX_STEPS} steps of {h:g}: "
+                              "shorten it or raise step_h")
+        if d < h:
+            raise ConfigError(f"duration {d:g} is shorter than one step_h {h:g}")
+        if stride > round(d / h):
+            raise ConfigError(f"record_stride {stride} exceeds the run's {round(d / h)} steps, "
+                              "which would record only t = 0")
 
 
 @dataclass(frozen=True)
@@ -80,31 +104,10 @@ class Trajectory:
 
 
 def check_config(p: ObserverParams, cfg: SimConfig) -> None:
-    """Raise ConfigError, its message led by the field name, when simulate rejects cfg.
+    """Raise ConfigError, its message led by step_h, when the step guard refuses cfg for p.
 
     p must pass validate_params.
     """
-    for name in ("step_h", "duration"):
-        if not 0.0 < getattr(cfg, name) < math.inf:
-            raise ConfigError(f"{name} must be finite and positive, got {getattr(cfg, name)!r}")
-    if not all(map(math.isfinite, cfg.initial_state)):
-        raise ConfigError(f"initial_state must be finite, got {tuple(cfg.initial_state)!r}")
-    if cfg.method not in METHODS:
-        raise ConfigError(f"method must be one of {METHODS}, got {cfg.method!r}")
-    if cfg.record_stride < 1:
-        raise ConfigError("record_stride must be >= 1")
-    if cfg.duration / cfg.step_h >= MAX_RECORD_ROWS * cfg.record_stride:
-        raise ConfigError(f"record_stride {cfg.record_stride} keeps over {MAX_RECORD_ROWS} rows "
-                          "(1 GiB): raise it or shorten duration")
-    if cfg.duration / cfg.step_h >= MAX_STEPS:
-        raise ConfigError(f"duration {cfg.duration:g} takes over {MAX_STEPS} steps of "
-                          f"{cfg.step_h:g}: shorten it or raise step_h")
-    if cfg.duration < cfg.step_h:
-        raise ConfigError(f"duration {cfg.duration:g} is shorter than one step_h {cfg.step_h:g}")
-    steps = round(cfg.duration / cfg.step_h)
-    if cfg.record_stride > steps:
-        raise ConfigError(f"record_stride {cfg.record_stride} exceeds the run's {steps} steps, "
-                          "which would record only t = 0")
     if p.mode == "nonlinear":
         rate = cfg.step_h * p.k3 / p.epsilon**4
         if not rate < STABILITY_LIMIT:
@@ -269,10 +272,10 @@ def integrate(p: ObserverParams, spec: signals.SignalSpec,
 def simulate(p: ObserverParams, spec: signals.SignalSpec, cfg: SimConfig) -> Trajectory:
     """Integrate the observer against the signal and record a trajectory.
 
-    Raises InvalidParams when validate_params rejects p, ConfigError on bad
-    settings or a step the stability guard refuses (rho(M) >= 1 for linear
-    params, step_h*k3/eps^4 >= STABILITY_LIMIT for nonlinear), DivergedState
-    (with the time of the first non-finite recorded sample) on numerical blowup.
+    Raises InvalidParams when validate_params rejects p, ConfigError on a step
+    the stability guard refuses (rho(M) >= 1 for linear params, step_h*k3/eps^4
+    >= STABILITY_LIMIT for nonlinear; cfg refused its other bad settings when
+    built), DivergedState (at the first non-finite recorded sample) on blowup.
     """
     times, states = integrate(p, spec, cfg)
     a_fn = signals.make_input_fn(spec)

@@ -5,9 +5,9 @@ requested output channel is fitted with a single sinusoid at the drive
 frequency by least squares, and the fitted amplitude/phase become one Bode
 row.  Every frequency's lane is one solver.integrate run, so it steps or
 takes the closed form exactly as a simulation of the same params would.
-check_sweep_config is the only check that can refuse a sweep: a lane that
-passed it ends in rows, flagged when its run diverges or its start state
-overflows.
+Building the SweepConfig and check_sweep_config are the only checks that can
+refuse a sweep: a lane that passed them ends in rows, flagged when its run
+diverges or its start state overflows.
 Frequencies are independent work items and may be computed in parallel;
 output order is always by frequency.
 """
@@ -38,7 +38,8 @@ def default_grid() -> tuple[float, ...]:
 
 @dataclass(frozen=True)
 class SweepConfig:
-    """Sweep settings; defaults reproduce the standard grid and horizons."""
+    """Sweep settings; defaults reproduce the standard grid and horizons.  Building one
+    with a setting out of range raises ConfigError, its message led by the field name."""
 
     freqs_hz: tuple[float, ...] = field(default_factory=default_grid)
     amplitude: float = 1.0
@@ -48,6 +49,37 @@ class SweepConfig:
     channels: tuple[int, ...] = (1, 2, 3)
     method: str = "rk4"
     init_state: str = "zero"
+
+    def __post_init__(self):
+        freqs = self.freqs_hz
+        if not freqs:
+            raise ConfigError("freqs_hz must not be empty")
+        if any(not 0.0 < f < math.inf for f in freqs) or any(
+                b <= a for a, b in zip(freqs, freqs[1:])):
+            raise ConfigError("freqs_hz must be finite, positive and strictly increasing")
+        if not 0.0 < self.amplitude:
+            raise ConfigError(f"amplitude must be positive, got {self.amplitude!r}")
+        if not 1 <= self.samples < MAX_RECORD_ROWS:
+            raise ConfigError(f"samples must lie in [1, {MAX_RECORD_ROWS - 1}], got {self.samples}")
+        if not 0.0 <= self.discard_fraction < 1.0:
+            raise ConfigError("discard_fraction must lie in [0, 1)")
+        if any(ch not in (1, 2, 3) for ch in self.channels) or not self.channels:
+            raise ConfigError("channels must be a non-empty subset of {1, 2, 3}")
+        if list(self.channels) != sorted(set(self.channels)):
+            # a curve holds one row per (frequency, channel), in that order
+            raise ConfigError(f"channels must be strictly increasing, got {list(self.channels)}")
+        if self.init_state not in INIT_KINDS:
+            raise ConfigError(f"init_state must be one of {INIT_KINDS}")
+        if 0.0 < self.step_h < math.inf and self.samples * self.step_h == math.inf:
+            raise ConfigError(f"samples {self.samples} at step_h {self.step_h:g} overflow the "
+                              "run length samples*step_h")
+        # the run every frequency makes: SimConfig refuses its step_h and method
+        sim = _frequency_sim(self)
+        # the phase bound integrate's check_horizon applies to every lane
+        t_end = sim.duration + sim.step_h
+        if TWO_PI * freqs[-1] * t_end > MAX_PHASE:
+            raise ConfigError(f"freqs_hz {freqs[-1]:g} Hz overflows the phase 2 pi f t "
+                              f"within {t_end:g} s")
 
 
 @dataclass(frozen=True)
@@ -152,36 +184,15 @@ class BodeCurve:
 
 
 def check_sweep_config(p: ObserverParams, cfg: SweepConfig) -> None:
-    """Raise ConfigError, its message led by the field name, when sweep_observer rejects cfg.
+    """Raise ConfigError, its message led by the field name, when cfg does not suit p.
 
-    Covers the integration settings every frequency's run uses, so a sweep
-    that passes cannot fail on its configuration part-way through.  p must
-    pass validate_params.
+    These are the steady_state start and the step guard of every frequency's
+    run; with the checks cfg passed when built, a sweep that passes cannot fail
+    on its configuration part-way through.  p must pass validate_params.
     """
-    freqs = cfg.freqs_hz
-    if not freqs:
-        raise ConfigError("freqs_hz must not be empty")
-    if any(not 0.0 < f < math.inf for f in freqs) or any(b <= a for a, b in zip(freqs, freqs[1:])):
-        raise ConfigError("freqs_hz must be finite, positive and strictly increasing")
-    if not 0.0 < cfg.amplitude:
-        raise ConfigError(f"amplitude must be positive, got {cfg.amplitude!r}")
-    if not 1 <= cfg.samples < MAX_RECORD_ROWS:
-        raise ConfigError(f"samples must lie in [1, {MAX_RECORD_ROWS - 1}], got {cfg.samples}")
-    if not 0.0 <= cfg.discard_fraction < 1.0:
-        raise ConfigError("discard_fraction must lie in [0, 1)")
-    if any(ch not in (1, 2, 3) for ch in cfg.channels) or not cfg.channels:
-        raise ConfigError("channels must be a non-empty subset of {1, 2, 3}")
-    if cfg.init_state not in INIT_KINDS:
-        raise ConfigError(f"init_state must be one of {INIT_KINDS}")
     if cfg.init_state == "steady_state" and p.mode != "linear" and p.alpha3 != 1.0:
         raise ConfigError("init_state steady_state needs a linear observer (or alpha3=1)")
-    sim = _frequency_sim(cfg)
-    check_config(p, sim)
-    # the phase bound integrate's check_horizon applies to every lane
-    t_end = sim.duration + sim.step_h
-    if TWO_PI * freqs[-1] * t_end > MAX_PHASE:
-        raise ConfigError(f"freqs_hz {freqs[-1]:g} Hz overflows the phase 2 pi f t "
-                          f"within {t_end:g} s")
+    check_config(p, _frequency_sim(cfg))
 
 
 def _initial_state(p: ObserverParams, cfg: SweepConfig, omega: float) -> ObserverState:

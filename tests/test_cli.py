@@ -1,5 +1,7 @@
 import contextlib
 import copy
+import dataclasses
+import hashlib
 import io
 import json
 import math
@@ -16,8 +18,9 @@ from hypothesis import strategies as st
 import doubleint
 from doubleint import SignalSpec, SimConfig, SweepConfig
 from doubleint.cli import _build_sim, _build_sweep, _convert, main
-from doubleint.io import BODE_HEADER, TRAJECTORY_HEADER
+from doubleint.io import BODE_HEADER, TRAJECTORY_HEADER, write_json
 from doubleint.scenarios import SCENARIO_NAMES, expand_scenario
+from doubleint.signals import REFERENCE_NOISE
 
 SCENARIO_PARAMS = {
     "params": {"k1": 0.1, "k2": 0.1, "k3": 1.0, "R": 5, "alpha3": 0.3, "mode": "linear"}
@@ -339,6 +342,30 @@ def test_scenario_expansions():
     assert fig6["params"]["alpha3"] == 1.0
 
 
+# sha256 of each scenario's config.json, as written when the scenarios spelled out
+# the reference noise as dicts of their own
+SCENARIO_CONFIG_SHA256 = {
+    "fig1": "ee08fc913e39c32ec0f1bdd9ceacec56787ab5abd6810281c77f62c7dd3d681f",
+    "fig2": "902c5082d2b1eab48d32cbe929d6682854bbae6b48c1f426f36e0064909dc96c",
+    "fig3": "93b27148fe801712c022f9fdbb1f1617ad2c4d2c7a8c385d80d11770e37a874c",
+    "fig4": "aef0600499014c7462f1bfa41c384414fc80682eb806236a802e843d33967aa9",
+    "fig5": "ebb78d99529d6f76e40ef9d2c8277d77fdf47958b1003f35f6fea0a5bd24d7fa",
+    "fig6": "db0779b30f4cb56b578ccddc22a3e03253d962c860ad16dc8d344eeabd1422a5",
+}
+
+
+@pytest.mark.parametrize("name", SCENARIO_NAMES)
+def test_scenario_noise_is_the_reference_noise(tmp_path, name):
+    cfg = expand_scenario(name)
+    if "signal" in cfg:
+        noise = cfg["signal"]["noise"]
+        assert noise == [dataclasses.asdict(term) for term in REFERENCE_NOISE]
+        assert _convert(SignalSpec, cfg["signal"], "signal").noise == REFERENCE_NOISE
+    write_json(tmp_path / "config.json", cfg)
+    digest = hashlib.sha256((tmp_path / "config.json").read_bytes()).hexdigest()
+    assert digest == SCENARIO_CONFIG_SHA256[name]
+
+
 def test_trajectory_csv_number_format(tmp_path):
     cfg = {
         "params": SCENARIO_PARAMS["params"],
@@ -448,6 +475,11 @@ MALFORMED = [
     ("sweep", None, None, {"params": {**LINEAR_PARAMS, "mode": "nonlinear", "alpha3": 0.5},
                            "sweep": {"freqs_hz": [1.0, 1e307], "samples": 50000}},
      "sweep.freqs_hz"),
+    # a repeated channel would write every row twice
+    ("sweep", "sweep", "channels", [1, 1], "sweep.channels must be strictly increasing"),
+    # samples * step_h overflows: the sweep section has no duration to name
+    ("sweep", None, "sweep", {"freqs_hz": [1e-300], "samples": 10000, "step_h": 1e305},
+     "sweep.samples"),
 ]
 
 
@@ -616,14 +648,32 @@ def _euler_sweep(k2: float) -> dict:
      "sweep.step_h 0.1 makes the linear euler step unstable"),
     (_euler_sweep(0.3), [{"k2": 0.4}, {"k2": 0.2}],
      "sweep.variants[1].step_h 0.1 makes the linear euler step unstable"),
+    # a variant that sets params names itself, though the params section alone
+    # (here without R) cannot be built
+    ({**SHORT_SWEEP, "params": {k: v for k, v in LINEAR_PARAMS.items() if k != "R"}},
+     [{"R": 8}, {"R": 5}], "sweep.variants[0].step_h 0.001 makes the linear rk4 step unstable"),
+    # the sweep section is built, and refused, before any variant's amplitude
+    ({**SHORT_SWEEP, "sweep": {**SHORT_SWEEP["sweep"], "amplitude": -1}},
+     [{"amplitude": 1}, {"k2": 0.2}], "sweep.amplitude must be positive, got -1.0"),
 ], ids=["amplitude", "stability", "first-variant-unstable", "variant-params-unstable",
-        "params-unstable", "after-a-stable-variant"])
+        "params-unstable", "after-a-stable-variant", "params-without-rate",
+        "section-amplitude"])
 def test_sweep_checks_every_variant_before_running(tmp_path, capsys, base, variants, message):
     cfg = {**base, "sweep": {**base["sweep"], "variants": variants}}
     out_dir = tmp_path / "v"
     assert main(["sweep", "--config", write_cfg(tmp_path, cfg), "--out", str(out_dir)]) == 2
     assert f"config error: {message}" in capsys.readouterr().err
     assert not list(out_dir.glob("bode_*")) and not list(out_dir.glob("analytic_*"))
+
+
+def test_out_of_range_sim_field_exits_2_before_invalid_params(tmp_path, capsys):
+    # a range error comes when its section is built, as a type error does, so it
+    # wins over params that validate_params rejects
+    cfg = {**SMALL_CONFIGS["simulate"], "params": {**SCENARIO_PARAMS["params"], "k1": -1.0},
+           "sim": {"duration": -1.0}}
+    assert _run("simulate", write_cfg(tmp_path, cfg), tmp_path / "out") == 2
+    assert "config error: sim.duration must be finite and positive, got -1.0" in (
+        capsys.readouterr().err)
 
 
 def test_sweep_overflowing_fit_exits_3_without_runtime_warning(tmp_path):

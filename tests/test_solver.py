@@ -216,11 +216,10 @@ def test_config_validation(lin_params):
                                                       (5e-324, 1, "duration"),
                                                       (0.003, 5, "record_stride"),
                                                       (0.0024, 3, "record_stride")])
-def test_run_shorter_than_its_step_or_stride_rejected(lin_params, duration, stride, field):
+def test_run_shorter_than_its_step_or_stride_rejected(duration, stride, field):
     # 0.003 s at stride 5 would run 3 steps and record only t = 0
-    cfg = SimConfig(0.001, duration, record_stride=stride)
     with pytest.raises(ConfigError, match=f"^{field} "):
-        integrate(lin_params, zero_spec(), cfg)
+        SimConfig(0.001, duration, record_stride=stride)
 
 
 def test_run_of_exactly_its_stride_records_both_ends(lin_params):
@@ -229,10 +228,9 @@ def test_run_of_exactly_its_stride_records_both_ends(lin_params):
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
-def test_nonfinite_initial_state_rejected(lin_params, bad):
-    cfg = SimConfig(0.001, 1.0, ObserverState(0.0, bad, 0.0))
+def test_nonfinite_initial_state_rejected(bad):
     with pytest.raises(ConfigError, match="^initial_state must be finite"):
-        simulate(lin_params, zero_spec(), cfg)
+        SimConfig(0.001, 1.0, ObserverState(0.0, bad, 0.0))
 
 
 def test_invalid_params_rejected():

@@ -225,12 +225,22 @@ def test_sweep_config_validation():
                                         samples=100))
     with pytest.warns(UserWarning):
         sweep_observer(LIN, SweepConfig(freqs_hz=(0.1,), samples=100))
-    # the phase bound covers the lane's last step, at (samples + 1) * step_h
-    edge = SweepConfig(freqs_hz=(1.0729190571588854e307,), step_h=1.0, samples=1)
-    for alpha3, mode in ((1.0, "linear"), (0.5, "nonlinear")):
-        p = ObserverParams(0.001, 1.0, 0.01, 1.0 / 1.1, alpha3, mode)
-        with pytest.raises(ConfigError, match="^freqs_hz"):
-            sweep_observer(p, edge)
+    # the phase bound covers the lane's last step, at (samples + 1) * step_h, in
+    # either mode: it is refused before any params are given
+    with pytest.raises(ConfigError, match="^freqs_hz"):
+        SweepConfig(freqs_hz=(1.0729190571588854e307,), step_h=1.0, samples=1)
+    SweepConfig(freqs_hz=(1.0729190571588854e307 / 2,), step_h=1.0, samples=1)
+    # samples * step_h overflows: the refusal names samples, not the lane's duration
+    with pytest.raises(ConfigError, match="^samples 10000 at step_h 1e\\+305 overflow"):
+        SweepConfig(freqs_hz=(1e-300,), samples=10000, step_h=1e305)
+
+
+@pytest.mark.parametrize("channels", [(1, 1), (3, 1)])
+def test_channels_must_be_strictly_increasing(channels):
+    # a curve holds one row per (frequency, channel), in that order: a repeated
+    # channel would write its rows twice, a reversed pair out of order
+    with pytest.raises(ConfigError, match=r"^channels must be strictly increasing, got \["):
+        SweepConfig(freqs_hz=(5.1, 10.1), samples=200, channels=channels)
 
 
 def _mag_crossing_hz(curve, level_db, channel=3):
