@@ -3,9 +3,9 @@
 Exit codes: 0 success, 1 invalid observer parameters, 2 malformed
 configuration, 3 diverged simulation (or a sweep with more than 5% of rows
 flagged).  Config files are JSON; the keys, types and defaults of each
-section are the fields of its dataclass, plus the few keys no dataclass
-holds (R, metrics_windows, variants).  Unknown keys are a hard error so
-typos never pass silently; a malformed config names the bad field's path.
+section are the fields of its dataclass, plus the two keys no dataclass
+holds (R, variants).  Unknown keys are a hard error so typos never pass
+silently; a malformed config names the bad field's path.
 """
 
 import argparse
@@ -16,10 +16,9 @@ import typing
 import warnings
 from pathlib import Path
 
-from . import io, scenarios
+from . import io, scenarios, signals
 from .errors import ConfigError, DivergedState, DoubleIntError, InvalidParams
 from .observers import ObserverParams, validate_params
-from .signals import SignalSpec
 from .solver import SimConfig, simulate, trajectory_metrics
 from .sweep import SweepConfig, bode_from_transfer, check_sweep_config, sweep_observer
 
@@ -113,16 +112,15 @@ def _build_params(cfg: dict, over: dict, path: str) -> ObserverParams:
     return _new(ObserverParams, kwargs, path)
 
 
-def _build_sim(obj: dict) -> tuple[SimConfig, tuple]:
-    kwargs = _typed({**_fields(SimConfig), "metrics_windows": tuple[tuple[float, float], ...]},
-                    obj, "sim")
-    windows = kwargs.pop("metrics_windows", None)
+def _build_sim(obj: dict) -> SimConfig:
+    kwargs = _typed(_fields(SimConfig), obj, "sim")
     # long runs of at least 100 steps default to a sparser record grid to bound memory
     d, h = kwargs.get("duration", SimConfig.duration), kwargs.get("step_h", SimConfig.step_h)
     if "record_stride" not in kwargs and d > 60.0 and d >= 100 * h:
         kwargs["record_stride"] = 100
-    cfg = _new(SimConfig, kwargs, "sim")
-    return cfg, ((0.0, cfg.duration),) if windows is None else windows
+    # the metrics summarize the whole run unless the config names windows ([] names none)
+    kwargs.setdefault("metrics_windows", ((0.0, d),))
+    return _new(SimConfig, kwargs, "sim")
 
 
 def _build_sweep(obj: dict) -> tuple[SweepConfig, tuple]:
@@ -192,19 +190,22 @@ def cmd_validate(cfg: dict) -> int:
 def cmd_simulate(cfg: dict, out_dir) -> int:
     params = _build_params(cfg, {}, "params")
     signal = cfg.get("signal", {})
-    spec = _convert(SignalSpec, signal, "signal")
+    spec = _convert(signals.SignalSpec, signal, "signal")
     # the reference's amplitude and rate are fixed constants: a value given here would be ignored
     for key in ("amplitude", "omega"):
         if spec.kind == "paper_reference" and key in signal:
             raise ConfigError(f"signal.{key} is fixed for kind paper_reference; remove it")
-    sim_cfg, windows = _build_sim(cfg.get("sim", {}))
+    sim_cfg = _build_sim(cfg.get("sim", {}))
     try:
-        traj = simulate(params, spec, sim_cfg)
-        metrics = trajectory_metrics(traj, windows)
+        signals.check_horizon(spec, sim_cfg.duration + sim_cfg.step_h)
     except ConfigError as exc:
-        # messages lead with the field name, which is the signal's or the sim's
-        field = str(exc).split()[0].split("[")[0]
-        raise ConfigError(f"{'signal' if field in _fields(SignalSpec) else 'sim'}.{exc}") from exc
+        raise ConfigError(f"signal.{exc}") from exc
+    try:
+        # with the horizon checked, simulate's one ConfigError is the step guard
+        traj = simulate(params, spec, sim_cfg)
+    except ConfigError as exc:
+        raise ConfigError(f"sim.{exc}") from exc
+    metrics = trajectory_metrics(traj, sim_cfg.metrics_windows)
     out = io.ensure_dir(out_dir)
     if cfg.get("format", "csv") == "csv":
         io.write_trajectory_csv(out / "trajectory.csv", traj)

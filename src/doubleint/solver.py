@@ -46,14 +46,15 @@ MAX_STEPS = 10**9
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Integration settings for one simulation run; building one with a setting
-    out of range raises ConfigError, its message led by the field name."""
+    """Settings of one simulation run and the windows its metrics summarize; building
+    one with a setting out of range raises ConfigError, its message led by the field name."""
 
     step_h: float = 0.001
     duration: float = 20.0
     initial_state: ObserverState = ObserverState(0.0, 0.0, 0.0)
     method: str = "rk4"
     record_stride: int = 1
+    metrics_windows: tuple[tuple[float, float], ...] = ()
 
     def __post_init__(self):
         h, d, stride = self.step_h, self.duration, self.record_stride
@@ -77,14 +78,28 @@ class SimConfig:
         if stride > round(d / h):
             raise ConfigError(f"record_stride {stride} exceeds the run's {round(d / h)} steps, "
                               "which would record only t = 0")
+        if self.metrics_windows:
+            _check_windows(self.record_times(), self.metrics_windows)
+
+    def record_times(self) -> np.ndarray:
+        """The run's record grid: row j at time j * (record_stride * step_h)."""
+        n = round(self.duration / self.step_h)
+        return np.arange(n // self.record_stride + 1) * (self.record_stride * self.step_h)
+
+
+def _check_windows(times: np.ndarray, windows) -> None:
+    """Raise ConfigError, led by metrics_windows, at the first [lo, hi] holding none of times."""
+    for lo, hi in windows:
+        if not np.any((times >= lo) & (times <= hi)):
+            raise ConfigError(f"metrics_windows: [{lo:g}, {hi:g}] contains no samples")
 
 
 @dataclass(frozen=True)
 class Trajectory:
     """Recorded run: times, states and, when ground truth exists, errors.
 
-    All arrays share the first dimension; times form the exact grid
-    j * record_stride * step_h.  errors = states - truths componentwise.
+    All arrays share the first dimension; times are the run's
+    SimConfig.record_times().  errors = states - truths componentwise.
     """
 
     times: np.ndarray
@@ -256,17 +271,16 @@ def integrate(p: ObserverParams, spec: signals.SignalSpec,
         raise InvalidParams(report)
     check_config(p, cfg)
     signals.check_horizon(spec, cfg.duration + cfg.step_h)
+    times = cfg.record_times()
     n = round(cfg.duration / cfg.step_h)
-    stride = cfg.record_stride
-    m = n // stride + 1
     if p.mode == "linear":
         states = analytic.signal_states(p, spec, cfg.step_h, cfg.method, cfg.initial_state, n,
-                                        stride)
+                                        cfg.record_stride)
     else:
-        states = np.empty((m, 3))
+        states = np.empty((times.size, 3))
         _KERNELS[cfg.method](p, cfg.initial_state, signals.make_input_fn(spec), cfg.step_h, n,
-                             stride, states)
-    return np.arange(m) * (stride * cfg.step_h), states
+                             cfg.record_stride, states)
+    return times, states
 
 
 def simulate(p: ObserverParams, spec: signals.SignalSpec, cfg: SimConfig) -> Trajectory:
@@ -274,8 +288,8 @@ def simulate(p: ObserverParams, spec: signals.SignalSpec, cfg: SimConfig) -> Tra
 
     Raises InvalidParams when validate_params rejects p, ConfigError on a step
     the stability guard refuses (rho(M) >= 1 for linear params, step_h*k3/eps^4
-    >= STABILITY_LIMIT for nonlinear; cfg refused its other bad settings when
-    built), DivergedState (at the first non-finite recorded sample) on blowup.
+    >= STABILITY_LIMIT for nonlinear) or a phase omega*t that overflows in the
+    run, DivergedState (at the first non-finite recorded sample) on blowup.
     """
     times, states = integrate(p, spec, cfg)
     a_fn = signals.make_input_fn(spec)
@@ -314,12 +328,10 @@ def trajectory_metrics(traj: Trajectory, windows: list[tuple[float, float]] | No
     t_end = float(traj.times[-1])
     if windows is None:
         windows = [(0.0, t_end)]
+    _check_windows(traj.times, windows)
     out: dict = {"has_truth": True, "windows": []}
     for lo, hi in windows:
-        m = traj.window(lo, hi)
-        e = traj.errors[m]
-        if e.size == 0:
-            raise ConfigError(f"metrics_windows: [{lo:g}, {hi:g}] contains no samples")
+        e = traj.errors[traj.window(lo, hi)]
         with np.errstate(over="ignore"):
             # an error past ~1e154 squares to inf: its rms is inf, without a numpy warning
             rms = np.sqrt(np.mean(e**2, axis=0))

@@ -218,27 +218,19 @@ def _frequency_sim(cfg: SweepConfig) -> SimConfig:
 
 def _run_frequency(p: ObserverParams, cfg: SweepConfig, f_hz: float) -> list[BodeRow]:
     omega = TWO_PI * f_hz
-    rows = []
     spec = SignalSpec("sinusoid", cfg.amplitude, omega)
     try:
         x0 = _initial_state(p, cfg, omega)
         times, states = integrate(p, spec, replace(_frequency_sim(cfg), initial_state=x0))
-    except DivergedState:
-        return [
-            BodeRow(f_hz, omega, ch, math.nan, math.nan, None, None, "sweep", "diverged")
-            for ch in cfg.channels
-        ]
-    lo = int(times.size * cfg.discard_fraction)
-    t_fit = times[lo:]
-    for ch in cfg.channels:
-        try:
-            fit = fit_sinusoid(t_fit, states[lo:, ch - 1], omega)
-        except IllConditioned:
-            rows.append(
-                BodeRow(f_hz, omega, ch, math.nan, math.nan, None, None, "sweep",
-                        "ill_conditioned")
-            )
-            continue
+        lo = int(times.size * cfg.discard_fraction)
+        # conditioning depends only on the times and omega: all channels or none fail it
+        fits = [fit_sinusoid(times[lo:], states[lo:, ch - 1], omega) for ch in cfg.channels]
+    except (DivergedState, IllConditioned) as exc:
+        flag = "diverged" if isinstance(exc, DivergedState) else "ill_conditioned"
+        return [BodeRow(f_hz, omega, ch, math.nan, math.nan, None, None, "sweep", flag)
+                for ch in cfg.channels]
+    rows = []
+    for ch, fit in zip(cfg.channels, fits):
         # a zero amplitude is -inf dB; a NaN one, from an overflowed fit, stays NaN
         ratio = fit.amplitude / cfg.amplitude
         mag_db = -math.inf if ratio == 0.0 else 20.0 * math.log10(ratio)

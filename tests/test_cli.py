@@ -146,7 +146,7 @@ def test_simulate_long_coarse_run_keeps_every_step(tmp_path):
                                          ({"duration": 61.0}, 100),
                                          ({"duration": 61.0, "record_stride": 3}, 3)])
 def test_long_runs_of_100_steps_default_to_stride_100(sim, stride):
-    assert _build_sim(sim)[0].record_stride == stride
+    assert _build_sim(sim).record_stride == stride
 
 
 def test_simulate_divergence_exit_3(tmp_path, capsys):
@@ -454,6 +454,16 @@ MALFORMED = [
     ("simulate", None, None, {"signal": {"noise": [{"amp": 0.1, "omega": 1e307}]},
                               "sim": {"duration": 20.0, "record_stride": 100}},
      "signal.noise[0].omega"),
+    # the horizon is a range error of the signal against the sim section: it comes before
+    # the params are validated (k1 = -1) and before the step guard (step_h*k3/eps^4 = 6.25)
+    ("simulate", None, None, {"params": {**LINEAR_PARAMS, "k1": -1},
+                              "signal": {"kind": "sinusoid", "omega": 1e307},
+                              "sim": {"duration": 20.0, "record_stride": 100}},
+     "signal.omega 1e+307 overflows the phase"),
+    ("simulate", None, None, {"params": NONLINEAR_PARAMS,
+                              "signal": {"kind": "sinusoid", "omega": 1e307},
+                              "sim": {"duration": 20.0, "record_stride": 100, "step_h": 0.01}},
+     "signal.omega 1e+307 overflows the phase"),
     # a run shorter than one step, or than one record stride
     ("simulate", "sim", "duration", 0.0005, "sim.duration"),
     ("simulate", None, "sim", {"duration": 0.003, "record_stride": 5}, "sim.record_stride"),
@@ -607,7 +617,7 @@ def test_numeric_range_config_never_tracebacks(case):
 
 def test_empty_sections_build_dataclass_defaults():
     assert _build_sweep({}) == (SweepConfig(), ({},))
-    assert _build_sim({}) == (SimConfig(), ((0.0, SimConfig().duration),))
+    assert _build_sim({}) == SimConfig(metrics_windows=((0.0, SimConfig().duration),))
     assert _convert(SignalSpec, {}, "signal") == SignalSpec()
 
 
@@ -674,6 +684,28 @@ def test_out_of_range_sim_field_exits_2_before_invalid_params(tmp_path, capsys):
     assert _run("simulate", write_cfg(tmp_path, cfg), tmp_path / "out") == 2
     assert "config error: sim.duration must be finite and positive, got -1.0" in (
         capsys.readouterr().err)
+
+
+def test_empty_metrics_window_exits_2_before_the_run(tmp_path, capsys, monkeypatch):
+    cfg = expand_scenario("fig4")
+    cfg["sim"]["metrics_windows"] = [[2500.0, 3000.0]]
+
+    def no_run(*args):
+        raise AssertionError("simulate ran")
+
+    monkeypatch.setattr("doubleint.cli.simulate", no_run)
+    out_dir = tmp_path / "out"
+    assert main(["simulate", "--config", write_cfg(tmp_path, cfg), "--out", str(out_dir)]) == 2
+    assert capsys.readouterr().err == (
+        "config error: sim.metrics_windows: [2500, 3000] contains no samples\n")
+    assert not out_dir.exists()
+
+
+def test_empty_metrics_windows_list_writes_no_windows(tmp_path):
+    cfg = _edit("simulate", "sim", "metrics_windows", [])
+    out_dir = tmp_path / "out"
+    assert _run("simulate", write_cfg(tmp_path, cfg), out_dir) == 0
+    assert json.loads((out_dir / "metrics.json").read_text())["windows"] == []
 
 
 def test_sweep_overflowing_fit_exits_3_without_runtime_warning(tmp_path):

@@ -12,6 +12,7 @@ from doubleint import (
     ObserverState,
     SignalSpec,
     SimConfig,
+    SweepConfig,
     Trajectory,
     integrate,
     rhs,
@@ -22,6 +23,7 @@ from doubleint import (
     trajectory_metrics,
 )
 from doubleint.signals import make_input_fn, truth_arrays
+from doubleint.sweep import _frequency_sim
 
 
 def zero_spec():
@@ -272,6 +274,28 @@ def test_metrics_empty_window(lin_params):
     traj = simulate(lin_params, zero_spec(), SimConfig(0.001, 1.0))
     with pytest.raises(ConfigError):
         trajectory_metrics(traj, [(5.0, 6.0)])
+
+
+@pytest.mark.parametrize("duration, window", [(2000.0, (2500.0, 3000.0)),
+                                               (1.0, (0.05, 0.07))])
+def test_window_without_a_record_time_refused_when_built(duration, window):
+    # at stride 100 and h = 0.001 the record times are 0, 0.1, 0.2, ...: the second
+    # window lies between two of them
+    with pytest.raises(ConfigError, match=r"^metrics_windows: \[.*\] contains no samples$"):
+        SimConfig(0.001, duration, record_stride=100, metrics_windows=(window,))
+
+
+def test_window_holding_only_the_last_record_time_builds(lin_params):
+    t_end = SimConfig(0.001, 1.0, record_stride=100).record_times()[-1]
+    cfg = SimConfig(0.001, 1.0, record_stride=100, metrics_windows=((t_end, t_end),))
+    traj = simulate(lin_params, zero_spec(), cfg)
+    # integrate records on the grid the config was checked against
+    assert np.array_equal(traj.times, cfg.record_times())
+    assert trajectory_metrics(traj, cfg.metrics_windows)["windows"][0]["t_lo"] == t_end
+
+
+def test_sweep_lanes_carry_no_windows():
+    assert _frequency_sim(SweepConfig()).metrics_windows == ()
 
 
 def test_metrics_drift_ratio_without_a_reference_sample(lin_params):

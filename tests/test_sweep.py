@@ -199,6 +199,15 @@ def test_divergent_rows_flagged_not_fatal(p, cfg, flags):
     assert math.isnan(curve.rows[-1].magnitude_db)
 
 
+def test_too_few_fit_samples_flag_every_row_ill_conditioned():
+    # 11 record times keep one after discarding 95 %: no fit, at any frequency or channel
+    cfg = SweepConfig(freqs_hz=(0.1, 5.1), samples=10, discard_fraction=0.95)
+    with pytest.warns(UserWarning, match="shorter than one period"):
+        rows = sweep_observer(LIN, cfg).rows
+    assert [(r.f_hz, r.channel) for r in rows] == [(f, ch) for f in (0.1, 5.1) for ch in (1, 2, 3)]
+    assert all(r.flag == "ill_conditioned" and math.isnan(r.magnitude_db) for r in rows)
+
+
 @pytest.mark.parametrize("p", [LIN, NL3], ids=["linear", "nonlinear"])
 def test_parallel_matches_sequential(p):
     cfg = SweepConfig(freqs_hz=(0.6, 1.1, 5.1, 10.1), samples=5000, discard_fraction=0.5)
