@@ -219,10 +219,14 @@ def _power_rows(m: np.ndarray, d: np.ndarray, rows: int) -> np.ndarray:
     return np.einsum("brc,jc->jbr", powers, starts).reshape(-1, 3)[:rows]
 
 
+def record_grid(h: float, n: int, stride: int = 1) -> np.ndarray:
+    """Times (k * stride) * h, k = 0..n // stride: the float time i * h that step i starts at."""
+    return (np.arange(n // stride + 1) * stride) * h
+
+
 def signal_states(p: ObserverParams, spec: signals.SignalSpec, h: float, method: str, x0,
                   n: int, stride: int = 1) -> np.ndarray:
-    """States at t = k h, k = 0, stride, 2 stride, ... <= n, of n fixed steps
-    from x0 driven by the signal of spec.
+    """States at the times record_grid(h, n, stride) of n steps from x0 driven by spec's signal.
 
     The closed form of the step map's orbit.  Each term amp sin|cos(omega t)
     of signals.terms(spec) is the imaginary or real part R of amp e^(i omega
@@ -235,9 +239,7 @@ def signal_states(p: ObserverParams, spec: signals.SignalSpec, h: float, method:
     """
     m, b0, b1, b2 = step_map(p, h, method)
     eye = np.eye(3)
-    rows = n // stride + 1
-    # integer k times h, as step i of a stepped run starts at t = i*h
-    k_h = (np.arange(rows) * stride) * h
+    k_h = record_grid(h, n, stride)
     d = np.asarray(x0, dtype=float)
     forced = []
     with np.errstate(all="ignore"):
@@ -248,7 +250,7 @@ def signal_states(p: ObserverParams, spec: signals.SignalSpec, h: float, method:
             phasor = amp * np.linalg.solve(z * eye - m, forcing)
             d = d - (phasor.imag if is_sine else phasor.real)
             forced.append((phasor, omega, is_sine))
-        states = _power_rows(np.linalg.matrix_power(m, stride), d, rows)
+        states = _power_rows(np.linalg.matrix_power(m, stride), d, k_h.size)
         for phasor, omega, is_sine in forced:
             theta = omega * k_h
             # Im(P e^(i theta)) = Re P sin + Im P cos; Re(P e^(i theta)) = Re P cos - Im P sin
@@ -261,5 +263,5 @@ def signal_states(p: ObserverParams, spec: signals.SignalSpec, h: float, method:
     states[0] = x0
     bad = ~np.isfinite(states).all(axis=1)
     if bad.any():
-        raise DivergedState(int(bad.argmax()) * stride * h)
+        raise DivergedState(float(k_h[bad.argmax()]))
     return states

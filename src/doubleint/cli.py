@@ -129,10 +129,20 @@ def _build_sweep(obj: dict) -> tuple[SweepConfig, tuple]:
     return _new(SweepConfig, kwargs, "sweep"), variants
 
 
+def _unique_keys(pairs: list) -> dict:
+    """One JSON object's pairs as a dict; a key given twice raises ConfigError naming it."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ConfigError(f"duplicate key {json.dumps(key)}: each key may appear once")
+        obj[key] = value
+    return obj
+
+
 def load_config(path) -> dict:
     try:
         with open(path) as f:
-            cfg = json.load(f)
+            cfg = json.load(f, object_pairs_hook=_unique_keys)
     except OSError as exc:
         raise ConfigError(f"cannot read config file: {exc}") from exc
     except (ValueError, RecursionError) as exc:
@@ -187,6 +197,14 @@ def cmd_validate(cfg: dict) -> int:
     return EXIT_OK if report.ok else EXIT_INVALID_PARAMS
 
 
+def _out(action, *args):
+    """action(*args), which creates or writes under --out; an OSError is a ConfigError."""
+    try:
+        return action(*args)
+    except OSError as exc:
+        raise ConfigError(f"--out: {exc}") from exc
+
+
 def cmd_simulate(cfg: dict, out_dir) -> int:
     params = _build_params(cfg, {}, "params")
     signal = cfg.get("signal", {})
@@ -206,25 +224,20 @@ def cmd_simulate(cfg: dict, out_dir) -> int:
     except ConfigError as exc:
         raise ConfigError(f"sim.{exc}") from exc
     metrics = trajectory_metrics(traj, sim_cfg.metrics_windows)
-    out = io.ensure_dir(out_dir)
+    out = _out(io.ensure_dir, out_dir)
     if cfg.get("format", "csv") == "csv":
-        io.write_trajectory_csv(out / "trajectory.csv", traj)
+        _out(io.write_trajectory_csv, out / "trajectory.csv", traj)
     else:
-        io.write_json(out / "trajectory.json", io.trajectory_to_dict(traj))
-    io.write_json(out / "metrics.json", metrics)
-    io.write_json(out / "config.json", cfg)
+        _out(io.write_json, out / "trajectory.json", io.trajectory_to_dict(traj))
+    _out(io.write_json, out / "metrics.json", metrics)
+    _out(io.write_json, out / "config.json", cfg)
     print(f"wrote trajectory ({traj.times.size} samples) to {out}")
     return EXIT_OK
 
 
-def _variant_tag(params: ObserverParams, amplitude: float) -> str:
-    return (f"{params.mode}_a{params.alpha3:g}_R{1.0 / params.epsilon:g}"
-            f"_Am{amplitude:g}")
-
-
 def cmd_sweep(cfg: dict, out_dir, workers: int = 1) -> int:
     sweep_cfg, variants = _build_sweep(cfg.get("sweep", {}))
-    runs = []
+    runs = {}
     # every variant is checked before the first one runs, so a bad one writes nothing
     for i, variant in enumerate(variants):
         path = f"sweep.variants[{i}]"
@@ -244,21 +257,25 @@ def cmd_sweep(cfg: dict, out_dir, workers: int = 1) -> int:
         except ConfigError as exc:
             # every such error depends on the params: the variant's when it sets any
             raise ConfigError(f"{path if over else 'sweep'}.{exc}") from exc
-        runs.append((params, run_cfg))
+        # the stem names mode, alpha3, R and amplitude only: a clash would overwrite files
+        tag = f"{params.mode}_a{params.alpha3:g}_R{1.0 / params.epsilon:g}_Am{run_cfg.amplitude:g}"
+        if tag in runs:
+            raise ConfigError(f"{path} writes the same files as "
+                              f"sweep.variants[{list(runs).index(tag)}] (bode_{tag})")
+        runs[tag] = params, run_cfg
     fmt = cfg.get("format", "csv")
-    out = io.ensure_dir(out_dir)
+    out = _out(io.ensure_dir, out_dir)
     total = flagged = 0
     written = []
-    for params, run_cfg in runs:
+    for tag, (params, run_cfg) in runs.items():
         curve = sweep_observer(params, run_cfg, workers=workers)
-        tag = _variant_tag(params, run_cfg.amplitude)
         written.append(_write_curve(out, f"bode_{tag}", curve, fmt))
         total += len(curve.rows)
         flagged += sum(r.flag != "ok" for r in curve.rows)
         if params.mode == "linear":
             ref = bode_from_transfer(params, run_cfg)
             written.append(_write_curve(out, f"analytic_{tag}", ref, fmt))
-    io.write_json(out / "config.json", cfg)
+    _out(io.write_json, out / "config.json", cfg)
     print(f"wrote {len(written)} curves to {out}; flagged rows: {flagged}/{total}")
     if total and flagged / total > MAX_FLAGGED_FRACTION:
         return EXIT_DIVERGED
@@ -268,10 +285,10 @@ def cmd_sweep(cfg: dict, out_dir, workers: int = 1) -> int:
 def _write_curve(out: Path, stem: str, curve, fmt: str):
     if fmt == "csv":
         path = out / f"{stem}.csv"
-        io.write_bode_csv(path, curve)
+        _out(io.write_bode_csv, path, curve)
     else:
         path = out / f"{stem}.json"
-        io.write_json(path, io.bode_to_dict(curve))
+        _out(io.write_json, path, io.bode_to_dict(curve))
     return path
 
 

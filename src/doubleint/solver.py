@@ -75,16 +75,19 @@ class SimConfig:
                               "shorten it or raise step_h")
         if d < h:
             raise ConfigError(f"duration {d:g} is shorter than one step_h {h:g}")
-        if stride > round(d / h):
-            raise ConfigError(f"record_stride {stride} exceeds the run's {round(d / h)} steps, "
+        if stride > self.steps:
+            raise ConfigError(f"record_stride {stride} exceeds the run's {self.steps} steps, "
                               "which would record only t = 0")
         if self.metrics_windows:
             _check_windows(self.record_times(), self.metrics_windows)
 
+    @property
+    def steps(self) -> int:
+        return round(self.duration / self.step_h)
+
     def record_times(self) -> np.ndarray:
-        """The run's record grid: row j at time j * (record_stride * step_h)."""
-        n = round(self.duration / self.step_h)
-        return np.arange(n // self.record_stride + 1) * (self.record_stride * self.step_h)
+        """The run's record grid: row j at (j * record_stride) * step_h, the time of its state."""
+        return analytic.record_grid(self.step_h, self.steps, self.record_stride)
 
 
 def _check_windows(times: np.ndarray, windows) -> None:
@@ -98,8 +101,8 @@ def _check_windows(times: np.ndarray, windows) -> None:
 class Trajectory:
     """Recorded run: times, states and, when ground truth exists, errors.
 
-    All arrays share the first dimension; times are the run's
-    SimConfig.record_times().  errors = states - truths componentwise.
+    All arrays share the first dimension: row j holds the state, input and truths at
+    times[j] = SimConfig.record_times()[j], where that state was computed; errors = states - truths.
     """
 
     times: np.ndarray
@@ -218,10 +221,9 @@ _STEPS = {
     ],
 }
 
-# kernel(p, x0, a_fn, h, n, stride, out) runs n steps of the nonlinear observer
-# from x0 and writes every stride-th state into out, a C-contiguous float array
-# of shape (n // stride + 1, 3) whose row 0 is x0.  The first non-finite recorded row raises DivergedState at its
-# time, and no step runs after it.
+# kernel(p, x0, a_fn, h, n, stride, out) runs n steps of the nonlinear observer from x0 and writes
+# every stride-th state into out, a C-contiguous float array of shape (n // stride + 1, 3) whose
+# row 0 is x0.  The first non-finite recorded row raises DivergedState at its time; no step follows.
 _KERNEL = """\
 def kernel(p, x0, a_fn, h, n, stride, out):
     k1, k2, k3 = p.k1, p.k2, p.k3
@@ -272,14 +274,13 @@ def integrate(p: ObserverParams, spec: signals.SignalSpec,
     check_config(p, cfg)
     signals.check_horizon(spec, cfg.duration + cfg.step_h)
     times = cfg.record_times()
-    n = round(cfg.duration / cfg.step_h)
     if p.mode == "linear":
-        states = analytic.signal_states(p, spec, cfg.step_h, cfg.method, cfg.initial_state, n,
-                                        cfg.record_stride)
+        states = analytic.signal_states(p, spec, cfg.step_h, cfg.method, cfg.initial_state,
+                                        cfg.steps, cfg.record_stride)
     else:
         states = np.empty((times.size, 3))
-        _KERNELS[cfg.method](p, cfg.initial_state, signals.make_input_fn(spec), cfg.step_h, n,
-                             cfg.record_stride, states)
+        _KERNELS[cfg.method](p, cfg.initial_state, signals.make_input_fn(spec), cfg.step_h,
+                             cfg.steps, cfg.record_stride, states)
     return times, states
 
 

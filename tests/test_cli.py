@@ -513,6 +513,32 @@ def test_unparsable_config_exits_2(tmp_path, capsys, text):
     assert "config error: config is not valid JSON" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text, key", [
+    ('{"params": {"k1": 0.1, "k2": 0.1, "k3": 1, "R": 5, "R": 500}}', "R"),
+    ('{"params": {"k1": 0.1, "k2": 0.1, "k3": 1, "R": 500},\n'
+     ' "params": {"k1": 0.1, "k2": 0.1, "k3": 1, "R": 5}}', "params"),
+], ids=["in-params", "top-level-section"])
+def test_duplicate_key_exits_2(tmp_path, capsys, text, key):
+    # json.load alone keeps the last value of a repeated key, without a word
+    path = tmp_path / "cfg.json"
+    path.write_text(text)
+    assert main(["validate", "--config", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        f'config error: duplicate key "{key}": each key may appear once\n')
+
+
+@pytest.mark.parametrize("command", ["simulate", "sweep"])
+@pytest.mark.parametrize("under", [False, True], ids=["existing-file", "path-under-a-file"])
+def test_out_that_cannot_be_created_exits_2(tmp_path, capsys, command, under):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    out_dir = blocker / "sub" if under else blocker
+    assert _run(command, write_cfg(tmp_path, SMALL_CONFIGS[command]), out_dir) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: --out: [Errno ") and f"'{out_dir}'" in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 def _paths(obj, path=()):
     yield path
     if isinstance(obj, (dict, list)):
@@ -674,6 +700,20 @@ def test_sweep_checks_every_variant_before_running(tmp_path, capsys, base, varia
     assert main(["sweep", "--config", write_cfg(tmp_path, cfg), "--out", str(out_dir)]) == 2
     assert f"config error: {message}" in capsys.readouterr().err
     assert not list(out_dir.glob("bode_*")) and not list(out_dir.glob("analytic_*"))
+
+
+@pytest.mark.parametrize("variants, tag", [
+    ([{"k2": 0.2}, {"k2": 0.3}], "linear_a1_R5_Am1"),
+    # 1 / (1 / 3.0000001) prints as 3 under :g, as 3 does
+    ([{"R": 3}, {"R": 3.0000001}], "linear_a1_R3_Am1"),
+], ids=["k2", "R-equal-under-g"])
+def test_sweep_variants_writing_the_same_files_exit_2(tmp_path, capsys, variants, tag):
+    cfg = {**SHORT_SWEEP, "sweep": {**SHORT_SWEEP["sweep"], "variants": variants}}
+    out_dir = tmp_path / "v"
+    assert main(["sweep", "--config", write_cfg(tmp_path, cfg), "--out", str(out_dir)]) == 2
+    assert capsys.readouterr().err == ("config error: sweep.variants[1] writes the same files "
+                                       f"as sweep.variants[0] (bode_{tag})\n")
+    assert not out_dir.exists()
 
 
 def test_out_of_range_sim_field_exits_2_before_invalid_params(tmp_path, capsys):

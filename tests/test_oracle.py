@@ -174,7 +174,9 @@ def test_signal_states_match_public_step(signal, x0, stride, method):
     times, closed = integrate(linear(5.0), SIGNALS[signal],
                               SimConfig(H, STEPS * H, STARTS[x0], method, stride))
     rows = STEPS // stride + 1
-    assert np.array_equal(times, np.arange(rows) * (stride * H))
+    # row j is at the float time i * H that step i = j * stride starts at
+    assert np.array_equal(times, (np.arange(rows) * stride) * H)
+    assert times.tolist() == [i * H for i in range(0, STEPS + 1, stride)]
     assert tuple(closed[0]) == STARTS[x0]
     assert_matches_step(closed, signal_lane(signal, x0, method)[::stride][:rows])
 

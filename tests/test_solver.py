@@ -17,6 +17,7 @@ from doubleint import (
     integrate,
     rhs,
     settle_time,
+    signals,
     simulate,
     step,
     solver,
@@ -142,10 +143,40 @@ def test_time_grid_is_multiplicative(nl_params, noisy_spec):
     traj = simulate(nl_params, noisy_spec, cfg)
     m = traj.times.size
     assert m == 501
-    assert np.array_equal(traj.times, np.arange(m) * 0.1)
+    assert np.array_equal(traj.times, (np.arange(m) * 100) * 0.001)
+    assert traj.times.tolist() == [i * 0.001 for i in range(0, 50001, 100)]
     # no floating drift against exact decimal times
     worst = max(abs(traj.times[j] - j / 10.0) for j in range(m))
     assert worst < 1e-9
+
+
+@pytest.mark.parametrize("method", solver.METHODS)
+def test_rows_are_recorded_where_their_steps_start(nl_params, noisy_spec, method, monkeypatch):
+    # row j holds the state after i = j*100 steps: it is recorded at the float time
+    # i*h at which step i starts, and its input and truths are taken there
+    h, n = 0.001, 50000
+    a_fn = make_input_fn(noisy_spec)
+    calls = []
+
+    def recording_input_fn(spec):
+        def a(t):
+            calls.append(t)
+            return a_fn(t)
+        return a
+
+    monkeypatch.setattr(signals, "make_input_fn", recording_input_fn)
+    cfg = SimConfig(h, n * h, ObserverState(0.0, 1.0, 0.0), method, 100)
+    traj = simulate(nl_params, noisy_spec, cfg)
+    grid = [i * h for i in range(0, n + 1, 100)]
+    assert traj.times.tolist() == grid
+    # the kernel's calls come before simulate's one per row; RK4 may take a step's
+    # a(t) from the last step's a(t + h), so each start is among them, not each a call
+    kernel_calls = calls[:-len(grid)]
+    if method == "euler":
+        assert kernel_calls == [i * h for i in range(n)]
+    assert set(grid[:-1]) <= set(kernel_calls)
+    assert traj.inputs.tolist() == [a_fn(t) for t in grid]
+    assert np.array_equal(traj.truths, truth_arrays(noisy_spec, np.array(grid)))
 
 
 def test_errors_match_states_minus_truths(nl_params, noisy_spec):
