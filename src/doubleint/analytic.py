@@ -11,18 +11,24 @@ validated against.
 One fixed Euler or RK4 step of the linear observer is an affine map
 (step_map), so its response to any signal, a finite sum of sinusoids, has a
 closed form too (signal_states): the exact discrete-time counterpart of H_j,
-from which every linear run, simulated or swept, takes its states.
+from which every linear run, simulated or swept, takes its states.  It reads
+the run's step, method, start state and record grid from the run's
+solver.SimConfig, whose construction is the one place they are checked.
 """
 
 import cmath
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import signals
 from .errors import CutoffNotFound, DivergedState, DomainError, SingularAtDC, SingularDenominator
 from .observers import ObserverParams
+
+if TYPE_CHECKING:
+    from .solver import SimConfig
 
 # Rows per block of the transient M^k d: powers M^0..M^(BLOCK-1) are formed
 # once and each block start M^(j BLOCK) d by repeated multiplication.
@@ -46,6 +52,17 @@ class TransferEval:
     phase: float
 
 
+def check_channel(channel: int) -> None:
+    """Raise DomainError unless channel is one of CHANNELS."""
+    if channel not in CHANNELS:
+        raise DomainError(f"channel must be one of {CHANNELS}, got {channel}")
+
+
+def decibels(ratio: float) -> float:
+    """20 log10(ratio): -inf at 0, NaN for NaN."""
+    return -math.inf if ratio == 0.0 else 20.0 * math.log10(ratio)
+
+
 def _denominator(p: ObserverParams, s: complex) -> complex:
     # Horner form keeps the evaluation stable when s^3 eps^4 dominates.
     return ((p.epsilon**4 * s + p.k3) * s + p.k2 * p.epsilon**2) * s + p.k1 * p.epsilon
@@ -55,8 +72,7 @@ def transfer_eval(p: ObserverParams, channel: int, omega: float) -> TransferEval
     """Evaluate H_channel(i omega) for a linear-mode parameter set."""
     if p.mode != "linear":
         raise DomainError("transfer_eval requires linear-mode parameters")
-    if channel not in CHANNELS:
-        raise DomainError(f"channel must be one of {CHANNELS}, got {channel}")
+    check_channel(channel)
     s = 1j * omega
     den = _denominator(p, s)
     if abs(den) < 1e-300:
@@ -73,14 +89,12 @@ def transfer_eval(p: ObserverParams, channel: int, omega: float) -> TransferEval
         value = p.k3 * u ** (4 - channel) / (
             ((p.k1 * eps * u + p.k2 * eps**2) * u + p.k3) * u + eps**4)
     gain = abs(value)
-    gain_db = 20.0 * math.log10(gain) if gain > 0.0 else -math.inf
-    return TransferEval(channel, omega, value, gain, gain_db, cmath.phase(value))
+    return TransferEval(channel, omega, value, gain, decibels(gain), cmath.phase(value))
 
 
 def limit_transfer(channel: int, omega: float) -> complex:
     """Ideal response (i omega)^(channel-3): 1/s^2, 1/s or unity at s = i omega."""
-    if channel not in CHANNELS:
-        raise DomainError(f"channel must be one of {CHANNELS}, got {channel}")
+    check_channel(channel)
     if channel == 3:
         return complex(1.0, 0.0)
     if omega == 0.0:
@@ -219,27 +233,23 @@ def _power_rows(m: np.ndarray, d: np.ndarray, rows: int) -> np.ndarray:
     return np.einsum("brc,jc->jbr", powers, starts).reshape(-1, 3)[:rows]
 
 
-def record_grid(h: float, n: int, stride: int = 1) -> np.ndarray:
-    """Times (k * stride) * h, k = 0..n // stride: the float time i * h that step i starts at."""
-    return (np.arange(n // stride + 1) * stride) * h
+def signal_states(p: ObserverParams, spec: signals.SignalSpec, cfg: "SimConfig") -> np.ndarray:
+    """States at cfg.record_times() of cfg's run driven by spec's signal.
 
-
-def signal_states(p: ObserverParams, spec: signals.SignalSpec, h: float, method: str, x0,
-                  n: int, stride: int = 1) -> np.ndarray:
-    """States at the times record_grid(h, n, stride) of n steps from x0 driven by spec's signal.
-
-    The closed form of the step map's orbit.  Each term amp sin|cos(omega t)
-    of signals.terms(spec) is the imaginary or real part R of amp e^(i omega
-    t), whose forced orbit is R(P e^(i omega k h)) with P = (e^(i omega h) I -
-    M)^-1 amp (b0 + b1 e^(i omega h/2) + b2 e^(i omega h)); the transient
-    M^k (x0 - sum R(P)) takes the run from x0 onto them.  Row 0 is x0.
-    Needs e^(i omega h) I - M invertible for every term, which rho(M) < 1
+    The closed form of the orbit of the step map at h = cfg.step_h.  Each
+    term amp sin|cos(omega t) of signals.terms(spec) is the imaginary or real
+    part R of amp e^(i omega t), whose forced orbit is R(P e^(i omega k h))
+    with P = (e^(i omega h) I - M)^-1 amp (b0 + b1 e^(i omega h/2) + b2
+    e^(i omega h)); the transient M^k (x0 - sum R(P)) takes the run from
+    x0 = cfg.initial_state onto them.  Row 0 is x0.  Needs e^(i omega h) I -
+    M invertible for every term, which rho(M) < 1 (solver.check_config)
     guarantees.  Raises DivergedState at the time of the first non-finite
     row.
     """
-    m, b0, b1, b2 = step_map(p, h, method)
+    h, x0 = cfg.step_h, cfg.initial_state
+    m, b0, b1, b2 = step_map(p, h, cfg.method)
     eye = np.eye(3)
-    k_h = record_grid(h, n, stride)
+    k_h = cfg.record_times()
     d = np.asarray(x0, dtype=float)
     forced = []
     with np.errstate(all="ignore"):
@@ -250,7 +260,7 @@ def signal_states(p: ObserverParams, spec: signals.SignalSpec, h: float, method:
             phasor = amp * np.linalg.solve(z * eye - m, forcing)
             d = d - (phasor.imag if is_sine else phasor.real)
             forced.append((phasor, omega, is_sine))
-        states = _power_rows(np.linalg.matrix_power(m, stride), d, k_h.size)
+        states = _power_rows(np.linalg.matrix_power(m, cfg.record_stride), d, k_h.size)
         for phasor, omega, is_sine in forced:
             theta = omega * k_h
             # Im(P e^(i theta)) = Re P sin + Im P cos; Re(P e^(i theta)) = Re P cos - Im P sin

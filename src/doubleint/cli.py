@@ -84,16 +84,21 @@ def _typed(types: dict, obj, path: str) -> dict:
     return {k: _convert(types[k], v, f"{path}.{k}" if path else k) for k, v in obj.items()}
 
 
+def _at(path: str, fn, /, *args, **kwargs):
+    """fn(*args, **kwargs), a ConfigError it raises led by path, the field's config path."""
+    try:
+        return fn(*args, **kwargs)
+    except ConfigError as exc:
+        raise ConfigError(f"{path}.{exc}") from exc
+
+
 def _new(cls, kwargs: dict, path: str):
     """cls(**kwargs), absent fields taking the dataclass defaults; cls's refusals name path."""
     for f in dataclasses.fields(cls):
         required = f.default is f.default_factory is dataclasses.MISSING
         if f.init and required and f.name not in kwargs:
             raise ConfigError(f"{path}.{f.name} is required")
-    try:
-        return cls(**kwargs)
-    except (ValueError, ConfigError) as exc:
-        raise ConfigError(f"{path}.{exc}") from exc
+    return _at(path, cls, **kwargs)
 
 
 def _build_params(cfg: dict, over: dict, path: str) -> ObserverParams:
@@ -214,15 +219,9 @@ def cmd_simulate(cfg: dict, out_dir) -> int:
         if spec.kind == "paper_reference" and key in signal:
             raise ConfigError(f"signal.{key} is fixed for kind paper_reference; remove it")
     sim_cfg = _build_sim(cfg.get("sim", {}))
-    try:
-        signals.check_horizon(spec, sim_cfg.duration + sim_cfg.step_h)
-    except ConfigError as exc:
-        raise ConfigError(f"signal.{exc}") from exc
-    try:
-        # with the horizon checked, simulate's one ConfigError is the step guard
-        traj = simulate(params, spec, sim_cfg)
-    except ConfigError as exc:
-        raise ConfigError(f"sim.{exc}") from exc
+    _at("signal", signals.check_horizon, spec, sim_cfg.duration + sim_cfg.step_h)
+    # with the horizon checked, simulate's one ConfigError is the step guard
+    traj = _at("sim", simulate, params, spec, sim_cfg)
     metrics = trajectory_metrics(traj, sim_cfg.metrics_windows)
     out = _out(io.ensure_dir, out_dir)
     if cfg.get("format", "csv") == "csv":
@@ -252,11 +251,8 @@ def cmd_sweep(cfg: dict, out_dir, workers: int = 1) -> int:
             # the report names no path: lead with the variant's when its keys set params
             print(f"{path}: {report}" if over else report, file=sys.stderr)
             return EXIT_INVALID_PARAMS
-        try:
-            check_sweep_config(params, run_cfg)
-        except ConfigError as exc:
-            # every such error depends on the params: the variant's when it sets any
-            raise ConfigError(f"{path if over else 'sweep'}.{exc}") from exc
+        # every such error depends on the params: the variant's when it sets any
+        _at(path if over else "sweep", check_sweep_config, params, run_cfg)
         # the stem names mode, alpha3, R and amplitude only: a clash would overwrite files
         tag = f"{params.mode}_a{params.alpha3:g}_R{1.0 / params.epsilon:g}_Am{run_cfg.amplitude:g}"
         if tag in runs:

@@ -22,7 +22,14 @@ class InvalidParams(DoubleIntError):
 
 
 class ConfigError(DoubleIntError):
-    """A run configuration is malformed or violates a hard limit."""
+    """A run configuration is malformed or violates a hard limit.
+
+    Every config object (ObserverParams, SignalSpec, NoiseTerm, SimConfig,
+    SweepConfig) raises it, and only it, when built with a field out of
+    range, its message led by the field name.  It is deliberately not a
+    ValueError: cli.load_config reads a ValueError from json.load as
+    malformed JSON, which a ConfigError raised while parsing is not.
+    """
 
 
 class DivergedState(DoubleIntError):

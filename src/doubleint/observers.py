@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from .errors import DivergedState, DomainError
+from .errors import ConfigError, DivergedState, DomainError
 
 MODES = ("nonlinear", "linear")
 
@@ -58,6 +58,7 @@ class ObserverParams:
     exponents would silently void the convergence guarantees.  Out-of-range
     alpha3 yields NaN derived exponents and is reported by validate_params
     rather than raising, so invalid configurations can still be inspected.
+    An unknown mode raises ConfigError.
     """
 
     k1: float
@@ -71,7 +72,7 @@ class ObserverParams:
 
     def __post_init__(self):
         if self.mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
+            raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
         if 0.0 < self.alpha3 <= 1.0:
             a1, a2 = derive_alphas(self.alpha3)
         else:

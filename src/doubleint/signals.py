@@ -37,14 +37,15 @@ PHASE_KINDS = ("sine", "cosine")
 def _check_term(amp_name: str, amp: float, omega: float) -> None:
     # an infinite amplitude is a run that diverges; NaN is no amplitude at all
     if not amp >= 0.0:
-        raise ValueError(f"{amp_name} must be >= 0, got {amp!r}")
+        raise ConfigError(f"{amp_name} must be >= 0, got {amp!r}")
     if not 0.0 <= omega < math.inf:
-        raise ValueError(f"omega must be finite and >= 0, got {omega!r}")
+        raise ConfigError(f"omega must be finite and >= 0, got {omega!r}")
 
 
 @dataclass(frozen=True)
 class NoiseTerm:
-    """One sinusoidal noise component, amp * sin(omega t) or amp * cos(omega t)."""
+    """One sinusoidal noise component, amp * sin(omega t) or amp * cos(omega t); building
+    one with a field out of range raises ConfigError, its message led by the field name."""
 
     amp: float
     omega: float
@@ -52,7 +53,7 @@ class NoiseTerm:
 
     def __post_init__(self):
         if self.phase not in PHASE_KINDS:
-            raise ValueError(f"phase must be one of {PHASE_KINDS}, got {self.phase!r}")
+            raise ConfigError(f"phase must be one of {PHASE_KINDS}, got {self.phase!r}")
         _check_term("amp", self.amp, self.omega)
 
 
@@ -72,7 +73,8 @@ class SignalSpec:
 
     make_input_fn(spec) evaluates a(t): the base waveform plus every noise
     term.  truth_arrays(spec, times) evaluates the ground truth, which always
-    excludes the noise terms.
+    excludes the noise terms.  Building one with a field out of range raises
+    ConfigError, its message led by the field name.
     """
 
     kind: str = "sinusoid"
@@ -82,7 +84,7 @@ class SignalSpec:
 
     def __post_init__(self):
         if self.kind not in KINDS:
-            raise ValueError(f"kind must be one of {KINDS}, got {self.kind!r}")
+            raise ConfigError(f"kind must be one of {KINDS}, got {self.kind!r}")
         _check_term("amplitude", self.amplitude, self.omega)
 
 

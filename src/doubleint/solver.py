@@ -19,12 +19,14 @@ step() bit for bit.
 """
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
+from numbers import Integral, Real
 
 import numpy as np
 
 from . import analytic, signals
-from .errors import ConfigError, DivergedState, InvalidParams
+from .errors import ConfigError, DivergedState, InvalidParams, UnsupportedTruth
 from .observers import ObserverParams, ObserverState, rhs, validate_params
 
 METHODS = ("rk4", "euler")
@@ -61,10 +63,14 @@ class SimConfig:
         for name, value in (("step_h", h), ("duration", d)):
             if not 0.0 < value < math.inf:
                 raise ConfigError(f"{name} must be finite and positive, got {value!r}")
+        if not _numbers(self.initial_state, 3):
+            raise ConfigError(f"initial_state must be three numbers, got {self.initial_state!r}")
         if not all(map(math.isfinite, self.initial_state)):
             raise ConfigError(f"initial_state must be finite, got {tuple(self.initial_state)!r}")
         if self.method not in METHODS:
             raise ConfigError(f"method must be one of {METHODS}, got {self.method!r}")
+        if not isinstance(stride, Integral):
+            raise ConfigError(f"record_stride must be an integer, got {stride!r}")
         if stride < 1:
             raise ConfigError("record_stride must be >= 1")
         if d / h >= MAX_RECORD_ROWS * stride:
@@ -87,12 +93,22 @@ class SimConfig:
 
     def record_times(self) -> np.ndarray:
         """The run's record grid: row j at (j * record_stride) * step_h, the time of its state."""
-        return analytic.record_grid(self.step_h, self.steps, self.record_stride)
+        return (np.arange(self.steps // self.record_stride + 1) * self.record_stride) * self.step_h
+
+
+def _numbers(value, n: int) -> bool:
+    """Whether value is a sequence of n real numbers."""
+    return (isinstance(value, Sequence) and len(value) == n
+            and all(isinstance(v, Real) for v in value))
 
 
 def _check_windows(times: np.ndarray, windows) -> None:
-    """Raise ConfigError, led by metrics_windows, at the first [lo, hi] holding none of times."""
-    for lo, hi in windows:
+    """Raise ConfigError, led by metrics_windows, at the first window that is not a (lo, hi)
+    pair of numbers or holds none of times."""
+    for window in windows:
+        if not _numbers(window, 2):
+            raise ConfigError(f"metrics_windows entries must be (lo, hi) pairs, got {window!r}")
+        lo, hi = window
         if not np.any((times >= lo) & (times <= hi)):
             raise ConfigError(f"metrics_windows: [{lo:g}, {hi:g}] contains no samples")
 
@@ -112,8 +128,11 @@ class Trajectory:
     errors: np.ndarray | None = None
 
     def error(self, channel: int) -> np.ndarray:
+        """Column channel - 1 of errors; raises UnsupportedTruth without ground truth and
+        DomainError for a channel outside analytic.CHANNELS."""
         if self.errors is None:
-            raise ValueError("trajectory has no ground truth")
+            raise UnsupportedTruth("trajectory has no ground truth")
+        analytic.check_channel(channel)
         return self.errors[:, channel - 1]
 
     def window(self, t_lo: float, t_hi: float) -> np.ndarray:
@@ -275,8 +294,7 @@ def integrate(p: ObserverParams, spec: signals.SignalSpec,
     signals.check_horizon(spec, cfg.duration + cfg.step_h)
     times = cfg.record_times()
     if p.mode == "linear":
-        states = analytic.signal_states(p, spec, cfg.step_h, cfg.method, cfg.initial_state,
-                                        cfg.steps, cfg.record_stride)
+        states = analytic.signal_states(p, spec, cfg)
     else:
         states = np.empty((times.size, 3))
         _KERNELS[cfg.method](p, cfg.initial_state, signals.make_input_fn(spec), cfg.step_h,
@@ -306,7 +324,8 @@ def settle_time(traj: Trajectory, threshold: float, channel: int = 1) -> float:
     """First recorded time after which |error| stays below threshold.
 
     Returns 0.0 when the error never reaches the threshold and math.inf when
-    it is still at or above it at the final recorded sample.
+    it is still at or above it at the final recorded sample.  Raises what
+    Trajectory.error raises.
     """
     e = np.abs(traj.error(channel))
     bad = np.nonzero(e >= threshold)[0]

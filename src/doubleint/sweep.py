@@ -17,6 +17,7 @@ import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 from itertools import repeat
+from numbers import Integral
 
 import numpy as np
 
@@ -59,11 +60,14 @@ class SweepConfig:
             raise ConfigError("freqs_hz must be finite, positive and strictly increasing")
         if not 0.0 < self.amplitude:
             raise ConfigError(f"amplitude must be positive, got {self.amplitude!r}")
+        if not isinstance(self.samples, Integral):
+            raise ConfigError(f"samples must be an integer, got {self.samples!r}")
         if not 1 <= self.samples < MAX_RECORD_ROWS:
             raise ConfigError(f"samples must lie in [1, {MAX_RECORD_ROWS - 1}], got {self.samples}")
         if not 0.0 <= self.discard_fraction < 1.0:
             raise ConfigError("discard_fraction must lie in [0, 1)")
-        if any(ch not in (1, 2, 3) for ch in self.channels) or not self.channels:
+        if not self.channels or any(
+                not isinstance(ch, Integral) or ch not in (1, 2, 3) for ch in self.channels):
             raise ConfigError("channels must be a non-empty subset of {1, 2, 3}")
         if list(self.channels) != sorted(set(self.channels)):
             # a curve holds one row per (frequency, channel), in that order
@@ -106,16 +110,21 @@ def fit_sinusoid(times: np.ndarray, values: np.ndarray, omega: float) -> Sinusoi
     Solves the 2x2 normal equations in closed form; amplitude is
     sqrt(c1^2 + c2^2) and the phase is the quadrant-correct arctangent of
     (c2, c1).  Raises IllConditioned when the normal matrix has condition
-    number above 1e8 (degenerate time span) or fewer than 2 samples.
+    number above 1e8 (degenerate time span) or is not finite (non-finite
+    times), or fewer than 2 samples; raises ConfigError when omega is not
+    finite and positive.
     """
-    if omega <= 0.0:
-        raise ConfigError("omega must be positive")
+    if not 0.0 < omega < math.inf:
+        raise ConfigError("omega must be finite and positive")
     t = np.asarray(times, dtype=float)
     y = np.asarray(values, dtype=float)
     if t.size < 2 or t.size != y.size:
         raise IllConditioned("need at least 2 samples with matching times")
-    s = np.sin(omega * t)
-    c = np.cos(omega * t)
+    with np.errstate(over="ignore", invalid="ignore"):
+        # a phase omega*t that is inf or nan has no sine: the nan it gives
+        # makes the normal matrix non-finite, which is refused below
+        s = np.sin(omega * t)
+        c = np.cos(omega * t)
     ss = _dot(s, s)
     cc = _dot(c, c)
     sc = _dot(s, c)
@@ -124,7 +133,7 @@ def fit_sinusoid(times: np.ndarray, values: np.ndarray, omega: float) -> Sinusoi
     half_gap = math.hypot(0.5 * (ss - cc), sc)
     lo_eig = mean - half_gap
     hi_eig = mean + half_gap
-    if lo_eig <= 0.0 or hi_eig / lo_eig > 1e8:
+    if not (lo_eig > 0.0 and hi_eig / lo_eig <= 1e8):
         raise IllConditioned(
             f"normal matrix condition {math.inf if lo_eig <= 0 else hi_eig / lo_eig:.3g} "
             "exceeds 1e8"
@@ -231,9 +240,7 @@ def _run_frequency(p: ObserverParams, cfg: SweepConfig, f_hz: float) -> list[Bod
                 for ch in cfg.channels]
     rows = []
     for ch, fit in zip(cfg.channels, fits):
-        # a zero amplitude is -inf dB; a NaN one, from an overflowed fit, stays NaN
-        ratio = fit.amplitude / cfg.amplitude
-        mag_db = -math.inf if ratio == 0.0 else 20.0 * math.log10(ratio)
+        mag_db = analytic.decibels(fit.amplitude / cfg.amplitude)
         finite = all(map(math.isfinite, (mag_db, fit.phase, fit.residual_rms)))
         rows.append(
             BodeRow(f_hz, omega, ch, mag_db, fit.phase, None, fit.residual_rms, "sweep",

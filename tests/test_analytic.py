@@ -15,6 +15,7 @@ from doubleint import (
     transfer_eval,
     validate_params,
 )
+from doubleint.analytic import decibels
 
 
 def lin(k1=0.1, k2=0.1, k3=1.0, eps=0.2):
@@ -31,6 +32,15 @@ def test_dc_gain_channel_three_vanishes():
     te = transfer_eval(lin(), 3, 0.0)
     assert te.gain == 0.0
     assert te.gain_db == -math.inf
+
+
+def test_decibels_at_zero_and_nan():
+    # one dB rule for transfer_eval and the sweep: -inf at 0, NaN stays NaN
+    assert decibels(0.0) == -math.inf
+    assert math.isnan(decibels(math.nan))
+    assert decibels(10.0) == 20.0 * math.log10(10.0)
+    te = transfer_eval(lin(), 1, math.nan)
+    assert math.isnan(te.gain) and math.isnan(te.gain_db)
 
 
 def test_channel_two_frozen_oracle():

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from doubleint import (
+    ConfigError,
     DivergedState,
     DomainError,
     ObserverParams,
@@ -99,7 +100,7 @@ def test_params_derived_fields():
     assert p.alpha2 == pytest.approx(0.3 / 1.7)
     q = ObserverParams.from_rate(0.1, 0.1, 1.0, 5.0, 0.3, "linear")
     assert q.epsilon == pytest.approx(0.2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         ObserverParams(0.1, 0.1, 1.0, 0.2, 1.0, "quadratic")
 
 

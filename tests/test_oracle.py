@@ -124,7 +124,9 @@ def test_closed_form_states_match_the_kernel(method, init, f_hz, R):
     p = linear(R)
     omega = 2.0 * math.pi * f_hz
     x0 = start(p, init, 1.0, omega)
-    closed = signal_states(p, SignalSpec("sinusoid", 1.0, omega), H, method, x0, SAMPLES)
+    cfg = SimConfig(H, SAMPLES * H, x0, method)
+    assert cfg.steps == SAMPLES
+    closed = signal_states(p, SignalSpec("sinusoid", 1.0, omega), cfg)
     assert tuple(closed[0]) == x0
     assert_matches_step(closed, sine_lane(R, method, init, f_hz))
 
@@ -186,15 +188,21 @@ def test_signal_states_match_public_step(signal, x0, stride, method):
 def test_signal_states_prefix_is_a_shorter_run(method, stride):
     # a short run's rows are the first rows of a longer one, bit for bit
     p, spec, x0 = linear(5.0), SIGNALS["noisy"], STARTS["scenario"]
-    longest = signal_states(p, spec, H, method, x0, 500000, stride)
+    longest_cfg = SimConfig(H, 500000 * H, x0, method, stride)
+    assert longest_cfg.steps == 500000
+    longest = signal_states(p, spec, longest_cfg)
     for n in (stride, 7 * stride, BLOCK * stride, (BLOCK + 1) * stride + 3, 60000, 123457):
-        short = signal_states(p, spec, H, method, x0, n, stride)
+        cfg = SimConfig(H, n * H, x0, method, stride)
+        assert cfg.steps == n
+        short = signal_states(p, spec, cfg)
         assert np.array_equal(short, longest[:short.shape[0]])
 
 
 def test_first_nonfinite_row_raises_at_its_time():
     spec = SignalSpec("sinusoid", math.inf, 2.0 * math.pi * 5.1)
     for stride in (1, 7, 100):
+        cfg = SimConfig(H, 500 * H, (0.0, 0.0, 0.0), "rk4", stride)
+        assert cfg.steps == 500
         with pytest.raises(DivergedState) as info:
-            signal_states(linear(5.0), spec, H, "rk4", (0.0, 0.0, 0.0), 500, stride)
+            signal_states(linear(5.0), spec, cfg)
         assert info.value.time == stride * H

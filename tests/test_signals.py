@@ -175,22 +175,22 @@ def test_truth_at_small_phase_follows_the_series(w):
 
 
 def test_invalid_specs_rejected():
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         SignalSpec("sawtooth", 1.0, 1.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         SignalSpec("sinusoid", -1.0, 1.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         NoiseTerm(0.1, 1.0, "square")
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         NoiseTerm(-0.1, 1.0)
     for bad in (math.nan, math.inf):
-        with pytest.raises(ValueError, match="^omega must be finite"):
+        with pytest.raises(ConfigError, match="^omega must be finite"):
             SignalSpec("sinusoid", 1.0, bad)
-        with pytest.raises(ValueError, match="^omega must be finite"):
+        with pytest.raises(ConfigError, match="^omega must be finite"):
             NoiseTerm(0.1, bad)
-    with pytest.raises(ValueError, match="^amplitude must be >= 0, got nan"):
+    with pytest.raises(ConfigError, match="^amplitude must be >= 0, got nan"):
         SignalSpec("sinusoid", math.nan, 1.0)
-    with pytest.raises(ValueError, match="^amp must be >= 0, got nan"):
+    with pytest.raises(ConfigError, match="^amp must be >= 0, got nan"):
         NoiseTerm(math.nan, 1.0)
     # an infinite amplitude is allowed: the run that follows diverges
     SignalSpec("sinusoid", math.inf, 1.0)

@@ -7,6 +7,7 @@ from scipy.linalg import expm
 from doubleint import (
     ConfigError,
     DivergedState,
+    DomainError,
     InvalidParams,
     ObserverParams,
     ObserverState,
@@ -14,6 +15,7 @@ from doubleint import (
     SimConfig,
     SweepConfig,
     Trajectory,
+    UnsupportedTruth,
     integrate,
     rhs,
     settle_time,
@@ -197,7 +199,7 @@ def test_composite_signal_has_no_truth_columns(nl_params):
     spec = SignalSpec("composite", 0.5, 2.0)
     traj = simulate(nl_params, spec, SimConfig(0.001, 0.5))
     assert traj.truths is None and traj.errors is None
-    with pytest.raises(ValueError):
+    with pytest.raises(UnsupportedTruth):
         traj.error(1)
 
 
@@ -264,6 +266,25 @@ def test_run_of_exactly_its_stride_records_both_ends(lin_params):
 def test_nonfinite_initial_state_rejected(bad):
     with pytest.raises(ConfigError, match="^initial_state must be finite"):
         SimConfig(0.001, 1.0, ObserverState(0.0, bad, 0.0))
+
+
+@pytest.mark.parametrize("bad", [(0.0, 0.0), (0.0, 0.0, 0.0, 0.0), (0.0, "1", 0.0), 0.0])
+def test_initial_state_that_is_not_three_numbers_rejected(bad):
+    with pytest.raises(ConfigError, match="^initial_state must be three numbers"):
+        SimConfig(0.001, 1.0, bad)
+
+
+@pytest.mark.parametrize("bad", [1.5, math.nan])
+def test_record_stride_that_is_not_an_integer_rejected(bad):
+    # a fractional stride never brought the nonlinear kernel's countdown to 0
+    with pytest.raises(ConfigError, match="^record_stride must be an integer"):
+        SimConfig(0.001, 1.0, record_stride=bad)
+
+
+@pytest.mark.parametrize("bad", [((0.0,),), ((0.0, 1.0, 2.0),), ((0.0, "1"),), (0.5,)])
+def test_window_that_is_not_a_pair_rejected(bad):
+    with pytest.raises(ConfigError, match=r"^metrics_windows entries must be \(lo, hi\) pairs"):
+        SimConfig(0.001, 1.0, metrics_windows=bad)
 
 
 def test_invalid_params_rejected():
@@ -347,6 +368,16 @@ def _fake_traj(times, e1):
     zeros = np.zeros((n, 3))
     errors = np.column_stack([e1, np.zeros(n), np.zeros(n)])
     return Trajectory(np.asarray(times, float), zeros, np.zeros(n), zeros, errors)
+
+
+@pytest.mark.parametrize("channel", [0, -1, 4])
+def test_channel_outside_one_to_three_rejected(channel):
+    # errors[:, channel - 1] would read channel 3 at 0 and channel 2 at -1
+    traj = _fake_traj([0.0, 1.0], [0.0, 0.0])
+    with pytest.raises(DomainError, match=r"^channel must be one of \(1, 2, 3\), got"):
+        traj.error(channel)
+    with pytest.raises(DomainError, match=r"^channel must be one of \(1, 2, 3\), got"):
+        settle_time(traj, 0.05, channel)
 
 
 def test_settle_time_semantics():

@@ -93,6 +93,14 @@ def test_fit_ill_conditioned():
         fit_sinusoid(np.array([1.0]), np.array([1.0]), 1.0)
     with pytest.raises(ConfigError):
         fit_sinusoid(sample_times(10), np.ones(11), 0.0)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ConfigError, match="^omega must be finite and positive$"):
+            fit_sinusoid(sample_times(10), np.ones(11), bad)
+    for bad in (math.nan, math.inf):
+        t = sample_times(10)
+        t[3] = bad
+        with pytest.raises(IllConditioned):
+            fit_sinusoid(t, np.ones(11), 1.0)
 
 
 def _curve_from_phases(phases, channel=1):
@@ -242,6 +250,11 @@ def test_sweep_config_validation():
     # samples * step_h overflows: the refusal names samples, not the lane's duration
     with pytest.raises(ConfigError, match="^samples 10000 at step_h 1e\\+305 overflow"):
         SweepConfig(freqs_hz=(1e-300,), samples=10000, step_h=1e305)
+    with pytest.raises(ConfigError, match="^samples must be an integer, got 100.5"):
+        SweepConfig(freqs_hz=(1.0,), samples=100.5)
+    # a float channel cannot index the state columns
+    with pytest.raises(ConfigError, match="^channels must be a non-empty subset"):
+        SweepConfig(freqs_hz=(1.0,), samples=100, channels=(1.0, 2.0))
 
 
 @pytest.mark.parametrize("channels", [(1, 1), (3, 1)])
