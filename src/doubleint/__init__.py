@@ -10,6 +10,7 @@ exact transfer function serves as a cross-validation oracle.
 from .analytic import (
     TransferEval,
     cutoff_frequency,
+    discrete_response,
     is_hurwitz_cubic,
     limit_transfer,
     signal_states,

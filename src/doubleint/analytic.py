@@ -9,11 +9,14 @@ integrator, unity.  These closed forms are the oracle the sweep pipeline is
 validated against.
 
 One fixed Euler or RK4 step of the linear observer is an affine map
-(step_map), so its response to any signal, a finite sum of sinusoids, has a
-closed form too (signal_states): the exact discrete-time counterpart of H_j,
-from which every linear run, simulated or swept, takes its states.  It reads
-the run's step, method, start state and record grid from the run's
-solver.SimConfig, whose construction is the one place they are checked.
+(step_map).  Its forced orbit under e^(i omega t) has the phasor
+discrete_response, the exact discrete-time counterpart of H_j, so the
+response to any signal, a finite sum of sinusoids, has a closed form too
+(signal_states), from which every linear run, simulated or swept, takes its
+states.  It reads the run's step, method, start state and record grid from
+the run's solver.SimConfig, whose construction is the one place they are
+checked.  A steady_state sweep lane starts on that orbit (Im of the phasor),
+so its rows are discrete_response to rounding.
 """
 
 import cmath
@@ -233,31 +236,40 @@ def _power_rows(m: np.ndarray, d: np.ndarray, rows: int) -> np.ndarray:
     return np.einsum("brc,jc->jbr", powers, starts).reshape(-1, 3)[:rows]
 
 
+def discrete_response(p: ObserverParams, h: float, method: str, omega: float) -> np.ndarray:
+    """Phasor P of the step map's forced orbit under e^(i omega t), per unit amplitude.
+
+    P = (e^(i omega h) I - M)^-1 (b0 + b1 e^(i omega h/2) + b2 e^(i omega h)), the
+    exact discrete-time counterpart of (H_1, H_2, H_3)(i omega): x_k = P e^(i omega k h)
+    is an orbit of the step map under a(t) = e^(i omega t).  Needs e^(i omega h) I - M
+    invertible, which rho(M) < 1 (solver.check_config) guarantees.
+    """
+    m, b0, b1, b2 = step_map(p, h, method)
+    z = cmath.exp(1j * omega * h)
+    forcing = b0 + b1 * cmath.exp(0.5j * omega * h) + b2 * z
+    return np.linalg.solve(z * np.eye(3) - m, forcing)
+
+
 def signal_states(p: ObserverParams, spec: signals.SignalSpec, cfg: "SimConfig") -> np.ndarray:
     """States at cfg.record_times() of cfg's run driven by spec's signal.
 
     The closed form of the orbit of the step map at h = cfg.step_h.  Each
     term amp sin|cos(omega t) of signals.terms(spec) is the imaginary or real
     part R of amp e^(i omega t), whose forced orbit is R(P e^(i omega k h))
-    with P = (e^(i omega h) I - M)^-1 amp (b0 + b1 e^(i omega h/2) + b2
-    e^(i omega h)); the transient M^k (x0 - sum R(P)) takes the run from
-    x0 = cfg.initial_state onto them.  Row 0 is x0.  Needs e^(i omega h) I -
-    M invertible for every term, which rho(M) < 1 (solver.check_config)
-    guarantees.  Raises DivergedState at the time of the first non-finite
+    with P = amp * discrete_response(p, h, method, omega); the transient
+    M^k (x0 - sum R(P)) takes the run from x0 = cfg.initial_state onto them.
+    Row 0 is x0.  Raises DivergedState at the time of the first non-finite
     row.
     """
     h, x0 = cfg.step_h, cfg.initial_state
-    m, b0, b1, b2 = step_map(p, h, cfg.method)
-    eye = np.eye(3)
+    m = step_map(p, h, cfg.method)[0]
     k_h = cfg.record_times()
     d = np.asarray(x0, dtype=float)
     forced = []
     with np.errstate(all="ignore"):
         # huge amplitudes overflow here: the non-finite rows are reported below
         for amp, omega, is_sine in signals.terms(spec):
-            z = cmath.exp(1j * omega * h)
-            forcing = b0 + b1 * cmath.exp(0.5j * omega * h) + b2 * z
-            phasor = amp * np.linalg.solve(z * eye - m, forcing)
+            phasor = amp * discrete_response(p, h, cfg.method, omega)
             d = d - (phasor.imag if is_sine else phasor.real)
             forced.append((phasor, omega, is_sine))
         states = _power_rows(np.linalg.matrix_power(m, cfg.record_stride), d, k_h.size)

@@ -84,8 +84,7 @@ class SimConfig:
         if stride > self.steps:
             raise ConfigError(f"record_stride {stride} exceeds the run's {self.steps} steps, "
                               "which would record only t = 0")
-        if self.metrics_windows:
-            _check_windows(self.record_times(), self.metrics_windows)
+        _check_windows(self.metrics_windows, self._holds_record_time)
 
     @property
     def steps(self) -> int:
@@ -95,6 +94,24 @@ class SimConfig:
         """The run's record grid: row j at (j * record_stride) * step_h, the time of its state."""
         return (np.arange(self.steps // self.record_stride + 1) * self.record_stride) * self.step_h
 
+    def _holds_record_time(self, lo: float, hi: float) -> bool:
+        """Whether [lo, hi] holds a time of record_times(), without building the grid.
+
+        The grid never decreases, so the window holds a time exactly when its first time
+        >= lo is <= hi.  That time's row is j = ceil(lo / (stride * step_h)) or a
+        neighbour: over the at most MAX_STEPS steps, rounding moves the quotient by
+        far less than one row.
+        """
+        h, stride = self.step_h, self.record_stride
+        last = self.steps // stride
+        q = lo / (stride * h)
+        if math.isfinite(q):
+            j = min(max(math.ceil(q), 0), last)
+        else:
+            # lo is nan (no time is >= it), infinite, or lo / (stride * h) overflowed
+            j = last if q > 0 else 0
+        return any(lo <= (k * stride) * h <= hi for k in range(max(j - 1, 0), min(j + 1, last) + 1))
+
 
 def _numbers(value, n: int) -> bool:
     """Whether value is a sequence of n real numbers."""
@@ -102,14 +119,14 @@ def _numbers(value, n: int) -> bool:
             and all(isinstance(v, Real) for v in value))
 
 
-def _check_windows(times: np.ndarray, windows) -> None:
+def _check_windows(windows, holds) -> None:
     """Raise ConfigError, led by metrics_windows, at the first window that is not a (lo, hi)
-    pair of numbers or holds none of times."""
+    pair of numbers or for which holds(lo, hi), whether it holds a record time, is false."""
     for window in windows:
         if not _numbers(window, 2):
             raise ConfigError(f"metrics_windows entries must be (lo, hi) pairs, got {window!r}")
         lo, hi = window
-        if not np.any((times >= lo) & (times <= hi)):
+        if not holds(lo, hi):
             raise ConfigError(f"metrics_windows: [{lo:g}, {hi:g}] contains no samples")
 
 
@@ -151,14 +168,29 @@ def check_config(p: ObserverParams, cfg: SimConfig) -> None:
             raise ConfigError(
                 f"step_h*k3/eps^4 = {rate:.3g} exceeds the stability limit {STABILITY_LIMIT}"
             )
-    else:
-        # the closed form of a linear run needs e^(i omega h) I - M invertible
-        # at every omega; gains near the float range overflow M to inf or nan
-        with np.errstate(over="ignore", invalid="ignore"):
-            m = analytic.step_map(p, cfg.step_h, cfg.method)[0]
-        if not analytic.is_schur_stable(m):
-            raise ConfigError(f"step_h {cfg.step_h:g} makes the linear {cfg.method} step "
-                              "unstable: its step map's spectral radius is not below 1")
+    elif not _schur_stable_step(p, cfg.step_h, cfg.method):
+        # valid linear params are Hurwitz, so their stable steps form an interval
+        # (0, h_max): a larger step that passes shows this one is below float
+        # resolution rather than unstable
+        h = cfg.step_h
+        for _ in range(64):
+            h *= 2.0
+            if _schur_stable_step(p, h, cfg.method):
+                raise ConfigError(
+                    f"step_h {cfg.step_h:g} is below float resolution for the linear "
+                    f"{cfg.method} step: its step map's spectral radius rounds to 1 "
+                    f"(step_h {h:g} is accepted)")
+        raise ConfigError(f"step_h {cfg.step_h:g} makes the linear {cfg.method} step "
+                          "unstable: its step map's spectral radius is not below 1")
+
+
+def _schur_stable_step(p: ObserverParams, h: float, method: str) -> bool:
+    """Whether the linear step map at h has a spectral radius below 1."""
+    # the closed form of a linear run needs e^(i omega h) I - M invertible
+    # at every omega; gains near the float range overflow M to inf or nan
+    with np.errstate(over="ignore", invalid="ignore"):
+        m = analytic.step_map(p, h, method)[0]
+    return analytic.is_schur_stable(m)
 
 
 def step(p: ObserverParams, state: ObserverState, t: float, h: float, a_fn,
@@ -348,7 +380,7 @@ def trajectory_metrics(traj: Trajectory, windows: list[tuple[float, float]] | No
     t_end = float(traj.times[-1])
     if windows is None:
         windows = [(0.0, t_end)]
-    _check_windows(traj.times, windows)
+    _check_windows(windows, lambda lo, hi: traj.window(lo, hi).any())
     out: dict = {"has_truth": True, "windows": []}
     for lo, hi in windows:
         e = traj.errors[traj.window(lo, hi)]

@@ -128,6 +128,8 @@ def fit_sinusoid(times: np.ndarray, values: np.ndarray, omega: float) -> Sinusoi
     ss = _dot(s, s)
     cc = _dot(c, c)
     sc = _dot(s, c)
+    if not all(map(math.isfinite, (ss, cc, sc))):
+        raise IllConditioned("normal matrix is not finite")
     # eigenvalues of the symmetric 2x2 normal matrix give its condition number
     mean = 0.5 * (ss + cc)
     half_gap = math.hypot(0.5 * (ss - cc), sc)
@@ -208,12 +210,12 @@ def _initial_state(p: ObserverParams, cfg: SweepConfig, omega: float) -> Observe
     """The lane's start state; raises DivergedState(0.0) when it is not finite."""
     if cfg.init_state == "zero":
         return ObserverState(0.0, 0.0, 0.0)
-    # exact forced steady state of the linear dynamics at the drive frequency;
-    # the input A_m sin(omega t) is the imaginary part of A_m e^(i omega t)
+    # the lane's own orbit, with no transient: the linear step map's forced steady state
+    # at the drive frequency; A_m sin(omega t) is the imaginary part of A_m e^(i omega t)
     p_lin = replace(p, mode="linear")
-    x0 = ObserverState(
-        *(cfg.amplitude * analytic.transfer_eval(p_lin, j, omega).value.imag for j in (1, 2, 3))
-    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        x0 = ObserverState(*(cfg.amplitude * analytic.discrete_response(
+            p_lin, cfg.step_h, cfg.method, omega).imag).tolist())
     if not all(map(math.isfinite, x0)):
         # an amplitude near the float range: the lane diverges before its first step
         raise DivergedState(0.0)

@@ -4,9 +4,11 @@ One fixed step is an affine map (analytic.step_map), so a run driven by any
 signal, a finite sum of sinusoids, has a closed form (analytic.signal_states),
 which is how every linear run is computed.  A loop of the public step()
 follows the same discretization in floating point, so the two agree to
-rounding.
+rounding.  A steady_state sweep lane starts on its own forced orbit, so its
+fitted rows are the step map's frequency response, solved here from step_map.
 """
 
+import cmath
 import functools
 import math
 
@@ -22,6 +24,7 @@ from doubleint import (
     SignalSpec,
     SimConfig,
     SweepConfig,
+    default_grid,
     fit_sinusoid,
     integrate,
     paper_reference_spec,
@@ -29,10 +32,10 @@ from doubleint import (
     step,
     step_map,
     sweep_observer,
-    transfer_eval,
 )
 from doubleint.analytic import BLOCK, is_schur_stable
 from doubleint.signals import REFERENCE_NOISE, make_input_fn
+from doubleint.sweep import _initial_state
 
 H = 0.001
 # the sweep's default run length; neither it nor its row count fills whole blocks
@@ -46,11 +49,9 @@ def linear(R: float) -> ObserverParams:
     return ObserverParams.from_rate(0.1, 0.1, 1.0, R, 1.0, "linear")
 
 
-def start(p: ObserverParams, init: str, amplitude: float, omega: float) -> ObserverState:
-    if init == "zero":
-        return ObserverState(0.0, 0.0, 0.0)
-    return ObserverState(
-        *(amplitude * transfer_eval(p, ch, omega).value.imag for ch in (1, 2, 3)))
+def start(p: ObserverParams, init: str, method: str, omega: float) -> ObserverState:
+    """The start state of a unit-amplitude sweep lane at omega, as the sweep takes it."""
+    return _initial_state(p, SweepConfig(method=method, init_state=init), omega)
 
 
 def step_states(p: ObserverParams, spec: SignalSpec, method: str, x0, n: int) -> np.ndarray:
@@ -76,7 +77,7 @@ def sine_lane(R: float, method: str, init: str, f_hz: float) -> np.ndarray:
     p = linear(R)
     omega = 2.0 * math.pi * f_hz
     return step_states(p, SignalSpec("sinusoid", 1.0, omega), method,
-                       start(p, init, 1.0, omega), SAMPLES)
+                       start(p, init, method, omega), SAMPLES)
 
 
 @pytest.mark.parametrize("method", ["rk4", "euler"])
@@ -123,7 +124,7 @@ def test_closed_form_states_match_the_kernel(method, init, f_hz, R):
     assert SAMPLES % BLOCK and (SAMPLES + 1) % BLOCK
     p = linear(R)
     omega = 2.0 * math.pi * f_hz
-    x0 = start(p, init, 1.0, omega)
+    x0 = start(p, init, method, omega)
     cfg = SimConfig(H, SAMPLES * H, x0, method)
     assert cfg.steps == SAMPLES
     closed = signal_states(p, SignalSpec("sinusoid", 1.0, omega), cfg)
@@ -149,6 +150,35 @@ def test_linear_sweep_rows_match_the_kernel_fit(method, init):
         assert abs(row.magnitude_db - 20.0 * math.log10(fit.amplitude)) <= 1e-9
         assert abs(math.remainder(row.phase_rad - fit.phase, 2.0 * math.pi)) <= 1e-9
 
+
+# every 13th grid frequency, 0.1 to 97.6 Hz, and the last, 99.6 Hz
+EXACT_FREQS = default_grid()[::13] + default_grid()[-1:]
+
+
+def discrete_phasors(p: ObserverParams, method: str, omega: float) -> np.ndarray:
+    """(z I - M)^-1 (b0 + b1 e^(i omega H/2) + b2 z) at z = e^(i omega H), solved from step_map."""
+    m, b0, b1, b2 = step_map(p, H, method)
+    z = cmath.exp(1j * omega * H)
+    return np.linalg.solve(z * np.eye(3) - m, b0 + b1 * cmath.exp(0.5j * omega * H) + b2 * z)
+
+
+@pytest.mark.parametrize("method", ["rk4", "euler"])
+@pytest.mark.parametrize("R", [3.0, 4.0, 5.0])
+def test_steady_state_sweep_rows_are_the_discrete_response(method, R):
+    # a lane started on its own forced orbit carries no transient, so each row is
+    # the step map's exact frequency response to rounding, down to channel 1's
+    # -129 dB; a 1-sample shift of the fitted times moves the phase by omega*H
+    assert len(EXACT_FREQS) >= 16 and (EXACT_FREQS[0], EXACT_FREQS[-1]) == (0.1, 99.6)
+    p = linear(R)
+    curve = sweep_observer(p, SweepConfig(freqs_hz=EXACT_FREQS, method=method,
+                                          init_state="steady_state"))
+    assert len(curve.rows) == 3 * len(EXACT_FREQS)
+    for row in curve.rows:
+        phasor = discrete_phasors(p, method, row.omega)[row.channel - 1]
+        assert row.flag == "ok"
+        assert abs(row.magnitude_db - 20.0 * math.log10(abs(phasor))) <= 1e-10
+        assert abs(math.remainder(row.phase_rad - cmath.phase(phasor), 2.0 * math.pi)) <= 1e-10
+        assert row.residual_rms <= 1e-12 * abs(phasor)
 
 SIGNALS = {
     "noisy": paper_reference_spec(with_noise=True),

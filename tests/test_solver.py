@@ -1,7 +1,12 @@
+import itertools
 import math
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from doubleint import (
@@ -234,6 +239,12 @@ def test_linear_step_must_keep_its_spectral_radius_below_one(method, refused):
             integrate(p, zero_spec(), cfg)
     else:
         integrate(p, zero_spec(), cfg)
+    # at h = 1e-20 the step map rounds to a spectral radius of 1, yet 2^11 h is stable:
+    # the step is below float resolution, not unstable
+    with pytest.raises(ConfigError, match=(
+            f"^step_h 1e-20 is below float resolution for the linear {method} step: its step "
+            r"map's spectral radius rounds to 1 \(step_h 2\.048e-17 is accepted\)$")):
+        integrate(p, zero_spec(), SimConfig(1e-20, 1e-19, method=method))
     # the nonlinear observer has no step map: only the rate guard applies
     integrate(ObserverParams.from_rate(1.0, 0.2, 1.0, 2.0, 0.9), zero_spec(), cfg)
 
@@ -344,6 +355,40 @@ def test_window_holding_only_the_last_record_time_builds(lin_params):
     # integrate records on the grid the config was checked against
     assert np.array_equal(traj.times, cfg.record_times())
     assert trajectory_metrics(traj, cfg.metrics_windows)["windows"][0]["t_lo"] == t_end
+
+
+@settings(max_examples=400, deadline=None)
+# steps h in [2^-20, 8) with a random 53-bit mantissa, whose grid times round often
+@given(h=st.builds(math.ldexp, st.integers(2**52, 2**53 - 1), st.integers(-72, -50)),
+       steps=st.integers(1, 300), stride=st.integers(1, 300), data=st.data())
+def test_window_check_agrees_with_the_record_grid(h, steps, stride, data):
+    # SimConfig checks a window without building its grid; the grid gives the answer.
+    # Bounds are a record time, the floats one ulp to either side of it, and any floats
+    try:
+        cfg = SimConfig(h, steps * h, record_stride=min(stride, steps))
+    except ConfigError:
+        assume(False)
+    times = cfg.record_times()
+    t = data.draw(st.sampled_from(times.tolist()))
+    bounds = (math.nextafter(t, -math.inf), t, math.nextafter(t, math.inf),
+              data.draw(st.floats()), data.draw(st.floats()))
+    for lo, hi in itertools.product(bounds, bounds):
+        if np.any((times >= lo) & (times <= hi)):
+            replace(cfg, metrics_windows=((lo, hi),))
+        else:
+            with pytest.raises(ConfigError, match=r"^metrics_windows: \[.*\] contains no samples$"):
+                replace(cfg, metrics_windows=((lo, hi),))
+
+
+def test_window_check_builds_no_record_grid():
+    # the check needs none of this run's 12 million record times (96 MB)
+    tracemalloc.start()
+    try:
+        SimConfig(1e-6, 12.0, metrics_windows=((0.0, 1.0),))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_sweep_lanes_carry_no_windows():

@@ -19,6 +19,7 @@ from doubleint import (
     sweep_observer,
     transfer_eval,
 )
+from doubleint.sweep import INIT_KINDS
 
 LIN = ObserverParams(0.1, 0.1, 1.0, 0.2, 1.0, "linear")
 NL1 = ObserverParams(0.1, 0.1, 1.0, 0.2, 1.0, "nonlinear")
@@ -99,7 +100,7 @@ def test_fit_ill_conditioned():
     for bad in (math.nan, math.inf):
         t = sample_times(10)
         t[3] = bad
-        with pytest.raises(IllConditioned):
+        with pytest.raises(IllConditioned, match="^normal matrix is not finite$"):
             fit_sinusoid(t, np.ones(11), 1.0)
 
 
@@ -147,12 +148,14 @@ def test_single_frequency_sweep_matches_transfer():
 
 
 def test_degeneration_sweep_rows_identical():
-    cfg = SweepConfig(freqs_hz=(0.6, 5.1, 20.1), samples=20000, discard_fraction=0.25)
-    a = sweep_observer(NL1, cfg)
-    b = sweep_observer(LIN, cfg)
-    for ra, rb in zip(a.rows, b.rows):
-        assert abs(ra.magnitude_db - rb.magnitude_db) <= 1e-9
-        assert abs(ra.phase_rad - rb.phase_rad) <= 1e-9
+    for init_state in INIT_KINDS:
+        cfg = SweepConfig(freqs_hz=(0.6, 5.1, 20.1), samples=20000, discard_fraction=0.25,
+                          init_state=init_state)
+        a = sweep_observer(NL1, cfg)
+        b = sweep_observer(LIN, cfg)
+        for ra, rb in zip(a.rows, b.rows):
+            assert abs(ra.magnitude_db - rb.magnitude_db) <= 1e-9
+            assert abs(ra.phase_rad - rb.phase_rad) <= 1e-9
 
 
 def test_linear_magnitude_amplitude_invariant():
