@@ -136,9 +136,10 @@ def cutoff_frequency(p: ObserverParams, channel: int, drop_db: float = 3.0,
     edge instead of the tracking bandwidth.  The crossing is located on a
     log-spaced grid and refined by bisection.
 
-    Raises CutoffNotFound when no downward crossing lies inside the bracket.
+    Raises DomainError when drop_db is not positive (NaN included) and
+    CutoffNotFound when no downward crossing lies inside the bracket.
     """
-    if drop_db <= 0.0:
+    if not drop_db > 0.0:
         raise DomainError("drop_db must be positive")
     thr = 10.0 ** (-drop_db / 20.0)
 

@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the float-range check of every config."""
+
+from numbers import Real
 
 
 class DoubleIntError(Exception):
@@ -30,6 +32,17 @@ class ConfigError(DoubleIntError):
     ValueError: cli.load_config reads a ValueError from json.load as
     malformed JSON, which a ConfigError raised while parsing is not.
     """
+
+
+def _check_float_range(name: str, *values) -> None:
+    """Raise ConfigError, led by name, when a real number among values is too large
+    for a float, as a Python int can be; other values are left to the caller."""
+    for value in values:
+        if isinstance(value, Real):
+            try:
+                float(value)
+            except OverflowError:
+                raise ConfigError(f"{name} is too large for a float") from None
 
 
 class DivergedState(DoubleIntError):

@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from .errors import ConfigError, DivergedState, DomainError
+from .errors import ConfigError, DivergedState, DomainError, _check_float_range
 
 MODES = ("nonlinear", "linear")
 
@@ -58,7 +58,7 @@ class ObserverParams:
     exponents would silently void the convergence guarantees.  Out-of-range
     alpha3 yields NaN derived exponents and is reported by validate_params
     rather than raising, so invalid configurations can still be inspected.
-    An unknown mode raises ConfigError.
+    An unknown mode, or a number too large for a float, raises ConfigError.
     """
 
     k1: float
@@ -73,6 +73,8 @@ class ObserverParams:
     def __post_init__(self):
         if self.mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
+        for name in ("k1", "k2", "k3", "epsilon", "alpha3"):
+            _check_float_range(name, getattr(self, name))
         if 0.0 < self.alpha3 <= 1.0:
             a1, a2 = derive_alphas(self.alpha3)
         else:
@@ -82,7 +84,11 @@ class ObserverParams:
 
     @classmethod
     def from_rate(cls, k1, k2, k3, R, alpha3=1.0, mode="nonlinear"):
-        """Build from the rate convention R = 1/epsilon used in configs."""
+        """Build from the rate convention R = 1/epsilon used in configs; raises
+        ConfigError when R is zero or too large for a float."""
+        if R == 0:
+            raise ConfigError("R must be nonzero")
+        _check_float_range("R", R)
         return cls(k1, k2, k3, 1.0 / R, alpha3, mode)
 
     def gain_threshold(self) -> float:

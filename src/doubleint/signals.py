@@ -13,7 +13,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigError, UnsupportedTruth
+from .errors import ConfigError, UnsupportedTruth, _check_float_range
 
 # Reference waveform constants: a3(t) = -REF_COEF * REF_RATE^2 * sin(REF_RATE t),
 # whose printed antiderivatives are a2 = REF_COEF*REF_RATE*cos(REF_RATE t) and
@@ -35,9 +35,11 @@ PHASE_KINDS = ("sine", "cosine")
 
 
 def _check_term(amp_name: str, amp: float, omega: float) -> None:
+    _check_float_range(amp_name, amp)
     # an infinite amplitude is a run that diverges; NaN is no amplitude at all
     if not amp >= 0.0:
         raise ConfigError(f"{amp_name} must be >= 0, got {amp!r}")
+    _check_float_range("omega", omega)
     if not 0.0 <= omega < math.inf:
         raise ConfigError(f"omega must be finite and >= 0, got {omega!r}")
 

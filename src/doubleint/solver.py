@@ -9,15 +9,12 @@ observers.rhs or power_sign.  Both kernels are compiled at import from one
 source template, in which the feedback law is written once, with power_sign
 inlined as its own comparisons and power.  RK4 takes a(t) from the last
 step's a(t + h) whenever the two times are the same float (about two steps
-in three at h = 0.001); a(t) is pure, so that reuse is exact.  Per step,
-against the hand-written kernels that called power_sign, RK4 went from 2.9
-to 2.1 us on a sinusoid and from 3.8 to 2.8 us on the 5-term noisy
-reference, and Euler from 1.4 to 1.0 us (best of 7 interleaved runs of
-20 000 steps, 2-core Xeon, Python 3.11).  rhs(), step() and power_sign stay
-the readable reference: test_kernels_match_public_step pins both kernels to
-step() bit for bit.
+in three at h = 0.001); a(t) is pure, so that reuse is exact.  rhs(), step()
+and power_sign stay the readable reference: test_kernels_match_public_step
+pins both kernels to step() bit for bit.
 """
 
+import bisect
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -26,7 +23,8 @@ from numbers import Integral, Real
 import numpy as np
 
 from . import analytic, signals
-from .errors import ConfigError, DivergedState, InvalidParams, UnsupportedTruth
+from .errors import (ConfigError, DivergedState, DomainError, InvalidParams, UnsupportedTruth,
+                     _check_float_range)
 from .observers import ObserverParams, ObserverState, rhs, validate_params
 
 METHODS = ("rk4", "euler")
@@ -61,10 +59,12 @@ class SimConfig:
     def __post_init__(self):
         h, d, stride = self.step_h, self.duration, self.record_stride
         for name, value in (("step_h", h), ("duration", d)):
+            _check_float_range(name, value)
             if not 0.0 < value < math.inf:
                 raise ConfigError(f"{name} must be finite and positive, got {value!r}")
         if not _numbers(self.initial_state, 3):
             raise ConfigError(f"initial_state must be three numbers, got {self.initial_state!r}")
+        _check_float_range("initial_state", *self.initial_state)
         if not all(map(math.isfinite, self.initial_state)):
             raise ConfigError(f"initial_state must be finite, got {tuple(self.initial_state)!r}")
         if self.method not in METHODS:
@@ -97,20 +97,13 @@ class SimConfig:
     def _holds_record_time(self, lo: float, hi: float) -> bool:
         """Whether [lo, hi] holds a time of record_times(), without building the grid.
 
-        The grid never decreases, so the window holds a time exactly when its first time
-        >= lo is <= hi.  That time's row is j = ceil(lo / (stride * step_h)) or a
-        neighbour: over the at most MAX_STEPS steps, rounding moves the quotient by
-        far less than one row.
+        The grid never decreases, so the window holds a time exactly when its first
+        time >= lo, found by bisection over the grid's own expression, is <= hi.
         """
-        h, stride = self.step_h, self.record_stride
-        last = self.steps // stride
-        q = lo / (stride * h)
-        if math.isfinite(q):
-            j = min(max(math.ceil(q), 0), last)
-        else:
-            # lo is nan (no time is >= it), infinite, or lo / (stride * h) overflowed
-            j = last if q > 0 else 0
-        return any(lo <= (k * stride) * h <= hi for k in range(max(j - 1, 0), min(j + 1, last) + 1))
+        stride, h = self.record_stride, self.step_h
+        rows = range(self.steps // stride + 1)
+        j = bisect.bisect_left(rows, lo, key=lambda k: (k * stride) * h)
+        return j < len(rows) and lo <= (j * stride) * h <= hi
 
 
 def _numbers(value, n: int) -> bool:
@@ -125,6 +118,7 @@ def _check_windows(windows, holds) -> None:
     for window in windows:
         if not _numbers(window, 2):
             raise ConfigError(f"metrics_windows entries must be (lo, hi) pairs, got {window!r}")
+        _check_float_range("metrics_windows", *window)
         lo, hi = window
         if not holds(lo, hi):
             raise ConfigError(f"metrics_windows: [{lo:g}, {hi:g}] contains no samples")
@@ -171,10 +165,11 @@ def check_config(p: ObserverParams, cfg: SimConfig) -> None:
     elif not _schur_stable_step(p, cfg.step_h, cfg.method):
         # valid linear params are Hurwitz, so their stable steps form an interval
         # (0, h_max): a larger step that passes shows this one is below float
-        # resolution rather than unstable
+        # resolution rather than unstable.  No step passes once h*k3/eps^4 >= 9:
+        # trace(A) = -k3/eps^4, so some |h lambda| >= 3 there, outside both
+        # methods' stability regions (within |z| <= 2 for Euler, 2.96 for RK4)
         h = cfg.step_h
-        for _ in range(64):
-            h *= 2.0
+        while (h := 2.0 * h) * p.k3 / p.epsilon**4 < 9.0:
             if _schur_stable_step(p, h, cfg.method):
                 raise ConfigError(
                     f"step_h {cfg.step_h:g} is below float resolution for the linear "
@@ -356,9 +351,11 @@ def settle_time(traj: Trajectory, threshold: float, channel: int = 1) -> float:
     """First recorded time after which |error| stays below threshold.
 
     Returns 0.0 when the error never reaches the threshold and math.inf when
-    it is still at or above it at the final recorded sample.  Raises what
-    Trajectory.error raises.
+    it is still at or above it at the final recorded sample.  Raises DomainError
+    for a NaN threshold, which no error reaches, and what Trajectory.error raises.
     """
+    if math.isnan(threshold):
+        raise DomainError("threshold must not be NaN")
     e = np.abs(traj.error(channel))
     bad = np.nonzero(e >= threshold)[0]
     if bad.size == 0:

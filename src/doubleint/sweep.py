@@ -13,6 +13,7 @@ output order is always by frequency.
 """
 
 import math
+import sys
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
@@ -22,7 +23,7 @@ from numbers import Integral
 import numpy as np
 
 from . import analytic
-from .errors import ConfigError, DivergedState, IllConditioned, InvalidParams
+from .errors import ConfigError, DivergedState, IllConditioned, InvalidParams, _check_float_range
 from .observers import ObserverParams, ObserverState, validate_params
 from .signals import MAX_PHASE, SignalSpec
 from .solver import MAX_RECORD_ROWS, SimConfig, check_config, integrate
@@ -55,9 +56,11 @@ class SweepConfig:
         freqs = self.freqs_hz
         if not freqs:
             raise ConfigError("freqs_hz must not be empty")
+        _check_float_range("freqs_hz", *freqs)
         if any(not 0.0 < f < math.inf for f in freqs) or any(
                 b <= a for a, b in zip(freqs, freqs[1:])):
             raise ConfigError("freqs_hz must be finite, positive and strictly increasing")
+        _check_float_range("amplitude", self.amplitude)
         if not 0.0 < self.amplitude:
             raise ConfigError(f"amplitude must be positive, got {self.amplitude!r}")
         if not isinstance(self.samples, Integral):
@@ -114,7 +117,8 @@ def fit_sinusoid(times: np.ndarray, values: np.ndarray, omega: float) -> Sinusoi
     times), or fewer than 2 samples; raises ConfigError when omega is not
     finite and positive.
     """
-    if not 0.0 < omega < math.inf:
+    # an int past the float range compares exactly, so it fails here too
+    if not 0.0 < omega <= sys.float_info.max:
         raise ConfigError("omega must be finite and positive")
     t = np.asarray(times, dtype=float)
     y = np.asarray(values, dtype=float)
@@ -257,7 +261,10 @@ def sweep_observer(p: ObserverParams, cfg: SweepConfig, workers: int = 1) -> Bod
     Divergence or an ill-conditioned fit at one frequency flags that row and
     the sweep continues.  With workers > 1 the frequencies are distributed
     over a process pool; results are identical to the sequential run.
+    Raises ConfigError when workers is below 1.
     """
+    if not workers >= 1:
+        raise ConfigError(f"workers must be >= 1, got {workers}")
     report = validate_params(p)
     if not report.ok:
         raise InvalidParams(report)

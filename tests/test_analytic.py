@@ -200,8 +200,10 @@ def test_cutoff_against_dense_scan_under_gain_scaling():
 
 
 def test_cutoff_errors():
-    with pytest.raises(DomainError):
-        cutoff_frequency(lin(), 3, drop_db=0.0)
+    # NaN is no drop either: the search would report the gain never within nan dB
+    for bad in (0.0, math.nan):
+        with pytest.raises(DomainError, match="^drop_db must be positive$"):
+            cutoff_frequency(lin(), 3, drop_db=bad)
     # bracket that ends while the gain is still within 3 dB of ideal
     with pytest.raises(CutoffNotFound):
         cutoff_frequency(lin(eps=0.2), 3, bracket=(1e-3, 1.0))

@@ -477,6 +477,14 @@ MALFORMED = [
                                          "alpha3": 1.0, "mode": "linear"},
                               "sim": {"step_h": 0.1, "duration": 1.0, "method": "euler"}},
      "sim.step_h 0.1 makes the linear euler step unstable"),
+    # steps over 2^900 times below the smallest stable one are too small, not unstable:
+    # the search for a stable step ends only at the stability radius
+    ("simulate", None, None, {"params": LINEAR_PARAMS,
+                              "sim": {"step_h": 1e-300, "duration": 1e-297}},
+     "sim.step_h 1e-300 is below float resolution for the linear rk4 step"),
+    ("simulate", None, None, {"params": LINEAR_PARAMS,
+                              "sim": {"step_h": 5e-324, "duration": 1e-321}},
+     "sim.step_h 4.94066e-324 is below float resolution for the linear rk4 step"),
     ("sweep", "sweep", "freqs_hz", [5.1, math.nan], "sweep.freqs_hz"),
     ("sweep", "sweep", "freqs_hz", [5.1, math.inf], "sweep.freqs_hz"),
     # 2 pi f overflows

@@ -19,7 +19,11 @@ from doubleint.solver import METHODS
 from doubleint.sweep import INIT_KINDS
 
 EDGE_FLOATS = (math.nan, math.inf, -math.inf, 0.0, -0.0, -1.0, 5e-324, 1e308, -1e308)
-numbers = st.one_of(st.sampled_from(EDGE_FLOATS), st.floats())
+# Python ints too large for a float, which a library caller may pass: 2**1024 is the
+# smallest power of two that float() refuses
+HUGE = 10**400
+HUGE_INTS = (HUGE, -HUGE, 2**1024)
+numbers = st.one_of(st.sampled_from(EDGE_FLOATS), st.sampled_from(HUGE_INTS), st.floats())
 integers = st.one_of(st.sampled_from((0, -1, 1, 3, 2**63, 10**30)), st.integers())
 # an integer field given a float, as a library caller may
 counts = st.one_of(integers, numbers)
@@ -79,4 +83,26 @@ def test_config_builds_or_raises_config_error(name, data):
 ])
 def test_refusal_is_a_config_error_with_its_message(build, message):
     with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        build()
+
+
+@pytest.mark.parametrize("build, field", [
+    pytest.param(lambda: ObserverParams(HUGE, 0.1, 1.0, 0.2), "k1", id="params.k1"),
+    pytest.param(lambda: ObserverParams(0.1, 0.1, 1.0, 0.2, HUGE), "alpha3", id="params.alpha3"),
+    pytest.param(lambda: ObserverParams.from_rate(0.1, 0.1, 1.0, HUGE), "R", id="params.R"),
+    pytest.param(lambda: SignalSpec("sinusoid", HUGE), "amplitude", id="signal.amplitude"),
+    pytest.param(lambda: SignalSpec("sinusoid", 1.0, HUGE), "omega", id="signal.omega"),
+    pytest.param(lambda: NoiseTerm(HUGE, 1.0), "amp", id="noise.amp"),
+    pytest.param(lambda: SimConfig(HUGE, 1.0), "step_h", id="sim.step_h"),
+    pytest.param(lambda: SimConfig(0.001, 1.0, (HUGE, 0, 0)), "initial_state",
+                 id="sim.initial_state"),
+    pytest.param(lambda: SimConfig(0.001, 1.0, metrics_windows=((0.0, HUGE),)),
+                 "metrics_windows", id="sim.metrics_windows"),
+    pytest.param(lambda: SweepConfig(freqs_hz=(HUGE,)), "freqs_hz", id="sweep.freqs_hz"),
+    pytest.param(lambda: SweepConfig(amplitude=HUGE), "amplitude", id="sweep.amplitude"),
+    pytest.param(lambda: SweepConfig(step_h=HUGE), "step_h", id="sweep.step_h"),
+])
+def test_int_too_large_for_a_float_is_refused_by_field(build, field):
+    # float() of such an int raises OverflowError; the field is refused like any other
+    with pytest.raises(ConfigError, match=f"^{field} is too large for a float$"):
         build()

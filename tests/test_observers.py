@@ -104,6 +104,13 @@ def test_params_derived_fields():
         ObserverParams(0.1, 0.1, 1.0, 0.2, 1.0, "quadratic")
 
 
+@pytest.mark.parametrize("R", [0.0, -0.0, 0])
+def test_from_rate_refuses_a_zero_rate(R):
+    # epsilon = 1/R: the CLI refuses the same rate with the same words
+    with pytest.raises(ConfigError, match="^R must be nonzero$"):
+        ObserverParams.from_rate(0.1, 0.1, 1.0, R, 1.0, "linear")
+
+
 def test_validate_linear_threshold():
     p = ObserverParams(0.1, 0.1, 1.0, 0.2, 1.0, "linear")
     report = validate_params(p)

@@ -29,6 +29,7 @@ from doubleint import (
     step,
     solver,
     trajectory_metrics,
+    validate_params,
 )
 from doubleint.signals import make_input_fn, truth_arrays
 from doubleint.sweep import _frequency_sim
@@ -245,8 +246,31 @@ def test_linear_step_must_keep_its_spectral_radius_below_one(method, refused):
             f"^step_h 1e-20 is below float resolution for the linear {method} step: its step "
             r"map's spectral radius rounds to 1 \(step_h 2\.048e-17 is accepted\)$")):
         integrate(p, zero_spec(), SimConfig(1e-20, 1e-19, method=method))
+    # so are steps over 2^900 times too small: the search stops at the stability radius,
+    # not after a fixed number of doublings
+    for h, shown in ((1e-300, "1e-300"), (5e-324, "4.94066e-324")):
+        with pytest.raises(ConfigError, match=(
+                f"^step_h {shown} is below float resolution for the linear {method} step: "
+                r".* \(step_h \S+ is accepted\)$")):
+            integrate(p, zero_spec(), SimConfig(h, 2 * h, method=method))
     # the nonlinear observer has no step map: only the rate guard applies
     integrate(ObserverParams.from_rate(1.0, 0.2, 1.0, 2.0, 0.9), zero_spec(), cfg)
+
+
+@pytest.mark.parametrize("method", solver.METHODS)
+@settings(max_examples=300, deadline=None)
+@given(k1=st.floats(1e-3, 1e3), k3=st.floats(1e-3, 1e3), eps=st.floats(1e-3, 0.999),
+       margin=st.floats(1e-6, 1e6))
+def test_no_linear_step_passes_past_the_stability_radius(method, k1, k3, eps, margin):
+    # trace(A) = -k3/eps^4, so at h*k3/eps^4 >= 9 some |h lambda| >= 3 lies outside both
+    # methods' stability regions: check_config's below-resolution search stops there
+    p = ObserverParams(k1, eps**3 * k1 / k3 * (1.0 + margin), k3, eps, 1.0, "linear")
+    assume(validate_params(p).ok)
+    bound = 9.0 * eps**4 / k3
+    while bound * k3 / eps**4 < 9.0:
+        bound = math.nextafter(bound, math.inf)
+    for factor in (1.0, 1.5, 4.0, 1000.0):
+        assert not solver._schur_stable_step(p, factor * bound, method), factor
 
 
 def test_config_validation(lin_params):
@@ -430,6 +454,13 @@ def test_settle_time_semantics():
     assert settle_time(_fake_traj(t, [0.0, 0.01, 0.02, 0.0, 0.01, 0.0]), 0.05) == 0.0
     assert settle_time(_fake_traj(t, [0.0, 0.2, 0.1, 0.04, 0.01, 0.0]), 0.05) == 3.0
     assert settle_time(_fake_traj(t, [0.0, 0.2, 0.1, 0.04, 0.01, 0.06]), 0.05) == math.inf
+
+
+def test_settle_time_refuses_a_nan_threshold():
+    # no error reaches NaN, which would read as settled at t = 0
+    traj = _fake_traj(np.arange(6) * 1.0, [0.0, 0.2, 0.1, 0.04, 0.01, 0.06])
+    with pytest.raises(DomainError, match="^threshold must not be NaN$"):
+        settle_time(traj, math.nan)
 
 
 def test_scenario_initial_onefold_error(noisy_spec, nl_params):

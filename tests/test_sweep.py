@@ -94,7 +94,8 @@ def test_fit_ill_conditioned():
         fit_sinusoid(np.array([1.0]), np.array([1.0]), 1.0)
     with pytest.raises(ConfigError):
         fit_sinusoid(sample_times(10), np.ones(11), 0.0)
-    for bad in (math.nan, math.inf):
+    # an int too large for a float is no finite omega either
+    for bad in (math.nan, math.inf, 10**400):
         with pytest.raises(ConfigError, match="^omega must be finite and positive$"):
             fit_sinusoid(sample_times(10), np.ones(11), bad)
     for bad in (math.nan, math.inf):
@@ -225,6 +226,13 @@ def test_parallel_matches_sequential(p):
     seq = sweep_observer(p, cfg, workers=1)
     par = sweep_observer(p, cfg, workers=2)
     assert seq.rows == par.rows
+
+
+@pytest.mark.parametrize("workers", [0, -3])
+def test_sweep_refuses_fewer_than_one_worker(workers):
+    # as the CLI refuses --threads below 1, rather than running serially
+    with pytest.raises(ConfigError, match=f"^workers must be >= 1, got {workers}$"):
+        sweep_observer(LIN, SweepConfig(freqs_hz=(1.0,), samples=100), workers=workers)
 
 
 def test_sweep_rejects_invalid_params():
