@@ -12,12 +12,11 @@ import argparse
 import dataclasses
 import json
 import sys
-import typing
 import warnings
 from pathlib import Path
 
 from . import io, scenarios, signals
-from .errors import ConfigError, DivergedState, DoubleIntError, InvalidParams
+from .errors import ConfigError, DivergedState, DoubleIntError, InvalidParams, config_value
 from .observers import ObserverParams, validate_params
 from .solver import SimConfig, simulate, trajectory_metrics
 from .sweep import SweepConfig, bode_from_transfer, check_sweep_config, sweep_observer
@@ -32,7 +31,6 @@ MAX_FLAGGED_FRACTION = 0.05
 
 _TOP_TYPES = {"command": str, "format": str, "params": dict, "signal": dict, "sim": dict,
               "sweep": dict}
-_SHAPES = {float: "a number", int: "an integer", str: "a string", dict: "an object"}
 # sections a command does not read, refused so that no setting is silently ignored;
 # validate reads only params and accepts a simulate or sweep config whole
 _UNREAD = {"simulate": ("sweep",), "sweep": ("signal", "sim")}
@@ -46,42 +44,19 @@ def _fields(cls) -> dict:
 _PARAM_TYPES = {**_fields(ObserverParams), "R": float}
 
 
-def _convert(tp, value, path: str):
-    """value, checked for the JSON shape of type tp and converted to it.
-
-    tp is a key of _SHAPES, a dataclass, a NamedTuple, or tuple[T, ...] or
-    tuple[T1, T2, ...] of these.  Ranges are left to the library validators.
-    """
-    if tp is int and isinstance(value, float) and value.is_integer():
-        value = int(value)
-    if tp in _SHAPES:
-        if isinstance(value, bool) or not isinstance(value, (int, float) if tp is float else tp):
-            raise ConfigError(f"{path}: expected {_SHAPES[tp]}, got {json.dumps(value)[:40]}")
-        try:
-            return float(value) if tp is float else value
-        except OverflowError:
-            raise ConfigError(f"{path}: number out of range") from None
-    if dataclasses.is_dataclass(tp):
-        return _new(tp, _typed(_fields(tp), value, path), path)
-    if hasattr(tp, "_fields"):
-        return tp(*_convert(tuple[tuple(tp.__annotations__.values())], value, path))
-    if not isinstance(value, list):
-        raise ConfigError(f"{path}: expected a list, got {json.dumps(value)[:40]}")
-    items = typing.get_args(tp)
-    if items[-1] is Ellipsis:
-        items = items[:1] * len(value)
-    if len(value) != len(items):
-        raise ConfigError(f"{path}: expected {len(items)} items, got {len(value)}")
-    return tuple(_convert(t, v, f"{path}[{i}]") for i, (t, v) in enumerate(zip(items, value)))
-
-
 def _typed(types: dict, obj, path: str) -> dict:
-    """The keys of the JSON object obj at path, each converted to its type in types."""
-    _convert(dict, obj, path or "config")
+    """The keys of the JSON object obj at path, each config_value of its type in types."""
+    config_value(path or "config", dict, obj)
     unknown = obj.keys() - types.keys()
     if unknown:
         raise ConfigError(f"unknown {path or 'config'} keys: {sorted(unknown)}")
-    return {k: _convert(types[k], v, f"{path}.{k}" if path else k) for k, v in obj.items()}
+    return {k: config_value(f"{path}.{k}" if path else k, types[k], v, _build)
+            for k, v in obj.items()}
+
+
+def _build(cls, obj: dict, path: str):
+    """The dataclass cls from the JSON object obj at path: the build hook of config_value."""
+    return _new(cls, _typed(_fields(cls), obj, path), path)
 
 
 def _at(path: str, fn, /, *args, **kwargs):
@@ -213,7 +188,7 @@ def _out(action, *args):
 def cmd_simulate(cfg: dict, out_dir) -> int:
     params = _build_params(cfg, {}, "params")
     signal = cfg.get("signal", {})
-    spec = _convert(signals.SignalSpec, signal, "signal")
+    spec = _build(signals.SignalSpec, signal, "signal")
     # the reference's amplitude and rate are fixed constants: a value given here would be ignored
     for key in ("amplitude", "omega"):
         if spec.kind == "paper_reference" and key in signal:
@@ -243,8 +218,7 @@ def cmd_sweep(cfg: dict, out_dir, workers: int = 1) -> int:
         over = _typed({**_PARAM_TYPES, "amplitude": float}, variant, path)
         run_cfg = sweep_cfg
         if "amplitude" in over:
-            run_cfg = _new(SweepConfig, {**dataclasses.asdict(sweep_cfg),
-                                         "amplitude": over.pop("amplitude")}, path)
+            run_cfg = _at(path, dataclasses.replace, sweep_cfg, amplitude=over.pop("amplitude"))
         params = _build_params(cfg, over, path if over else "params")
         report = validate_params(params)
         if not report.ok:

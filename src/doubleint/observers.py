@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from .errors import ConfigError, DivergedState, DomainError, _check_float_range
+from .errors import ConfigError, DivergedState, DomainError, check_fields, config_value
 
 MODES = ("nonlinear", "linear")
 
@@ -58,7 +58,8 @@ class ObserverParams:
     exponents would silently void the convergence guarantees.  Out-of-range
     alpha3 yields NaN derived exponents and is reported by validate_params
     rather than raising, so invalid configurations can still be inspected.
-    An unknown mode, or a number too large for a float, raises ConfigError.
+    Fields are stored as their annotated types (an int k1 as a float); a mistyped
+    field, a number too large for a float or an unknown mode raises ConfigError.
     """
 
     k1: float
@@ -71,10 +72,9 @@ class ObserverParams:
     alpha2: float = field(init=False)
 
     def __post_init__(self):
+        check_fields(self)
         if self.mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
-        for name in ("k1", "k2", "k3", "epsilon", "alpha3"):
-            _check_float_range(name, getattr(self, name))
         if 0.0 < self.alpha3 <= 1.0:
             a1, a2 = derive_alphas(self.alpha3)
         else:
@@ -85,10 +85,10 @@ class ObserverParams:
     @classmethod
     def from_rate(cls, k1, k2, k3, R, alpha3=1.0, mode="nonlinear"):
         """Build from the rate convention R = 1/epsilon used in configs; raises
-        ConfigError when R is zero or too large for a float."""
+        ConfigError when R is not a number, is zero or is too large for a float."""
+        R = config_value("R", float, R)
         if R == 0:
             raise ConfigError("R must be nonzero")
-        _check_float_range("R", R)
         return cls(k1, k2, k3, 1.0 / R, alpha3, mode)
 
     def gain_threshold(self) -> float:

@@ -13,7 +13,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigError, UnsupportedTruth, _check_float_range
+from .errors import ConfigError, UnsupportedTruth, check_fields
 
 # Reference waveform constants: a3(t) = -REF_COEF * REF_RATE^2 * sin(REF_RATE t),
 # whose printed antiderivatives are a2 = REF_COEF*REF_RATE*cos(REF_RATE t) and
@@ -35,25 +35,24 @@ PHASE_KINDS = ("sine", "cosine")
 
 
 def _check_term(amp_name: str, amp: float, omega: float) -> None:
-    _check_float_range(amp_name, amp)
     # an infinite amplitude is a run that diverges; NaN is no amplitude at all
     if not amp >= 0.0:
         raise ConfigError(f"{amp_name} must be >= 0, got {amp!r}")
-    _check_float_range("omega", omega)
     if not 0.0 <= omega < math.inf:
         raise ConfigError(f"omega must be finite and >= 0, got {omega!r}")
 
 
 @dataclass(frozen=True)
 class NoiseTerm:
-    """One sinusoidal noise component, amp * sin(omega t) or amp * cos(omega t); building
-    one with a field out of range raises ConfigError, its message led by the field name."""
+    """One sinusoidal noise component, amp * sin(omega t) or amp * cos(omega t); building one
+    with a field mistyped or out of range raises ConfigError, led by the field name."""
 
     amp: float
     omega: float
     phase: str = "sine"
 
     def __post_init__(self):
+        check_fields(self)
         if self.phase not in PHASE_KINDS:
             raise ConfigError(f"phase must be one of {PHASE_KINDS}, got {self.phase!r}")
         _check_term("amp", self.amp, self.omega)
@@ -75,8 +74,8 @@ class SignalSpec:
 
     make_input_fn(spec) evaluates a(t): the base waveform plus every noise
     term.  truth_arrays(spec, times) evaluates the ground truth, which always
-    excludes the noise terms.  Building one with a field out of range raises
-    ConfigError, its message led by the field name.
+    excludes the noise terms.  Building one with a field mistyped or out of
+    range raises ConfigError, its message led by the field name.
     """
 
     kind: str = "sinusoid"
@@ -85,6 +84,7 @@ class SignalSpec:
     noise: tuple[NoiseTerm, ...] = field(default_factory=tuple)
 
     def __post_init__(self):
+        check_fields(self)
         if self.kind not in KINDS:
             raise ConfigError(f"kind must be one of {KINDS}, got {self.kind!r}")
         _check_term("amplitude", self.amplitude, self.omega)

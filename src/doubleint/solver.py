@@ -16,15 +16,13 @@ pins both kernels to step() bit for bit.
 
 import bisect
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass
-from numbers import Integral, Real
 
 import numpy as np
 
 from . import analytic, signals
 from .errors import (ConfigError, DivergedState, DomainError, InvalidParams, UnsupportedTruth,
-                     _check_float_range)
+                     check_fields, config_value)
 from .observers import ObserverParams, ObserverState, rhs, validate_params
 
 METHODS = ("rk4", "euler")
@@ -46,8 +44,8 @@ MAX_STEPS = 10**9
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Settings of one simulation run and the windows its metrics summarize; building
-    one with a setting out of range raises ConfigError, its message led by the field name."""
+    """Settings of one simulation run and the windows its metrics summarize; building one
+    with a setting mistyped or out of range raises ConfigError, led by the field name."""
 
     step_h: float = 0.001
     duration: float = 20.0
@@ -57,20 +55,15 @@ class SimConfig:
     metrics_windows: tuple[tuple[float, float], ...] = ()
 
     def __post_init__(self):
+        check_fields(self)
         h, d, stride = self.step_h, self.duration, self.record_stride
         for name, value in (("step_h", h), ("duration", d)):
-            _check_float_range(name, value)
             if not 0.0 < value < math.inf:
                 raise ConfigError(f"{name} must be finite and positive, got {value!r}")
-        if not _numbers(self.initial_state, 3):
-            raise ConfigError(f"initial_state must be three numbers, got {self.initial_state!r}")
-        _check_float_range("initial_state", *self.initial_state)
         if not all(map(math.isfinite, self.initial_state)):
             raise ConfigError(f"initial_state must be finite, got {tuple(self.initial_state)!r}")
         if self.method not in METHODS:
             raise ConfigError(f"method must be one of {METHODS}, got {self.method!r}")
-        if not isinstance(stride, Integral):
-            raise ConfigError(f"record_stride must be an integer, got {stride!r}")
         if stride < 1:
             raise ConfigError("record_stride must be >= 1")
         if d / h >= MAX_RECORD_ROWS * stride:
@@ -106,20 +99,10 @@ class SimConfig:
         return j < len(rows) and lo <= (j * stride) * h <= hi
 
 
-def _numbers(value, n: int) -> bool:
-    """Whether value is a sequence of n real numbers."""
-    return (isinstance(value, Sequence) and len(value) == n
-            and all(isinstance(v, Real) for v in value))
-
-
 def _check_windows(windows, holds) -> None:
-    """Raise ConfigError, led by metrics_windows, at the first window that is not a (lo, hi)
-    pair of numbers or for which holds(lo, hi), whether it holds a record time, is false."""
-    for window in windows:
-        if not _numbers(window, 2):
-            raise ConfigError(f"metrics_windows entries must be (lo, hi) pairs, got {window!r}")
-        _check_float_range("metrics_windows", *window)
-        lo, hi = window
+    """Raise ConfigError, led by metrics_windows, at the first (lo, hi) window for which
+    holds(lo, hi), whether it holds a record time, is false."""
+    for lo, hi in windows:
         if not holds(lo, hi):
             raise ConfigError(f"metrics_windows: [{lo:g}, {hi:g}] contains no samples")
 
@@ -377,6 +360,7 @@ def trajectory_metrics(traj: Trajectory, windows: list[tuple[float, float]] | No
     t_end = float(traj.times[-1])
     if windows is None:
         windows = [(0.0, t_end)]
+    windows = config_value("metrics_windows", tuple[tuple[float, float], ...], windows)
     _check_windows(windows, lambda lo, hi: traj.window(lo, hi).any())
     out: dict = {"has_truth": True, "windows": []}
     for lo, hi in windows:

@@ -18,12 +18,12 @@ import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 from itertools import repeat
-from numbers import Integral
 
 import numpy as np
 
 from . import analytic
-from .errors import ConfigError, DivergedState, IllConditioned, InvalidParams, _check_float_range
+from .errors import (ConfigError, DivergedState, IllConditioned, InvalidParams, check_fields,
+                     config_value)
 from .observers import ObserverParams, ObserverState, validate_params
 from .signals import MAX_PHASE, SignalSpec
 from .solver import MAX_RECORD_ROWS, SimConfig, check_config, integrate
@@ -41,7 +41,7 @@ def default_grid() -> tuple[float, ...]:
 @dataclass(frozen=True)
 class SweepConfig:
     """Sweep settings; defaults reproduce the standard grid and horizons.  Building one
-    with a setting out of range raises ConfigError, its message led by the field name."""
+    with a setting mistyped or out of range raises ConfigError, led by the field name."""
 
     freqs_hz: tuple[float, ...] = field(default_factory=default_grid)
     amplitude: float = 1.0
@@ -53,24 +53,20 @@ class SweepConfig:
     init_state: str = "zero"
 
     def __post_init__(self):
+        check_fields(self)
         freqs = self.freqs_hz
         if not freqs:
             raise ConfigError("freqs_hz must not be empty")
-        _check_float_range("freqs_hz", *freqs)
         if any(not 0.0 < f < math.inf for f in freqs) or any(
                 b <= a for a, b in zip(freqs, freqs[1:])):
             raise ConfigError("freqs_hz must be finite, positive and strictly increasing")
-        _check_float_range("amplitude", self.amplitude)
         if not 0.0 < self.amplitude:
             raise ConfigError(f"amplitude must be positive, got {self.amplitude!r}")
-        if not isinstance(self.samples, Integral):
-            raise ConfigError(f"samples must be an integer, got {self.samples!r}")
         if not 1 <= self.samples < MAX_RECORD_ROWS:
             raise ConfigError(f"samples must lie in [1, {MAX_RECORD_ROWS - 1}], got {self.samples}")
         if not 0.0 <= self.discard_fraction < 1.0:
             raise ConfigError("discard_fraction must lie in [0, 1)")
-        if not self.channels or any(
-                not isinstance(ch, Integral) or ch not in (1, 2, 3) for ch in self.channels):
+        if not self.channels or any(ch not in (1, 2, 3) for ch in self.channels):
             raise ConfigError("channels must be a non-empty subset of {1, 2, 3}")
         if list(self.channels) != sorted(set(self.channels)):
             # a curve holds one row per (frequency, channel), in that order
@@ -261,8 +257,9 @@ def sweep_observer(p: ObserverParams, cfg: SweepConfig, workers: int = 1) -> Bod
     Divergence or an ill-conditioned fit at one frequency flags that row and
     the sweep continues.  With workers > 1 the frequencies are distributed
     over a process pool; results are identical to the sequential run.
-    Raises ConfigError when workers is below 1.
+    Raises ConfigError when workers is not an integer or is below 1.
     """
+    workers = config_value("workers", int, workers)
     if not workers >= 1:
         raise ConfigError(f"workers must be >= 1, got {workers}")
     report = validate_params(p)

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 import doubleint
 from doubleint import SignalSpec, SimConfig, SweepConfig
-from doubleint.cli import _build_sim, _build_sweep, _convert, main
+from doubleint.cli import _build, _build_sim, _build_sweep, main
 from doubleint.io import BODE_HEADER, TRAJECTORY_HEADER, write_json
 from doubleint.scenarios import SCENARIO_NAMES, expand_scenario
 from doubleint.signals import REFERENCE_NOISE
@@ -360,7 +360,7 @@ def test_scenario_noise_is_the_reference_noise(tmp_path, name):
     if "signal" in cfg:
         noise = cfg["signal"]["noise"]
         assert noise == [dataclasses.asdict(term) for term in REFERENCE_NOISE]
-        assert _convert(SignalSpec, cfg["signal"], "signal").noise == REFERENCE_NOISE
+        assert _build(SignalSpec, cfg["signal"], "signal").noise == REFERENCE_NOISE
     write_json(tmp_path / "config.json", cfg)
     digest = hashlib.sha256((tmp_path / "config.json").read_bytes()).hexdigest()
     assert digest == SCENARIO_CONFIG_SHA256[name]
@@ -652,7 +652,7 @@ def test_numeric_range_config_never_tracebacks(case):
 def test_empty_sections_build_dataclass_defaults():
     assert _build_sweep({}) == (SweepConfig(), ({},))
     assert _build_sim({}) == SimConfig(metrics_windows=((0.0, SimConfig().duration),))
-    assert _convert(SignalSpec, {}, "signal") == SignalSpec()
+    assert _build(SignalSpec, {}, "signal") == SignalSpec()
 
 
 def test_sweep_nonfinite_fit_flagged_exit_3(tmp_path, capsys):

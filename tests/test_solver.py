@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 import tracemalloc
 from dataclasses import replace
 
@@ -303,22 +304,35 @@ def test_nonfinite_initial_state_rejected(bad):
         SimConfig(0.001, 1.0, ObserverState(0.0, bad, 0.0))
 
 
-@pytest.mark.parametrize("bad", [(0.0, 0.0), (0.0, 0.0, 0.0, 0.0), (0.0, "1", 0.0), 0.0])
-def test_initial_state_that_is_not_three_numbers_rejected(bad):
-    with pytest.raises(ConfigError, match="^initial_state must be three numbers"):
+@pytest.mark.parametrize("bad, message", [
+    pytest.param((0.0, 0.0), "initial_state: expected 3 items, got 2", id="bad0"),
+    pytest.param((0.0, 0.0, 0.0, 0.0), "initial_state: expected 3 items, got 4", id="bad1"),
+    pytest.param((0.0, "1", 0.0), 'initial_state[1]: expected a number, got "1"', id="bad2"),
+    pytest.param(0.0, "initial_state: expected a list, got 0.0", id="0.0"),
+])
+def test_initial_state_that_is_not_three_numbers_rejected(bad, message):
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
         SimConfig(0.001, 1.0, bad)
 
 
-@pytest.mark.parametrize("bad", [1.5, math.nan])
-def test_record_stride_that_is_not_an_integer_rejected(bad):
+@pytest.mark.parametrize("bad, message", [
+    pytest.param(1.5, "record_stride: expected an integer, got 1.5", id="1.5"),
+    pytest.param(math.nan, "record_stride: expected an integer, got NaN", id="nan"),
+])
+def test_record_stride_that_is_not_an_integer_rejected(bad, message):
     # a fractional stride never brought the nonlinear kernel's countdown to 0
-    with pytest.raises(ConfigError, match="^record_stride must be an integer"):
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
         SimConfig(0.001, 1.0, record_stride=bad)
 
 
-@pytest.mark.parametrize("bad", [((0.0,),), ((0.0, 1.0, 2.0),), ((0.0, "1"),), (0.5,)])
-def test_window_that_is_not_a_pair_rejected(bad):
-    with pytest.raises(ConfigError, match=r"^metrics_windows entries must be \(lo, hi\) pairs"):
+@pytest.mark.parametrize("bad, message", [
+    pytest.param(((0.0,),), "metrics_windows[0]: expected 2 items, got 1", id="bad0"),
+    pytest.param(((0.0, 1.0, 2.0),), "metrics_windows[0]: expected 2 items, got 3", id="bad1"),
+    pytest.param(((0.0, "1"),), 'metrics_windows[0][1]: expected a number, got "1"', id="bad2"),
+    pytest.param((0.5,), "metrics_windows[0]: expected a list, got 0.5", id="bad3"),
+])
+def test_window_that_is_not_a_pair_rejected(bad, message):
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
         SimConfig(0.001, 1.0, metrics_windows=bad)
 
 
@@ -355,6 +369,25 @@ def test_metrics_zero_run(lin_params):
     assert metrics["windows"][0]["rms"] == [0.0, 0.0, 0.0]
     assert metrics["windows"][0]["max_abs"] == [0.0, 0.0, 0.0]
     assert metrics["drift_ratio_e1"] == 0.0
+
+
+@pytest.mark.parametrize("windows, message", [
+    ([(0.0,)], "metrics_windows[0]: expected 2 items, got 1"),
+    ([(0.0, "1")], 'metrics_windows[0][1]: expected a number, got "1"'),
+    ([(0.0, 10**400)], "metrics_windows[0][1] is too large for a float"),
+    (5, "metrics_windows: expected a list, got 5"),
+])
+def test_metrics_refuse_a_window_of_the_wrong_type(lin_params, windows, message):
+    traj = simulate(lin_params, zero_spec(), SimConfig(0.001, 1.0))
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        trajectory_metrics(traj, windows)
+
+
+def test_metrics_windows_are_read_as_floats(lin_params):
+    traj = simulate(lin_params, zero_spec(), SimConfig(0.001, 1.0))
+    window = trajectory_metrics(traj, [[0, 1]])["windows"][0]
+    assert (window["t_lo"], window["t_hi"]) == (0.0, 1.0)
+    assert type(window["t_lo"]) is float
 
 
 def test_metrics_empty_window(lin_params):

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -235,6 +236,17 @@ def test_sweep_refuses_fewer_than_one_worker(workers):
         sweep_observer(LIN, SweepConfig(freqs_hz=(1.0,), samples=100), workers=workers)
 
 
+@pytest.mark.parametrize("workers, message", [
+    (2.5, "workers: expected an integer, got 2.5"),
+    ("2", 'workers: expected an integer, got "2"'),
+    (True, "workers: expected an integer, got true"),
+])
+def test_workers_that_is_not_an_integer_is_refused(workers, message):
+    # no pool is started: the refusal comes before the first lane
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        sweep_observer(LIN, SweepConfig(freqs_hz=(5.1, 10.1), samples=200), workers=workers)
+
+
 def test_sweep_rejects_invalid_params():
     bad = ObserverParams(0.1, 0.0, 1.0, 0.2, 1.0, "linear")
     with pytest.raises(InvalidParams):
@@ -261,11 +273,12 @@ def test_sweep_config_validation():
     # samples * step_h overflows: the refusal names samples, not the lane's duration
     with pytest.raises(ConfigError, match="^samples 10000 at step_h 1e\\+305 overflow"):
         SweepConfig(freqs_hz=(1e-300,), samples=10000, step_h=1e305)
-    with pytest.raises(ConfigError, match="^samples must be an integer, got 100.5"):
+    with pytest.raises(ConfigError, match=r"^samples: expected an integer, got 100\.5$"):
         SweepConfig(freqs_hz=(1.0,), samples=100.5)
-    # a float channel cannot index the state columns
-    with pytest.raises(ConfigError, match="^channels must be a non-empty subset"):
-        SweepConfig(freqs_hz=(1.0,), samples=100, channels=(1.0, 2.0))
+    # a fractional channel indexes no state column; an integral float is that integer
+    with pytest.raises(ConfigError, match=r"^channels\[1\]: expected an integer, got 2\.5$"):
+        SweepConfig(freqs_hz=(1.0,), samples=100, channels=(1.0, 2.5))
+    assert SweepConfig(freqs_hz=(1.0,), samples=100, channels=(1.0, 2.0)).channels == (1, 2)
 
 
 @pytest.mark.parametrize("channels", [(1, 1), (3, 1)])
