@@ -39,9 +39,6 @@ BLOCK = 256
 
 CHANNELS = (1, 2, 3)
 
-# Log-spaced points on which cutoff_frequency brackets the crossing before bisecting.
-CUTOFF_GRID_POINTS = 4000
-
 
 @dataclass(frozen=True)
 class TransferEval:
@@ -133,43 +130,44 @@ def cutoff_frequency(p: ObserverParams, channel: int, drop_db: float = 3.0,
     The reference level is |(i omega)^(channel-3)| rather than the channel's
     own peak: the slow resonance of the lightly damped pole pair dwarfs the
     useful passband, so a drop-from-peak rule would measure the resonance
-    edge instead of the tracking bandwidth.  The crossing is located on a
-    log-spaced grid and refined by bisection.
+    edge instead of the tracking bandwidth.  Every channel's ratio to it is
+    k3 omega^2 / |D(i omega)|, D(s) = eps^4 s^3 + k3 s^2 + k2 eps^2 s + k1 eps,
+    so channel is checked but does not change the result.  With u = omega^2
+    and thr = 10^(-drop_db/20) the gain is within drop_db exactly where the
+    cubic f(u) = thr^2 ((k1 eps - k3 u)^2 + u (k2 eps^2 - eps^4 u)^2) - k3^2 u^2
+    is <= 0.  f(0) > 0 and its roots multiply to a negative number, so it has
+    zero or two positive roots u1 <= u2: the band is [sqrt(u1), sqrt(u2)], and
+    omega_c is the cutoff exactly when omega_c^2 is the larger root.
 
-    Raises DomainError when drop_db is not positive (NaN included) and
-    CutoffNotFound when no downward crossing lies inside the bracket.
+    Raises DomainError for a drop_db that is not positive (NaN included), a
+    bracket that is not 0 < lo < hi, a channel outside CHANNELS or nonlinear
+    p; CutoffNotFound when hi lies in the band or sqrt(u2) outside the bracket.
     """
     if not drop_db > 0.0:
         raise DomainError("drop_db must be positive")
-    thr = 10.0 ** (-drop_db / 20.0)
-
-    def rel_gain(om: float) -> float:
-        ideal = abs(limit_transfer(channel, om))
-        return transfer_eval(p, channel, om).gain / ideal
-
     lo, hi = bracket
     if not 0.0 < lo < hi:
         raise DomainError("bracket must satisfy 0 < lo < hi")
-    log_lo, log_hi = math.log10(lo), math.log10(hi)
-    n = CUTOFF_GRID_POINTS
-    grid = [10.0 ** (log_lo + (log_hi - log_lo) * i / (n - 1)) for i in range(n)]
-    above = [rel_gain(om) >= thr for om in grid]
-    if above[-1]:
+    check_channel(channel)
+    if p.mode != "linear":
+        raise DomainError("cutoff_frequency requires linear-mode parameters")
+    thr2 = 10.0 ** (-drop_db / 10.0)
+    k1, k2, k3, eps = np.array([p.k1, p.k2, p.k3, p.epsilon])
+    with np.errstate(all="ignore"):
+        # f / k3^2 in a = k1 eps / k3, b = k2 eps^2 / k3, c = eps^4 / k3, which
+        # keep huge gains in range
+        a, b, c = k1 / k3 * eps, k2 / k3 * eps**2, eps**4 / k3
+        f = np.array([thr2 * c * c, thr2 * (1.0 - 2.0 * b * c) - 1.0,
+                      thr2 * (b * b - 2.0 * a), thr2 * a * a])
+    # k3 = 0, an overflowing eps^4 or a NaN parameter leaves no gain within drop_db
+    roots = np.roots(f) if np.isfinite(f).all() else np.empty(0)
+    u = np.sort(roots.real[(roots.imag == 0.0) & (roots.real > 0.0)])
+    # f <= 0 on [u1, u2]; u2 is past the float range, and missing, when c * c underflows
+    if u.size and u[0] <= hi * hi <= (u[1] if u.size > 1 else math.inf):
         raise CutoffNotFound(f"gain still within {drop_db:g} dB at bracket end {hi:g} rad/s")
-    last = None
-    for i in range(n - 1):
-        if above[i] and not above[i + 1]:
-            last = i
-    if last is None:
+    if not (u.size and lo * lo <= u[-1] <= hi * hi):
         raise CutoffNotFound(f"gain never within {drop_db:g} dB of the ideal response in bracket")
-    a, b = grid[last], grid[last + 1]
-    for _ in range(100):
-        mid = math.sqrt(a * b)
-        if rel_gain(mid) >= thr:
-            a = mid
-        else:
-            b = mid
-    return math.sqrt(a * b)
+    return math.sqrt(u[-1])
 
 
 def step_map(p: ObserverParams, h: float, method: str = "rk4"):

@@ -10,6 +10,7 @@ silently; a malformed config names the bad field's path.
 
 import argparse
 import dataclasses
+import inspect
 import json
 import sys
 import warnings
@@ -67,13 +68,12 @@ def _at(path: str, fn, /, *args, **kwargs):
         raise ConfigError(f"{path}.{exc}") from exc
 
 
-def _new(cls, kwargs: dict, path: str):
-    """cls(**kwargs), absent fields taking the dataclass defaults; cls's refusals name path."""
-    for f in dataclasses.fields(cls):
-        required = f.default is f.default_factory is dataclasses.MISSING
-        if f.init and required and f.name not in kwargs:
-            raise ConfigError(f"{path}.{f.name} is required")
-    return _at(path, cls, **kwargs)
+def _new(make, kwargs: dict, path: str):
+    """make(**kwargs), absent arguments taking make's defaults; make's refusals name path."""
+    for name, arg in inspect.signature(make).parameters.items():
+        if arg.default is arg.empty and name not in kwargs:
+            raise ConfigError(f"{path}.{name} is required")
+    return _at(path, make, **kwargs)
 
 
 def _build_params(cfg: dict, over: dict, path: str) -> ObserverParams:
@@ -84,12 +84,7 @@ def _build_params(cfg: dict, over: dict, path: str) -> ObserverParams:
     kwargs.update(over)
     if ("R" in kwargs) == ("epsilon" in kwargs):
         raise ConfigError(f"{path} needs exactly one of R or epsilon")
-    if "R" in kwargs:
-        rate = kwargs.pop("R")
-        if rate == 0.0:
-            raise ConfigError(f"{path}.R must be nonzero")
-        kwargs["epsilon"] = 1.0 / rate
-    return _new(ObserverParams, kwargs, path)
+    return _new(ObserverParams.from_rate if "R" in kwargs else ObserverParams, kwargs, path)
 
 
 def _build_sim(obj: dict) -> SimConfig:
@@ -127,8 +122,6 @@ def load_config(path) -> dict:
         raise ConfigError(f"cannot read config file: {exc}") from exc
     except (ValueError, RecursionError) as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    if not isinstance(cfg, dict):
-        raise ConfigError("config root must be a JSON object")
     return cfg
 
 

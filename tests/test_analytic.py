@@ -15,7 +15,7 @@ from doubleint import (
     transfer_eval,
     validate_params,
 )
-from doubleint.analytic import decibels
+from doubleint.analytic import CHANNELS, decibels
 
 
 def lin(k1=0.1, k2=0.1, k3=1.0, eps=0.2):
@@ -207,3 +207,84 @@ def test_cutoff_errors():
     # bracket that ends while the gain is still within 3 dB of ideal
     with pytest.raises(CutoffNotFound):
         cutoff_frequency(lin(eps=0.2), 3, bracket=(1e-3, 1.0))
+
+
+def _valid_linear_draws(seed, n):
+    """n seeded (valid linear params, drop_db) pairs: gains over 6.5 decades, drop_db 0.01..31.6."""
+    rng = np.random.default_rng(seed)
+    while n:
+        k1, k2, k3 = 10.0 ** rng.uniform(-2.0, 4.5, 3)
+        p = lin(float(k1), float(k2), float(k3), float(rng.uniform(0.05, 0.99)))
+        if validate_params(p).ok:
+            n -= 1
+            yield p, float(10.0 ** rng.uniform(-2.0, 1.5))
+
+
+def test_cutoff_is_the_band_edge_on_every_channel():
+    # at the cutoff each channel's gain over the ideal response crosses thr downward
+    found = 0
+    for p, drop_db in _valid_linear_draws(19, 300):
+        thr = 10.0 ** (-drop_db / 20.0)
+
+        def rel(channel, omega):
+            return transfer_eval(p, channel, omega).gain * omega ** (3 - channel)
+
+        try:
+            cuts = [cutoff_frequency(p, channel, drop_db) for channel in CHANNELS]
+        except CutoffNotFound as exc:
+            # every valid set has a band; strong gains keep it open past 1e5 rad/s
+            assert str(exc) == f"gain still within {drop_db:g} dB at bracket end 100000 rad/s"
+            assert all(rel(channel, 1e5) >= thr for channel in CHANNELS)
+            continue
+        found += 1
+        assert cuts[0] == cuts[1] == cuts[2]
+        for channel in CHANNELS:
+            # the edge is located to 1e-9; the steepest edge drawn moves the gain ~1000
+            # times faster than omega, so the gain at it is thr only to ~2.4e-8
+            below, above = cuts[0] * (1.0 - 1e-9), cuts[0] * (1.0 + 1e-9)
+            assert rel(channel, below) >= thr > rel(channel, above)
+            assert rel(channel, cuts[0]) == pytest.approx(thr, rel=1e-7)
+    assert found >= 200
+
+
+def test_cutoff_finds_a_band_narrower_than_a_grid_step():
+    # the whole band lies within 1e-4 of its upper edge, inside one 0.46 % step of a
+    # 4000-point log grid over the default bracket
+    p = lin(k1=4.052286676834973, k2=22554.013439876584, k3=0.013925509899311435,
+            eps=0.6704391699263365)
+    drop_db = 0.012795726260080588
+    thr = 10.0 ** (-drop_db / 20.0)
+    cut = cutoff_frequency(p, 3, drop_db)
+    assert cut == pytest.approx(224.0058977932206, rel=1e-9)
+    assert transfer_eval(p, 3, cut * (1.0 - 1e-9)).gain >= thr
+    assert transfer_eval(p, 3, cut * (1.0 - 1e-4)).gain < thr
+    assert transfer_eval(p, 3, cut * (1.0 + 1e-9)).gain < thr
+
+
+@pytest.mark.parametrize("channel", CHANNELS)
+def test_cutoff_bracket_may_end_at_infinity(channel):
+    p = lin(eps=0.2)
+    cut = cutoff_frequency(p, channel, bracket=(1e-3, math.inf))
+    assert cut == cutoff_frequency(p, channel)
+    assert cut == pytest.approx(623.52175741, rel=1e-9)
+
+
+def test_cutoff_under_extreme_gains():
+    # k = 1e200 squares past the float range: the band still reaches past hi
+    huge = lin(k1=1e200, k2=1e200, k3=1e200)
+    for hi, shown in ((1e5, "100000"), (math.inf, "inf")):
+        expected = f"^gain still within 3 dB at bracket end {shown} rad/s$"
+        with pytest.raises(CutoffNotFound, match=expected):
+            cutoff_frequency(huge, 3, bracket=(1e-3, hi))
+    # k3 = 0 leaves every channel's gain 0
+    for k1 in (0.1, 0.0):
+        with pytest.raises(CutoffNotFound, match="^gain never within 3 dB of the ideal response"):
+            cutoff_frequency(lin(k1=k1, k3=0.0), 3)
+
+
+def test_cutoff_refuses_a_channel_or_mode_it_cannot_read():
+    with pytest.raises(DomainError, match=r"^channel must be one of \(1, 2, 3\), got 4$"):
+        cutoff_frequency(lin(), 4)
+    nonlinear = ObserverParams(0.1, 0.1, 1.0, 0.2, 0.3, "nonlinear")
+    with pytest.raises(DomainError, match="^cutoff_frequency requires linear-mode parameters$"):
+        cutoff_frequency(nonlinear, 3)

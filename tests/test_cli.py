@@ -535,6 +535,30 @@ def test_duplicate_key_exits_2(tmp_path, capsys, text, key):
         f'config error: duplicate key "{key}": each key may appear once\n')
 
 
+@pytest.mark.parametrize("text, shown", [("[1, 2]", "[1, 2]"), ("5", "5")],
+                         ids=["list", "number"])
+def test_config_root_that_is_not_an_object_exits_2(tmp_path, capsys, text, shown):
+    path = tmp_path / "cfg.json"
+    path.write_text(text)
+    assert main(["validate", "--config", str(path)]) == 2
+    assert capsys.readouterr().err == f"config error: config: expected an object, got {shown}\n"
+
+
+@pytest.mark.parametrize("command, cfg, expected", [
+    ("validate", {"params": {**LINEAR_PARAMS, "R": 0}}, "params.R must be nonzero"),
+    ("sweep", {"params": LINEAR_PARAMS,
+               "sweep": {"freqs_hz": [5.1], "samples": 200, "variants": [{}, {"R": 0.0}]}},
+     "sweep.variants[1].R must be nonzero"),
+    # the required gains are named before the rate is read
+    ("validate", {"params": {"k2": 0.1, "k3": 1.0, "R": 0}}, "params.k1 is required"),
+], ids=["params", "variant", "k1-missing"])
+def test_rate_is_read_by_from_rate(tmp_path, capsys, command, cfg, expected):
+    # the CLI turns R into epsilon through ObserverParams.from_rate, whose refusal it leads by path
+    assert _run(command, write_cfg(tmp_path, cfg), tmp_path / "out") == 2
+    assert capsys.readouterr().err == f"config error: {expected}\n"
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("command", ["simulate", "sweep"])
 @pytest.mark.parametrize("under", [False, True], ids=["existing-file", "path-under-a-file"])
 def test_out_that_cannot_be_created_exits_2(tmp_path, capsys, command, under):
