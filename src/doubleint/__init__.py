@@ -41,6 +41,7 @@ from .observers import (
 from .signals import (
     NoiseTerm,
     SignalSpec,
+    input_values,
     make_input_fn,
     paper_reference_spec,
     truth_arrays,

@@ -155,19 +155,28 @@ def cutoff_frequency(p: ObserverParams, channel: int, drop_db: float = 3.0,
     k1, k2, k3, eps = np.array([p.k1, p.k2, p.k3, p.epsilon])
     with np.errstate(all="ignore"):
         # f / k3^2 in a = k1 eps / k3, b = k2 eps^2 / k3, c = eps^4 / k3, which
-        # keep huge gains in range
+        # keep huge gains in range, and in v = u c^2, which keeps u2 near 1.  The
+        # roots sum to (1 - thr2 (1 - 2 b c)) / thr2 > 0 there, so u2 is over half
+        # the largest in magnitude, which np.roots gives to rounding; u1 can be
+        # 1e-60 of it and lost, so the band test at hi reads the gain at hi
         a, b, c = k1 / k3 * eps, k2 / k3 * eps**2, eps**4 / k3
-        f = np.array([thr2 * c * c, thr2 * (1.0 - 2.0 * b * c) - 1.0,
-                      thr2 * (b * b - 2.0 * a), thr2 * a * a])
-    # k3 = 0, an overflowing eps^4 or a NaN parameter leaves no gain within drop_db
-    roots = np.roots(f) if np.isfinite(f).all() else np.empty(0)
-    u = np.sort(roots.real[(roots.imag == 0.0) & (roots.real > 0.0)])
-    # f <= 0 on [u1, u2]; u2 is past the float range, and missing, when c * c underflows
-    if u.size and u[0] <= hi * hi <= (u[1] if u.size > 1 else math.inf):
+        g = np.array([thr2, thr2 * (1.0 - 2.0 * b * c) - 1.0, thr2 * (b * b - 2.0 * a) * c * c,
+                      thr2 * a * a * c**4])
+        # k3 = 0, an overflowing eps^4 or a NaN parameter leaves no gain within drop_db
+        roots = np.roots(g) if np.isfinite(g).all() else np.empty(0)
+        v = roots.real[(roots.imag == 0.0) & (roots.real > 0.0)]
+        # sqrt(u2); inf when it passes the float range, nan when there is no band
+        cut = float(np.sqrt(v.max()) / c) if v.size else math.nan
+        # the gain at hi is within drop_db: |D(i hi) / (k3 (i hi)^2)|^2 <= 1 / thr2
+        re, im = 1.0 - a / hi / hi, c * hi - b / hi
+        hi_within = re * re + im * im <= 1.0 / thr2
+    # f <= 0 on [u1, u2]: hi lies in the band when it is at most sqrt(u2) and the gain
+    # there is within drop_db, or when it is inf and the band passes the float range
+    if hi <= cut and (hi_within or hi == math.inf):
         raise CutoffNotFound(f"gain still within {drop_db:g} dB at bracket end {hi:g} rad/s")
-    if not (u.size and lo * lo <= u[-1] <= hi * hi):
+    if not lo <= cut <= hi:
         raise CutoffNotFound(f"gain never within {drop_db:g} dB of the ideal response in bracket")
-    return math.sqrt(u[-1])
+    return cut
 
 
 def step_map(p: ObserverParams, h: float, method: str = "rk4"):

@@ -7,11 +7,11 @@ through a kernel per method on plain floats: a nonlinear sweep over the full
 frequency grid takes ~10^7 RK4 steps, which rules out per-step calls into
 observers.rhs or power_sign.  Both kernels are compiled at import from one
 source template, in which the feedback law is written once, with power_sign
-inlined as its own comparisons and power.  RK4 takes a(t) from the last
-step's a(t + h) whenever the two times are the same float (about two steps
-in three at h = 0.001); a(t) is pure, so that reuse is exact.  rhs(), step()
-and power_sign stay the readable reference: test_kernels_match_public_step
-pins both kernels to step() bit for bit.
+inlined as its own comparisons and power.  The input does not depend on the
+state, so a kernel evaluates it CHUNK steps at a time with
+signals.input_values, at the float times step() takes it at and to the same
+bits.  rhs(), step() and power_sign stay the readable reference:
+test_kernels_match_public_step pins both kernels to step() bit for bit.
 """
 
 import bisect
@@ -212,16 +212,11 @@ def _feedback(d3: str, y1: str, y2: str, y3: str, a: str) -> list[str]:
             f"{d3} = -(k1 * {ps[0]} + k2 * {ps[1]} + k3 * {ps[2]}) * inv"]
 
 
-# One step of each method from (x1, x2, x3) at time i*h, in step()'s operation
-# order.  RK4 reuses the last step's a(t + h) as this step's a(t) when the two
-# times are the same float: a(t) is pure, so the value is the same bits.
+# One step of each method from (x1, x2, x3) at time t = i*h, in step()'s operation order:
+# (inputs, lines), where inputs names each a(t) value the lines read and the time it is
+# taken at, as step() takes it.
 _STEPS = {
-    "rk4": [
-        "t = i * h",
-        "a_t = a_n if t == t_n else a_fn(t)",
-        "t_n = t + h",
-        "a_m = a_fn(t + hh)",
-        "a_n = a_fn(t_n)",
+    "rk4": ((("a_t", "t"), ("a_m", "t + hh"), ("a_n", "t + h")), [
         *_feedback("d3a", "x1", "x2", "x3", "a_t"),
         "y1 = x1 + hh * x2",
         "y2 = x2 + hh * x3",
@@ -240,21 +235,26 @@ _STEPS = {
         "x1 += h * (x2 + 2.0 * (d1b + d1c) + y2) / 6.0",
         "x2 += h * (x3 + 2.0 * (d2b + d2c) + y3) / 6.0",
         "x3 += h * (d3a + 2.0 * (d3b + d3c) + d3d) / 6.0",
-    ],
-    "euler": [
-        "a_t = a_fn(i * h)",
+    ]),
+    "euler": ((("a_t", "t"),), [
         *_feedback("d3", "x1", "x2", "x3", "a_t"),
         "x1 += h * x2",
         "x2 += h * x3",
         "x3 += h * d3",
-    ],
+    ]),
 }
 
-# kernel(p, x0, a_fn, h, n, stride, out) runs n steps of the nonlinear observer from x0 and writes
-# every stride-th state into out, a C-contiguous float array of shape (n // stride + 1, 3) whose
-# row 0 is x0.  The first non-finite recorded row raises DivergedState at its time; no step follows.
+# Steps per input evaluation: a kernel evaluates the input of CHUNK steps at once as arrays,
+# before it runs them.
+CHUNK = 4096
+
+# kernel(p, x0, spec, h, n, stride, out) runs n steps of the nonlinear observer from x0 against
+# the signal spec and writes every stride-th state into out, a C-contiguous float array of shape
+# (n // stride + 1, 3) whose row 0 is x0.  Step i starts at t = i*h, computed for a chunk at once
+# as arange(lo, hi) * h, the same floats.  The first non-finite recorded row raises DivergedState
+# at its time; no step follows, and only the rest of its chunk's inputs were evaluated.
 _KERNEL = """\
-def kernel(p, x0, a_fn, h, n, stride, out):
+def kernel(p, x0, spec, h, n, stride, out):
     k1, k2, k3 = p.k1, p.k2, p.k3
     a1, a2, a3 = p.alpha1, p.alpha2, p.alpha3
     eps = p.epsilon
@@ -266,24 +266,31 @@ def kernel(p, x0, a_fn, h, n, stride, out):
     rec[0], rec[1], rec[2] = x1, x2, x3
     j = 0
     c = stride
-    t_n = a_n = nan  # no last step: RK4's first a(t) is evaluated
-    for i in range(n):
+    for lo in range(0, n, CHUNK):
+        hi = min(lo + CHUNK, n)
+        t = arange(lo, hi, dtype=float) * h
+        for i, {inputs} in zip(range(lo, hi), {values}):
 {step}
-        c -= 1
-        if not c:
-            c = stride
-            j += 3
-            rec[j] = x1
-            rec[j + 1] = x2
-            rec[j + 2] = x3
-            if not (isfinite(x1) and isfinite(x2) and isfinite(x3)):
-                raise DivergedState((i + 1) * h)
+            c -= 1
+            if not c:
+                c = stride
+                j += 3
+                rec[j] = x1
+                rec[j + 1] = x2
+                rec[j + 2] = x3
+                if not (isfinite(x1) and isfinite(x2) and isfinite(x3)):
+                    raise DivergedState((i + 1) * h)
 """
 
 
 def _compile_kernel(method: str):
-    source = _KERNEL.format(step="".join(f"        {line}\n" for line in _STEPS[method]))
-    namespace = {"isfinite": math.isfinite, "nan": math.nan, "DivergedState": DivergedState}
+    inputs, lines = _STEPS[method]
+    source = _KERNEL.format(
+        inputs=", ".join(name for name, _ in inputs),
+        values=", ".join(f"input_values(spec, {at}).tolist()" for _, at in inputs),
+        step="".join(f"            {line}\n" for line in lines))
+    namespace = {"isfinite": math.isfinite, "arange": np.arange, "CHUNK": CHUNK,
+                 "input_values": signals.input_values, "DivergedState": DivergedState}
     exec(compile(source, f"<doubleint.solver {method} kernel>", "exec"), namespace)
     return namespace["kernel"]
 
@@ -307,8 +314,8 @@ def integrate(p: ObserverParams, spec: signals.SignalSpec,
         states = analytic.signal_states(p, spec, cfg)
     else:
         states = np.empty((times.size, 3))
-        _KERNELS[cfg.method](p, cfg.initial_state, signals.make_input_fn(spec), cfg.step_h,
-                             cfg.steps, cfg.record_stride, states)
+        _KERNELS[cfg.method](p, cfg.initial_state, spec, cfg.step_h, cfg.steps,
+                             cfg.record_stride, states)
     return times, states
 
 
@@ -321,8 +328,7 @@ def simulate(p: ObserverParams, spec: signals.SignalSpec, cfg: SimConfig) -> Tra
     run, DivergedState (at the first non-finite recorded sample) on blowup.
     """
     times, states = integrate(p, spec, cfg)
-    a_fn = signals.make_input_fn(spec)
-    inputs = np.fromiter((a_fn(t) for t in times), dtype=float, count=times.size)
+    inputs = signals.input_values(spec, times)
     truths = errors = None
     if signals.supports_truth(spec):
         truths = signals.truth_arrays(spec, times)

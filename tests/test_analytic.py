@@ -270,16 +270,29 @@ def test_cutoff_bracket_may_end_at_infinity(channel):
 
 
 def test_cutoff_under_extreme_gains():
-    # k = 1e200 squares past the float range: the band still reaches past hi
+    # k = 1e200 squares past the float range: the band still reaches past hi = 1e5, and
+    # it ends at ~6e202 rad/s, a finite float (test_cutoff_of_huge_gains_is_asymptotic)
     huge = lin(k1=1e200, k2=1e200, k3=1e200)
-    for hi, shown in ((1e5, "100000"), (math.inf, "inf")):
-        expected = f"^gain still within 3 dB at bracket end {shown} rad/s$"
-        with pytest.raises(CutoffNotFound, match=expected):
-            cutoff_frequency(huge, 3, bracket=(1e-3, hi))
+    with pytest.raises(CutoffNotFound, match="^gain still within 3 dB at bracket end 100000 rad/s$"):
+        cutoff_frequency(huge, 3, bracket=(1e-3, 1e5))
+    # at k = 1e306 the band ends at ~6e308 rad/s, past the float range
+    with pytest.raises(CutoffNotFound, match="^gain still within 3 dB at bracket end inf rad/s$"):
+        cutoff_frequency(lin(k1=1e306, k2=1e306, k3=1e306), 3, bracket=(1e-3, math.inf))
     # k3 = 0 leaves every channel's gain 0
     for k1 in (0.1, 0.0):
         with pytest.raises(CutoffNotFound, match="^gain never within 3 dB of the ideal response"):
             cutoff_frequency(lin(k1=k1, k3=0.0), 3)
+
+
+@pytest.mark.parametrize("k", [10.0**e for e in range(12, 201, 4)])
+def test_cutoff_of_huge_gains_is_asymptotic(k):
+    # with k1 = k2 = k3 = k the gain over the ideal response is 1 / |(1 - a/w^2) + i (c w - b/w)|,
+    # with a = eps, b = eps^2 and c = eps^4 / k; from k = 1e12 on a and b change the cutoff by
+    # under 1e-16 of it, so it is where c w = sqrt(10^0.3 - 1), which the cubic in omega^2
+    # places past 1e28 only when solved in a scaled variable
+    eps = 0.2
+    cut = cutoff_frequency(lin(k1=k, k2=k, k3=k, eps=eps), 3, bracket=(1e-3, math.inf))
+    assert cut == pytest.approx(math.sqrt(10.0**0.3 - 1.0) * k / eps**4, rel=1e-12)
 
 
 def test_cutoff_refuses_a_channel_or_mode_it_cannot_read():

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from doubleint import NoiseTerm, SignalSpec, UnsupportedTruth, make_input_fn, truth_arrays
+from doubleint import (NoiseTerm, SignalSpec, UnsupportedTruth, input_values, make_input_fn,
+                       truth_arrays)
 from doubleint.errors import ConfigError
 from doubleint.signals import (
     REF_COEF,
@@ -15,6 +16,7 @@ from doubleint.signals import (
     check_horizon,
     paper_reference_spec,
 )
+from doubleint.sweep import TWO_PI, default_grid
 
 
 def truth_at(spec, t):
@@ -141,7 +143,10 @@ _OMEGAS = st.sampled_from([0.0, 5e-324, REF_RATE]) | st.floats(0.0, 1e6)
        t=st.sampled_from([0.0, -0.0, 5e-324]) | st.floats(-1e6, 1e6))
 def test_make_input_fn_is_the_left_to_right_sum(kind, amp, omega, noise, t):
     spec = SignalSpec(kind, amp, omega, tuple(noise))
-    assert _same_bits(make_input_fn(spec)(t), _left_to_right(spec, t))
+    expected = _left_to_right(spec, t)
+    assert _same_bits(make_input_fn(spec)(t), expected)
+    # the array evaluator gives the same bits at t inside a longer array
+    assert _same_bits(float(input_values(spec, [0.5, t, -2.0])[1]), expected)
 
 
 def test_make_input_fn_compiles_5000_terms():
@@ -149,8 +154,41 @@ def test_make_input_fn_compiles_5000_terms():
                   for i in range(5000))
     spec = SignalSpec("sinusoid", 2.0, 3.0, noise)
     fn = make_input_fn(spec)
-    for t in (0.0, 0.25, 7.5):
+    ts = (0.0, 0.25, 7.5)
+    for t, value in zip(ts, input_values(spec, ts).tolist()):
         assert _same_bits(fn(t), _left_to_right(spec, t))
+        assert _same_bits(value, fn(t))
+
+
+def _evaluators_agree(spec, times):
+    """Whether input_values(spec, times) is make_input_fn(spec) at each time, bit for bit."""
+    a_fn = make_input_fn(spec)
+    scalar = np.array([a_fn(t) for t in times.tolist()])
+    return np.array_equal(input_values(spec, times).view(np.int64), scalar.view(np.int64))
+
+
+@pytest.mark.parametrize("case", ["fig3-6 noisy reference", "fig1 sinusoids"])
+def test_input_values_is_make_input_fn_on_the_kernels_arguments(case):
+    # a nonlinear kernel reads a(t), a(t + h/2) and a(t + h) of step i, t = i*h, from
+    # input_values; each must be the scalar closure's value, which rests on np.sin and
+    # np.cos being math.sin and math.cos there.  Every fig3-6 step at h = 0.001 over 20 s,
+    # and every fig1 grid frequency over the first 2000 steps of its lanes
+    h = 0.001
+    if case == "fig1 sinusoids":
+        specs, steps = [SignalSpec("sinusoid", 1.0, TWO_PI * f) for f in default_grid()], 2000
+    else:
+        specs, steps = [paper_reference_spec(with_noise=True)], 20000
+    t = np.arange(steps, dtype=float) * h
+    for spec in specs:
+        for times in (t, t + 0.5 * h, t + h):
+            assert _evaluators_agree(spec, times), (spec, times[0])
+
+
+def test_input_values_keeps_inf_and_nan_without_warnings():
+    # an infinite amplitude gives inf * sin(0) = nan at t = 0, as the closure does,
+    # and an overflowing sum is inf; the suite makes a numpy RuntimeWarning an error
+    spec = SignalSpec("sinusoid", math.inf, 1.0, (NoiseTerm(1e308, 1.0), NoiseTerm(1e308, 1.0)))
+    assert _evaluators_agree(spec, np.array([0.0, 1.0, 2.0]))
 
 
 def test_truth_arrays_match_scalar():

@@ -25,7 +25,6 @@ from doubleint import (
     integrate,
     rhs,
     settle_time,
-    signals,
     simulate,
     step,
     solver,
@@ -78,73 +77,47 @@ def test_rk4_step_matches_matrix_exponential():
     assert 16.0 < ratio < 64.0  # local truncation order h^5
 
 
-def _counting(monkeypatch):
-    """Make integrate's a(t) record every time it is evaluated at; return that list."""
-    seen = []
-
-    def counting_make_input_fn(spec):
-        a_fn = make_input_fn(spec)
-
-        def a(t):
-            seen.append(t)
-            return a_fn(t)
-
-        return a
-
-    monkeypatch.setattr(solver.signals, "make_input_fn", counting_make_input_fn)
-    return seen
-
-
-def _input_calls(method, h, n):
-    """a(t) evaluations of n kernel steps: Euler evaluates a(i*h) once per step; RK4
-    evaluates a(t + h/2) and a(t + h), and a(t) unless it is the last step's a(t + h),
-    which is when t = i*h and (i-1)*h + h are the same float."""
-    if method == "euler":
-        return n
-    return 3 * n - sum(i * h == (i - 1) * h + h for i in range(1, n))
-
-
 @pytest.mark.parametrize("method", ["rk4", "euler"])
 @pytest.mark.parametrize("mode,alpha3", [("nonlinear", 0.3)])
-def test_kernels_match_public_step(monkeypatch, method, mode, alpha3, noisy_spec):
+def test_kernels_match_public_step(method, mode, alpha3, noisy_spec):
     # the compiled nonlinear kernels must agree bit for bit with step()/rhs();
-    # linear runs are closed form, checked against step() in test_oracle.py
+    # linear runs are closed form, checked against step() in test_oracle.py.  The run
+    # crosses two chunk edges, and stride CHUNK + 3 records across each of them
     p = ObserverParams(0.1, 0.1, 1.0, 0.2, alpha3, mode)
-    h, n = 0.001, 2100
+    h, n = 0.001, 2 * solver.CHUNK + 37
     a_fn = make_input_fn(noisy_spec)
-    seen = _counting(monkeypatch)
     for x0 in ((0.0, 1.0, 0.0), (0.0, -0.0, 0.0)):
         stepped = [ObserverState(*x0)]
         for i in range(n):
             stepped.append(step(p, stepped[-1], i * h, h, a_fn, method))
-        for stride in (1, 7):
-            seen.clear()
+        for stride in (1, 7, solver.CHUNK + 3):
             cfg = SimConfig(h, n * h, ObserverState(*x0), method, stride)
             _, states = integrate(p, noisy_spec, cfg)
             expected = np.array(stepped[::stride])
             assert np.array_equal(states.view(np.int64), expected.view(np.int64)), (x0, stride)
-            assert len(seen) == _input_calls(method, h, n)
-    if method == "rk4":
-        # both the reused and the evaluated a(t) occur on this grid
-        assert 2 * n < len(seen) < 3 * n - 1
 
 
 @pytest.mark.parametrize("method, stride, steps", [("rk4", 1, 1), ("rk4", 7, 7),
                                                    ("euler", 1, 2), ("euler", 7, 7)])
-def test_nonlinear_divergence_stops_at_the_first_nonfinite_record(monkeypatch, method, stride,
-                                                                  steps):
+def test_nonlinear_divergence_stops_at_the_first_nonfinite_record(method, stride, steps):
     # a(0) = inf * sin(0) is nan, which power_sign maps to 0, and a(t > 0) is inf: RK4's
     # state is non-finite after one step, Euler's x3 alone after two.  The run stops at
     # the first recorded row that is not finite, that of step `steps`
     p = ObserverParams(0.1, 0.1, 1.0, 0.2, 0.3, "nonlinear")
-    h = 0.001
-    seen = _counting(monkeypatch)
-    cfg = SimConfig(h, 1.0, ObserverState(0.0, 1.0, 0.0), method, stride)
+    h, n = 0.001, 1000
+    spec = SignalSpec("sinusoid", math.inf, 1.0)
+    cfg = SimConfig(h, n * h, ObserverState(0.0, 1.0, 0.0), method, stride)
     with pytest.raises(DivergedState) as err:
-        integrate(p, SignalSpec("sinusoid", math.inf, 1.0), cfg)
+        integrate(p, spec, cfg)
     assert err.value.time == steps * h
-    # no input is evaluated for a step after the one that raised
-    assert len(seen) == _input_calls(method, h, steps)
+    # the kernel records nothing after the raising row: no later step reaches a record
+    out = np.full((n // stride + 1, 3), 7.25)
+    with pytest.raises(DivergedState) as err:
+        solver._KERNELS[method](p, cfg.initial_state, spec, h, n, stride, out)
+    assert err.value.time == steps * h
+    row = steps // stride
+    assert not np.isfinite(out[row]).all()
+    assert np.all(out[row + 1:] == 7.25)
 
 
 def test_time_grid_is_multiplicative(nl_params, noisy_spec):
@@ -160,30 +133,15 @@ def test_time_grid_is_multiplicative(nl_params, noisy_spec):
 
 
 @pytest.mark.parametrize("method", solver.METHODS)
-def test_rows_are_recorded_where_their_steps_start(nl_params, noisy_spec, method, monkeypatch):
+def test_rows_are_recorded_where_their_steps_start(nl_params, noisy_spec, method):
     # row j holds the state after i = j*100 steps: it is recorded at the float time
     # i*h at which step i starts, and its input and truths are taken there
     h, n = 0.001, 50000
     a_fn = make_input_fn(noisy_spec)
-    calls = []
-
-    def recording_input_fn(spec):
-        def a(t):
-            calls.append(t)
-            return a_fn(t)
-        return a
-
-    monkeypatch.setattr(signals, "make_input_fn", recording_input_fn)
     cfg = SimConfig(h, n * h, ObserverState(0.0, 1.0, 0.0), method, 100)
     traj = simulate(nl_params, noisy_spec, cfg)
     grid = [i * h for i in range(0, n + 1, 100)]
     assert traj.times.tolist() == grid
-    # the kernel's calls come before simulate's one per row; RK4 may take a step's
-    # a(t) from the last step's a(t + h), so each start is among them, not each a call
-    kernel_calls = calls[:-len(grid)]
-    if method == "euler":
-        assert kernel_calls == [i * h for i in range(n)]
-    assert set(grid[:-1]) <= set(kernel_calls)
     assert traj.inputs.tolist() == [a_fn(t) for t in grid]
     assert np.array_equal(traj.truths, truth_arrays(noisy_spec, np.array(grid)))
 
