@@ -6,7 +6,6 @@ integrals) excludes the noise terms: the observers are judged on how well
 they recover the integrals of the clean reference, not of the noise.
 """
 
-import functools
 import math
 import sys
 from dataclasses import dataclass, field
@@ -167,59 +166,47 @@ def supports_truth(spec: SignalSpec) -> bool:
     return spec.kind != "composite"
 
 
-@functools.lru_cache(maxsize=64)
-def _input_factory(sines: tuple[bool, ...], sin, cos):
-    """Compiled factory(a0, w0, a1, w1, ...) -> a(t) summing one term per entry of
-    sines, amp * sin(omega * t) where it is true and amp * cos(omega * t) where not.
+def _sum_of_terms(spec: SignalSpec, sin, cos) -> Callable:
+    """a(t) over terms(spec), with sin and cos as the functions it calls.
 
-    The body is ``v = a0 * sin(w0 * t)``, then ``v += a_i * sin|cos(w_i * t)``,
-    then ``return v``: the terms are summed left to right, each product and
-    each addition one float operation.  The source holds only term indices
-    and the names sin/cos; the values enter as arguments of the factory, so
-    every float (inf, nan, -0.0, subnormals) is used as given, and one
-    compiled factory serves every signal with the same pattern of sines.  One
-    statement per term, rather than one nested expression, keeps the
-    compiler's recursion flat for any number of terms.
+    It computes v = a0 * sin(w0 * t), then v += amp * sin|cos(omega * t) for
+    each further term, left to right, and returns v: each product and each
+    addition is one float operation, and every float (inf, nan, -0.0,
+    subnormals) is used as given.
     """
-    products = [f"a{i} * {'sin' if is_sine else 'cos'}(w{i} * t)"
-                for i, is_sine in enumerate(sines)]
-    body = [f"v = {products[0]}", *(f"v += {c}" for c in products[1:]), "return v"]
-    args = ", ".join(f"a{i}, w{i}" for i in range(len(sines)))
-    source = (f"def factory({args}):\n    def a(t):\n"
-              + "".join(f"        {line}\n" for line in body) + "    return a\n")
-    namespace = {"sin": sin, "cos": cos}
-    exec(compile(source, "<doubleint.signals a(t)>", "exec"), namespace)
-    return namespace["factory"]
+    (a0, w0, _), *rest = terms(spec)
+    further = [(amp, omega, sin if is_sine else cos) for amp, omega, is_sine in rest]
 
+    def a(t):
+        v = a0 * sin(w0 * t)
+        for amp, omega, f in further:
+            v += amp * f(omega * t)
+        return v
 
-def _compile_input(spec: SignalSpec, sin, cos) -> Callable:
-    """a(t) over terms(spec), with sin and cos as the functions it calls."""
-    spec_terms = terms(spec)
-    factory = _input_factory(tuple(is_sine for _, _, is_sine in spec_terms), sin, cos)
-    return factory(*(x for amp, omega, _ in spec_terms for x in (amp, omega)))
+    return a
 
 
 def make_input_fn(spec: SignalSpec) -> Callable[[float], float]:
-    """Scalar closure a(t), the base waveform plus every noise term, for use
-    in integration hot loops.
+    """Scalar closure a(t), the base waveform plus every noise term: the
+    reference input of step() and of the tests.
 
     It sums terms(spec) left to right over math.sin and math.cos, one float
-    operation at a time (see _input_factory).
+    operation at a time (see _sum_of_terms).
     """
-    return _compile_input(spec, math.sin, math.cos)
+    return _sum_of_terms(spec, math.sin, math.cos)
 
 
 def input_values(spec: SignalSpec, times) -> np.ndarray:
     """a(t) at each of times, as a float array: make_input_fn(spec) applied
     element by element, bit for bit.
 
-    It is the same compiled sum over np.sin and np.cos, which are math.sin
-    and math.cos bit for bit on float64 (tests/test_signals.py pins that on
-    the arguments the runs use), so each element takes the same float
-    operations in the same order as the scalar closure.  An overflowing
-    product and inf * 0 give inf and nan without a numpy warning, as the
-    closure gives them without an exception.
+    It is the same loop over np.sin and np.cos, which are math.sin and
+    math.cos bit for bit on float64 (tests/test_signals.py pins that on the
+    arguments the runs use), so each element takes the same float operations
+    in the same order as the scalar closure.  An overflowing product and
+    inf * 0 give inf and nan without a numpy warning, as the closure gives
+    them without an exception.
     """
-    a = _compile_input(spec, np.sin, np.cos)
+    a = _sum_of_terms(spec, np.sin, np.cos)
     with np.errstate(over="ignore", invalid="ignore"):
         return a(np.asarray(times, dtype=float))

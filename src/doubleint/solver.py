@@ -174,8 +174,8 @@ def _schur_stable_step(p: ObserverParams, h: float, method: str) -> bool:
 def step(p: ObserverParams, state: ObserverState, t: float, h: float, a_fn,
          method: str = "rk4") -> ObserverState:
     """One integration step from time t; a_fn(t) supplies the input signal."""
-    if h <= 0.0:
-        raise ConfigError("step size must be positive")
+    if not 0.0 < h < math.inf:
+        raise ConfigError(f"h must be finite and positive, got {h!r}")
     if method == "euler":
         d1, d2, d3 = rhs(p, state, a_fn(t))
         out = ObserverState(state.x1 + h * d1, state.x2 + h * d2, state.x3 + h * d3)

@@ -110,14 +110,16 @@ def fit_sinusoid(times: np.ndarray, values: np.ndarray, omega: float) -> Sinusoi
     sqrt(c1^2 + c2^2) and the phase is the quadrant-correct arctangent of
     (c2, c1).  Raises IllConditioned when the normal matrix has condition
     number above 1e8 (degenerate time span) or is not finite (non-finite
-    times), or fewer than 2 samples; raises ConfigError when omega is not
-    finite and positive.
+    times), fewer than 2 samples, or times or values that are not 1-D;
+    raises ConfigError when omega is not finite and positive.
     """
     # an int past the float range compares exactly, so it fails here too
     if not 0.0 < omega <= sys.float_info.max:
         raise ConfigError("omega must be finite and positive")
     t = np.asarray(times, dtype=float)
     y = np.asarray(values, dtype=float)
+    if t.ndim != 1 or y.ndim != 1:
+        raise IllConditioned(f"times and values must be 1-D, got shapes {t.shape} and {y.shape}")
     if t.size < 2 or t.size != y.size:
         raise IllConditioned("need at least 2 samples with matching times")
     with np.errstate(over="ignore", invalid="ignore"):
@@ -256,7 +258,8 @@ def sweep_observer(p: ObserverParams, cfg: SweepConfig, workers: int = 1) -> Bod
 
     Divergence or an ill-conditioned fit at one frequency flags that row and
     the sweep continues.  With workers > 1 the frequencies are distributed
-    over a process pool; results are identical to the sequential run.
+    over a process pool of at most one process per frequency; results are
+    identical to the sequential run.
     Raises ConfigError when workers is not an integer or is below 1.
     """
     workers = config_value("workers", int, workers)
@@ -274,7 +277,9 @@ def sweep_observer(p: ObserverParams, cfg: SweepConfig, workers: int = 1) -> Bod
             f"of the lowest frequency",
             stacklevel=2,
         )
-    if workers > 1 and len(cfg.freqs_hz) > 1:
+    # a fork pool starts all max_workers processes at the first submit
+    workers = min(workers, len(cfg.freqs_hz))
+    if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             per_freq = list(pool.map(_run_frequency, repeat(p), repeat(cfg), cfg.freqs_hz))
     else:

@@ -312,6 +312,14 @@ def test_step_nonfinite_raises(lin_params):
         step(lin_params, ObserverState(math.inf, 0.0, 0.0), 0.0, 0.001, lambda t: 0.0)
 
 
+@pytest.mark.parametrize("method", ["euler", "rk4"])
+@pytest.mark.parametrize("h", [0.0, -1e-3, math.nan, math.inf])
+def test_step_refuses_a_step_size_that_is_not_finite_and_positive(lin_params, method, h):
+    # a malformed step is a ConfigError, not a DivergedState of the state it gives
+    with pytest.raises(ConfigError, match=f"^h must be finite and positive, got {h!r}$"):
+        step(lin_params, ObserverState(0.0, 0.0, 0.0), 0.0, h, lambda t: 0.0, method)
+
+
 def test_rhs_consistency_with_kernel_formula(nl_params):
     # spot check: the public rhs drives step(), whose Euler form is x + h*f
     s = ObserverState(0.3, -0.7, 1.1)

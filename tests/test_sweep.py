@@ -93,6 +93,9 @@ def test_fit_ill_conditioned():
         fit_sinusoid(np.zeros(10), np.ones(10), 1.0)
     with pytest.raises(IllConditioned):
         fit_sinusoid(np.array([1.0]), np.array([1.0]), 1.0)
+    with pytest.raises(IllConditioned, match=r"^times and values must be 1-D, got shapes "
+                                             r"\(4,\) and \(2, 2\)$"):
+        fit_sinusoid(np.arange(4) * 0.1, np.ones((2, 2)), 1.0)
     with pytest.raises(ConfigError):
         fit_sinusoid(sample_times(10), np.ones(11), 0.0)
     # an int too large for a float is no finite omega either
@@ -227,6 +230,34 @@ def test_parallel_matches_sequential(p):
     seq = sweep_observer(p, cfg, workers=1)
     par = sweep_observer(p, cfg, workers=2)
     assert seq.rows == par.rows
+
+
+@pytest.mark.parametrize("freqs_hz, workers, pools", [
+    ((5.1, 10.1), 100_000, [2]),
+    ((5.1, 10.1, 20.1), 2, [2]),
+    ((5.1,), 8, []),
+])
+def test_pool_is_capped_at_the_lane_count(monkeypatch, freqs_hz, workers, pools):
+    # a fork pool starts every one of max_workers processes at the first submit; a fake
+    # executor records max_workers and maps serially, so no process is started here
+    started = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        map = staticmethod(map)
+
+    monkeypatch.setattr("doubleint.sweep.ProcessPoolExecutor", SerialPool)
+    cfg = SweepConfig(freqs_hz=freqs_hz, samples=200)
+    assert sweep_observer(LIN, cfg, workers=workers).rows == sweep_observer(LIN, cfg).rows
+    assert started == pools
 
 
 @pytest.mark.parametrize("workers", [0, -3])
