@@ -4,18 +4,31 @@ The public entry points are simulate(), integrate() (its times and states
 alone) and step().  A linear run does not step: analytic.signal_states gives
 the same discretization's orbit in closed form.  A nonlinear run steps
 through a kernel per method on plain floats: a nonlinear sweep over the full
-frequency grid takes ~10^7 RK4 steps, which rules out per-step calls into
-observers.rhs or power_sign.  Both kernels are compiled at import from one
-source template, in which the feedback law is written once, with power_sign
-inlined as its own comparisons and power.  The input does not depend on the
-state, so a kernel evaluates it CHUNK steps at a time with
-signals.input_values, at the float times step() takes it at and to the same
-bits.  rhs(), step() and power_sign stay the readable reference:
-test_kernels_match_public_step pins both kernels to step() bit for bit.
+frequency grid takes ~10^7-10^8 RK4 steps, which rules out per-step calls
+into observers.rhs or power_sign.  Every kernel is rendered from one step
+template (_steps), in which the feedback law is written once, with
+power_sign inlined as its own comparisons and power.  It is rendered twice:
+to Python, compiled at import, and to C, built with the system cc at the
+first nonlinear run and cached per user (_c_kernels).  Runs take the C
+kernels, ~5x faster, and the Python ones when cc is missing or fails, after
+one warning.  The input does not depend on the state, so a kernel evaluates
+it CHUNK steps at a time with signals.input_values, at the float times
+step() takes it at and to the same bits.  rhs(), step() and power_sign stay
+the readable reference: test_kernels_match_public_step pins every kernel to
+step() bit for bit.
 """
 
 import bisect
+import contextlib
+import ctypes
+import functools
 import math
+import os
+import shutil
+import subprocess
+import tempfile
+import warnings
+import zlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,8 +50,9 @@ STABILITY_LIMIT = 2.0
 # runs whose record would exceed 1 GiB are refused before allocating it.
 MAX_RECORD_ROWS = 2**30 // (11 * 8)
 
-# Steps run in pure Python at ~10^5-10^6 per second, so 10^9 steps is about an
-# hour of RK4; longer runs are refused before they start.
+# The C kernels run ~2x10^6 RK4 steps per second, inputs included (0.4-0.7 us per step
+# on the noisy reference, 2-core x86-64), so 10^9 steps is 8-12 minutes of RK4, and about
+# an hour in the Python kernels; longer runs are refused before they start.
 MAX_STEPS = 10**9
 
 
@@ -204,45 +218,59 @@ def step(p: ObserverParams, state: ObserverState, t: float, h: float, a_fn,
 # without the call
 _POWER_SIGN = "({v} ** {e} if {v} > 0.0 else -((-{v}) ** {e}) if {v} < 0.0 else 0.0)"
 
+# The same expression in C.  For a finite positive base, CPython's float ** calls libm's pow,
+# and every exponent lies in (0, 1] (derive_alphas), so pow neither overflows nor raises;
+# +-inf takes the same branch to +-inf in both, and nan and +-0 take the last one to +0.0.
+_C_POWER_SIGN = "({v} > 0.0 ? pow({v}, {e}) : {v} < 0.0 ? -pow(-{v}, {e}) : 0.0)"
 
-def _feedback(d3: str, y1: str, y2: str, y3: str, a: str) -> list[str]:
-    """Source lines setting d3 to rhs()'s nonlinear d3 at state (y1, y2, y3) and input a."""
-    ps = [_POWER_SIGN.format(v=f"u{c}", e=f"a{c}") for c in (1, 2, 3)]
+
+def _feedback(d3: str, y1: str, y2: str, y3: str, a: str, power_sign: str) -> list[str]:
+    """Source lines setting d3 to rhs()'s nonlinear d3 at state (y1, y2, y3) and input a,
+    with power_sign rendered by the template power_sign (_POWER_SIGN or _C_POWER_SIGN)."""
+    ps = [power_sign.format(v=f"u{c}", e=f"a{c}") for c in (1, 2, 3)]
     return [f"u1 = eps * {y1}", f"u2 = e2 * {y2}", f"u3 = {y3} - {a}",
             f"{d3} = -(k1 * {ps[0]} + k2 * {ps[1]} + k3 * {ps[2]}) * inv"]
 
 
-# One step of each method from (x1, x2, x3) at time t = i*h, in step()'s operation order:
-# (inputs, lines), where inputs names each a(t) value the lines read and the time it is
-# taken at, as step() takes it.
-_STEPS = {
-    "rk4": ((("a_t", "t"), ("a_m", "t + hh"), ("a_n", "t + h")), [
-        *_feedback("d3a", "x1", "x2", "x3", "a_t"),
-        "y1 = x1 + hh * x2",
-        "y2 = x2 + hh * x3",
-        "y3 = x3 + hh * d3a",
-        *_feedback("d3b", "y1", "y2", "y3", "a_m"),
-        "d1b, d2b = y2, y3",
-        "y1 = x1 + hh * d1b",
-        "y2 = x2 + hh * d2b",
-        "y3 = x3 + hh * d3b",
-        *_feedback("d3c", "y1", "y2", "y3", "a_m"),
-        "d1c, d2c = y2, y3",
-        "y1 = x1 + h * d1c",
-        "y2 = x2 + h * d2c",
-        "y3 = x3 + h * d3c",
-        *_feedback("d3d", "y1", "y2", "y3", "a_n"),
-        "x1 += h * (x2 + 2.0 * (d1b + d1c) + y2) / 6.0",
-        "x2 += h * (x3 + 2.0 * (d2b + d2c) + y3) / 6.0",
-        "x3 += h * (d3a + 2.0 * (d3b + d3c) + d3d) / 6.0",
-    ]),
-    "euler": ((("a_t", "t"),), [
-        *_feedback("d3", "x1", "x2", "x3", "a_t"),
-        "x1 += h * x2",
-        "x2 += h * x3",
-        "x3 += h * d3",
-    ]),
-}
+def _steps(power_sign: str) -> dict[str, tuple[tuple[tuple[str, str], ...], list[str]]]:
+    """One step of each method from (x1, x2, x3) at time t = i*h, in step()'s operation order:
+    method -> (inputs, lines), where inputs names each a(t) value the lines read and the time
+    it is taken at, as step() takes it.  power_sign is _POWER_SIGN or _C_POWER_SIGN; every
+    other line is both Python and, with a `;` added, C (_c_source)."""
+    def feedback(*names):
+        return _feedback(*names, power_sign)
+
+    return {
+        "rk4": ((("a_t", "t"), ("a_m", "t + hh"), ("a_n", "t + h")), [
+            *feedback("d3a", "x1", "x2", "x3", "a_t"),
+            "y1 = x1 + hh * x2",
+            "y2 = x2 + hh * x3",
+            "y3 = x3 + hh * d3a",
+            *feedback("d3b", "y1", "y2", "y3", "a_m"),
+            "d1b, d2b = y2, y3",
+            "y1 = x1 + hh * d1b",
+            "y2 = x2 + hh * d2b",
+            "y3 = x3 + hh * d3b",
+            *feedback("d3c", "y1", "y2", "y3", "a_m"),
+            "d1c, d2c = y2, y3",
+            "y1 = x1 + h * d1c",
+            "y2 = x2 + h * d2c",
+            "y3 = x3 + h * d3c",
+            *feedback("d3d", "y1", "y2", "y3", "a_n"),
+            "x1 += h * (x2 + 2.0 * (d1b + d1c) + y2) / 6.0",
+            "x2 += h * (x3 + 2.0 * (d2b + d2c) + y3) / 6.0",
+            "x3 += h * (d3a + 2.0 * (d3b + d3c) + d3d) / 6.0",
+        ]),
+        "euler": ((("a_t", "t"),), [
+            *feedback("d3", "x1", "x2", "x3", "a_t"),
+            "x1 += h * x2",
+            "x2 += h * x3",
+            "x3 += h * d3",
+        ]),
+    }
+
+
+_STEPS = _steps(_POWER_SIGN)
 
 # Steps per input evaluation: a kernel evaluates the input of CHUNK steps at once as arrays,
 # before it runs them.
@@ -282,20 +310,204 @@ def kernel(p, x0, spec, h, n, stride, out):
                     raise DivergedState((i + 1) * h)
 """
 
+# The same kernel over a C function that runs one chunk's steps.  Python forms the times and
+# inputs of each chunk as _KERNEL does, and p's derived values with the same operations.
+_C_DRIVER = """\
+def kernel(p, x0, spec, h, n, stride, out):
+    if out.shape != (n // stride + 1, 3):
+        raise ValueError(f"out has shape {{out.shape}}, not ({{n // stride + 1}}, 3)")
+    eps = p.epsilon
+    hh = 0.5 * h
+    params = array([p.k1, p.k2, p.k3, p.alpha1, p.alpha2, p.alpha3,
+                    eps, eps * eps, 1.0 / eps**4, h, hh])
+    x = array(x0, dtype=float)
+    out[0] = x
+    counts = array([stride, 0], dtype=int64)
+    for lo in range(0, n, CHUNK):
+        hi = min(lo + CHUNK, n)
+        t = arange(lo, hi, dtype=float) * h
+        k = chunk(params, x, {values}, hi - lo, counts, stride, out)
+        if k >= 0:
+            raise DivergedState((lo + k + 1) * h)
+"""
 
-def _compile_kernel(method: str):
+# C of one chunk of m steps of a method: p holds _C_DRIVER's params, x the state and counts the
+# stride countdown and the index in out of the last recorded row, each carried from chunk to
+# chunk.  It returns the index of the first step whose recorded row is not finite, after
+# recording that row, or -1 after all m steps.
+_C_CHUNK = """\
+int64_t {method}_chunk(const double *p, double *x, {arrays}, int64_t m, int64_t *counts,
+                       int64_t stride, double *out)
+{{
+    const double k1 = p[0], k2 = p[1], k3 = p[2], a1 = p[3], a2 = p[4], a3 = p[5];
+    const double eps = p[6], e2 = p[7], inv = p[8], h = p[9], hh = p[10];
+    double x1 = x[0], x2 = x[1], x3 = x[2];
+    double {temps};
+    int64_t c = counts[0], j = counts[1];
+    for (int64_t k = 0; k < m; k++) {{
+{step}
+        if (!--c) {{
+            c = stride;
+            j += 3;
+            out[j] = x1;
+            out[j + 1] = x2;
+            out[j + 2] = x3;
+            if (!(isfinite(x1) && isfinite(x2) && isfinite(x3)))
+                return k;
+        }}
+    }}
+    x[0] = x1;
+    x[1] = x2;
+    x[2] = x3;
+    counts[0] = c;
+    counts[1] = j;
+    return -1;
+}}
+"""
+
+# -ffp-contract=off keeps every product and sum its own rounding, as in Python; -ffast-math
+# would reorder sums and drop the nan and inf cases
+_C_FLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
+
+
+def _exec_kernel(method: str, template: str, values: str, **names):
+    """kernel of the template rendered for method, values the source of its input arrays."""
     inputs, lines = _STEPS[method]
-    source = _KERNEL.format(
+    source = template.format(
         inputs=", ".join(name for name, _ in inputs),
-        values=", ".join(f"input_values(spec, {at}).tolist()" for _, at in inputs),
+        values=", ".join(values.format(at=at) for _, at in inputs),
         step="".join(f"            {line}\n" for line in lines))
     namespace = {"isfinite": math.isfinite, "arange": np.arange, "CHUNK": CHUNK,
-                 "input_values": signals.input_values, "DivergedState": DivergedState}
+                 "input_values": signals.input_values, "DivergedState": DivergedState, **names}
     exec(compile(source, f"<doubleint.solver {method} kernel>", "exec"), namespace)
     return namespace["kernel"]
 
 
-_KERNELS = {method: _compile_kernel(method) for method in METHODS}
+_KERNELS = {method: _exec_kernel(method, _KERNEL, "input_values(spec, {at}).tolist()")
+            for method in METHODS}
+
+
+def _c_source() -> str:
+    """C of every method's chunk function, from _steps(_C_POWER_SIGN): the one tuple
+    assignment, which reads none of its targets, becomes a statement per target, and every
+    other line only gains a `;`."""
+    parts = ["#include <math.h>\n#include <stdint.h>\n"]
+    for method, (inputs, lines) in _steps(_C_POWER_SIGN).items():
+        statements = [f"const double {name} = {name}_v[k];" for name, _ in inputs]
+        temps: list[str] = []
+        for line in lines:
+            target, assign, value = line.partition(" = ")
+            names = target.split(", ")
+            temps += [name for name in names if assign and name not in temps]
+            if len(names) > 1:
+                statements += [f"{n} = {v};" for n, v in zip(names, value.split(", "))]
+            else:
+                statements.append(f"{line};")
+        parts.append(_C_CHUNK.format(
+            method=method, arrays=", ".join(f"const double *{name}_v" for name, _ in inputs),
+            temps=", ".join(temps), step="".join(f"        {s}\n" for s in statements)))
+    return "\n".join(parts)
+
+
+def _c_build_dir() -> tuple[str, bool]:
+    """(directory, temporary): the per-user cache $XDG_CACHE_HOME/doubleint (else
+    ~/.cache/doubleint), made with mode 0700, or a fresh private temporary directory when the
+    cache cannot be made, is not the user's own, or others may write to it."""
+    base = os.environ.get("XDG_CACHE_HOME", "")
+    if not os.path.isabs(base):
+        base = os.path.join(os.path.expanduser("~"), ".cache")
+    path = os.path.join(base, "doubleint")
+    try:
+        os.makedirs(path, mode=0o700, exist_ok=True)
+        st = os.stat(path)
+        if st.st_uid == os.getuid() and not st.st_mode & 0o022 and os.access(path, os.W_OK):
+            return path, False
+    except OSError:
+        pass
+    return tempfile.mkdtemp(prefix="doubleint-"), True
+
+
+def _read_text(path: str) -> str | None:
+    try:
+        with open(path, encoding="utf-8", errors="replace") as f:
+            return f.read()
+    except FileNotFoundError:
+        return None
+
+
+def _load_c_library(source: str) -> ctypes.CDLL:
+    """The library built from source by cc, from the cache when the build there has the same
+    source, compiler and flags; raises OSError when cc is missing or fails."""
+    cc = shutil.which("cc")
+    if cc is None:
+        raise OSError("no C compiler cc on PATH")
+    cc = os.path.realpath(cc)
+    st = os.stat(cc)
+    key = zlib.crc32("\0".join((source, *_C_FLAGS, cc, str(st.st_size),
+                                str(st.st_mtime_ns))).encode())
+    directory, temporary = _c_build_dir()
+    stem = os.path.join(directory, f"kernels-{key:08x}")
+    try:
+        # a stored source that differs (a crc32 collision, or a file changed in the cache)
+        # is never trusted: the library is built again
+        if _read_text(stem + ".c") != source or not os.path.exists(stem + ".so"):
+            _build_c_library(cc, source, stem)
+        return ctypes.CDLL(stem + ".so")
+    finally:
+        if temporary:
+            shutil.rmtree(directory, ignore_errors=True)
+
+
+def _build_c_library(cc: str, source: str, stem: str) -> None:
+    """Build stem.so from source and store source as stem.c beside it.
+
+    Both are written under temporary names in stem's directory and renamed into place, the
+    library first, so a concurrent build or load never sees a partial file.
+    """
+    fd, c_tmp = tempfile.mkstemp(suffix=".c", dir=os.path.dirname(stem))
+    so_tmp = c_tmp[:-2] + ".so"
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as f:
+            f.write(source)
+        proc = subprocess.run([cc, *_C_FLAGS, "-o", so_tmp, c_tmp, "-lm"],
+                              capture_output=True, text=True)
+        if proc.returncode != 0:
+            last = proc.stderr.strip().splitlines()[-1:] or [""]
+            raise OSError(f"{cc} exited with status {proc.returncode}: {last[0]}")
+        os.replace(so_tmp, stem + ".so")
+        os.replace(c_tmp, stem + ".c")
+    finally:
+        for path in (c_tmp, so_tmp):
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(path)
+
+
+def _c_kernel(lib: ctypes.CDLL, method: str):
+    """kernel of _KERNEL's contract over the library's chunk function for method."""
+    def pointer(dtype, ndim: int, flags: str = "C_CONTIGUOUS,WRITEABLE"):
+        # ctypes checks each array's dtype, dimensions and flags before passing its pointer
+        return np.ctypeslib.ndpointer(dtype, ndim, flags=flags)
+
+    chunk = getattr(lib, f"{method}_chunk")
+    chunk.restype = ctypes.c_int64
+    chunk.argtypes = [pointer(np.float64, 1, "C_CONTIGUOUS"), pointer(np.float64, 1),
+                      *[pointer(np.float64, 1, "C_CONTIGUOUS")] * len(_STEPS[method][0]),
+                      ctypes.c_int64, pointer(np.int64, 1), ctypes.c_int64, pointer(np.float64, 2)]
+    return _exec_kernel(method, _C_DRIVER, "input_values(spec, {at})", chunk=chunk,
+                        array=np.array, int64=np.int64)
+
+
+@functools.cache
+def _c_kernels() -> dict | None:
+    """The C kernels by method, built or loaded at their first use in the process; None,
+    after one warning, when cc is missing or fails."""
+    try:
+        lib = _load_c_library(_c_source())
+    except OSError as exc:
+        warnings.warn(f"the C kernels are unavailable ({exc}): nonlinear runs step in Python, "
+                      "4-6x slower, to the same states", stacklevel=3)
+        return None
+    return {method: _c_kernel(lib, method) for method in METHODS}
 
 
 def integrate(p: ObserverParams, spec: signals.SignalSpec,
@@ -314,8 +526,8 @@ def integrate(p: ObserverParams, spec: signals.SignalSpec,
         states = analytic.signal_states(p, spec, cfg)
     else:
         states = np.empty((times.size, 3))
-        _KERNELS[cfg.method](p, cfg.initial_state, spec, cfg.step_h, cfg.steps,
-                             cfg.record_stride, states)
+        kernel = (_c_kernels() or _KERNELS)[cfg.method]
+        kernel(p, cfg.initial_state, spec, cfg.step_h, cfg.steps, cfg.record_stride, states)
     return times, states
 
 

@@ -113,15 +113,23 @@ def fit_sinusoid(times: np.ndarray, values: np.ndarray, omega: float) -> Sinusoi
     times), fewer than 2 samples, or times or values that are not 1-D;
     raises ConfigError when omega is not finite and positive.
     """
+    return _fit_sinusoids(times, [values], omega)[0]
+
+
+def _fit_sinusoids(times: np.ndarray, columns: list, omega: float) -> list[SinusoidFit]:
+    """fit_sinusoid(times, values, omega) for each values of columns, to the same bits and
+    with the same checks, from one evaluation of the sine and cosine of the phases."""
     # an int past the float range compares exactly, so it fails here too
     if not 0.0 < omega <= sys.float_info.max:
         raise ConfigError("omega must be finite and positive")
     t = np.asarray(times, dtype=float)
-    y = np.asarray(values, dtype=float)
-    if t.ndim != 1 or y.ndim != 1:
-        raise IllConditioned(f"times and values must be 1-D, got shapes {t.shape} and {y.shape}")
-    if t.size < 2 or t.size != y.size:
-        raise IllConditioned("need at least 2 samples with matching times")
+    ys = [np.asarray(values, dtype=float) for values in columns]
+    for y in ys:
+        if t.ndim != 1 or y.ndim != 1:
+            raise IllConditioned(
+                f"times and values must be 1-D, got shapes {t.shape} and {y.shape}")
+        if t.size < 2 or t.size != y.size:
+            raise IllConditioned("need at least 2 samples with matching times")
     with np.errstate(over="ignore", invalid="ignore"):
         # a phase omega*t that is inf or nan has no sine: the nan it gives
         # makes the normal matrix non-finite, which is refused below
@@ -143,16 +151,19 @@ def fit_sinusoid(times: np.ndarray, values: np.ndarray, omega: float) -> Sinusoi
             "exceeds 1e8"
         )
     det = ss * cc - sc * sc
-    with np.errstate(over="ignore", invalid="ignore"):
-        # outputs near the float range overflow to an inf or nan coefficient or
-        # residual, which the sweep flags nonfinite_fit
-        sy = _dot(s, y)
-        cy = _dot(c, y)
-        c1 = (cc * sy - sc * cy) / det
-        c2 = (ss * cy - sc * sy) / det
-        resid = y - c1 * s - c2 * c
-        residual_rms = math.sqrt(float(np.mean(resid**2)))
-    return SinusoidFit(c1, c2, math.hypot(c1, c2), math.atan2(c2, c1), residual_rms)
+    fits = []
+    for y in ys:
+        with np.errstate(over="ignore", invalid="ignore"):
+            # outputs near the float range overflow to an inf or nan coefficient or
+            # residual, which the sweep flags nonfinite_fit
+            sy = _dot(s, y)
+            cy = _dot(c, y)
+            c1 = (cc * sy - sc * cy) / det
+            c2 = (ss * cy - sc * sy) / det
+            resid = y - c1 * s - c2 * c
+            residual_rms = math.sqrt(float(np.mean(resid**2)))
+        fits.append(SinusoidFit(c1, c2, math.hypot(c1, c2), math.atan2(c2, c1), residual_rms))
+    return fits
 
 
 @dataclass(frozen=True)
@@ -236,8 +247,7 @@ def _run_frequency(p: ObserverParams, cfg: SweepConfig, f_hz: float) -> list[Bod
         x0 = _initial_state(p, cfg, omega)
         times, states = integrate(p, spec, replace(_frequency_sim(cfg), initial_state=x0))
         lo = int(times.size * cfg.discard_fraction)
-        # conditioning depends only on the times and omega: all channels or none fail it
-        fits = [fit_sinusoid(times[lo:], states[lo:, ch - 1], omega) for ch in cfg.channels]
+        fits = _fit_sinusoids(times[lo:], [states[lo:, ch - 1] for ch in cfg.channels], omega)
     except (DivergedState, IllConditioned) as exc:
         flag = "diverged" if isinstance(exc, DivergedState) else "ill_conditioned"
         return [BodeRow(f_hz, omega, ch, math.nan, math.nan, None, None, "sweep", flag)

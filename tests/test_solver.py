@@ -1,6 +1,13 @@
+import contextlib
+import io
 import itertools
 import math
+import os
 import re
+import shutil
+import subprocess
+import sys
+import tempfile
 import tracemalloc
 from dataclasses import replace
 
@@ -31,7 +38,8 @@ from doubleint import (
     trajectory_metrics,
     validate_params,
 )
-from doubleint.signals import make_input_fn, truth_arrays
+from doubleint import cli
+from doubleint.signals import make_input_fn, paper_reference_spec, truth_arrays
 from doubleint.sweep import _frequency_sim
 
 
@@ -77,12 +85,31 @@ def test_rk4_step_matches_matrix_exponential():
     assert 16.0 < ratio < 64.0  # local truncation order h^5
 
 
-@pytest.mark.parametrize("method", ["rk4", "euler"])
+def kernels(which: str) -> dict:
+    """The nonlinear kernels by method: "python", the template rendered to Python, or "c",
+    the C rendering, which must build wherever cc is on PATH."""
+    if which == "python":
+        return solver._KERNELS
+    if shutil.which("cc") is None:
+        pytest.skip("no C compiler cc on PATH")
+    built = solver._c_kernels()
+    assert built is not None, "cc is on PATH, yet the C kernels did not build"
+    return built
+
+
+# each case once per kernel, the C kernel's id ending in -c
+def each_kernel(cases: list[tuple]) -> list:
+    return [pytest.param(*case, which, id="-".join(map(str, case)) + ("-c" if which == "c" else ""))
+            for which in ("python", "c") for case in cases]
+
+
+@pytest.mark.parametrize("method, which", each_kernel([("rk4",), ("euler",)]))
 @pytest.mark.parametrize("mode,alpha3", [("nonlinear", 0.3)])
-def test_kernels_match_public_step(method, mode, alpha3, noisy_spec):
-    # the compiled nonlinear kernels must agree bit for bit with step()/rhs();
+def test_kernels_match_public_step(method, which, mode, alpha3, noisy_spec):
+    # the nonlinear kernels, and integrate(), must agree bit for bit with step()/rhs();
     # linear runs are closed form, checked against step() in test_oracle.py.  The run
     # crosses two chunk edges, and stride CHUNK + 3 records across each of them
+    kernel = kernels(which)[method]
     p = ObserverParams(0.1, 0.1, 1.0, 0.2, alpha3, mode)
     h, n = 0.001, 2 * solver.CHUNK + 37
     a_fn = make_input_fn(noisy_spec)
@@ -91,15 +118,18 @@ def test_kernels_match_public_step(method, mode, alpha3, noisy_spec):
         for i in range(n):
             stepped.append(step(p, stepped[-1], i * h, h, a_fn, method))
         for stride in (1, 7, solver.CHUNK + 3):
+            expected = np.array(stepped[::stride])
+            out = np.empty_like(expected)
+            kernel(p, ObserverState(*x0), noisy_spec, h, n, stride, out)
+            assert np.array_equal(out.view(np.int64), expected.view(np.int64)), (x0, stride)
             cfg = SimConfig(h, n * h, ObserverState(*x0), method, stride)
             _, states = integrate(p, noisy_spec, cfg)
-            expected = np.array(stepped[::stride])
             assert np.array_equal(states.view(np.int64), expected.view(np.int64)), (x0, stride)
 
 
-@pytest.mark.parametrize("method, stride, steps", [("rk4", 1, 1), ("rk4", 7, 7),
-                                                   ("euler", 1, 2), ("euler", 7, 7)])
-def test_nonlinear_divergence_stops_at_the_first_nonfinite_record(method, stride, steps):
+@pytest.mark.parametrize("method, stride, steps, which", each_kernel(
+    [("rk4", 1, 1), ("rk4", 7, 7), ("euler", 1, 2), ("euler", 7, 7)]))
+def test_nonlinear_divergence_stops_at_the_first_nonfinite_record(method, stride, steps, which):
     # a(0) = inf * sin(0) is nan, which power_sign maps to 0, and a(t > 0) is inf: RK4's
     # state is non-finite after one step, Euler's x3 alone after two.  The run stops at
     # the first recorded row that is not finite, that of step `steps`
@@ -113,11 +143,163 @@ def test_nonlinear_divergence_stops_at_the_first_nonfinite_record(method, stride
     # the kernel records nothing after the raising row: no later step reaches a record
     out = np.full((n // stride + 1, 3), 7.25)
     with pytest.raises(DivergedState) as err:
-        solver._KERNELS[method](p, cfg.initial_state, spec, h, n, stride, out)
+        kernels(which)[method](p, cfg.initial_state, spec, h, n, stride, out)
     assert err.value.time == steps * h
     row = steps // stride
     assert not np.isfinite(out[row]).all()
     assert np.all(out[row + 1:] == 7.25)
+
+
+# a(t) = inf * sin(0 * t), nan at every step; inf * sin(t), nan at t = 0 and +-inf after
+NAN_INPUT = SignalSpec("sinusoid", math.inf, 0.0)
+INF_INPUT = SignalSpec("sinusoid", math.inf, 1.0)
+TINY = 5e-324
+
+
+@pytest.mark.parametrize("method", solver.METHODS)
+@pytest.mark.parametrize("alpha3", [0.3, 1.0])
+@pytest.mark.parametrize("spec", [NAN_INPUT, INF_INPUT, paper_reference_spec()],
+                         ids=["nan_input", "inf_input", "noisy_reference"])
+@pytest.mark.parametrize("x0", [(0.0, -0.0, 0.0), (-0.0, -0.0, -0.0), (TINY, -TINY, 1e-310),
+                                (-2.2250738585072014e-308, 1e-320, -TINY)],
+                         ids=["zeros", "negative_zeros", "subnormals", "subnormals_2"])
+def test_c_kernel_is_the_python_kernel_on_special_inputs(method, alpha3, spec, x0):
+    # nan inputs take power_sign's 0.0 branch and keep the state finite; inf inputs take
+    # its pow branches to inf, and the state passes through inf and nan between records;
+    # +-0 and subnormal states start it.  Each recorded row, the non-finite one included,
+    # has the same bits, and so has the raise
+    p = ObserverParams(0.1, 0.1, 1.0, 0.2, alpha3, "nonlinear")
+    h, n = 0.001, 300
+    runs = []
+    for which in ("c", "python"):
+        for stride in (1, 50):
+            out = np.full((n // stride + 1, 3), 7.25)
+            try:
+                kernels(which)[method](p, ObserverState(*x0), spec, h, n, stride, out)
+                raised = None
+            except DivergedState as exc:
+                raised = exc.time
+            runs.append((raised, out.view(np.int64).tolist()))
+    assert runs[:2] == runs[2:]
+    assert (runs[0][0] is None) == (spec is not INF_INPUT)
+    if spec.kind == "paper_reference":
+        # step() refuses a non-finite input; on finite ones it takes the same bits
+        a_fn = make_input_fn(spec)
+        stepped = [ObserverState(*x0)]
+        for i in range(n):
+            stepped.append(step(p, stepped[-1], i * h, h, a_fn, method))
+        assert runs[0][1] == np.array(stepped).view(np.int64).tolist()
+
+
+def _reproduce_fig3(out, method: str) -> tuple[str, dict]:
+    """stdout, with out replaced by OUT, and the output files of reproduce fig3."""
+    with contextlib.redirect_stdout(io.StringIO()) as stdout:
+        assert cli.main(["reproduce", "--scenario", "fig3", "--method", method,
+                         "--out", str(out)]) == 0
+    return (stdout.getvalue().replace(str(out), "OUT"),
+            {f.name: f.read_bytes() for f in sorted(out.iterdir())})
+
+
+def test_without_a_compiler_the_python_kernels_run_after_one_warning(
+        tmp_path, capsys, monkeypatch, nl_params, noisy_spec):
+    cfg = SimConfig(0.001, 2.0, ObserverState(0.0, 1.0, 0.0), "rk4", 7)
+    runs = []
+    for which in ("c", "python"):
+        if which == "python":
+            # the compiler lookup finds nothing, and the kernels are chosen again
+            monkeypatch.setattr(shutil, "which", lambda *args, **kwargs: None)
+            solver._c_kernels.cache_clear()
+        capsys.readouterr()
+        try:
+            outputs = [_reproduce_fig3(tmp_path / f"{which}-{m}", m) for m in solver.METHODS]
+            states = integrate(nl_params, noisy_spec, cfg)[1]
+        finally:
+            solver._c_kernels.cache_clear()
+        runs.append((outputs, states.view(np.int64).tolist(), capsys.readouterr().err))
+    (c_outputs, c_states, _), (outputs, states, err) = runs
+    assert outputs == c_outputs
+    assert states == c_states
+    assert err.splitlines() == ["warning: the C kernels are unavailable (no C compiler cc on "
+                                "PATH): nonlinear runs step in Python, 4-6x slower, to the "
+                                "same states"]
+
+
+needs_cc = pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler cc on PATH")
+
+
+@pytest.fixture
+def cache_dir(tmp_path, monkeypatch):
+    """The kernels' cache directory under an empty XDG_CACHE_HOME."""
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+    return tmp_path / "cache" / "doubleint"
+
+
+@needs_cc
+def test_c_library_is_cached_by_its_source(cache_dir, monkeypatch):
+    source = solver._c_source()
+    solver._load_c_library(source)
+    assert cache_dir.stat().st_mode & 0o777 == 0o700
+    [so] = cache_dir.glob("*.so")
+    assert so.with_suffix(".c").read_text() == source
+    with monkeypatch.context() as mp:
+        # a hit loads the stored library without running the compiler
+        mp.setattr(subprocess, "run", lambda *args, **kwargs: pytest.fail("cc ran on a hit"))
+        assert solver._load_c_library(source).rk4_chunk
+    changed = source + "/* changed */\n"
+    assert solver._load_c_library(changed).rk4_chunk
+    assert len(list(cache_dir.glob("*.so"))) == 2
+    assert sorted(c.read_text() for c in cache_dir.glob("*.c")) == sorted([source, changed])
+
+
+@needs_cc
+def test_c_library_whose_stored_source_differs_is_built_again(cache_dir):
+    source = solver._c_source()
+    solver._load_c_library(source)
+    [so] = cache_dir.glob("*.so")
+    # a library under the key whose stored source is not the source asked for; written to
+    # a new file, as the loaded one stays mapped
+    so.with_suffix(".c").write_text(source.replace("pow(", "powf("))
+    garbage = so.with_suffix(".tmp")
+    garbage.write_bytes(b"not a library")
+    os.replace(garbage, so)
+    assert solver._load_c_library(source).rk4_chunk
+    assert so.with_suffix(".c").read_text() == source
+    assert so.read_bytes() != b"not a library"
+
+
+@needs_cc
+@pytest.mark.parametrize("cache", ["a_file", "group_writable", "world_writable"])
+def test_unusable_or_shared_cache_builds_in_a_private_temporary_dir(cache_dir, monkeypatch, cache):
+    if cache == "a_file":
+        cache_dir.parent.mkdir()
+        cache_dir.write_text("")
+    else:
+        cache_dir.mkdir(parents=True)
+        cache_dir.chmod(0o770 if cache == "group_writable" else 0o707)
+    made = []
+    mkdtemp = tempfile.mkdtemp
+
+    def recorded_mkdtemp(*args, **kwargs):
+        path = mkdtemp(*args, **kwargs)
+        made.append((path, os.stat(path).st_mode & 0o777))
+        return path
+
+    monkeypatch.setattr(tempfile, "mkdtemp", recorded_mkdtemp)
+    assert solver._load_c_library(solver._c_source()).rk4_chunk
+    [(path, mode)] = made
+    assert mode == 0o700
+    assert not os.path.exists(path)  # removed once the library is loaded
+    if cache != "a_file":
+        assert list(cache_dir.iterdir()) == []
+
+
+def test_importing_the_cli_builds_and_loads_no_kernel(tmp_path):
+    env = {**os.environ, "XDG_CACHE_HOME": str(tmp_path),
+           "PYTHONPATH": os.pathsep.join(sys.path)}
+    code = ("import doubleint.cli, doubleint.solver as s; "
+            "assert s._c_kernels.cache_info().misses == 0")
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_time_grid_is_multiplicative(nl_params, noisy_spec):

@@ -20,6 +20,7 @@ from doubleint import (
     sweep_observer,
     transfer_eval,
 )
+from doubleint import sweep
 from doubleint.sweep import INIT_KINDS
 
 LIN = ObserverParams(0.1, 0.1, 1.0, 0.2, 1.0, "linear")
@@ -108,6 +109,25 @@ def test_fit_ill_conditioned():
         with pytest.raises(IllConditioned, match="^normal matrix is not finite$"):
             fit_sinusoid(t, np.ones(11), 1.0)
 
+
+
+def test_a_lane_fits_every_channel_from_one_sine_and_cosine(monkeypatch):
+    # a lane's fits are fit_sinusoid's per channel, bit for bit, from one sin and one cos of
+    # its phases; each channel is a strided column of the lane's states, as in a sweep
+    t = sample_times(5000)[500:]
+    omega = 2.0 * math.pi * 3.1
+    states = np.column_stack([np.sin(omega * t + 0.3), 2.0 * np.cos(omega * t) + 0.1 * t,
+                              1e-3 * np.sin(5.0 * omega * t)])
+    columns = [states[:, k] for k in range(3)]
+    expected = [fit_sinusoid(t, y, omega) for y in columns]
+    calls = []
+    for name in ("sin", "cos"):
+        def counted(x, fn=getattr(np, name), name=name):
+            calls.append(name)
+            return fn(x)
+        monkeypatch.setattr(np, name, counted)
+    assert sweep._fit_sinusoids(t, columns, omega) == expected
+    assert calls == ["sin", "cos"]
 
 def _curve_from_phases(phases, channel=1):
     rows = tuple(
