@@ -34,12 +34,15 @@ KINDS = ("sinusoid", "paper_reference", "composite")
 PHASE_KINDS = ("sine", "cosine")
 
 
-def _check_term(amp_name: str, amp: float, omega: float) -> None:
-    # an infinite amplitude is a run that diverges; NaN is no amplitude at all
+def _check_term(amp_name: str, amp: float, omega: float, is_sine: bool) -> None:
+    # an infinite amplitude is a run that diverges, but a sine at omega 0 is inf * sin(0) = nan
+    # at every step, which the kernels read as no tracking error; NaN is no amplitude at all
     if not amp >= 0.0:
         raise ConfigError(f"{amp_name} must be >= 0, got {amp!r}")
     if not 0.0 <= omega < math.inf:
         raise ConfigError(f"omega must be finite and >= 0, got {omega!r}")
+    if is_sine and amp == math.inf and omega == 0.0:
+        raise ConfigError(f"{amp_name} must be finite on a sine at omega 0, got inf")
 
 
 @dataclass(frozen=True)
@@ -55,7 +58,7 @@ class NoiseTerm:
         check_fields(self)
         if self.phase not in PHASE_KINDS:
             raise ConfigError(f"phase must be one of {PHASE_KINDS}, got {self.phase!r}")
-        _check_term("amp", self.amp, self.omega)
+        _check_term("amp", self.amp, self.omega, self.phase == "sine")
 
 
 @dataclass(frozen=True)
@@ -88,7 +91,7 @@ class SignalSpec:
         check_fields(self)
         if self.kind not in KINDS:
             raise ConfigError(f"kind must be one of {KINDS}, got {self.kind!r}")
-        _check_term("amplitude", self.amplitude, self.omega)
+        _check_term("amplitude", self.amplitude, self.omega, True)
 
 
 # Noise used by the reproduction scenarios:

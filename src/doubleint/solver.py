@@ -9,13 +9,14 @@ into observers.rhs or power_sign.  Every kernel is rendered from one step
 template (_steps), in which the feedback law is written once, with
 power_sign inlined as its own comparisons and power.  It is rendered twice:
 to Python, compiled at import, and to C, built with the system cc at the
-first nonlinear run and cached per user (_c_kernels).  Runs take the C
-kernels, ~5x faster, and the Python ones when cc is missing or fails, after
-one warning.  The input does not depend on the state, so a kernel evaluates
-it CHUNK steps at a time with signals.input_values, at the float times
-step() takes it at and to the same bits.  rhs(), step() and power_sign stay
-the readable reference: test_kernels_match_public_step pins every kernel to
-step() bit for bit.
+first nonlinear run or trajectory write and cached per user (_c_kernels);
+the C library also holds io's number formatters (_C_FORMAT).  Runs take the
+C kernels, ~5x faster, and the Python ones when cc is missing or fails, after
+one warning; io then formats in Python, to the same bytes.  The input does
+not depend on the state, so a kernel evaluates it CHUNK steps at a time with
+signals.input_values, at the float times step() takes it at and to the same
+bits.  rhs(), step() and power_sign stay the readable reference:
+test_kernels_match_public_step pins every kernel to step() bit for bit.
 """
 
 import bisect
@@ -365,6 +366,310 @@ int64_t {method}_chunk(const double *p, double *x, {arrays}, int64_t m, int64_t 
 }}
 """
 
+# C of the trajectory writers' number text, byte for byte as Python writes it: csv_cells writes
+# "%.8e" (9 correctly rounded digits) and json_items the shortest repr that reads back as the same
+# double.  Each writes the cells v[i..stop) into buf from *end, with their separators, and returns
+# the index of the first cell its exact path does not cover (a subnormal, or a magnitude whose
+# scaling leaves 128 bits), unwritten, or stop.  A finite x = m * 2^e scaled by 10^k is
+# m * 5^k * 2^(e+k), an exact ratio of 128-bit integers: a shift where its denominator is a power
+# of two, an exact remainder otherwise, rounded half to even.  Without 128-bit integers every cell
+# is left to Python.
+_C_FORMAT = """\
+#include <string.h>
+
+#ifdef __SIZEOF_INT128__
+typedef unsigned __int128 u128;
+
+static const uint64_t POW5[28] = {
+    1, 5, 25, 125, 625, 3125, 15625, 78125, 390625, 1953125, 9765625, 48828125, 244140625,
+    1220703125, 6103515625, 30517578125, 152587890625, 762939453125, 3814697265625,
+    19073486328125, 95367431640625, 476837158203125, 2384185791015625, 11920928955078125,
+    59604644775390625, 298023223876953125, 1490116119384765625, 7450580596923828125};
+
+/* 5^k for 0 <= k <= 54 */
+static u128 pow5(int k)
+{
+    return k < 28 ? (u128)POW5[k] : (u128)POW5[27] * POW5[k - 27];
+}
+
+/* v <<= s; 0 when a bit would leave 128 */
+static int shl(u128 *v, int s)
+{
+    if (s == 0)
+        return 1;
+    if (s >= 128 || *v >> (128 - s))
+        return 0;
+    *v <<= s;
+    return 1;
+}
+
+/* a * 10^k * 2^s as n / (d * 2^t), with d = 5^-k for k < 0 and 1 otherwise; 0 when it leaves
+   128 bits */
+static int scaled(uint64_t a, int k, int s, u128 *n, u128 *d, int *t)
+{
+    if (k < -54 || k > 54)
+        return 0;
+    *n = a;
+    *d = k < 0 ? pow5(-k) : 1;
+    if (k > 0 && __builtin_mul_overflow(*n, pow5(k), n))
+        return 0;
+    s += k;
+    *t = s < 0 ? -s : 0;
+    return *t < 128 && shl(n, s > 0 ? s : 0);
+}
+
+/* the sign of c * d * 2^t - n */
+static int compare(u128 c, u128 d, int t, u128 n)
+{
+    if (__builtin_mul_overflow(c, d, &c) || !shl(&c, t))
+        return 1;
+    return (c > n) - (c < n);
+}
+
+/* n / (d * 2^t) rounded to nearest, ties to even; 0 when d * 2^t leaves 128 bits */
+static int rounded(u128 n, u128 d, int t, u128 *q)
+{
+    u128 r, half;
+    if (d == 1) {
+        if (t == 0) {
+            *q = n;
+            return 1;
+        }
+        *q = n >> t;
+        r = n & (((u128)1 << t) - 1);
+        half = (u128)1 << (t - 1);
+        *q += r > half || (r == half && (*q & 1));
+        return 1;
+    }
+    if (!shl(&d, t))
+        return 0;
+    *q = n / d;
+    r = n - *q * d;
+    *q += r > d - r || (r == d - r && (*q & 1));
+    return 1;
+}
+
+/* *E = floor(log10(m * 2^e)) for m of 53 bits; 0 when not covered */
+static int decade(uint64_t m, int e, int *E)
+{
+    u128 n, d;
+    int t;
+    /* m * 2^e lies in [2^(e+52), 2^(e+53)), so its decade is E0 or E0 + 1 */
+    int E0 = (int)floor((e + 52) * 0.30102999566398120);
+    if (!scaled(m, -(E0 + 1), e, &n, &d, &t))
+        return 0;
+    *E = E0 + (compare(1, d, t, n) <= 0);
+    return 1;
+}
+
+/* the p digits of c at s, most significant first */
+static char *digits(uint64_t c, int p, char *s)
+{
+    for (int i = p - 1; i >= 0; i--, c /= 10)
+        s[i] = (char)('0' + c % 10);
+    return s + p;
+}
+
+/* 'e', the sign and at least two digits of x at s */
+static char *exponent(int x, char *s)
+{
+    *s++ = 'e';
+    *s++ = x < 0 ? '-' : '+';
+    x = x < 0 ? -x : x;
+    if (x >= 100)
+        *s++ = (char)('0' + x / 100);
+    *s++ = (char)('0' + x / 10 % 10);
+    *s++ = (char)('0' + x % 10);
+    return s;
+}
+
+/* Write v's sign at *s and return 1 with v = m * 2^e, m of 53 bits; or return 0 with *s past the
+   whole text of a NaN (unsigned), an infinity or a zero, the token nan, inf or zero, or with *s
+   NULL for a subnormal, which is not covered */
+static int split(double v, char **s, const char *nan, const char *inf, const char *zero,
+                 uint64_t *m, int *e)
+{
+    uint64_t bits;
+    memcpy(&bits, &v, sizeof bits);
+    int ex = (int)(bits >> 52 & 0x7ff);
+    uint64_t frac = bits & ((UINT64_C(1) << 52) - 1);
+    const char *token = ex == 0x7ff ? (frac ? nan : inf) : ex == 0 && !frac ? zero : NULL;
+    if (bits >> 63 && !(ex == 0x7ff && frac))
+        *(*s)++ = '-';
+    if (token) {
+        memcpy(*s, token, strlen(token));
+        *s += strlen(token);
+        return 0;
+    }
+    if (ex == 0) {
+        *s = NULL;
+        return 0;
+    }
+    *m = frac | UINT64_C(1) << 52;
+    *e = ex - 1075;
+    return 1;
+}
+
+/* "%.8e" of v at s: the end of its text, or NULL when v is not covered */
+static char *csv_cell(double v, char *s)
+{
+    uint64_t m;
+    u128 n, d, q;
+    int e, t, E;
+    if (!split(v, &s, "nan", "inf", "0.00000000e+00", &m, &e))
+        return s;
+    if (!decade(m, e, &E) || !scaled(m, 8 - E, e, &n, &d, &t) || !rounded(n, d, t, &q))
+        return NULL;
+    if (q == 1000000000) {
+        q = 100000000;
+        E++;
+    }
+    digits((uint64_t)q, 9, s + 1);
+    s[0] = s[1];
+    s[1] = '.';
+    return exponent(E, s + 10);
+}
+
+/* Whether a decimal c * 10^-k, with c the integer nearest x * 10^k (or c + 1 where x's rounding
+   interval is narrower below), reads back as x = m * 2^e: 1 and *c when one does, 0 when none
+   does, -1 when not covered */
+static int candidate(uint64_t m, int e, int narrow, int k, uint64_t *c)
+{
+    u128 u, lo, hi, d, q;
+    int t, even = !(m & 1);
+    /* in units u of 2^(e-2), x is 4m and its rounding interval is [4m - 2, 4m + 2], or
+       [4m - 1, 4m + 2] at a power of two; its ends read back as x when m is even */
+    if (!scaled(1, k, e - 2, &u, &d, &t) || __builtin_mul_overflow(u, (u128)(4 * m + 2), &hi)
+        || !rounded(hi - 2 * u, d, t, &q))
+        return -1;
+    lo = hi - (4 - narrow) * u;
+    for (int up = 0; up <= narrow; up++, q++)
+        if (compare(q, d, t, lo) >= !even && compare(q, d, t, hi) <= -!even) {
+            *c = (uint64_t)q;
+            return 1;
+        }
+    return 0;
+}
+
+/* repr of v at s: the end of its text, or NULL when v is not covered */
+static char *json_item(double v, char *s)
+{
+    uint64_t m, c = 0, ten = 1;
+    char dig[18];
+    int e, E, lo = 1, hi = 17, found;
+    if (!split(v, &s, "NaN", "Infinity", "0.0", &m, &e))
+        return s;
+    /* below a power of two the next double is half as far, except at the least normal one */
+    int narrow = m == UINT64_C(1) << 52 && e > -1074;
+    if (!decade(m, e, &E))
+        return NULL;
+    /* the fewest digits p whose nearest p-digit decimal reads back as x: a p-digit decimal
+       that does is also a (p + 1)-digit one, and every nearest 17-digit one does */
+    while (lo < hi) {
+        int p = (lo + hi) / 2;
+        if ((found = candidate(m, e, narrow, p - 1 - E, &c)) < 0)
+            return NULL;
+        if (found)
+            hi = p;
+        else
+            lo = p + 1;
+    }
+    if (hi == 17) {
+        u128 n, d, q;
+        int t;
+        if (!scaled(m, 16 - E, e, &n, &d, &t) || !rounded(n, d, t, &q))
+            return NULL;
+        c = (uint64_t)q;
+    }
+    for (int i = 0; i < hi; i++)
+        ten *= 10;
+    if (c == ten) {
+        c /= 10;
+        E++;
+    }
+    int nd = hi, decpt = E + 1;
+    digits(c, nd, dig);
+    while (nd > 1 && dig[nd - 1] == '0')
+        nd--;
+    if (decpt <= -4 || decpt > 16) {
+        *s++ = dig[0];
+        if (nd > 1) {
+            *s++ = '.';
+            memcpy(s, dig + 1, nd - 1);
+            s += nd - 1;
+        }
+        return exponent(decpt - 1, s);
+    }
+    if (decpt <= 0) {
+        memcpy(s, "0.", 2);
+        memset(s + 2, '0', -decpt);
+        s += 2 - decpt;
+        memcpy(s, dig, nd);
+        return s + nd;
+    }
+    if (decpt < nd) {
+        memcpy(s, dig, decpt);
+        s[decpt] = '.';
+        memcpy(s + decpt + 1, dig + decpt, nd - decpt);
+        return s + nd + 1;
+    }
+    memcpy(s, dig, nd);
+    memset(s + nd, '0', decpt - nd);
+    memcpy(s + decpt, ".0", 2);
+    return s + decpt + 2;
+}
+#else
+static char *csv_cell(double v, char *s)
+{
+    (void)v;
+    (void)s;
+    return NULL;
+}
+
+static char *json_item(double v, char *s)
+{
+    (void)v;
+    (void)s;
+    return NULL;
+}
+#endif
+
+/* cells of a row-major table of cols columns: each followed by ',', or at a row's end by missing
+   commas and '\\n' */
+int64_t csv_cells(const double *v, int64_t i, int64_t stop, int64_t cols, int64_t missing,
+                  char *buf, int64_t *end)
+{
+    char *s = buf + *end, *next;
+    for (; i < stop && (next = csv_cell(v[i], s)); i++) {
+        s = next;
+        if ((i + 1) % cols)
+            *s++ = ',';
+        else {
+            memset(s, ',', missing);
+            s += missing;
+            *s++ = '\\n';
+        }
+    }
+    *end = s - buf;
+    return i;
+}
+
+/* items of a JSON list: each after the first preceded by ",\\n    " */
+int64_t json_items(const double *v, int64_t i, int64_t stop, char *buf, int64_t *end)
+{
+    char *s = buf + *end, *next;
+    for (; i < stop; i++) {
+        if (i)
+            memcpy(s, ",\\n    ", 6);
+        if (!(next = json_item(v[i], s + (i ? 6 : 0))))
+            break;
+        s = next;
+    }
+    *end = s - buf;
+    return i;
+}
+"""
+
 # -ffp-contract=off keeps every product and sum its own rounding, as in Python; -ffast-math
 # would reorder sums and drop the nan and inf cases
 _C_FLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
@@ -406,6 +711,7 @@ def _c_source() -> str:
         parts.append(_C_CHUNK.format(
             method=method, arrays=", ".join(f"const double *{name}_v" for name, _ in inputs),
             temps=", ".join(temps), step="".join(f"        {s}\n" for s in statements)))
+    parts.append(_C_FORMAT)
     return "\n".join(parts)
 
 
@@ -482,32 +788,53 @@ def _build_c_library(cc: str, source: str, stem: str) -> None:
                 os.remove(path)
 
 
+def _pointer(dtype, ndim: int, flags: str = "C_CONTIGUOUS,WRITEABLE"):
+    # ctypes checks each array's dtype, dimensions and flags before passing its pointer
+    return np.ctypeslib.ndpointer(dtype, ndim, flags=flags)
+
+
+def _c_function(lib: ctypes.CDLL, name: str, *argtypes):
+    """The library's function name, returning int64 and taking argtypes."""
+    function = getattr(lib, name)
+    function.restype = ctypes.c_int64
+    function.argtypes = argtypes
+    return function
+
+
 def _c_kernel(lib: ctypes.CDLL, method: str):
     """kernel of _KERNEL's contract over the library's chunk function for method."""
-    def pointer(dtype, ndim: int, flags: str = "C_CONTIGUOUS,WRITEABLE"):
-        # ctypes checks each array's dtype, dimensions and flags before passing its pointer
-        return np.ctypeslib.ndpointer(dtype, ndim, flags=flags)
-
-    chunk = getattr(lib, f"{method}_chunk")
-    chunk.restype = ctypes.c_int64
-    chunk.argtypes = [pointer(np.float64, 1, "C_CONTIGUOUS"), pointer(np.float64, 1),
-                      *[pointer(np.float64, 1, "C_CONTIGUOUS")] * len(_STEPS[method][0]),
-                      ctypes.c_int64, pointer(np.int64, 1), ctypes.c_int64, pointer(np.float64, 2)]
+    chunk = _c_function(
+        lib, f"{method}_chunk", _pointer(np.float64, 1, "C_CONTIGUOUS"), _pointer(np.float64, 1),
+        *[_pointer(np.float64, 1, "C_CONTIGUOUS")] * len(_STEPS[method][0]),
+        ctypes.c_int64, _pointer(np.int64, 1), ctypes.c_int64, _pointer(np.float64, 2))
     return _exec_kernel(method, _C_DRIVER, "input_values(spec, {at})", chunk=chunk,
                         array=np.array, int64=np.int64)
 
 
+def _c_formatter(lib: ctypes.CDLL, name: str, extra: int):
+    """The library's formatter name (_C_FORMAT), taking extra int64 arguments after stop:
+    name(values, i, stop, *extra, buf, end) with values a flat float array and buf a byte
+    array large enough for the cells' text."""
+    return _c_function(lib, name, _pointer(np.float64, 1, "C_CONTIGUOUS"), ctypes.c_int64,
+                       ctypes.c_int64, *[ctypes.c_int64] * extra, _pointer(np.uint8, 1),
+                       _pointer(np.int64, 1))
+
+
 @functools.cache
 def _c_kernels() -> dict | None:
-    """The C kernels by method, built or loaded at their first use in the process; None,
-    after one warning, when cc is missing or fails."""
+    """The C library's entry points by name, built or loaded at the first use of any in the
+    process: each method's kernel, and the writers' formatters csv_cells and json_items
+    (io).  None, after one warning, when cc is missing or fails."""
     try:
         lib = _load_c_library(_c_source())
     except OSError as exc:
         warnings.warn(f"the C kernels are unavailable ({exc}): nonlinear runs step in Python, "
-                      "4-6x slower, to the same states", stacklevel=3)
+                      "4-6x slower, and trajectories are formatted in Python, to the same states "
+                      "and bytes", stacklevel=3)
         return None
-    return {method: _c_kernel(lib, method) for method in METHODS}
+    return {**{method: _c_kernel(lib, method) for method in METHODS},
+            "csv_cells": _c_formatter(lib, "csv_cells", 2),
+            "json_items": _c_formatter(lib, "json_items", 0)}
 
 
 def integrate(p: ObserverParams, spec: signals.SignalSpec,

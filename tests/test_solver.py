@@ -150,8 +150,9 @@ def test_nonlinear_divergence_stops_at_the_first_nonfinite_record(method, stride
     assert np.all(out[row + 1:] == 7.25)
 
 
-# a(t) = inf * sin(0 * t), nan at every step; inf * sin(t), nan at t = 0 and +-inf after
-NAN_INPUT = SignalSpec("sinusoid", math.inf, 0.0)
+# a(t) = inf * sin(5e-324 * t), nan at every step up to t = 0.5, where 5e-324 * t rounds to 0;
+# inf * sin(t), nan at t = 0 and +-inf after
+NAN_INPUT = SignalSpec("sinusoid", math.inf, 5e-324)
 INF_INPUT = SignalSpec("sinusoid", math.inf, 1.0)
 TINY = 5e-324
 
@@ -220,8 +221,9 @@ def test_without_a_compiler_the_python_kernels_run_after_one_warning(
     assert outputs == c_outputs
     assert states == c_states
     assert err.splitlines() == ["warning: the C kernels are unavailable (no C compiler cc on "
-                                "PATH): nonlinear runs step in Python, 4-6x slower, to the "
-                                "same states"]
+                                "PATH): nonlinear runs step in Python, 4-6x slower, and "
+                                "trajectories are formatted in Python, to the same states and "
+                                "bytes"]
 
 
 needs_cc = pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler cc on PATH")
