@@ -188,7 +188,8 @@ def cmd_simulate(cfg: dict, out_dir) -> int:
             raise ConfigError(f"signal.{key} is fixed for kind paper_reference; remove it")
     sim_cfg = _build_sim(cfg.get("sim", {}))
     _at("signal", signals.check_horizon, spec, sim_cfg.duration + sim_cfg.step_h)
-    # with the horizon checked, simulate's one ConfigError is the step guard
+    _at("signal", signals.check_step, spec, sim_cfg.step_h)
+    # with the horizon and the phase step checked, simulate's one ConfigError is the step guard
     traj = _at("sim", simulate, params, spec, sim_cfg)
     metrics = trajectory_metrics(traj, sim_cfg.metrics_windows)
     out = _out(io.ensure_dir, out_dir)

@@ -10,11 +10,14 @@ NaN/Infinity/-Infinity token.  Unavailable cells (no ground truth, flagged
 rows) are empty in CSV; in JSON a trajectory without ground truth has no
 truth or error keys, and a non-finite Bode value is null.
 
-The number cells of a trajectory CSV and the items of a JSON list of floats
-are formatted in chunks by the C library's csv_cells and json_items
-(solver._c_kernels), from exact integer arithmetic, to the bytes Python's
-"%.8e" and repr give; a cell the C path does not cover is formatted by Python
-in its place.  Without the library the same text comes from Python alone.
+trajectory_to_dict gives a trajectory's columns as 1-D float arrays, which
+write_json writes as the JSON lists of their tolist().  The C library
+(solver._c_kernels) formats numbers in chunks, to the bytes Python gives:
+csv_cells the cells of a trajectory CSV as "%.8e", by exact integer
+arithmetic, leaving a cell it does not cover (a subnormal, or a magnitude
+outside about 1e-24..1e51) to Python in its place, and json_items the items
+of a float array as their shortest round-trip repr, by Schubfach, for every
+double.  Without the library the same text comes from Python alone.
 """
 
 import json
@@ -64,7 +67,9 @@ def write_trajectory_csv(path, traj: Trajectory) -> None:
 
 
 def trajectory_to_dict(traj: Trajectory) -> dict:
-    return {name: col.tolist() for name, col in zip(TRAJECTORY_COLUMNS, _columns(traj))}
+    """traj's 1-D float columns by name, views of its arrays; write_json writes each as a
+    list."""
+    return dict(zip(TRAJECTORY_COLUMNS, _columns(traj)))
 
 
 def _bode_values(r: BodeRow) -> tuple:
@@ -133,14 +138,14 @@ def _c_text(formatter, values: np.ndarray, step: int, width: int, python_cell, *
 
 
 def write_json(path, obj) -> None:
-    """Write exactly the text of json.dump(obj, f, indent=2, sort_keys=True) and a newline.
+    """Write exactly the text of json.dump(obj, f, indent=2, sort_keys=True) and a newline,
+    where a value of a top-level dict may be a 1-D float64 array, written as its tolist().
 
     The indented encoder is pure Python and writes one item at a time, so a
     dict with str keys is laid out here, key by key, and each of its values
-    that is a list of plain numbers is written in chunks: a list of floats by
-    the C library's json_items, any other by json's C encoder.  Number text
-    holds no ", ", so that encoder's item separator marks the indented
-    layout's line breaks.
+    that is a 1-D float64 array is written in chunks: by the C library's
+    json_items, or without it by json's C encoder.  Number text holds no ", ",
+    so that encoder's item separator marks the indented layout's line breaks.
     """
     with open(path, "w", newline="") as f:
         if type(obj) is dict and obj and all(type(k) is str for k in obj):
@@ -157,19 +162,21 @@ def write_json(path, obj) -> None:
 
 def _write_value(f, v) -> None:
     """v as an indented value one level into the top-level dict."""
-    # every item is checked: bool is an int subclass, and anything else needs the full encoder
-    if not (type(v) is list and v and (types := set(map(type, v))) <= {float, int}):
+    if not (type(v) is np.ndarray and v.dtype == np.float64 and v.ndim == 1):
         f.write(json.dumps(v, indent=2, sort_keys=True).replace("\n", "\n  "))
         return
-    kernels = solver._c_kernels() if types == {float} else None
+    if not v.size:
+        f.write("[]")
+        return
+    kernels = solver._c_kernels()
     f.write("[\n    ")
     if kernels is None:
-        for i in range(0, len(v), JSON_CHUNK):
+        for i in range(0, v.size, JSON_CHUNK):
             if i:
                 f.write(JSON_SEP)
-            f.write(json.dumps(v[i:i + JSON_CHUNK])[1:-1].replace(", ", JSON_SEP))
+            f.write(json.dumps(v[i:i + JSON_CHUNK].tolist())[1:-1].replace(", ", JSON_SEP))
     else:
-        f.writelines(_c_text(kernels["json_items"], np.array(v, dtype=float), JSON_CHUNK,
+        f.writelines(_c_text(kernels["json_items"], np.ascontiguousarray(v), JSON_CHUNK,
                              JSON_ITEM + len(JSON_SEP),
                              lambda i, x: (JSON_SEP if i else "") + json.dumps(x)))
     f.write("\n  ]")

@@ -129,6 +129,22 @@ def check_horizon(spec: SignalSpec, t_end: float) -> None:
             raise ConfigError(f"{name} {w:g} overflows the phase omega*t before t = {t_end:g}")
 
 
+def check_step(spec: SignalSpec, h: float) -> None:
+    """Raise ConfigError, its message led by the amplitude's field name, when a sine term of
+    infinite amplitude has a phase step omega*h that rounds to 0.
+
+    Its input inf * sin(omega * t) is inf * sin(0) = nan at t = 0 and at every step after it
+    until omega*t leaves 0, and the kernels read a nan input as no tracking error: the run
+    would record nan inputs and truths where it should diverge.  This is the omega 0 rule of
+    SignalSpec for the step the run takes.
+    """
+    for i, (amp, w, is_sine) in enumerate(terms(spec)):
+        if is_sine and amp == math.inf and w * h == 0.0:
+            name = f"noise[{i - 1}].amp" if i else "amplitude"
+            raise ConfigError(f"{name} must be finite on a sine whose omega*step_h rounds to 0 "
+                              f"({w!r} * {h!r}), got inf")
+
+
 def truth_arrays(spec: SignalSpec, times: np.ndarray) -> np.ndarray:
     """Closed-form ground truth at times: shape (len(times), 3), columns (a1, a2, a3).
 

@@ -25,6 +25,7 @@ import ctypes
 import functools
 import math
 import os
+import re
 import shutil
 import subprocess
 import tempfile
@@ -332,6 +333,10 @@ def kernel(p, x0, spec, h, n, stride, out):
             raise DivergedState((lo + k + 1) * h)
 """
 
+# The names of _C_DRIVER's params, in order: a chunk function declares those its method's
+# lines read.
+_C_PARAMS = ("k1", "k2", "k3", "a1", "a2", "a3", "eps", "e2", "inv", "h", "hh")
+
 # C of one chunk of m steps of a method: p holds _C_DRIVER's params, x the state and counts the
 # stride countdown and the index in out of the last recorded row, each carried from chunk to
 # chunk.  It returns the index of the first step whose recorded row is not finite, after
@@ -340,8 +345,7 @@ _C_CHUNK = """\
 int64_t {method}_chunk(const double *p, double *x, {arrays}, int64_t m, int64_t *counts,
                        int64_t stride, double *out)
 {{
-    const double k1 = p[0], k2 = p[1], k3 = p[2], a1 = p[3], a2 = p[4], a3 = p[5];
-    const double eps = p[6], e2 = p[7], inv = p[8], h = p[9], hh = p[10];
+    const double {constants};
     double x1 = x[0], x2 = x[1], x3 = x[2];
     double {temps};
     int64_t c = counts[0], j = counts[1];
@@ -369,11 +373,16 @@ int64_t {method}_chunk(const double *p, double *x, {arrays}, int64_t m, int64_t 
 # C of the trajectory writers' number text, byte for byte as Python writes it: csv_cells writes
 # "%.8e" (9 correctly rounded digits) and json_items the shortest repr that reads back as the same
 # double.  Each writes the cells v[i..stop) into buf from *end, with their separators, and returns
-# the index of the first cell its exact path does not cover (a subnormal, or a magnitude whose
-# scaling leaves 128 bits), unwritten, or stop.  A finite x = m * 2^e scaled by 10^k is
-# m * 5^k * 2^(e+k), an exact ratio of 128-bit integers: a shift where its denominator is a power
-# of two, an exact remainder otherwise, rounded half to even.  Without 128-bit integers every cell
-# is left to Python.
+# the index of the first cell its exact path does not cover, unwritten, or stop.  csv_cells scales
+# a finite x = m * 2^e by 10^k as m * 5^k * 2^(e+k), an exact ratio of 128-bit integers: a shift
+# where its denominator is a power of two, an exact remainder otherwise, rounded half to even; it
+# leaves a subnormal, or a magnitude whose scaling leaves 128 bits, to Python.  json_items finds
+# repr's digits by Schubfach (R. Giulietti, "The Schubfach way to render doubles", 2020), which
+# covers every finite double: three 64x128-bit products with a table of 10^-k rounded up to 128
+# bits (POW10, which _c_source renders from exact integers) give x and the ends of its rounding
+# interval at 10^k to the precision their comparisons need, and of the decimals in the interval
+# it keeps the one with the fewest digits, then the nearest to x, then the even one, as repr
+# does.  Without 128-bit integers every cell is left to Python.
 _C_FORMAT = """\
 #include <string.h>
 
@@ -483,9 +492,9 @@ static char *exponent(int x, char *s)
     return s;
 }
 
-/* Write v's sign at *s and return 1 with v = m * 2^e, m of 53 bits; or return 0 with *s past the
-   whole text of a NaN (unsigned), an infinity or a zero, the token nan, inf or zero, or with *s
-   NULL for a subnormal, which is not covered */
+/* Write v's sign at *s and return 1 with v = m * 2^e, m of 53 bits, or of fewer with e = -1074
+   for a subnormal; or return 0 with *s past the whole text of a NaN (unsigned), an infinity or a
+   zero, the token nan, inf or zero */
 static int split(double v, char **s, const char *nan, const char *inf, const char *zero,
                  uint64_t *m, int *e)
 {
@@ -501,12 +510,8 @@ static int split(double v, char **s, const char *nan, const char *inf, const cha
         *s += strlen(token);
         return 0;
     }
-    if (ex == 0) {
-        *s = NULL;
-        return 0;
-    }
-    *m = frac | UINT64_C(1) << 52;
-    *e = ex - 1075;
+    *m = ex ? frac | UINT64_C(1) << 52 : frac;
+    *e = (ex ? ex : 1) - 1075;
     return 1;
 }
 
@@ -518,7 +523,9 @@ static char *csv_cell(double v, char *s)
     int e, t, E;
     if (!split(v, &s, "nan", "inf", "0.00000000e+00", &m, &e))
         return s;
-    if (!decade(m, e, &E) || !scaled(m, 8 - E, e, &n, &d, &t) || !rounded(n, d, t, &q))
+    /* a subnormal is not covered */
+    if (!(m >> 52) || !decade(m, e, &E) || !scaled(m, 8 - E, e, &n, &d, &t)
+        || !rounded(n, d, t, &q))
         return NULL;
     if (q == 1000000000) {
         q = 100000000;
@@ -530,65 +537,69 @@ static char *csv_cell(double v, char *s)
     return exponent(E, s + 10);
 }
 
-/* Whether a decimal c * 10^-k, with c the integer nearest x * 10^k (or c + 1 where x's rounding
-   interval is narrower below), reads back as x = m * 2^e: 1 and *c when one does, 0 when none
-   does, -1 when not covered */
-static int candidate(uint64_t m, int e, int narrow, int k, uint64_t *c)
+/* g = POW10[i] = {high, low 64 bits} of floor(10^j * 2^(127 - floor(log2 10^j))) + 1 for
+   j = i + POW10_MIN, every 10^-k that shortest() takes */
+#define POW10_MIN (@POW10_MIN@)
+static const uint64_t POW10[][2] = {
+@POW10@};
+
+/* floor(g * cp / 2^128), its last bit set when the fraction dropped reaches 2^-63 (Schubfach's
+   round to odd): with g, Giulietti shows, it orders against even integers as the exact
+   x * 10^-k does */
+static uint64_t round_to_odd(const uint64_t *g, uint64_t cp)
 {
-    u128 u, lo, hi, d, q;
-    int t, even = !(m & 1);
-    /* in units u of 2^(e-2), x is 4m and its rounding interval is [4m - 2, 4m + 2], or
-       [4m - 1, 4m + 2] at a power of two; its ends read back as x when m is even */
-    if (!scaled(1, k, e - 2, &u, &d, &t) || __builtin_mul_overflow(u, (u128)(4 * m + 2), &hi)
-        || !rounded(hi - 2 * u, d, t, &q))
-        return -1;
-    lo = hi - (4 - narrow) * u;
-    for (int up = 0; up <= narrow; up++, q++)
-        if (compare(q, d, t, lo) >= !even && compare(q, d, t, hi) <= -!even) {
-            *c = (uint64_t)q;
-            return 1;
-        }
-    return 0;
+    u128 low = (u128)g[1] * cp;
+    u128 mid = (u128)g[0] * cp + (low >> 64);
+    return (uint64_t)(mid >> 64) | ((uint64_t)mid > 1);
 }
 
-/* repr of v at s: the end of its text, or NULL when v is not covered */
+/* The decimal f * 10^k that repr writes for x = m * 2^e > 0, by Schubfach: of the decimals that
+   read back as x, the fewest digits, then the nearest to x, then the even last digit */
+static void shortest(uint64_t m, int e, uint64_t *f, int *k)
+{
+    /* below a power of two the next double is half as far, except at the least normal one; the
+       rounding interval's ends read back as x when m is even */
+    int narrow = m == UINT64_C(1) << 52 && e > -1074, odd = (int)(m & 1);
+    /* k = floor(log10(2^e)), or floor(log10(3/4 * 2^e)) when narrow: the interval scaled by
+       10^-k is 1 to 10 wide, so it holds at least one integer and at most one multiple of 10 */
+    *k = (e * 1262611 - (narrow ? 524031 : 0)) >> 22;
+    /* 4x * 10^-k is (4m << h) * g / 2^128 to g's precision, with h in 1..4: 4m << h fits 64
+       bits */
+    int h = e + (-*k * 1741647 >> 19) + 1;
+    const uint64_t *g = POW10[-*k - POW10_MIN];
+    uint64_t vb = round_to_odd(g, 4 * m << h);
+    uint64_t lower = round_to_odd(g, (4 * m - 2 + narrow) << h) + odd;
+    uint64_t upper = round_to_odd(g, (4 * m + 2) << h) - odd;
+    uint64_t s = vb >> 2;
+    /* one digit fewer: the multiple of 10 in the interval, if any; 1-digit s is as short */
+    if (s >= 10) {
+        uint64_t sp = s / 10;
+        int up = lower <= 40 * sp, wp = 40 * sp + 40 <= upper;
+        if (up != wp) {
+            *f = sp + wp;
+            ++*k;
+            return;
+        }
+    }
+    /* otherwise s or s + 1, whichever of the two lies in the interval, or the nearer of the two,
+       ties to the even one */
+    int u = lower <= 4 * s, w = 4 * s + 4 <= upper;
+    *f = s + (u != w ? w : vb > 4 * s + 2 || (vb == 4 * s + 2 && (s & 1)));
+}
+
+/* repr of v at s: the end of its text */
 static char *json_item(double v, char *s)
 {
-    uint64_t m, c = 0, ten = 1;
-    char dig[18];
-    int e, E, lo = 1, hi = 17, found;
+    uint64_t m, f;
+    char dig[17];
+    int e, k, nd = 1;
     if (!split(v, &s, "NaN", "Infinity", "0.0", &m, &e))
         return s;
-    /* below a power of two the next double is half as far, except at the least normal one */
-    int narrow = m == UINT64_C(1) << 52 && e > -1074;
-    if (!decade(m, e, &E))
-        return NULL;
-    /* the fewest digits p whose nearest p-digit decimal reads back as x: a p-digit decimal
-       that does is also a (p + 1)-digit one, and every nearest 17-digit one does */
-    while (lo < hi) {
-        int p = (lo + hi) / 2;
-        if ((found = candidate(m, e, narrow, p - 1 - E, &c)) < 0)
-            return NULL;
-        if (found)
-            hi = p;
-        else
-            lo = p + 1;
-    }
-    if (hi == 17) {
-        u128 n, d, q;
-        int t;
-        if (!scaled(m, 16 - E, e, &n, &d, &t) || !rounded(n, d, t, &q))
-            return NULL;
-        c = (uint64_t)q;
-    }
-    for (int i = 0; i < hi; i++)
-        ten *= 10;
-    if (c == ten) {
-        c /= 10;
-        E++;
-    }
-    int nd = hi, decpt = E + 1;
-    digits(c, nd, dig);
+    shortest(m, e, &f, &k);
+    for (uint64_t ten = 10; nd < 17 && f >= ten; ten *= 10)
+        nd++;
+    int decpt = nd + k;
+    digits(f, nd, dig);
     while (nd > 1 && dig[nd - 1] == '0')
         nd--;
     if (decpt <= -4 || decpt > 16) {
@@ -692,10 +703,30 @@ _KERNELS = {method: _exec_kernel(method, _KERNEL, "input_values(spec, {at}).toli
             for method in METHODS}
 
 
+def _pow10_rows() -> tuple[int, str]:
+    """(POW10_MIN, rows) of _C_FORMAT's POW10 table, from exact integers: for each j from
+    -floor(log10(2^971)) to -floor(log10(2^-1074)), the decimal exponents -k of the largest
+    and the least positive double, the row {high, low} of the 128 bits of
+    floor(10^j * 2^(127 - b)) + 1, b = floor(log2 10^j).  It takes ~1 ms."""
+    lo, hi = 1 - len(str(2**971)), len(str(2**1074))
+    powers = [1]
+    while len(powers) <= max(-lo, hi):
+        powers.append(powers[-1] * 10)
+    rows = []
+    for j in range(lo, hi + 1):
+        p = powers[abs(j)]
+        # 10^j has b + 1 bits for j >= 0, and 1 / 10^j has -b of them
+        g = (p << 127 >> (p.bit_length() - 1) if j >= 0
+             else (1 << (127 + p.bit_length())) // p) + 1
+        digits = f"{g:032x}"
+        rows.append(f"    {{0x{digits[:16]}, 0x{digits[16:]}}},\n")
+    return lo, "".join(rows)
+
+
 def _c_source() -> str:
-    """C of every method's chunk function, from _steps(_C_POWER_SIGN): the one tuple
-    assignment, which reads none of its targets, becomes a statement per target, and every
-    other line only gains a `;`."""
+    """C of every method's chunk function, from _steps(_C_POWER_SIGN), and _C_FORMAT with its
+    POW10 table.  In a chunk function the one tuple assignment, which reads none of its
+    targets, becomes a statement per target, and every other line only gains a `;`."""
     parts = ["#include <math.h>\n#include <stdint.h>\n"]
     for method, (inputs, lines) in _steps(_C_POWER_SIGN).items():
         statements = [f"const double {name} = {name}_v[k];" for name, _ in inputs]
@@ -708,10 +739,14 @@ def _c_source() -> str:
                 statements += [f"{n} = {v};" for n, v in zip(names, value.split(", "))]
             else:
                 statements.append(f"{line};")
+        read = set(re.findall(r"\w+", " ".join(lines)))
         parts.append(_C_CHUNK.format(
             method=method, arrays=", ".join(f"const double *{name}_v" for name, _ in inputs),
+            constants=", ".join(f"{name} = p[{i}]" for i, name in enumerate(_C_PARAMS)
+                                if name in read),
             temps=", ".join(temps), step="".join(f"        {s}\n" for s in statements)))
-    parts.append(_C_FORMAT)
+    pow10_min, rows = _pow10_rows()
+    parts.append(_C_FORMAT.replace("@POW10_MIN@", str(pow10_min)).replace("@POW10@", rows))
     return "\n".join(parts)
 
 
@@ -848,6 +883,7 @@ def integrate(p: ObserverParams, spec: signals.SignalSpec,
         raise InvalidParams(report)
     check_config(p, cfg)
     signals.check_horizon(spec, cfg.duration + cfg.step_h)
+    signals.check_step(spec, cfg.step_h)
     times = cfg.record_times()
     if p.mode == "linear":
         states = analytic.signal_states(p, spec, cfg)

@@ -25,7 +25,7 @@ from . import analytic
 from .errors import (ConfigError, DivergedState, IllConditioned, InvalidParams, check_fields,
                      config_value)
 from .observers import ObserverParams, ObserverState, validate_params
-from .signals import MAX_PHASE, SignalSpec
+from .signals import MAX_PHASE, SignalSpec, check_step
 from .solver import MAX_RECORD_ROWS, SimConfig, check_config, integrate
 
 TWO_PI = 2.0 * math.pi
@@ -83,6 +83,8 @@ class SweepConfig:
         if TWO_PI * freqs[-1] * t_end > MAX_PHASE:
             raise ConfigError(f"freqs_hz {freqs[-1]:g} Hz overflows the phase 2 pi f t "
                               f"within {t_end:g} s")
+        # and the phase step of integrate's check_step, least at the lowest frequency
+        check_step(SignalSpec("sinusoid", self.amplitude, TWO_PI * freqs[0]), self.step_h)
 
 
 @dataclass(frozen=True)

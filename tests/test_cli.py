@@ -773,6 +773,31 @@ def test_empty_metrics_window_exits_2_before_the_run(tmp_path, capsys, monkeypat
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("signal, path", [
+    ({"kind": "sinusoid", "amplitude": math.inf, "omega": 5e-324}, "signal.amplitude"),
+    ({"kind": "composite", "amplitude": 0.0,
+      "noise": [{"amp": 0.1, "omega": 10.0}, {"amp": math.inf, "omega": 5e-324}]},
+     "signal.noise[1].amp"),
+])
+def test_infinite_sine_whose_phase_step_rounds_to_0_exits_2(tmp_path, capsys, signal, path):
+    # 5e-324 * t rounds to 0 for t < 0.5: inf * sin(0) would be the nan input of every step
+    cfg = {"params": {**SCENARIO_PARAMS["params"], "mode": "nonlinear"}, "signal": signal,
+           "sim": {"duration": 0.3, "record_stride": 100}}
+    out_dir = tmp_path / "out"
+    assert main(["simulate", "--config", write_cfg(tmp_path, cfg), "--out", str(out_dir)]) == 2
+    assert capsys.readouterr().err == (
+        f"config error: {path} must be finite on a sine whose omega*step_h rounds to 0 "
+        "(5e-324 * 0.001), got inf\n")
+    assert not out_dir.exists()
+    # a sweep is refused at its lowest frequency, before any lane runs
+    cfg = {"params": LINEAR_PARAMS,
+           "sweep": {"freqs_hz": [1e-322, 1.0], "samples": 100, "amplitude": math.inf}}
+    assert main(["sweep", "--config", write_cfg(tmp_path, cfg), "--out", str(out_dir)]) == 2
+    assert capsys.readouterr().err.startswith(
+        "config error: sweep.amplitude must be finite on a sine whose omega*step_h rounds to 0")
+    assert not out_dir.exists()
+
+
 def test_empty_metrics_windows_list_writes_no_windows(tmp_path):
     cfg = _edit("simulate", "sim", "metrics_windows", [])
     out_dir = tmp_path / "out"

@@ -2,10 +2,15 @@
 writer's bytes against json.dump's, and the C number formatters' text against
 Python's "%.8e" and repr."""
 
+import ctypes
 import json
 import math
+import os
+import pickle
 import shutil
 import struct
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -14,7 +19,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from doubleint import cli, io, scenarios, signals, solver
+from doubleint import DivergedState, ObserverParams, cli, io, scenarios, signals, solver
+from doubleint.signals import SignalSpec, paper_reference_spec
 from doubleint.solver import Trajectory, simulate
 from doubleint.sweep import BodeCurve, BodeRow
 
@@ -122,11 +128,35 @@ def test_write_json_long_columns_match_indented_json_dump():
     assert _json_text(doc) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
+def _array_doc() -> dict:
+    """A dict of 1-D float64 arrays: an empty one, one item, a strided view, and values on
+    which the formatters are easy to get wrong, NaN and the infinities among them."""
+    values = np.concatenate([[NAN, -NAN, INF, -INF, 0.0, -0.0], _sweep_values()[::97]])
+    return {"empty": np.array([]), "one": np.array([-0.0]), "strided": values[::2],
+            "values": values, "list": [0.1, 2, None], "n": 3}
+
+
+@pytest.mark.parametrize("library", ["c", "python"])
+@pytest.mark.parametrize("chunk", [3, io.JSON_CHUNK])
+def test_write_json_writes_float_arrays_as_their_lists(monkeypatch, library, chunk):
+    if library == "c":
+        if shutil.which("cc") is None:
+            pytest.skip("no C compiler cc on PATH")
+        assert solver._c_kernels() is not None
+    else:
+        monkeypatch.setattr(solver, "_c_kernels", lambda: None)
+    monkeypatch.setattr(io, "JSON_CHUNK", chunk)
+    doc = _array_doc()
+    as_lists = {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in doc.items()}
+    assert _json_text(doc) == json.dumps(as_lists, indent=2, sort_keys=True) + "\n"
+
+
 needs_cc = pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler cc on PATH")
 
-# The magnitudes whose every normal float each C formatter writes itself, [lo, hi); outside
-# them a cell may be left to Python.
-_COVERED = {"csv_cells": (1e-24, 1e51), "json_items": (1e-16, 1e48)}
+# The magnitudes whose every float each C formatter writes itself, [lo, hi): every normal one
+# in csv_cells' range, where a cell outside it may be left to Python, and every finite one,
+# subnormals included, for json_items.
+_COVERED = {"csv_cells": (1e-24, 1e51), "json_items": (5e-324, math.inf)}
 
 
 def _c_cell(name: str, v: float) -> str | None:
@@ -165,6 +195,11 @@ def test_c_formatters_write_python_text(name, v):
 def _sweep_values() -> np.ndarray:
     """Over 10^6 floats on which the formatters are easy to get wrong, with negations."""
     rng = np.random.default_rng(23)
+    # every binary exponent E: m * 2^(E - 52) for m = 2^52, 2^52 + 1, 2^53 - 1 and two random
+    # 53-bit mantissas, rounded to the subnormal grid below E = -1022
+    exponents = np.arange(-1074, 1024)
+    mantissas = np.concatenate([[2**52, 2**52 + 1, 2**53 - 1], rng.integers(2**52, 2**53, 2)])
+    binades = np.ldexp(mantissas.astype(float)[None, :], (exponents - 52)[:, None]).ravel()
     q = rng.integers(10**8, 10**9, 20_000).astype(float)
     # exact ties of 9 digits: a 10-digit integer ending in 5, times 1 to 1e5, and 9 digits + 1/2
     ties = np.concatenate([(10.0 * q + 5.0) * 10.0 ** rng.integers(0, 6, q.size), q + 0.5])
@@ -180,7 +215,7 @@ def _sweep_values() -> np.ndarray:
     rounded = np.round(rng.uniform(-1000.0, 1000.0, 20_000), 3)
     subnormals = rng.integers(1, 2**52, 1000).view(np.float64)
     base = np.concatenate([ties, twos, decades, special, grid, logs, wide, edges, rounded,
-                           subnormals])
+                           subnormals, binades])
     with np.errstate(over="ignore"):
         # the largest float's next one up is inf
         near = np.concatenate([base, np.nextafter(base, 0.0), np.nextafter(base, math.inf)])
@@ -195,10 +230,72 @@ def test_c_formatters_write_python_text_on_a_million_values():
     csv = io._c_text(kernels["csv_cells"], values, io.CSV_CHUNK, io.CSV_CELL + 1,
                      lambda i, v: "%.8e\n" % v, 1, 0)
     assert "".join(csv) == "".join("%.8e\n" % v for v in values.tolist())
-    items = io._c_text(kernels["json_items"], values, io.JSON_CHUNK,
-                       io.JSON_ITEM + len(io.JSON_SEP),
-                       lambda i, v: (io.JSON_SEP if i else "") + json.dumps(v))
-    assert "".join(items) == json.dumps(values.tolist())[1:-1].replace(", ", io.JSON_SEP)
+    assert "".join(_json_items(kernels["json_items"], values)) == (
+        json.dumps(values.tolist())[1:-1].replace(", ", io.JSON_SEP))
+
+
+def _json_items(formatter, values: np.ndarray):
+    """The text of values by formatter, json_items' signature, which must cover every cell."""
+    def uncovered(i, v):
+        pytest.fail(f"json_items left {v!r} to Python")
+
+    return io._c_text(formatter, values, io.JSON_CHUNK, io.JSON_ITEM + len(io.JSON_SEP),
+                      uncovered)
+
+
+def _c_library_outputs(path: str | None) -> tuple:
+    """What the C library at path, or the cached one for None, makes of the cases where a port
+    is easy to get wrong: csv_cells and json_items on _sweep_values(), and 300 steps of each
+    chunk function on an input that diverges, one that is nan at every step and the noisy
+    reference, with the time each raises at."""
+    if path is None:
+        kernels = solver._c_kernels()
+    else:
+        lib = ctypes.CDLL(path)
+        kernels = {"csv_cells": solver._c_formatter(lib, "csv_cells", 2),
+                   "json_items": solver._c_formatter(lib, "json_items", 0),
+                   **{method: solver._c_kernel(lib, method) for method in solver.METHODS}}
+    values = _sweep_values()
+    outputs = ["".join(io._c_text(kernels["csv_cells"], values, io.CSV_CHUNK, io.CSV_CELL + 1,
+                                  lambda i, v: "%.8e\n" % v, 1, 0)),
+               "".join(_json_items(kernels["json_items"], values))]
+    p = ObserverParams(0.1, 0.1, 1.0, 0.2, 0.3, "nonlinear")
+    for method in solver.METHODS:
+        for spec in (SignalSpec("sinusoid", math.inf, 1.0),
+                     SignalSpec("sinusoid", math.inf, 5e-324), paper_reference_spec()):
+            out = np.full((301, 3), 7.25)
+            try:
+                kernels[method](p, (0.0, 1.0, 0.0), spec, 0.001, 300, 1, out)
+                raised = None
+            except DivergedState as exc:
+                raised = exc.time
+            # which sign a NaN gets is the compiler's choice (it may negate an operand in place
+            # of a product), and an instrumented build chooses differently: NaNs compare as
+            # NaNs, every other state by its bits
+            nan = np.isnan(out)
+            outputs.append((raised, nan.tolist(), np.where(nan, 0.0, out).view(np.int64).tolist()))
+    return tuple(outputs)
+
+
+@needs_cc
+def test_c_library_has_no_undefined_behaviour(tmp_path):
+    # the library built with UBSan, which ends its process at the first shift, overflow or
+    # conversion that C leaves undefined, runs in a process of its own, and writes the same
+    # bytes and steps to the same bits as the cached library
+    source = tmp_path / "kernels.c"
+    source.write_text(solver._c_source())
+    library = tmp_path / "kernels.so"
+    proc = subprocess.run(["cc", "-fsanitize=undefined", "-fno-sanitize-recover=all",
+                           *solver._C_FLAGS, "-o", str(library), str(source), "-lm"],
+                          capture_output=True, text=True)
+    if proc.returncode != 0:
+        pytest.skip(f"cc does not build with UBSan: {proc.stderr.strip()[-200:]}")
+    code = ("import pickle, sys, test_io; "
+            f"sys.stdout.buffer.write(pickle.dumps(test_io._c_library_outputs({str(library)!r})))")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(Path(__file__).parent), *sys.path])}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, env=env)
+    assert proc.returncode == 0, proc.stderr.decode(errors="replace")[-2000:]
+    assert pickle.loads(proc.stdout) == _c_library_outputs(None)
 
 
 @pytest.mark.parametrize("scenario", ["fig3", "fig5"])

@@ -254,6 +254,16 @@ def test_c_library_is_cached_by_its_source(cache_dir, monkeypatch):
 
 
 @needs_cc
+def test_c_source_compiles_without_warnings(tmp_path):
+    source = tmp_path / "kernels.c"
+    source.write_text(solver._c_source())
+    proc = subprocess.run(["cc", "-Wall", "-Wextra", "-Werror", *solver._C_FLAGS,
+                           "-o", str(tmp_path / "kernels.so"), str(source), "-lm"],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
+@needs_cc
 def test_c_library_whose_stored_source_differs_is_built_again(cache_dir):
     source = solver._c_source()
     solver._load_c_library(source)
