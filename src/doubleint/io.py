@@ -12,12 +12,13 @@ truth or error keys, and a non-finite Bode value is null.
 
 trajectory_to_dict gives a trajectory's columns as 1-D float arrays, which
 write_json writes as the JSON lists of their tolist().  The C library
-(solver._c_kernels) formats numbers in chunks, to the bytes Python gives:
-csv_cells the cells of a trajectory CSV as "%.8e", by exact integer
-arithmetic, leaving a cell it does not cover (a subnormal, or a magnitude
-outside about 1e-24..1e51) to Python in its place, and json_items the items
-of a float array as their shortest round-trip repr, by Schubfach, for every
-double.  Without the library the same text comes from Python alone.
+(solver._c_kernels) formats numbers in chunks, to the bytes Python gives,
+from one digit engine, Schubfach's shortest round-trip digits: json_items
+writes the items of a float array as those digits, for every double, and
+csv_cells the cells of a trajectory CSV as "%.8e", those digits cut to 9
+with correct rounding, for every normal double; it leaves a subnormal cell
+to Python in its place.  Without the library the same text comes from
+Python alone.
 """
 
 import json

@@ -371,105 +371,22 @@ int64_t {method}_chunk(const double *p, double *x, {arrays}, int64_t m, int64_t 
 """
 
 # C of the trajectory writers' number text, byte for byte as Python writes it: csv_cells writes
-# "%.8e" (9 correctly rounded digits) and json_items the shortest repr that reads back as the same
-# double.  Each writes the cells v[i..stop) into buf from *end, with their separators, and returns
-# the index of the first cell its exact path does not cover, unwritten, or stop.  csv_cells scales
-# a finite x = m * 2^e by 10^k as m * 5^k * 2^(e+k), an exact ratio of 128-bit integers: a shift
-# where its denominator is a power of two, an exact remainder otherwise, rounded half to even; it
-# leaves a subnormal, or a magnitude whose scaling leaves 128 bits, to Python.  json_items finds
-# repr's digits by Schubfach (R. Giulietti, "The Schubfach way to render doubles", 2020), which
-# covers every finite double: three 64x128-bit products with a table of 10^-k rounded up to 128
-# bits (POW10, which _c_source renders from exact integers) give x and the ends of its rounding
+# "%.8e" (9 digits, half to even) and json_items the shortest repr that reads back as the
+# same double.  Each writes the cells v[i..stop) into buf from *end, with their separators, and
+# returns the index of the first cell it does not cover, unwritten, or stop.  Both take their
+# digits from one routine, shortest(), Schubfach (R. Giulietti, "The Schubfach way to render
+# doubles", 2020): three 64x128-bit products with a table of 10^-k to 128 bits, rounding up
+# (POW10, which _c_source renders from exact integers) give x and the ends of its rounding
 # interval at 10^k to the precision their comparisons need, and of the decimals in the interval
 # it keeps the one with the fewest digits, then the nearest to x, then the even one, as repr
-# does.  Without 128-bit integers every cell is left to Python.
+# does, for every finite double.  csv_cells rounds those digits to 9 for every normal double and
+# leaves a subnormal, whose interval is too wide for that, to Python.  Without 128-bit integers
+# every cell is left to Python.
 _C_FORMAT = """\
 #include <string.h>
 
 #ifdef __SIZEOF_INT128__
 typedef unsigned __int128 u128;
-
-static const uint64_t POW5[28] = {
-    1, 5, 25, 125, 625, 3125, 15625, 78125, 390625, 1953125, 9765625, 48828125, 244140625,
-    1220703125, 6103515625, 30517578125, 152587890625, 762939453125, 3814697265625,
-    19073486328125, 95367431640625, 476837158203125, 2384185791015625, 11920928955078125,
-    59604644775390625, 298023223876953125, 1490116119384765625, 7450580596923828125};
-
-/* 5^k for 0 <= k <= 54 */
-static u128 pow5(int k)
-{
-    return k < 28 ? (u128)POW5[k] : (u128)POW5[27] * POW5[k - 27];
-}
-
-/* v <<= s; 0 when a bit would leave 128 */
-static int shl(u128 *v, int s)
-{
-    if (s == 0)
-        return 1;
-    if (s >= 128 || *v >> (128 - s))
-        return 0;
-    *v <<= s;
-    return 1;
-}
-
-/* a * 10^k * 2^s as n / (d * 2^t), with d = 5^-k for k < 0 and 1 otherwise; 0 when it leaves
-   128 bits */
-static int scaled(uint64_t a, int k, int s, u128 *n, u128 *d, int *t)
-{
-    if (k < -54 || k > 54)
-        return 0;
-    *n = a;
-    *d = k < 0 ? pow5(-k) : 1;
-    if (k > 0 && __builtin_mul_overflow(*n, pow5(k), n))
-        return 0;
-    s += k;
-    *t = s < 0 ? -s : 0;
-    return *t < 128 && shl(n, s > 0 ? s : 0);
-}
-
-/* the sign of c * d * 2^t - n */
-static int compare(u128 c, u128 d, int t, u128 n)
-{
-    if (__builtin_mul_overflow(c, d, &c) || !shl(&c, t))
-        return 1;
-    return (c > n) - (c < n);
-}
-
-/* n / (d * 2^t) rounded to nearest, ties to even; 0 when d * 2^t leaves 128 bits */
-static int rounded(u128 n, u128 d, int t, u128 *q)
-{
-    u128 r, half;
-    if (d == 1) {
-        if (t == 0) {
-            *q = n;
-            return 1;
-        }
-        *q = n >> t;
-        r = n & (((u128)1 << t) - 1);
-        half = (u128)1 << (t - 1);
-        *q += r > half || (r == half && (*q & 1));
-        return 1;
-    }
-    if (!shl(&d, t))
-        return 0;
-    *q = n / d;
-    r = n - *q * d;
-    *q += r > d - r || (r == d - r && (*q & 1));
-    return 1;
-}
-
-/* *E = floor(log10(m * 2^e)) for m of 53 bits; 0 when not covered */
-static int decade(uint64_t m, int e, int *E)
-{
-    u128 n, d;
-    int t;
-    /* m * 2^e lies in [2^(e+52), 2^(e+53)), so its decade is E0 or E0 + 1 */
-    int E0 = (int)floor((e + 52) * 0.30102999566398120);
-    if (!scaled(m, -(E0 + 1), e, &n, &d, &t))
-        return 0;
-    *E = E0 + (compare(1, d, t, n) <= 0);
-    return 1;
-}
 
 /* the p digits of c at s, most significant first */
 static char *digits(uint64_t c, int p, char *s)
@@ -515,28 +432,6 @@ static int split(double v, char **s, const char *nan, const char *inf, const cha
     return 1;
 }
 
-/* "%.8e" of v at s: the end of its text, or NULL when v is not covered */
-static char *csv_cell(double v, char *s)
-{
-    uint64_t m;
-    u128 n, d, q;
-    int e, t, E;
-    if (!split(v, &s, "nan", "inf", "0.00000000e+00", &m, &e))
-        return s;
-    /* a subnormal is not covered */
-    if (!(m >> 52) || !decade(m, e, &E) || !scaled(m, 8 - E, e, &n, &d, &t)
-        || !rounded(n, d, t, &q))
-        return NULL;
-    if (q == 1000000000) {
-        q = 100000000;
-        E++;
-    }
-    digits((uint64_t)q, 9, s + 1);
-    s[0] = s[1];
-    s[1] = '.';
-    return exponent(E, s + 10);
-}
-
 /* g = POW10[i] = {high, low 64 bits} of floor(10^j * 2^(127 - floor(log2 10^j))) + 1 for
    j = i + POW10_MIN, every 10^-k that shortest() takes */
 #define POW10_MIN (@POW10_MIN@)
@@ -554,13 +449,14 @@ static uint64_t round_to_odd(const uint64_t *g, uint64_t cp)
 }
 
 /* The decimal f * 10^k that repr writes for x = m * 2^e > 0, by Schubfach: of the decimals that
-   read back as x, the fewest digits, then the nearest to x, then the even last digit */
-static void shortest(uint64_t m, int e, uint64_t *f, int *k)
+   read back as x, the fewest digits, then the nearest to x, then the even last digit.  It returns
+   the sign of x - f * 10^k, from vb against 4f at the scale of vb (an even integer) */
+static int shortest(uint64_t m, int e, uint64_t *f, int *k)
 {
     /* below a power of two the next double is half as far, except at the least normal one; the
        rounding interval's ends read back as x when m is even */
     int narrow = m == UINT64_C(1) << 52 && e > -1074, odd = (int)(m & 1);
-    /* k = floor(log10(2^e)), or floor(log10(3/4 * 2^e)) when narrow: the interval scaled by
+    /* k = floor(log10(2^e)), or floor(log10(3/4 * 2^e)) when narrow: the interval times
        10^-k is 1 to 10 wide, so it holds at least one integer and at most one multiple of 10 */
     *k = (e * 1262611 - (narrow ? 524031 : 0)) >> 22;
     /* 4x * 10^-k is (4m << h) * g / 2^128 to g's precision, with h in 1..4: 4m << h fits 64
@@ -578,13 +474,44 @@ static void shortest(uint64_t m, int e, uint64_t *f, int *k)
         if (up != wp) {
             *f = sp + wp;
             ++*k;
-            return;
+            return (vb > 40 * *f) - (vb < 40 * *f);
         }
     }
     /* otherwise s or s + 1, whichever of the two lies in the interval, or the nearer of the two,
        ties to the even one */
     int u = lower <= 4 * s, w = 4 * s + 4 <= upper;
     *f = s + (u != w ? w : vb > 4 * s + 2 || (vb == 4 * s + 2 && (s & 1)));
+    return (vb > 4 * *f) - (vb < 4 * *f);
+}
+
+/* "%.8e" of v at s: the end of its text, or NULL for a subnormal.  A normal x's rounding interval
+   is under 2^-52 * x wide, narrower than the 1e-10 * x between 10-digit decimals, so a 10-digit
+   decimal ending in 5, where 9 digits round, lies in it only as its shortest decimal d: x's 9
+   digits are d's, to nearest, and where d is such a midpoint the sign of x - d decides, half to
+   even when x == d */
+static char *csv_cell(double v, char *s)
+{
+    uint64_t m, f;
+    int e, k;
+    if (!split(v, &s, "nan", "inf", "0.00000000e+00", &m, &e))
+        return s;
+    if (!(m >> 52))
+        return NULL;
+    int side = shortest(m, e, &f, &k);
+    /* f has 15 to 17 digits; padded to 17, q is its first 9 and r the other 8 */
+    for (; f < UINT64_C(10000000000000000); f *= 10)
+        k--;
+    uint64_t q = f / 100000000, r = f % 100000000;
+    q += r > 50000000 || (r == 50000000 && (side > 0 || (side == 0 && (q & 1))));
+    k += 16;
+    if (q == 1000000000) {
+        q = 100000000;
+        k++;
+    }
+    digits(q, 9, s + 1);
+    s[0] = s[1];
+    s[1] = '.';
+    return exponent(k, s + 10);
 }
 
 /* repr of v at s: the end of its text */

@@ -284,11 +284,10 @@ def sweep_observer(p: ObserverParams, cfg: SweepConfig, workers: int = 1) -> Bod
     span = cfg.samples * cfg.step_h
     period = 1.0 / cfg.freqs_hz[0]
     if span < period:
-        warnings.warn(
-            f"run length {span:g} s is shorter than one period ({period:g} s) "
-            f"of the lowest frequency",
-            stacklevel=2,
-        )
+        # a subnormal frequency's period overflows to inf: its repr is named instead
+        what = (f"one period ({period:g} s) of the lowest frequency" if math.isfinite(period)
+                else f"one period of the lowest frequency ({cfg.freqs_hz[0]!r} Hz)")
+        warnings.warn(f"run length {span:g} s is shorter than {what}", stacklevel=2)
     # a fork pool starts all max_workers processes at the first submit
     workers = min(workers, len(cfg.freqs_hz))
     if workers > 1:

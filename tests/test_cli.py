@@ -835,3 +835,12 @@ def test_sweep_short_span_warning_is_one_plain_line(tmp_path, capsys):
     assert main(["sweep", "--config", write_cfg(tmp_path, cfg), "--out", str(tmp_path)]) == 0
     assert capsys.readouterr().err.splitlines() == [
         "warning: run length 0.1 s is shorter than one period (10 s) of the lowest frequency"]
+
+
+def test_sweep_short_span_warning_names_a_frequency_whose_period_overflows(tmp_path, capsys):
+    cfg = {"params": LINEAR_PARAMS, "sweep": {"freqs_hz": [1e-320, 1.0], "samples": 100}}
+    # the linear rows at 1e-320 Hz are flagged, so the sweep exits 3
+    assert main(["sweep", "--config", write_cfg(tmp_path, cfg), "--out", str(tmp_path)]) == 3
+    assert capsys.readouterr().err.splitlines() == [
+        "warning: run length 0.1 s is shorter than one period of the lowest frequency "
+        "(1e-320 Hz)"]

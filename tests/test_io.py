@@ -153,10 +153,10 @@ def test_write_json_writes_float_arrays_as_their_lists(monkeypatch, library, chu
 
 needs_cc = pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler cc on PATH")
 
-# The magnitudes whose every float each C formatter writes itself, [lo, hi): every normal one
-# in csv_cells' range, where a cell outside it may be left to Python, and every finite one,
-# subnormals included, for json_items.
-_COVERED = {"csv_cells": (1e-24, 1e51), "json_items": (5e-324, math.inf)}
+# The magnitudes whose every float each C formatter writes itself, [lo, hi), and the only
+# finite nonzero ones: every normal one for csv_cells, which leaves the subnormals to Python,
+# and every finite one, subnormals included, for json_items.
+_COVERED = {"csv_cells": (sys.float_info.min, math.inf), "json_items": (5e-324, math.inf)}
 
 
 def _c_cell(name: str, v: float) -> str | None:
@@ -187,8 +187,7 @@ def test_c_formatters_write_python_text(name, v):
         pytest.skip("the C library was built without 128-bit integers: Python formats every cell")
     text = _c_cell(name, v)
     lo, hi = _COVERED[name]
-    if not math.isfinite(v) or v == 0.0 or lo <= abs(v) < hi:
-        assert text is not None
+    assert (text is not None) == (not math.isfinite(v) or v == 0.0 or lo <= abs(v) < hi)
     assert text is None or text == _python_cell(name, v)
 
 
@@ -214,8 +213,12 @@ def _sweep_values() -> np.ndarray:
     edges = np.concatenate([10.0 ** rng.uniform(e - 0.5, e + 0.5, 5_000) for e in (-4, 16)])
     rounded = np.round(rng.uniform(-1000.0, 1000.0, 20_000), 3)
     subnormals = rng.integers(1, 2**52, 1000).view(np.float64)
+    # 10-digit midpoints (10q + 5) * 10^(E - 9) at every normal decade E, read back as the
+    # nearest float: 9 digits round at them by the sign of the float's distance to them
+    midpoints = np.array([float(f"{10 * q + 5}e{e - 9}") for e in range(-307, 309)
+                          for q in rng.integers(10**8, 10**9, 20).tolist()])
     base = np.concatenate([ties, twos, decades, special, grid, logs, wide, edges, rounded,
-                           subnormals, binades])
+                           subnormals, binades, midpoints[np.isfinite(midpoints)]])
     with np.errstate(over="ignore"):
         # the largest float's next one up is inf
         near = np.concatenate([base, np.nextafter(base, 0.0), np.nextafter(base, math.inf)])
@@ -227,9 +230,17 @@ def test_c_formatters_write_python_text_on_a_million_values():
     values = _sweep_values()
     assert values.size >= 10**6 and np.signbit(values[np.isnan(values)]).any()
     kernels = solver._c_kernels()
-    csv = io._c_text(kernels["csv_cells"], values, io.CSV_CHUNK, io.CSV_CELL + 1,
-                     lambda i, v: "%.8e\n" % v, 1, 0)
+    left = []
+
+    def python_cell(i, v):
+        left.append(i)
+        return "%.8e\n" % v
+
+    csv = io._c_text(kernels["csv_cells"], values, io.CSV_CHUNK, io.CSV_CELL + 1, python_cell, 1, 0)
     assert "".join(csv) == "".join("%.8e\n" % v for v in values.tolist())
+    # csv_cells leaves exactly the subnormals to Python
+    magnitudes = np.abs(values)
+    assert left == np.flatnonzero((magnitudes > 0.0) & (magnitudes < sys.float_info.min)).tolist()
     assert "".join(_json_items(kernels["json_items"], values)) == (
         json.dumps(values.tolist())[1:-1].replace(", ", io.JSON_SEP))
 
@@ -243,22 +254,21 @@ def _json_items(formatter, values: np.ndarray):
                       uncovered)
 
 
-def _c_library_outputs(path: str | None) -> tuple:
-    """What the C library at path, or the cached one for None, makes of the cases where a port
-    is easy to get wrong: csv_cells and json_items on _sweep_values(), and 300 steps of each
-    chunk function on an input that diverges, one that is nan at every step and the noisy
-    reference, with the time each raises at."""
+def _c_library(path: str | None) -> dict:
+    """The entry points of the C library at path, as solver._c_kernels() gives them, or the
+    cached library's for None."""
     if path is None:
-        kernels = solver._c_kernels()
-    else:
-        lib = ctypes.CDLL(path)
-        kernels = {"csv_cells": solver._c_formatter(lib, "csv_cells", 2),
-                   "json_items": solver._c_formatter(lib, "json_items", 0),
-                   **{method: solver._c_kernel(lib, method) for method in solver.METHODS}}
-    values = _sweep_values()
-    outputs = ["".join(io._c_text(kernels["csv_cells"], values, io.CSV_CHUNK, io.CSV_CELL + 1,
-                                  lambda i, v: "%.8e\n" % v, 1, 0)),
-               "".join(_json_items(kernels["json_items"], values))]
+        return solver._c_kernels()
+    lib = ctypes.CDLL(path)
+    return {"csv_cells": solver._c_formatter(lib, "csv_cells", 2),
+            "json_items": solver._c_formatter(lib, "json_items", 0),
+            **{method: solver._c_kernel(lib, method) for method in solver.METHODS}}
+
+
+def _kernel_outputs(kernels: dict) -> list:
+    """300 steps of each chunk function on an input that diverges, one that is nan at every
+    step and the noisy reference, with the time each raises at."""
+    outputs = []
     p = ObserverParams(0.1, 0.1, 1.0, 0.2, 0.3, "nonlinear")
     for method in solver.METHODS:
         for spec in (SignalSpec("sinusoid", math.inf, 1.0),
@@ -274,7 +284,25 @@ def _c_library_outputs(path: str | None) -> tuple:
             # NaNs, every other state by its bits
             nan = np.isnan(out)
             outputs.append((raised, nan.tolist(), np.where(nan, 0.0, out).view(np.int64).tolist()))
-    return tuple(outputs)
+    return outputs
+
+
+def _c_library_outputs(path: str | None) -> tuple:
+    """What the C library at path, or the cached one for None, makes of the cases where a port
+    is easy to get wrong: csv_cells and json_items on _sweep_values(), and _kernel_outputs."""
+    kernels = _c_library(path)
+    values = _sweep_values()
+    return ("".join(io._c_text(kernels["csv_cells"], values, io.CSV_CHUNK, io.CSV_CELL + 1,
+                               lambda i, v: "%.8e\n" % v, 1, 0)),
+            "".join(_json_items(kernels["json_items"], values)), *_kernel_outputs(kernels))
+
+
+def _build(tmp_path: Path, *flags: str) -> subprocess.CompletedProcess:
+    """solver._c_source() built by cc with flags and solver._C_FLAGS into tmp_path/kernels.so."""
+    source = tmp_path / "kernels.c"
+    source.write_text(solver._c_source())
+    return subprocess.run(["cc", *flags, *solver._C_FLAGS, "-o", str(tmp_path / "kernels.so"),
+                           str(source), "-lm"], capture_output=True, text=True)
 
 
 @needs_cc
@@ -282,12 +310,8 @@ def test_c_library_has_no_undefined_behaviour(tmp_path):
     # the library built with UBSan, which ends its process at the first shift, overflow or
     # conversion that C leaves undefined, runs in a process of its own, and writes the same
     # bytes and steps to the same bits as the cached library
-    source = tmp_path / "kernels.c"
-    source.write_text(solver._c_source())
     library = tmp_path / "kernels.so"
-    proc = subprocess.run(["cc", "-fsanitize=undefined", "-fno-sanitize-recover=all",
-                           *solver._C_FLAGS, "-o", str(library), str(source), "-lm"],
-                          capture_output=True, text=True)
+    proc = _build(tmp_path, "-fsanitize=undefined", "-fno-sanitize-recover=all")
     if proc.returncode != 0:
         pytest.skip(f"cc does not build with UBSan: {proc.stderr.strip()[-200:]}")
     code = ("import pickle, sys, test_io; "
@@ -296,6 +320,33 @@ def test_c_library_has_no_undefined_behaviour(tmp_path):
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, env=env)
     assert proc.returncode == 0, proc.stderr.decode(errors="replace")[-2000:]
     assert pickle.loads(proc.stdout) == _c_library_outputs(None)
+
+
+@needs_cc
+def test_c_library_without_128_bit_integers_leaves_every_cell_to_python(tmp_path):
+    # a host whose cc has no unsigned __int128 builds the formatters' stubs, which format no
+    # cell, and the same chunk functions
+    proc = _build(tmp_path, "-U__SIZEOF_INT128__", "-Wall", "-Wextra", "-Werror")
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    kernels = _c_library(str(tmp_path / "kernels.so"))
+    values = np.ascontiguousarray(_sweep_values()[::41])
+    left = []
+
+    def csv_cell(i, v):
+        left.append(i)
+        return "%.8e\n" % v
+
+    def json_item(i, v):
+        left.append(i)
+        return (io.JSON_SEP if i else "") + json.dumps(v)
+
+    csv = io._c_text(kernels["csv_cells"], values, io.CSV_CHUNK, io.CSV_CELL + 1, csv_cell, 1, 0)
+    assert "".join(csv) == "".join("%.8e\n" % v for v in values.tolist())
+    items = io._c_text(kernels["json_items"], values, io.JSON_CHUNK,
+                       io.JSON_ITEM + len(io.JSON_SEP), json_item)
+    assert "".join(items) == json.dumps(values.tolist())[1:-1].replace(", ", io.JSON_SEP)
+    assert left == [*range(values.size)] * 2
+    assert _kernel_outputs(kernels) == _kernel_outputs(solver._c_kernels())
 
 
 @pytest.mark.parametrize("scenario", ["fig3", "fig5"])
