@@ -101,6 +101,8 @@ def _build_sim(obj: dict) -> SimConfig:
 def _build_sweep(obj: dict) -> tuple[SweepConfig, tuple]:
     kwargs = _typed({**_fields(SweepConfig), "variants": tuple[dict, ...]}, obj, "sweep")
     variants = kwargs.pop("variants", ({},))
+    if not variants:
+        raise ConfigError("sweep.variants must not be empty")
     return _new(SweepConfig, kwargs, "sweep"), variants
 
 
@@ -272,7 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--discard", type=float, default=None,
                            help="override discard fraction before fitting")
             p.add_argument("--threads", type=int, default=None,
-                           help="parallel sweep workers (default 1)")
+                           help="parallel sweep worker processes (default 1)")
 
     p = sub.add_parser("validate", help="check observer parameters")
     p.add_argument("--config", required=True)

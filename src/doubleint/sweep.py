@@ -26,7 +26,7 @@ from .errors import (ConfigError, DivergedState, IllConditioned, InvalidParams, 
                      config_value)
 from .observers import ObserverParams, ObserverState, validate_params
 from .signals import MAX_PHASE, SignalSpec, check_step
-from .solver import MAX_RECORD_ROWS, SimConfig, check_config, integrate
+from .solver import MAX_RECORD_ROWS, SimConfig, check_config, integrate, nonlinear_kernel
 
 TWO_PI = 2.0 * math.pi
 
@@ -291,6 +291,9 @@ def sweep_observer(p: ObserverParams, cfg: SweepConfig, workers: int = 1) -> Bod
     # a fork pool starts all max_workers processes at the first submit
     workers = min(workers, len(cfg.freqs_hz))
     if workers > 1:
+        if p.mode == "nonlinear":
+            # the workers fork with the kernel loaded here: one load, and one warning without cc
+            nonlinear_kernel(cfg.method)
         with ProcessPoolExecutor(max_workers=workers) as pool:
             per_freq = list(pool.map(_run_frequency, repeat(p), repeat(cfg), cfg.freqs_hz))
     else:

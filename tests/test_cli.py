@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import math
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -16,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import doubleint
-from doubleint import SignalSpec, SimConfig, SweepConfig
+from doubleint import SignalSpec, SimConfig, SweepConfig, native
 from doubleint.cli import _build, _build_sim, _build_sweep, main
 from doubleint.io import BODE_HEADER, TRAJECTORY_HEADER, write_json
 from doubleint.scenarios import SCENARIO_NAMES, expand_scenario
@@ -255,6 +256,26 @@ def test_threads_flag_not_read_or_below_one_exits_2(tmp_path, capsys, scenario, 
                  "--out", str(out_dir)]) == 2
     assert capsys.readouterr().err == f"config error: {message}\n"
     assert not out_dir.exists()
+
+
+def test_pooled_sweep_without_a_compiler_warns_once(tmp_path, capfd, monkeypatch):
+    # the parent loads the kernels before each variant's pool forks, so no worker loads them
+    # again or warns again; forked workers write to the same stderr, which capfd reads
+    monkeypatch.setattr(shutil, "which", lambda *args, **kwargs: None)
+    cfg = write_cfg(tmp_path, {"params": NONLINEAR_PARAMS, "sweep": {
+        "freqs_hz": [1.1, 20.1, 40.1], "samples": 2000, "variants": [{"alpha3": 0.5}, {"R": 4}]}})
+    files = []
+    for threads in ("2", "1"):
+        monkeypatch.setattr(native, "_LOADED", {})
+        capfd.readouterr()
+        out = tmp_path / f"threads-{threads}"
+        assert main(["sweep", "--config", cfg, "--out", str(out), "--threads", threads]) == 0
+        assert capfd.readouterr().err == (
+            "warning: the C kernels are unavailable (no C compiler cc on PATH): nonlinear runs "
+            "step in Python, 4-6x slower, and trajectories are formatted in Python, to the same "
+            "states and bytes\n")
+        files.append({f.name: f.read_bytes() for f in sorted(out.glob("bode_*"))})
+    assert len(files[0]) == 2 and files[0] == files[1]
 
 
 def test_sweep_single_frequency_linear(tmp_path):
@@ -498,6 +519,8 @@ MALFORMED = [
     # samples * step_h overflows: the sweep section has no duration to name
     ("sweep", None, "sweep", {"freqs_hz": [1e-300], "samples": 10000, "step_h": 1e305},
      "sweep.samples"),
+    # no variant would run: the sweep would write only config.json
+    ("sweep", "sweep", "variants", [], "sweep.variants must not be empty"),
 ]
 
 

@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from doubleint import DivergedState, ObserverParams, cli, io, scenarios, signals, solver
+from doubleint import DivergedState, ObserverParams, cli, io, native, scenarios, signals, solver
 from doubleint.signals import SignalSpec, paper_reference_spec
 from doubleint.solver import Trajectory, simulate
 from doubleint.sweep import BodeCurve, BodeRow
@@ -142,9 +142,9 @@ def test_write_json_writes_float_arrays_as_their_lists(monkeypatch, library, chu
     if library == "c":
         if shutil.which("cc") is None:
             pytest.skip("no C compiler cc on PATH")
-        assert solver._c_kernels() is not None
+        assert io._c_formatters() is not None
     else:
-        monkeypatch.setattr(solver, "_c_kernels", lambda: None)
+        monkeypatch.setattr(io, "_c_formatters", lambda: None)
     monkeypatch.setattr(io, "JSON_CHUNK", chunk)
     doc = _array_doc()
     as_lists = {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in doc.items()}
@@ -162,7 +162,7 @@ _COVERED = {"csv_cells": (sys.float_info.min, math.inf), "json_items": (5e-324, 
 def _c_cell(name: str, v: float) -> str | None:
     """v's text from the C formatter name alone, without a separator; None where it leaves v
     to Python."""
-    formatter = solver._c_kernels()[name]
+    formatter = io._c_formatters()[name]
     buf, end = np.empty(64, np.uint8), np.zeros(1, np.int64)
     args = (1, 0) if name == "csv_cells" else ()
     if formatter(np.array([v]), 0, 1, *args, buf, end) == 0:
@@ -229,19 +229,19 @@ def _sweep_values() -> np.ndarray:
 def test_c_formatters_write_python_text_on_a_million_values():
     values = _sweep_values()
     assert values.size >= 10**6 and np.signbit(values[np.isnan(values)]).any()
-    kernels = solver._c_kernels()
+    formatters = io._c_formatters()
     left = []
 
     def python_cell(i, v):
         left.append(i)
         return "%.8e\n" % v
 
-    csv = io._c_text(kernels["csv_cells"], values, io.CSV_CHUNK, io.CSV_CELL + 1, python_cell, 1, 0)
+    csv = io._c_text(formatters["csv_cells"], values, io.CSV_CHUNK, io.CSV_CELL + 1, python_cell, 1, 0)
     assert "".join(csv) == "".join("%.8e\n" % v for v in values.tolist())
     # csv_cells leaves exactly the subnormals to Python
     magnitudes = np.abs(values)
     assert left == np.flatnonzero((magnitudes > 0.0) & (magnitudes < sys.float_info.min)).tolist()
-    assert "".join(_json_items(kernels["json_items"], values)) == (
+    assert "".join(_json_items(formatters["json_items"], values)) == (
         json.dumps(values.tolist())[1:-1].replace(", ", io.JSON_SEP))
 
 
@@ -255,14 +255,12 @@ def _json_items(formatter, values: np.ndarray):
 
 
 def _c_library(path: str | None) -> dict:
-    """The entry points of the C library at path, as solver._c_kernels() gives them, or the
-    cached library's for None."""
+    """The entry points of the C libraries _build made in the directory path, the kernels by
+    method and the formatters by name, or the cached libraries' for None."""
     if path is None:
-        return solver._c_kernels()
-    lib = ctypes.CDLL(path)
-    return {"csv_cells": solver._c_formatter(lib, "csv_cells", 2),
-            "json_items": solver._c_formatter(lib, "json_items", 0),
-            **{method: solver._c_kernel(lib, method) for method in solver.METHODS}}
+        return {**solver._c_kernels(), **io._c_formatters()}
+    return {**solver._c_bind(ctypes.CDLL(os.path.join(path, "kernels.so"))),
+            **io._c_bind(ctypes.CDLL(os.path.join(path, "formatters.so")))}
 
 
 def _kernel_outputs(kernels: dict) -> list:
@@ -288,7 +286,7 @@ def _kernel_outputs(kernels: dict) -> list:
 
 
 def _c_library_outputs(path: str | None) -> tuple:
-    """What the C library at path, or the cached one for None, makes of the cases where a port
+    """What the C libraries in the directory path, or the cached ones for None, make of the cases where a port
     is easy to get wrong: csv_cells and json_items on _sweep_values(), and _kernel_outputs."""
     kernels = _c_library(path)
     values = _sweep_values()
@@ -298,24 +296,28 @@ def _c_library_outputs(path: str | None) -> tuple:
 
 
 def _build(tmp_path: Path, *flags: str) -> subprocess.CompletedProcess:
-    """solver._c_source() built by cc with flags and solver._C_FLAGS into tmp_path/kernels.so."""
-    source = tmp_path / "kernels.c"
-    source.write_text(solver._c_source())
-    return subprocess.run(["cc", *flags, *solver._C_FLAGS, "-o", str(tmp_path / "kernels.so"),
-                           str(source), "-lm"], capture_output=True, text=True)
+    """solver._c_source() and io._c_source() built by cc with flags and native._C_FLAGS into
+    tmp_path/kernels.so and tmp_path/formatters.so: the first build that fails, or the last."""
+    for name, text in (("kernels", solver._c_source()), ("formatters", io._c_source())):
+        source = tmp_path / f"{name}.c"
+        source.write_text(text)
+        proc = subprocess.run(["cc", *flags, *native._C_FLAGS, "-o", str(tmp_path / f"{name}.so"),
+                               str(source), "-lm"], capture_output=True, text=True)
+        if proc.returncode != 0:
+            break
+    return proc
 
 
 @needs_cc
 def test_c_library_has_no_undefined_behaviour(tmp_path):
-    # the library built with UBSan, which ends its process at the first shift, overflow or
-    # conversion that C leaves undefined, runs in a process of its own, and writes the same
-    # bytes and steps to the same bits as the cached library
-    library = tmp_path / "kernels.so"
+    # the libraries built with UBSan, which ends its process at the first shift, overflow or
+    # conversion that C leaves undefined, run in a process of their own, and write the same
+    # bytes and step to the same bits as the cached libraries
     proc = _build(tmp_path, "-fsanitize=undefined", "-fno-sanitize-recover=all")
     if proc.returncode != 0:
         pytest.skip(f"cc does not build with UBSan: {proc.stderr.strip()[-200:]}")
     code = ("import pickle, sys, test_io; "
-            f"sys.stdout.buffer.write(pickle.dumps(test_io._c_library_outputs({str(library)!r})))")
+            f"sys.stdout.buffer.write(pickle.dumps(test_io._c_library_outputs({str(tmp_path)!r})))")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(Path(__file__).parent), *sys.path])}
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, env=env)
     assert proc.returncode == 0, proc.stderr.decode(errors="replace")[-2000:]
@@ -328,7 +330,7 @@ def test_c_library_without_128_bit_integers_leaves_every_cell_to_python(tmp_path
     # cell, and the same chunk functions
     proc = _build(tmp_path, "-U__SIZEOF_INT128__", "-Wall", "-Wextra", "-Werror")
     assert proc.returncode == 0, proc.stderr[-2000:]
-    kernels = _c_library(str(tmp_path / "kernels.so"))
+    kernels = _c_library(str(tmp_path))
     values = np.ascontiguousarray(_sweep_values()[::41])
     left = []
 
@@ -358,7 +360,7 @@ def test_trajectory_files_are_the_python_writers_bytes(tmp_path, monkeypatch, sc
     files = []
     for which in ("c", "python"):
         if which == "python":
-            monkeypatch.setattr(solver, "_c_kernels", lambda: None)
+            monkeypatch.setattr(io, "_c_formatters", lambda: None)
         io.write_trajectory_csv(tmp_path / f"{which}.csv", traj)
         io.write_json(tmp_path / f"{which}.json", io.trajectory_to_dict(traj))
         files.append([(tmp_path / f"{which}.{ext}").read_bytes() for ext in ("csv", "json")])

@@ -38,7 +38,8 @@ from doubleint import (
     trajectory_metrics,
     validate_params,
 )
-from doubleint import cli
+from doubleint import cli, native
+from doubleint import io as writers
 from doubleint.signals import make_input_fn, paper_reference_spec, truth_arrays
 from doubleint.sweep import _frequency_sim
 
@@ -214,15 +215,12 @@ def test_without_a_compiler_the_python_kernels_run_after_one_warning(
     runs = []
     for which in ("c", "python"):
         if which == "python":
-            # the compiler lookup finds nothing, and the kernels are chosen again
+            # the compiler lookup finds nothing, and no library is loaded yet
             monkeypatch.setattr(shutil, "which", lambda *args, **kwargs: None)
-            solver._c_kernels.cache_clear()
+            monkeypatch.setattr(native, "_LOADED", {})
         capsys.readouterr()
-        try:
-            outputs = [_reproduce_fig3(tmp_path / f"{which}-{m}", m) for m in solver.METHODS]
-            states = integrate(nl_params, noisy_spec, cfg)[1]
-        finally:
-            solver._c_kernels.cache_clear()
+        outputs = [_reproduce_fig3(tmp_path / f"{which}-{m}", m) for m in solver.METHODS]
+        states = integrate(nl_params, noisy_spec, cfg)[1]
         runs.append((outputs, states.view(np.int64).tolist(), capsys.readouterr().err))
     (c_outputs, c_states, _), (outputs, states, err) = runs
     assert outputs == c_outputs
@@ -246,34 +244,36 @@ def cache_dir(tmp_path, monkeypatch):
 @needs_cc
 def test_c_library_is_cached_by_its_source(cache_dir, monkeypatch):
     source = solver._c_source()
-    solver._load_c_library(source)
+    native._load_c_library(source)
     assert cache_dir.stat().st_mode & 0o777 == 0o700
     [so] = cache_dir.glob("*.so")
     assert so.with_suffix(".c").read_text() == source
     with monkeypatch.context() as mp:
         # a hit loads the stored library without running the compiler
         mp.setattr(subprocess, "run", lambda *args, **kwargs: pytest.fail("cc ran on a hit"))
-        assert solver._load_c_library(source).rk4_chunk
+        assert native._load_c_library(source).rk4_chunk
     changed = source + "/* changed */\n"
-    assert solver._load_c_library(changed).rk4_chunk
+    assert native._load_c_library(changed).rk4_chunk
     assert len(list(cache_dir.glob("*.so"))) == 2
     assert sorted(c.read_text() for c in cache_dir.glob("*.c")) == sorted([source, changed])
 
 
 @needs_cc
 def test_c_source_compiles_without_warnings(tmp_path):
-    source = tmp_path / "kernels.c"
-    source.write_text(solver._c_source())
-    proc = subprocess.run(["cc", "-Wall", "-Wextra", "-Werror", *solver._C_FLAGS,
-                           "-o", str(tmp_path / "kernels.so"), str(source), "-lm"],
-                          capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
+    # the kernels' library and the formatters'
+    for name, text in (("kernels", solver._c_source()), ("formatters", writers._c_source())):
+        source = tmp_path / f"{name}.c"
+        source.write_text(text)
+        proc = subprocess.run(["cc", "-Wall", "-Wextra", "-Werror", *native._C_FLAGS,
+                               "-o", str(tmp_path / f"{name}.so"), str(source), "-lm"],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, (name, proc.stderr)
 
 
 @needs_cc
 def test_c_library_whose_stored_source_differs_is_built_again(cache_dir):
     source = solver._c_source()
-    solver._load_c_library(source)
+    native._load_c_library(source)
     [so] = cache_dir.glob("*.so")
     # a library under the key whose stored source is not the source asked for; written to
     # a new file, as the loaded one stays mapped
@@ -281,7 +281,7 @@ def test_c_library_whose_stored_source_differs_is_built_again(cache_dir):
     garbage = so.with_suffix(".tmp")
     garbage.write_bytes(b"not a library")
     os.replace(garbage, so)
-    assert solver._load_c_library(source).rk4_chunk
+    assert native._load_c_library(source).rk4_chunk
     assert so.with_suffix(".c").read_text() == source
     assert so.read_bytes() != b"not a library"
 
@@ -304,7 +304,7 @@ def test_unusable_or_shared_cache_builds_in_a_private_temporary_dir(cache_dir, m
         return path
 
     monkeypatch.setattr(tempfile, "mkdtemp", recorded_mkdtemp)
-    assert solver._load_c_library(solver._c_source()).rk4_chunk
+    assert native._load_c_library(solver._c_source()).rk4_chunk
     [(path, mode)] = made
     assert mode == 0o700
     assert not os.path.exists(path)  # removed once the library is loaded
@@ -315,8 +315,10 @@ def test_unusable_or_shared_cache_builds_in_a_private_temporary_dir(cache_dir, m
 def test_importing_the_cli_builds_and_loads_no_kernel(tmp_path):
     env = {**os.environ, "XDG_CACHE_HOME": str(tmp_path),
            "PYTHONPATH": os.pathsep.join(sys.path)}
-    code = ("import doubleint.cli, doubleint.solver as s; "
-            "assert s._c_kernels.cache_info().misses == 0")
+    # neither C source is rendered, and native has loaded no library
+    code = ("import doubleint.cli, doubleint.io as io, doubleint.native as native, "
+            "doubleint.solver as s; assert not native._LOADED; "
+            "assert s._c_source.cache_info().misses == io._c_source.cache_info().misses == 0")
     subprocess.run([sys.executable, "-c", code], env=env, check=True)
     assert list(tmp_path.iterdir()) == []
 
