@@ -13,9 +13,9 @@ truth or error keys, and a non-finite Bode value is null.
 trajectory_to_dict gives a trajectory's columns as 1-D float arrays, which
 write_json writes as the JSON lists of their tolist().  This module owns
 the C of its number formatters (_C_FORMAT), which native builds, caches and
-loads at the first trajectory write: they write numbers in chunks, to the
-bytes Python gives, and leave each cell they do not cover to Python, which
-writes them all without the library.
+loads at the first trajectory write.  Both writers run one chunk loop,
+_text: each chunk is written by a C formatter, to the bytes Python gives, or,
+where the formatter refuses it or there is no library, by Python.
 """
 
 import functools
@@ -37,36 +37,29 @@ BODE_HEADER = ",".join(BODE_COLUMNS)
 
 
 def _columns(traj: Trajectory) -> list[np.ndarray]:
-    """1-D views of traj in TRAJECTORY_COLUMNS order; truth and errors only if present."""
+    """1-D float64 columns of traj in TRAJECTORY_COLUMNS order, views where traj's arrays are
+    float64; truth and errors only if present."""
     cols = [traj.times, *traj.states.T, traj.inputs]
     if traj.truths is not None:
         cols += [*traj.truths.T, *traj.errors.T]
-    return cols
+    return [np.asarray(col, dtype=np.float64) for col in cols]
 
 
 def write_trajectory_csv(path, traj: Trajectory) -> None:
     cols = _columns(traj)
     missing = len(TRAJECTORY_COLUMNS) - len(cols)
     row_end = "," * missing + "\n"
-    table = np.column_stack(cols)
-    formatters = _c_formatters()
+    row = ",".join(["%.8e"] * len(cols)) + row_end
     with open(path, "w", newline="") as f:
         f.write(TRAJECTORY_HEADER + "\n")
-        if formatters is None:
-            row = ",".join(["%.8e"] * len(cols)) + row_end
-            # in Python, one row at a time: a whole-table tolist() holds every cell as a float
-            f.writelines(row % tuple(r.tolist()) for r in table)
-            return
-
-        f.writelines(_c_text(formatters["csv_cells"], table.ravel(), CSV_CHUNK * len(cols),
-                             CSV_CELL + len(row_end),
-                             lambda i, v: "%.8e" % v + ("," if (i + 1) % len(cols) else row_end),
-                             len(cols), missing))
+        f.writelines(_text((_c_formatters() or {}).get("csv_cells"),
+                           lambda chunk: row * (chunk.size // len(cols)) % tuple(chunk.tolist()),
+                           np.column_stack(cols).ravel(), CSV_CHUNK * len(cols),
+                           CSV_CELL + len(row_end), "", len(cols), missing))
 
 
 def trajectory_to_dict(traj: Trajectory) -> dict:
-    """traj's 1-D float columns by name, views of its arrays; write_json writes each as a
-    list."""
+    """traj's 1-D float64 columns by name (_columns); write_json writes each as a list."""
     return dict(zip(TRAJECTORY_COLUMNS, _columns(traj)))
 
 
@@ -117,16 +110,16 @@ JSON_SEP = ",\n    "
 
 # C of the trajectory writers' number text, byte for byte as Python writes it: csv_cells writes
 # "%.8e" (9 digits, half to even) and json_items the shortest repr that reads back as the
-# same double.  Each writes the cells v[i..stop) into buf from *end, with their separators, and
-# returns the index of the first cell it does not cover, unwritten, or stop.  Both take their
+# same double.  Each writes the n cells of v, a chunk, into buf with their separators and returns
+# the bytes written, or -1 at the first cell it does not cover.  Both take their
 # digits from one routine, shortest(), Schubfach (R. Giulietti, "The Schubfach way to render
 # doubles", 2020): three 64x128-bit products with a table of 10^-k to 128 bits, rounding up
 # (POW10, which _c_source renders from exact integers) give x and the ends of its rounding
 # interval at 10^k to the precision their comparisons need, and of the decimals in the interval
 # it keeps the one with the fewest digits, then the nearest to x, then the even one, as repr
 # does, for every finite double.  csv_cells rounds those digits to 9 for every normal double and
-# leaves a subnormal, whose interval is too wide for that, to Python.  Without 128-bit integers
-# every cell is left to Python.
+# refuses a chunk that holds a subnormal, whose interval is too wide for that.  Without 128-bit
+# integers both refuse every chunk.
 _C_FORMAT = """\
 #include <stdint.h>
 #include <string.h>
@@ -307,14 +300,14 @@ static char *csv_cell(double v, char *s) { (void)v; (void)s; return NULL; }
 static char *json_item(double v, char *s) { (void)v; (void)s; return NULL; }
 #endif
 
-/* cells of a row-major table of cols columns: each followed by ',', or at a row's end by missing
-   commas and '\\n' */
-int64_t csv_cells(const double *v, int64_t i, int64_t stop, int64_t cols, int64_t missing,
-                  char *buf, int64_t *end)
+/* whole rows of a row-major table of cols columns: each cell followed by ',', or at a row's end
+   by missing commas and '\\n' */
+int64_t csv_cells(const double *v, int64_t n, int64_t cols, int64_t missing, char *buf)
 {
-    char *s = buf + *end, *next;
-    for (; i < stop && (next = csv_cell(v[i], s)); i++) {
-        s = next;
+    char *s = buf;
+    for (int64_t i = 0; i < n; i++) {
+        if (!(s = csv_cell(v[i], s)))
+            return -1;
         if ((i + 1) % cols)
             *s++ = ',';
         else {
@@ -323,23 +316,22 @@ int64_t csv_cells(const double *v, int64_t i, int64_t stop, int64_t cols, int64_
             *s++ = '\\n';
         }
     }
-    *end = s - buf;
-    return i;
+    return s - buf;
 }
 
 /* items of a JSON list: each after the first preceded by ",\\n    " */
-int64_t json_items(const double *v, int64_t i, int64_t stop, char *buf, int64_t *end)
+int64_t json_items(const double *v, int64_t n, char *buf)
 {
-    char *s = buf + *end, *next;
-    for (; i < stop; i++) {
-        if (i)
+    char *s = buf;
+    for (int64_t i = 0; i < n; i++) {
+        if (i) {
             memcpy(s, ",\\n    ", 6);
-        if (!(next = json_item(v[i], s + (i ? 6 : 0))))
-            break;
-        s = next;
+            s += 6;
+        }
+        if (!(s = json_item(v[i], s)))
+            return -1;
     }
-    *end = s - buf;
-    return i;
+    return s - buf;
 }
 """
 
@@ -369,36 +361,30 @@ def _c_source() -> str:
 
 def _c_bind(lib) -> dict:
     """csv_cells and json_items over lib, a library built from _c_source(): each is
-    name(values, i, stop, *extra, buf, end), with extra int64s (csv_cells: cols, missing)."""
-    head = (native.pointer(np.float64, 1, "C_CONTIGUOUS"), int, int)
-    tail = (native.pointer(np.uint8, 1), native.pointer(np.int64, 1))
-    return {"csv_cells": native.function(lib, "csv_cells", *head, int, int, *tail),
-            "json_items": native.function(lib, "json_items", *head, *tail)}
+    name(chunk, n, *extra, buf) -> bytes written or -1, with extra int64s (csv_cells: cols,
+    missing)."""
+    chunk, buf = native.pointer(np.float64, 1, "C_CONTIGUOUS"), native.pointer(np.uint8, 1)
+    return {"csv_cells": native.function(lib, "csv_cells", chunk, int, int, int, buf),
+            "json_items": native.function(lib, "json_items", chunk, int, buf)}
 
 
 def _c_formatters() -> dict | None:
     """The C formatters by name (native.load), or None without cc, after one warning."""
     return native.load(_c_source(), _c_bind)
 
-
-def _c_text(formatter, values: np.ndarray, step: int, width: int, python_cell, *args):
-    """The text of the flat float array values, step cells at a time, by a formatter of
-    _c_formatters() (name(values, i, stop, *args, buf, end)) into one reused buffer of
-    step * width bytes, width bounding a cell's text and its separator.  The formatter stops
-    at each cell its exact path does not cover, and python_cell(i, v) gives that cell's text
-    and separator in Python."""
+def _text(formatter, python_text, values: np.ndarray, step: int, width: int, sep: str, *args):
+    """The text of the C-contiguous float64 array values, step cells at a time with sep between
+    chunks.  formatter, one of _c_formatters() (name(chunk, n, *args, buf)), writes each chunk
+    into one reused buffer of step * width bytes, width bounding a cell's text and its
+    separator; python_text(chunk) writes a chunk it refuses, and every chunk when formatter is
+    None (no library)."""
     buf = np.empty(min(step, values.size) * width, np.uint8)
-    end = np.zeros(1, np.int64)
     for lo in range(0, values.size, step):
-        stop = min(lo + step, values.size)
-        end[0] = 0
-        i = formatter(values, lo, stop, *args, buf, end)
-        while i < stop:
-            cell = python_cell(i, values.item(i)).encode()
-            buf[end[0]:end[0] + len(cell)] = np.frombuffer(cell, np.uint8)
-            end[0] += len(cell)
-            i = formatter(values, i + 1, stop, *args, buf, end)
-        yield str(buf[:end[0]], "ascii")
+        chunk = values[lo:lo + step]
+        n = formatter(chunk, chunk.size, *args, buf) if formatter else -1
+        if lo:
+            yield sep
+        yield str(buf[:n], "ascii") if n >= 0 else python_text(chunk)
 
 
 def write_json(path, obj) -> None:
@@ -407,9 +393,10 @@ def write_json(path, obj) -> None:
 
     The indented encoder is pure Python and writes one item at a time, so a
     dict with str keys is laid out here, key by key, and each of its values
-    that is a 1-D float64 array is written in chunks: by the C library's
-    json_items, or without it by json's C encoder.  Number text holds no ", ",
-    so that encoder's item separator marks the indented layout's line breaks.
+    that is a 1-D float64 array is written in chunks (_text): by the C
+    library's json_items, or without it by json's C encoder.  Number text holds
+    no ", ", so that encoder's item separator marks the indented layout's line
+    breaks.
     """
     with open(path, "w", newline="") as f:
         if type(obj) is dict and obj and all(type(k) is str for k in obj):
@@ -432,17 +419,10 @@ def _write_value(f, v) -> None:
     if not v.size:
         f.write("[]")
         return
-    formatters = _c_formatters()
     f.write("[\n    ")
-    if formatters is None:
-        for i in range(0, v.size, JSON_CHUNK):
-            if i:
-                f.write(JSON_SEP)
-            f.write(json.dumps(v[i:i + JSON_CHUNK].tolist())[1:-1].replace(", ", JSON_SEP))
-    else:
-        f.writelines(_c_text(formatters["json_items"], np.ascontiguousarray(v), JSON_CHUNK,
-                             JSON_ITEM + len(JSON_SEP),
-                             lambda i, x: (JSON_SEP if i else "") + json.dumps(x)))
+    f.writelines(_text((_c_formatters() or {}).get("json_items"),
+                       lambda chunk: json.dumps(chunk.tolist())[1:-1].replace(", ", JSON_SEP),
+                       np.ascontiguousarray(v), JSON_CHUNK, JSON_ITEM + len(JSON_SEP), JSON_SEP))
     f.write("\n  ]")
 
 

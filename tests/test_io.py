@@ -154,24 +154,51 @@ def test_write_json_writes_float_arrays_as_their_lists(monkeypatch, library, chu
 needs_cc = pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler cc on PATH")
 
 # The magnitudes whose every float each C formatter writes itself, [lo, hi), and the only
-# finite nonzero ones: every normal one for csv_cells, which leaves the subnormals to Python,
-# and every finite one, subnormals included, for json_items.
+# finite nonzero ones: every normal one for csv_cells, which refuses the subnormals, and every
+# finite one, subnormals included, for json_items.
 _COVERED = {"csv_cells": (sys.float_info.min, math.inf), "json_items": (5e-324, math.inf)}
+
+# io._text's step, width, separator and extra arguments for a flat column of values: one cell
+# per CSV row, or the items of a JSON list
+_LAYOUT = {"csv_cells": (io.CSV_CHUNK, io.CSV_CELL + 1, "", 1, 0),
+           "json_items": (io.JSON_CHUNK, io.JSON_ITEM + len(io.JSON_SEP), io.JSON_SEP)}
 
 
 def _c_cell(name: str, v: float) -> str | None:
-    """v's text from the C formatter name alone, without a separator; None where it leaves v
-    to Python."""
-    formatter = io._c_formatters()[name]
-    buf, end = np.empty(64, np.uint8), np.zeros(1, np.int64)
-    args = (1, 0) if name == "csv_cells" else ()
-    if formatter(np.array([v]), 0, 1, *args, buf, end) == 0:
-        return None
-    return buf[:end[0]].tobytes().decode().removesuffix("\n")
+    """v's text from the C formatter name alone, without a separator; None where it refuses
+    v."""
+    buf = np.empty(64, np.uint8)
+    n = io._c_formatters()[name](np.array([v]), 1, *_LAYOUT[name][3:], buf)
+    return None if n < 0 else buf[:n].tobytes().decode().removesuffix("\n")
 
 
 def _python_cell(name: str, v: float) -> str:
     return "%.8e" % v if name == "csv_cells" else json.dumps(v)
+
+
+def _python_text(name: str, values: np.ndarray) -> str:
+    """values' text in Python, laid out as _LAYOUT[name]."""
+    if name == "csv_cells":
+        return "".join("%.8e\n" % v for v in values.tolist())
+    return json.dumps(values.tolist())[1:-1].replace(", ", io.JSON_SEP)
+
+
+def _c_text(formatter, name: str, values: np.ndarray) -> tuple[str, list[int]]:
+    """(text, refused): io._text of the C-contiguous values by formatter, the formatter name's
+    signature, laid out as _LAYOUT[name], and the index of each chunk's first cell for the
+    chunks formatter refuses, which Python writes."""
+    refused = []
+
+    def python_text(chunk):
+        refused.append((chunk.ctypes.data - values.ctypes.data) // values.itemsize)
+        return _python_text(name, chunk)
+
+    return "".join(io._text(formatter, python_text, values, *_LAYOUT[name])), refused
+
+
+def _subnormal(values: np.ndarray) -> np.ndarray:
+    magnitudes = np.abs(values)
+    return (magnitudes > 0.0) & (magnitudes < sys.float_info.min)
 
 
 _RAW_FLOATS = st.integers(0, 2**64 - 1).map(
@@ -230,28 +257,18 @@ def test_c_formatters_write_python_text_on_a_million_values():
     values = _sweep_values()
     assert values.size >= 10**6 and np.signbit(values[np.isnan(values)]).any()
     formatters = io._c_formatters()
-    left = []
-
-    def python_cell(i, v):
-        left.append(i)
-        return "%.8e\n" % v
-
-    csv = io._c_text(formatters["csv_cells"], values, io.CSV_CHUNK, io.CSV_CELL + 1, python_cell, 1, 0)
-    assert "".join(csv) == "".join("%.8e\n" % v for v in values.tolist())
-    # csv_cells leaves exactly the subnormals to Python
-    magnitudes = np.abs(values)
-    assert left == np.flatnonzero((magnitudes > 0.0) & (magnitudes < sys.float_info.min)).tolist()
-    assert "".join(_json_items(formatters["json_items"], values)) == (
-        json.dumps(values.tolist())[1:-1].replace(", ", io.JSON_SEP))
-
-
-def _json_items(formatter, values: np.ndarray):
-    """The text of values by formatter, json_items' signature, which must cover every cell."""
-    def uncovered(i, v):
-        pytest.fail(f"json_items left {v!r} to Python")
-
-    return io._c_text(formatter, values, io.JSON_CHUNK, io.JSON_ITEM + len(io.JSON_SEP),
-                      uncovered)
+    subnormal = _subnormal(values)
+    for name in sorted(_COVERED):
+        text, refused = _c_text(formatters[name], name, values)
+        assert text == _python_text(name, values)
+        # csv_cells refuses exactly the chunks that hold a subnormal, json_items none
+        step = _LAYOUT[name][0]
+        assert refused == [lo for lo in range(0, values.size, step)
+                           if name == "csv_cells" and subnormal[lo:lo + step].any()]
+    # every other value in chunks that csv_cells writes itself
+    normal = values[~subnormal]
+    assert _c_text(formatters["csv_cells"], "csv_cells", normal) == (
+        _python_text("csv_cells", normal), [])
 
 
 def _c_library(path: str | None) -> dict:
@@ -286,13 +303,14 @@ def _kernel_outputs(kernels: dict) -> list:
 
 
 def _c_library_outputs(path: str | None) -> tuple:
-    """What the C libraries in the directory path, or the cached ones for None, make of the cases where a port
-    is easy to get wrong: csv_cells and json_items on _sweep_values(), and _kernel_outputs."""
+    """What the C libraries in the directory path, or the cached ones for None, make of the
+    cases where a port is easy to get wrong: csv_cells on _sweep_values() and on its values
+    that are not subnormal, json_items on _sweep_values(), and _kernel_outputs."""
     kernels = _c_library(path)
     values = _sweep_values()
-    return ("".join(io._c_text(kernels["csv_cells"], values, io.CSV_CHUNK, io.CSV_CELL + 1,
-                               lambda i, v: "%.8e\n" % v, 1, 0)),
-            "".join(_json_items(kernels["json_items"], values)), *_kernel_outputs(kernels))
+    return (_c_text(kernels["csv_cells"], "csv_cells", values),
+            _c_text(kernels["csv_cells"], "csv_cells", values[~_subnormal(values)]),
+            _c_text(kernels["json_items"], "json_items", values), *_kernel_outputs(kernels))
 
 
 def _build(tmp_path: Path, *flags: str) -> subprocess.CompletedProcess:
@@ -327,28 +345,77 @@ def test_c_library_has_no_undefined_behaviour(tmp_path):
 @needs_cc
 def test_c_library_without_128_bit_integers_leaves_every_cell_to_python(tmp_path):
     # a host whose cc has no unsigned __int128 builds the formatters' stubs, which format no
-    # cell, and the same chunk functions
+    # cell, so both formatters refuse every chunk, and the same chunk functions
     proc = _build(tmp_path, "-U__SIZEOF_INT128__", "-Wall", "-Wextra", "-Werror")
     assert proc.returncode == 0, proc.stderr[-2000:]
     kernels = _c_library(str(tmp_path))
     values = np.ascontiguousarray(_sweep_values()[::41])
-    left = []
-
-    def csv_cell(i, v):
-        left.append(i)
-        return "%.8e\n" % v
-
-    def json_item(i, v):
-        left.append(i)
-        return (io.JSON_SEP if i else "") + json.dumps(v)
-
-    csv = io._c_text(kernels["csv_cells"], values, io.CSV_CHUNK, io.CSV_CELL + 1, csv_cell, 1, 0)
-    assert "".join(csv) == "".join("%.8e\n" % v for v in values.tolist())
-    items = io._c_text(kernels["json_items"], values, io.JSON_CHUNK,
-                       io.JSON_ITEM + len(io.JSON_SEP), json_item)
-    assert "".join(items) == json.dumps(values.tolist())[1:-1].replace(", ", io.JSON_SEP)
-    assert left == [*range(values.size)] * 2
+    for name in sorted(_COVERED):
+        assert _c_text(kernels[name], name, values) == (
+            _python_text(name, values), [*range(0, values.size, _LAYOUT[name][0])])
     assert _kernel_outputs(kernels) == _kernel_outputs(solver._c_kernels())
+
+
+@needs_cc
+@pytest.mark.parametrize("build", ["cached", "without 128-bit integers"])
+def test_c_formatters_are_called_once_per_chunk(tmp_path, monkeypatch, build):
+    # a chunk a formatter refuses is written by Python whole, with no call per cell it does not
+    # cover: subnormals in 3 of 6 CSV chunks, or every cell of the build without __int128
+    if build == "cached":
+        formatters = io._c_formatters()
+    else:
+        proc = _build(tmp_path, "-U__SIZEOF_INT128__")
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        formatters = io._c_bind(ctypes.CDLL(str(tmp_path / "formatters.so")))
+    calls = {name: 0 for name in formatters}
+
+    def counted(name):
+        def formatter(*args):
+            calls[name] += 1
+            return formatters[name](*args)
+        return formatter
+
+    rows = 5 * io.CSV_CHUNK + 7
+    states = np.linspace(-3.0, 3.0, 3 * rows).reshape(rows, 3)
+    states[[3, 2 * io.CSV_CHUNK + 10, 2 * io.CSV_CHUNK + 11, 5 * io.CSV_CHUNK + 2], 0] = (
+        5e-324, -1e-310, 2.2250738585072009e-308, -5e-324)
+    traj = Trajectory(np.arange(rows) * 0.001, states, np.cos(np.arange(rows) * 0.01))
+    files = []
+    for patched in ({name: counted(name) for name in formatters}, None):
+        monkeypatch.setattr(io, "_c_formatters", lambda: patched)
+        io.write_trajectory_csv(tmp_path / "t.csv", traj)
+        io.write_json(tmp_path / "t.json", io.trajectory_to_dict(traj))
+        files.append([(tmp_path / name).read_bytes() for name in ("t.csv", "t.json")])
+    assert files[0] == files[1]
+    # 6 CSV chunks, and 2 JSON chunks in each of the 5 columns
+    assert calls == {"csv_cells": 6, "json_items": 10}
+
+
+@pytest.mark.parametrize("library", ["c", "python"])
+@pytest.mark.parametrize("dtype", [np.float32, np.int64])
+def test_trajectory_of_another_dtype_is_written_as_its_float64_values(tmp_path, monkeypatch,
+                                                                       library, dtype):
+    rng = np.random.default_rng(7)
+    rows = 5000
+    arrays = [np.arange(rows), *(rng.uniform(-1e6, 1e6, (rows, 3)) for _ in range(2))]
+    arrays = [a.astype(dtype) for a in (arrays[0], arrays[1], arrays[1][:, 0], arrays[2])]
+    arrays.append(arrays[1] - arrays[3])
+
+    def files(traj):
+        io.write_trajectory_csv(tmp_path / "t.csv", traj)
+        io.write_json(tmp_path / "t.json", io.trajectory_to_dict(traj))
+        return [(tmp_path / name).read_bytes() for name in ("t.csv", "t.json")]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(io, "_c_formatters", lambda: None)
+        expected = files(Trajectory(*(a.astype(np.float64) for a in arrays)))
+    if library == "c":
+        if shutil.which("cc") is None:
+            pytest.skip("no C compiler cc on PATH")
+        assert io._c_formatters() is not None
+    else:
+        monkeypatch.setattr(io, "_c_formatters", lambda: None)
+    assert files(Trajectory(*arrays)) == expected
 
 
 @pytest.mark.parametrize("scenario", ["fig3", "fig5"])
