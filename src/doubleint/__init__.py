@@ -65,6 +65,7 @@ from .sweep import (
     fit_sinusoid,
     phase_unwrap,
     sweep_observer,
+    sweep_observers,
 )
 
 __version__ = "0.1.0"

@@ -258,7 +258,8 @@ def discrete_response(p: ObserverParams, h: float, method: str, omega: float) ->
     return np.linalg.solve(z * np.eye(3) - m, forcing)
 
 
-def signal_states(p: ObserverParams, spec: signals.SignalSpec, cfg: "SimConfig") -> np.ndarray:
+def signal_states(p: ObserverParams, spec: signals.SignalSpec, cfg: "SimConfig",
+                  waves: dict | None = None) -> np.ndarray:
     """States at cfg.record_times() of cfg's run driven by spec's signal.
 
     The closed form of the orbit of the step map at h = cfg.step_h.  Each
@@ -266,8 +267,10 @@ def signal_states(p: ObserverParams, spec: signals.SignalSpec, cfg: "SimConfig")
     part R of amp e^(i omega t), whose forced orbit is R(P e^(i omega k h))
     with P = amp * discrete_response(p, h, method, omega); the transient
     M^k (x0 - sum R(P)) takes the run from x0 = cfg.initial_state onto them.
-    Row 0 is x0.  Raises DivergedState at the time of the first non-finite
-    row.
+    Row 0 is x0.  waves maps an omega to the arrays sin and cos of omega * t
+    at the record times, which the run then reads in place of computing them
+    (a sweep computes them once per frequency for all its lanes).  Raises
+    DivergedState at the time of the first non-finite row.
     """
     h, x0 = cfg.step_h, cfg.initial_state
     m = step_map(p, h, cfg.method)[0]
@@ -282,16 +285,20 @@ def signal_states(p: ObserverParams, spec: signals.SignalSpec, cfg: "SimConfig")
             forced.append((phasor, omega, is_sine))
         states = _power_rows(np.linalg.matrix_power(m, cfg.record_stride), d, k_h.size)
         for phasor, omega, is_sine in forced:
-            theta = omega * k_h
+            if waves is not None and omega in waves:
+                sin, cos = waves[omega]
+            else:
+                theta = omega * k_h
+                sin, cos = np.sin(theta), np.cos(theta)
             # Im(P e^(i theta)) = Re P sin + Im P cos; Re(P e^(i theta)) = Re P cos - Im P sin
             if is_sine:
-                states += np.outer(np.sin(theta), phasor.real)
-                states += np.outer(np.cos(theta), phasor.imag)
+                states += np.outer(sin, phasor.real)
+                states += np.outer(cos, phasor.imag)
             else:
-                states += np.outer(np.cos(theta), phasor.real)
-                states -= np.outer(np.sin(theta), phasor.imag)
+                states += np.outer(cos, phasor.real)
+                states -= np.outer(sin, phasor.imag)
     states[0] = x0
-    bad = ~np.isfinite(states).all(axis=1)
-    if bad.any():
-        raise DivergedState(float(k_h[bad.argmax()]))
+    finite = np.isfinite(states)
+    if not finite.all():
+        raise DivergedState(float(k_h[finite.all(axis=1).argmin()]))
     return states

@@ -20,7 +20,8 @@ from . import io, scenarios, signals
 from .errors import ConfigError, DivergedState, DoubleIntError, InvalidParams, config_value
 from .observers import ObserverParams, validate_params
 from .solver import SimConfig, simulate, trajectory_metrics
-from .sweep import SweepConfig, bode_from_transfer, check_sweep_config, sweep_observer
+from .sweep import (SweepConfig, bode_from_transfer, check_amplitude, check_sweep_config,
+                    sweep_observers)
 
 EXIT_OK = 0
 EXIT_INVALID_PARAMS = 1
@@ -212,16 +213,19 @@ def cmd_sweep(cfg: dict, out_dir, workers: int = 1) -> int:
     for i, variant in enumerate(variants):
         path = f"sweep.variants[{i}]"
         over = _typed({**_PARAM_TYPES, "amplitude": float}, variant, path)
-        run_cfg = sweep_cfg
+        run_cfg, amplitude_path = sweep_cfg, "sweep"
         if "amplitude" in over:
             run_cfg = _at(path, dataclasses.replace, sweep_cfg, amplitude=over.pop("amplitude"))
+            amplitude_path = path
         params = _build_params(cfg, over, path if over else "params")
         report = validate_params(params)
         if not report.ok:
             # the report names no path: lead with the variant's when its keys set params
             print(f"{path}: {report}" if over else report, file=sys.stderr)
             return EXIT_INVALID_PARAMS
-        # every such error depends on the params: the variant's when it sets any
+        # the amplitude guard names the amplitude, the variant's when it sets one; every
+        # other such error depends on the params: the variant's when it sets any
+        _at(amplitude_path, check_amplitude, params, run_cfg)
         _at(path if over else "sweep", check_sweep_config, params, run_cfg)
         # the stem names mode, alpha3, R and amplitude only: a clash would overwrite files
         tag = f"{params.mode}_a{params.alpha3:g}_R{1.0 / params.epsilon:g}_Am{run_cfg.amplitude:g}"
@@ -233,8 +237,9 @@ def cmd_sweep(cfg: dict, out_dir, workers: int = 1) -> int:
     out = _out(io.ensure_dir, out_dir)
     total = flagged = 0
     written = []
-    for tag, (params, run_cfg) in runs.items():
-        curve = sweep_observer(params, run_cfg, workers=workers)
+    # one lane list: every variant at each frequency, in one pool when workers > 1
+    curves = sweep_observers(list(runs.values()), workers=workers)
+    for (tag, (params, run_cfg)), curve in zip(runs.items(), curves):
         written.append(_write_curve(out, f"bode_{tag}", curve, fmt))
         total += len(curve.rows)
         flagged += sum(r.flag != "ok" for r in curve.rows)

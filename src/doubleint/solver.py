@@ -11,11 +11,15 @@ function rendered from it: to Python at import, or to C (_c_source), the
 C library of this module, which native builds with the system cc at the
 first nonlinear run, caches per user and loads.  Runs take the C kernels,
 ~5x faster, and the Python ones when cc is missing or fails, after one
-warning.  The input does not depend on the state, so a kernel evaluates it
-CHUNK steps at a time with signals.input_values, at the float times step()
-takes it at and to the same bits.  rhs(), step() and power_sign stay the
-readable reference: test_kernels_match_public_step pins every kernel to
-step() bit for bit.
+warning.  The input does not depend on the state, so _kernel reads the
+inputs of CHUNK steps at once from an input source, inputs(lo, hi), at the
+float times step() takes them at and to the same bits: signal_inputs
+evaluates signals.input_values a chunk at a time, and a Drive, the unit
+sine of one sweep frequency on a run's grid, serves every lane at that
+frequency from arrays computed once.  Both read a(t + h) from a(t) at the
+next step time wherever t + h rounds to it (_on_grid).  rhs(), step() and
+power_sign stay the readable reference: test_kernels_match_public_step pins
+every kernel to step() bit for bit.
 """
 
 import bisect
@@ -319,15 +323,97 @@ int64_t {method}_chunk(const double *p, double *x, {arrays}, int64_t m, int64_t 
 """
 
 
-def _kernel(method: str, chunk):
-    """kernel(p, x0, spec, h, n, stride, out) over method's chunk function (_CHUNK): n steps
-    from x0 against spec, every stride-th state written into out, a C-contiguous float array
-    of shape (n // stride + 1, 3) whose row 0 is x0.  Steps lo..hi-1 read the inputs at
-    t + f * h (t for f = 0) for _STEPS' fractions f, t = arange(lo, hi) * h, as step() does.
-    The first non-finite recorded row raises DivergedState at its time; no step follows."""
-    fractions = [f for _, f in _STEPS[method][0]]
+def _fractions(method: str) -> list[float]:
+    """The fraction f of h past a step's time t of each input method's step reads (_STEPS)."""
+    return [f for _, f in _STEPS[method][0]]
 
-    def kernel(p, x0, spec, h, n, stride, out):
+
+def _on_grid(values, t, h: float, fractions) -> tuple[np.ndarray, list[np.ndarray]]:
+    """(values(t), [values(t[:-1] + f * h) for f in fractions]), t the step times and the next.
+
+    values maps an array of times to an array of values, element by element.  f = 0 is
+    values(t)[:-1], and f = 1 reads values(t)[1:] wherever t + h rounds to the next step time
+    (about 2 steps in 3 at h = 1e-3) and evaluates values at the other times only: every
+    value has the bits values(t[:-1] + f * h) would give it.
+    """
+    at = values(t)
+    out = []
+    for f in fractions:
+        if f == 0.0:
+            out.append(at[:-1])
+        elif f == 1.0:
+            after = t[:-1] + h
+            off = after != t[1:]
+            a = at[1:].copy()
+            a[off] = values(after[off])
+            out.append(a)
+        else:
+            out.append(values(t[:-1] + f * h))
+    return at, out
+
+
+def signal_inputs(spec: signals.SignalSpec, h: float, method: str):
+    """inputs(lo, hi) of method's kernel against spec: the arrays of a(t + f * h) its steps
+    lo..hi-1 read, t = arange(lo, hi) * h, from signals.input_values a chunk at a time."""
+    fractions = _fractions(method)
+    values = functools.partial(signals.input_values, spec)
+    return lambda lo, hi: _on_grid(values, np.arange(lo, hi + 1, dtype=float) * h, h,
+                                   fractions)[1]
+
+
+@dataclass(frozen=True)
+class Drive:
+    """The unit sine sin(omega t) of a run of stride 1 on its grid, t_k = k h for k = 0..n.
+
+    sin and cos hold sin and cos(omega t_k), k = 0..n; steps holds, for each input a step of
+    method reads, the sine at t_k + f h, k < n (_on_grid), or is () for closed-form runs only.
+    A sweep computes it once per frequency and runs the lane of every variant at that
+    frequency from it (integrate): the kernel's inputs are the amplitude times its slices, and
+    the closed form reads its sin and cos; both are the bits input_values, np.sin and np.cos
+    would give them.
+    """
+
+    omega: float
+    h: float
+    method: str
+    sin: np.ndarray
+    cos: np.ndarray
+    steps: tuple[np.ndarray, ...]
+
+    @classmethod
+    def of(cls, omega: float, cfg: SimConfig, stepped: bool) -> "Drive":
+        """The drive of cfg's run, of stride 1, at omega; with its step inputs when stepped."""
+        t = cfg.record_times()
+        sine = lambda x: np.sin(omega * x)
+        sin, steps = (_on_grid(sine, t, cfg.step_h, _fractions(cfg.method)) if stepped
+                      else (sine(t), []))
+        return cls(omega, cfg.step_h, cfg.method, sin, np.cos(omega * t), tuple(steps))
+
+    def serves(self, p: ObserverParams, spec: signals.SignalSpec, cfg: SimConfig) -> bool:
+        """Whether this is spec's sinusoid on the grid of cfg's run, with the step inputs the
+        run of p reads."""
+        return ((spec.kind, spec.noise, spec.omega, cfg.step_h, cfg.method, cfg.record_stride,
+                 cfg.steps + 1) == ("sinusoid", (), self.omega, self.h, self.method, 1,
+                                    self.sin.size)
+                and (p.mode == "linear" or bool(self.steps)))
+
+    def inputs(self, amplitude: float):
+        """inputs(lo, hi) of the kernel against amplitude * sin(omega t), as signal_inputs."""
+        def inputs(lo, hi):
+            with np.errstate(invalid="ignore"):
+                # an infinite amplitude times sin(0) is nan, as input_values gives it
+                return [amplitude * a[lo:hi] for a in self.steps]
+        return inputs
+
+
+def _kernel(method: str, chunk):
+    """kernel(p, x0, inputs, h, n, stride, out) over method's chunk function (_CHUNK): n steps
+    from x0, every stride-th state written into out, a C-contiguous float array of shape
+    (n // stride + 1, 3) whose row 0 is x0.  Steps lo..hi-1 read the arrays inputs(lo, hi)
+    gives (signal_inputs, Drive.inputs), a chunk of at most CHUNK steps at a time.  The first
+    non-finite recorded row raises DivergedState at its time; no step follows."""
+
+    def kernel(p, x0, inputs, h, n, stride, out):
         if out.shape != (n // stride + 1, 3):
             raise ValueError(f"out has shape {out.shape}, not ({n // stride + 1}, 3)")
         eps = p.epsilon
@@ -338,9 +424,7 @@ def _kernel(method: str, chunk):
         counts = np.array([stride, 0], dtype=np.int64)
         for lo in range(0, n, CHUNK):
             hi = min(lo + CHUNK, n)
-            t = np.arange(lo, hi, dtype=float) * h
-            inputs = [signals.input_values(spec, t + f * h if f else t) for f in fractions]
-            k = chunk(params, x, *inputs, hi - lo, counts, stride, out)
+            k = chunk(params, x, *inputs(lo, hi), hi - lo, counts, stride, out)
             if k >= 0:
                 raise DivergedState((lo + k + 1) * h)
 
@@ -406,11 +490,13 @@ def nonlinear_kernel(method: str):
     return (_c_kernels() or _KERNELS)[method]
 
 
-def integrate(p: ObserverParams, spec: signals.SignalSpec,
-              cfg: SimConfig) -> tuple[np.ndarray, np.ndarray]:
+def integrate(p: ObserverParams, spec: signals.SignalSpec, cfg: SimConfig,
+              drive: Drive | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Record times and states of the run simulate records, without its other columns.
 
-    Raises what simulate raises.
+    With drive, the Drive of spec's sinusoid on cfg's grid, the run reads its inputs, sines
+    and cosines from it, to the same states.  Raises what simulate raises, and ValueError
+    when the drive does not serve the run (Drive.serves).
     """
     report = validate_params(p)
     if not report.ok:
@@ -419,11 +505,16 @@ def integrate(p: ObserverParams, spec: signals.SignalSpec,
     signals.check_horizon(spec, cfg.duration + cfg.step_h)
     signals.check_step(spec, cfg.step_h)
     times = cfg.record_times()
+    if drive is not None and not drive.serves(p, spec, cfg):
+        raise ValueError("drive is not the sinusoid of spec on the grid of cfg's run")
     if p.mode == "linear":
-        states = analytic.signal_states(p, spec, cfg)
+        waves = {drive.omega: (drive.sin, drive.cos)} if drive else None
+        states = analytic.signal_states(p, spec, cfg, waves)
     else:
         states = np.empty((times.size, 3))
-        nonlinear_kernel(cfg.method)(p, cfg.initial_state, spec, cfg.step_h, cfg.steps,
+        inputs = (drive.inputs(spec.amplitude) if drive
+                  else signal_inputs(spec, cfg.step_h, cfg.method))
+        nonlinear_kernel(cfg.method)(p, cfg.initial_state, inputs, cfg.step_h, cfg.steps,
                                      cfg.record_stride, states)
     return times, states
 

@@ -3,13 +3,17 @@
 For each grid frequency the observer is driven with A_m sin(2 pi f t), each
 requested output channel is fitted with a single sinusoid at the drive
 frequency by least squares, and the fitted amplitude/phase become one Bode
-row.  Every frequency's lane is one solver.integrate run, so it steps or
-takes the closed form exactly as a simulation of the same params would.
-Building the SweepConfig and check_sweep_config are the only checks that can
-refuse a sweep: a lane that passed them ends in rows, flagged when its run
-diverges or its start state overflows.
-Frequencies are independent work items and may be computed in parallel;
-output order is always by frequency.
+row.  Each (variant, frequency) lane is one solver.integrate run, so it steps
+or takes the closed form exactly as a simulation of the same params would.
+A sweep of several variants over one grid (sweep_observers; sweep_observer is
+its one-variant call) runs frequency-major: each frequency computes its
+solver.Drive, the sine and cosine of its phases, and its fit basis once, and
+every variant's lane at that frequency reads them, to the bits it would
+compute alone.  Building the SweepConfig, check_amplitude and
+check_sweep_config are the only checks that can refuse a sweep: a lane that
+passed them ends in rows, flagged when its run diverges or its start state
+overflows.  Frequencies are independent work items and may be computed in
+parallel; output order is always by frequency.
 """
 
 import math
@@ -26,7 +30,8 @@ from .errors import (ConfigError, DivergedState, IllConditioned, InvalidParams, 
                      config_value)
 from .observers import ObserverParams, ObserverState, validate_params
 from .signals import MAX_PHASE, SignalSpec, check_step
-from .solver import MAX_RECORD_ROWS, SimConfig, check_config, integrate, nonlinear_kernel
+from .solver import (MAX_RECORD_ROWS, STABILITY_LIMIT, Drive, SimConfig, check_config, integrate,
+                     nonlinear_kernel)
 
 TWO_PI = 2.0 * math.pi
 
@@ -115,46 +120,60 @@ def fit_sinusoid(times: np.ndarray, values: np.ndarray, omega: float) -> Sinusoi
     times), fewer than 2 samples, or times or values that are not 1-D;
     raises ConfigError when omega is not finite and positive.
     """
-    return _fit_sinusoids(times, [values], omega)[0]
-
-
-def _fit_sinusoids(times: np.ndarray, columns: list, omega: float) -> list[SinusoidFit]:
-    """fit_sinusoid(times, values, omega) for each values of columns, to the same bits and
-    with the same checks, from one evaluation of the sine and cosine of the phases."""
     # an int past the float range compares exactly, so it fails here too
     if not 0.0 < omega <= sys.float_info.max:
         raise ConfigError("omega must be finite and positive")
     t = np.asarray(times, dtype=float)
-    ys = [np.asarray(values, dtype=float) for values in columns]
-    for y in ys:
-        if t.ndim != 1 or y.ndim != 1:
-            raise IllConditioned(
-                f"times and values must be 1-D, got shapes {t.shape} and {y.shape}")
-        if t.size < 2 or t.size != y.size:
-            raise IllConditioned("need at least 2 samples with matching times")
+    y = np.asarray(values, dtype=float)
+    if t.ndim != 1 or y.ndim != 1:
+        raise IllConditioned(f"times and values must be 1-D, got shapes {t.shape} and {y.shape}")
+    if t.size < 2 or t.size != y.size:
+        raise IllConditioned("need at least 2 samples with matching times")
     with np.errstate(over="ignore", invalid="ignore"):
         # a phase omega*t that is inf or nan has no sine: the nan it gives
-        # makes the normal matrix non-finite, which is refused below
-        s = np.sin(omega * t)
-        c = np.cos(omega * t)
-    ss = _dot(s, s)
-    cc = _dot(c, c)
-    sc = _dot(s, c)
-    if not all(map(math.isfinite, (ss, cc, sc))):
-        raise IllConditioned("normal matrix is not finite")
-    # eigenvalues of the symmetric 2x2 normal matrix give its condition number
-    mean = 0.5 * (ss + cc)
-    half_gap = math.hypot(0.5 * (ss - cc), sc)
-    lo_eig = mean - half_gap
-    hi_eig = mean + half_gap
-    if not (lo_eig > 0.0 and hi_eig / lo_eig <= 1e8):
-        raise IllConditioned(
-            f"normal matrix condition {math.inf if lo_eig <= 0 else hi_eig / lo_eig:.3g} "
-            "exceeds 1e8"
-        )
-    det = ss * cc - sc * sc
-    fits = []
-    for y in ys:
+        # makes the normal matrix non-finite, which _Basis refuses
+        phases = omega * t
+        s, c = np.sin(phases), np.cos(phases)
+    return _Basis.of(s, c).fit(y)
+
+
+@dataclass(frozen=True)
+class _Basis:
+    """The regressors s = sin(omega t) and c = cos(omega t) at a fit's sample times, and
+    their normal matrix [[ss, sc], [sc, cc]]: what every channel fitted at those times
+    shares, so a sweep builds it once per frequency."""
+
+    s: np.ndarray
+    c: np.ndarray
+    ss: float
+    cc: float
+    sc: float
+
+    @classmethod
+    def of(cls, s: np.ndarray, c: np.ndarray) -> "_Basis":
+        """The basis of s and c; raises IllConditioned when their normal matrix is not
+        finite or its condition number exceeds 1e8."""
+        ss = _dot(s, s)
+        cc = _dot(c, c)
+        sc = _dot(s, c)
+        if not all(map(math.isfinite, (ss, cc, sc))):
+            raise IllConditioned("normal matrix is not finite")
+        # eigenvalues of the symmetric 2x2 normal matrix give its condition number
+        mean = 0.5 * (ss + cc)
+        half_gap = math.hypot(0.5 * (ss - cc), sc)
+        lo_eig = mean - half_gap
+        hi_eig = mean + half_gap
+        if not (lo_eig > 0.0 and hi_eig / lo_eig <= 1e8):
+            raise IllConditioned(
+                f"normal matrix condition {math.inf if lo_eig <= 0 else hi_eig / lo_eig:.3g} "
+                "exceeds 1e8"
+            )
+        return cls(s, c, ss, cc, sc)
+
+    def fit(self, y: np.ndarray) -> SinusoidFit:
+        """The least-squares fit of y, 1-D at the basis's sample times."""
+        s, c, ss, cc, sc = self.s, self.c, self.ss, self.cc, self.sc
+        det = ss * cc - sc * sc
         with np.errstate(over="ignore", invalid="ignore"):
             # outputs near the float range overflow to an inf or nan coefficient or
             # residual, which the sweep flags nonfinite_fit
@@ -164,8 +183,7 @@ def _fit_sinusoids(times: np.ndarray, columns: list, omega: float) -> list[Sinus
             c2 = (ss * cy - sc * sy) / det
             resid = y - c1 * s - c2 * c
             residual_rms = math.sqrt(float(np.mean(resid**2)))
-        fits.append(SinusoidFit(c1, c2, math.hypot(c1, c2), math.atan2(c2, c1), residual_rms))
-    return fits
+        return SinusoidFit(c1, c2, math.hypot(c1, c2), math.atan2(c2, c1), residual_rms)
 
 
 @dataclass(frozen=True)
@@ -212,13 +230,44 @@ class BodeCurve:
 def check_sweep_config(p: ObserverParams, cfg: SweepConfig) -> None:
     """Raise ConfigError, its message led by the field name, when cfg does not suit p.
 
-    These are the steady_state start and the step guard of every frequency's
-    run; with the checks cfg passed when built, a sweep that passes cannot fail
-    on its configuration part-way through.  p must pass validate_params.
+    These are the steady_state start, the step guard of every frequency's
+    run and check_amplitude; with the checks cfg passed when built, a sweep
+    that passes cannot fail on its configuration part-way through.  p must
+    pass validate_params.
     """
     if cfg.init_state == "steady_state" and p.mode != "linear" and p.alpha3 != 1.0:
         raise ConfigError("init_state steady_state needs a linear observer (or alpha3=1)")
     check_config(p, _frequency_sim(cfg))
+    check_amplitude(p, cfg)
+
+
+def check_amplitude(p: ObserverParams, cfg: SweepConfig) -> None:
+    """Raise ConfigError, its message led by amplitude, when cfg's amplitude A takes a
+    nonlinear step that passes the step guard at A = 1 past it.
+
+    The nonlinear observer is homogeneous: with m = alpha3 - 1, its run at (A, omega, h) is,
+    with state j scaled by A^r_j, r = (3 - 2 alpha3, 2 - alpha3, 1), the unit-amplitude run
+    at (omega A^-m, h A^m) (Bhat & Bernstein, Math. Control Signals Systems 17, 2005).  So
+    the step guard h*k3/eps^4 < STABILITY_LIMIT of solver.check_config applies to the step
+    h * min(1, A)^m.  Below A = 1 that step grows: at alpha3 = 0.3 and R = 5, where h = 1e-3
+    reads 0.625, A = 0.01 and 1e-6 read 15.7 and ~9900, and their rows were +3 to +49 dB
+    artefacts.  Above A = 1 it shrinks, and rows were measured smooth up to A = 1e6,
+    so A >= 1 keeps the unit-amplitude guard.  p must pass validate_params.
+    """
+    if p.mode != "nonlinear" or not cfg.amplitude < 1.0:
+        return
+    try:
+        step = cfg.step_h * cfg.amplitude ** (p.alpha3 - 1.0)
+    except OverflowError:
+        # a subnormal amplitude at a small alpha3
+        step = math.inf
+    # the unit-amplitude guard of check_config at that step, the same float operations
+    rate = step * p.k3 / p.epsilon**4
+    if cfg.step_h * p.k3 / p.epsilon**4 < STABILITY_LIMIT and not rate < STABILITY_LIMIT:
+        raise ConfigError(f"amplitude {cfg.amplitude:g} scales the nonlinear step to "
+                          f"step_h*amplitude^(alpha3-1) = {step:.3g} at unit amplitude, where "
+                          f"step_h*k3/eps^4 = {rate:.3g} exceeds the stability limit "
+                          f"{STABILITY_LIMIT}")
 
 
 def _initial_state(p: ObserverParams, cfg: SweepConfig, omega: float) -> ObserverState:
@@ -242,20 +291,39 @@ def _frequency_sim(cfg: SweepConfig) -> SimConfig:
     return SimConfig(step_h=cfg.step_h, duration=cfg.samples * cfg.step_h, method=cfg.method)
 
 
-def _run_frequency(p: ObserverParams, cfg: SweepConfig, f_hz: float) -> list[BodeRow]:
+def _run_frequency(runs: list, f_hz: float) -> list[list[BodeRow]]:
+    """The rows of each run's lane at f_hz, all driven from one Drive of the frequency and
+    fitted on one _Basis, which are freed on return."""
     omega = TWO_PI * f_hz
+    cfg = runs[0][1]
+    sim = _frequency_sim(cfg)
+    drive = Drive.of(omega, sim, any(p.mode == "nonlinear" for p, _ in runs))
+    lo = int(drive.sin.size * cfg.discard_fraction)
+    try:
+        basis = _Basis.of(drive.sin[lo:], drive.cos[lo:])
+    except IllConditioned:
+        basis = None
+    return [_run_lane(p, run_cfg, f_hz, sim, drive, lo, basis) for p, run_cfg in runs]
+
+
+def _run_lane(p: ObserverParams, cfg: SweepConfig, f_hz: float, sim: SimConfig, drive: Drive,
+              lo: int, basis: _Basis | None) -> list[BodeRow]:
+    """The rows of p's lane at f_hz: its run from drive, fitted from record lo on by basis,
+    None when the basis is ill-conditioned; a lane that diverges is flagged so first."""
+    omega = drive.omega
     spec = SignalSpec("sinusoid", cfg.amplitude, omega)
+    flag = "ill_conditioned"
     try:
         x0 = _initial_state(p, cfg, omega)
-        times, states = integrate(p, spec, replace(_frequency_sim(cfg), initial_state=x0))
-        lo = int(times.size * cfg.discard_fraction)
-        fits = _fit_sinusoids(times[lo:], [states[lo:, ch - 1] for ch in cfg.channels], omega)
-    except (DivergedState, IllConditioned) as exc:
-        flag = "diverged" if isinstance(exc, DivergedState) else "ill_conditioned"
+        states = integrate(p, spec, replace(sim, initial_state=x0), drive)[1]
+    except DivergedState:
+        flag, basis = "diverged", None
+    if basis is None:
         return [BodeRow(f_hz, omega, ch, math.nan, math.nan, None, None, "sweep", flag)
                 for ch in cfg.channels]
     rows = []
-    for ch, fit in zip(cfg.channels, fits):
+    for ch in cfg.channels:
+        fit = basis.fit(states[lo:, ch - 1])
         mag_db = analytic.decibels(fit.amplitude / cfg.amplitude)
         finite = all(map(math.isfinite, (mag_db, fit.phase, fit.residual_rms)))
         rows.append(
@@ -266,42 +334,62 @@ def _run_frequency(p: ObserverParams, cfg: SweepConfig, f_hz: float) -> list[Bod
 
 
 def sweep_observer(p: ObserverParams, cfg: SweepConfig, workers: int = 1) -> BodeCurve:
-    """Run the sweep over the whole grid and assemble the Bode curve.
+    """Run the sweep over the whole grid and assemble the Bode curve: sweep_observers of
+    the one run (p, cfg).  Raises what sweep_observers raises."""
+    return _sweep([(p, cfg)], workers)[0]
 
-    Divergence or an ill-conditioned fit at one frequency flags that row and
-    the sweep continues.  With workers > 1 the frequencies are distributed
-    over a process pool of at most one process per frequency; results are
-    identical to the sequential run.
-    Raises ConfigError when workers is not an integer or is below 1.
+
+def sweep_observers(runs: list[tuple[ObserverParams, SweepConfig]],
+                    workers: int = 1) -> list[BodeCurve]:
+    """The Bode curve of each (p, cfg) of runs, in order, swept over one shared grid.
+
+    The cfgs may differ in amplitude only.  Each grid frequency is one work item
+    that runs every variant's lane from one drive (_run_frequency).  Divergence
+    or an ill-conditioned fit at one frequency flags that lane's rows and the
+    sweep continues.  With workers > 1 the frequencies are distributed over one
+    process pool of at most one process per frequency; results are identical
+    to the sequential run.  Raises ConfigError when workers is not an integer
+    or is below 1, runs is empty, its cfgs differ in more than amplitude, or
+    check_sweep_config refuses a run, and InvalidParams for params that
+    validate_params rejects.
     """
+    return _sweep(runs, workers)
+
+
+def _sweep(runs: list, workers) -> list[BodeCurve]:
     workers = config_value("workers", int, workers)
     if not workers >= 1:
         raise ConfigError(f"workers must be >= 1, got {workers}")
-    report = validate_params(p)
-    if not report.ok:
-        raise InvalidParams(report)
-    check_sweep_config(p, cfg)
+    if not runs:
+        raise ConfigError("runs must not be empty")
+    cfg = runs[0][1]
+    if any(replace(other, amplitude=cfg.amplitude) != cfg for _, other in runs):
+        raise ConfigError("runs must share every sweep setting but amplitude")
+    for p, run_cfg in runs:
+        report = validate_params(p)
+        if not report.ok:
+            raise InvalidParams(report)
+        check_sweep_config(p, run_cfg)
     span = cfg.samples * cfg.step_h
     period = 1.0 / cfg.freqs_hz[0]
     if span < period:
         # a subnormal frequency's period overflows to inf: its repr is named instead
         what = (f"one period ({period:g} s) of the lowest frequency" if math.isfinite(period)
                 else f"one period of the lowest frequency ({cfg.freqs_hz[0]!r} Hz)")
-        warnings.warn(f"run length {span:g} s is shorter than {what}", stacklevel=2)
+        warnings.warn(f"run length {span:g} s is shorter than {what}", stacklevel=3)
     # a fork pool starts all max_workers processes at the first submit
     workers = min(workers, len(cfg.freqs_hz))
     if workers > 1:
-        if p.mode == "nonlinear":
+        if any(p.mode == "nonlinear" for p, _ in runs):
             # the workers fork with the kernel loaded here: one load, and one warning without cc
             nonlinear_kernel(cfg.method)
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            per_freq = list(pool.map(_run_frequency, repeat(p), repeat(cfg), cfg.freqs_hz))
+            per_freq = list(pool.map(_run_frequency, repeat(runs), cfg.freqs_hz))
     else:
-        per_freq = list(map(_run_frequency, repeat(p), repeat(cfg), cfg.freqs_hz))
-    rows = tuple(row for rows in per_freq for row in rows)
-    return phase_unwrap(
-        BodeCurve(rows, params_meta(p), asdict(cfg), "sweep")
-    )
+        per_freq = list(map(_run_frequency, repeat(runs), cfg.freqs_hz))
+    return [phase_unwrap(BodeCurve(tuple(row for lanes in per_freq for row in lanes[i]),
+                                   params_meta(p), asdict(run_cfg), "sweep"))
+            for i, (p, run_cfg) in enumerate(runs)]
 
 
 def params_meta(p: ObserverParams) -> dict:

@@ -746,9 +746,23 @@ def _euler_sweep(k2: float) -> dict:
     # the sweep section is built, and refused, before any variant's amplitude
     ({**SHORT_SWEEP, "sweep": {**SHORT_SWEEP["sweep"], "amplitude": -1}},
      [{"amplitude": 1}, {"k2": 0.2}], "sweep.amplitude must be positive, got -1.0"),
+    # a nonlinear step the amplitude scales past the stability limit names the amplitude:
+    # the variant's when it sets one, else the sweep section's, whoever sets the params
+    ({**SHORT_SWEEP, "params": {**LINEAR_PARAMS, "alpha3": 0.3, "mode": "nonlinear"}},
+     [{}, {"amplitude": 0.01}], "sweep.variants[1].amplitude 0.01 scales the nonlinear step "
+     "to step_h*amplitude^(alpha3-1) = 0.0251 at unit amplitude, where step_h*k3/eps^4 = 15.7 "
+     "exceeds the stability limit 2.0"),
+    ({"params": {**LINEAR_PARAMS, "alpha3": 0.3, "mode": "nonlinear"},
+      "sweep": {**SHORT_SWEEP["sweep"], "amplitude": 0.01}},
+     [{"amplitude": 1}, {"R": 4}], "sweep.amplitude 0.01 scales the nonlinear step"),
+    ({**SHORT_SWEEP, "sweep": {**SHORT_SWEEP["sweep"], "amplitude": 1e-6}},
+     [{}, {"alpha3": 0.3, "mode": "nonlinear"}], "sweep.amplitude 1e-06 scales the nonlinear "
+     "step to step_h*amplitude^(alpha3-1) = 15.8 at unit amplitude, where step_h*k3/eps^4 = "
+     "9.91e+03 exceeds"),
 ], ids=["amplitude", "stability", "first-variant-unstable", "variant-params-unstable",
         "params-unstable", "after-a-stable-variant", "params-without-rate",
-        "section-amplitude"])
+        "section-amplitude", "variant-amplitude-unstable", "section-amplitude-unstable",
+        "section-amplitude-variant-params-unstable"])
 def test_sweep_checks_every_variant_before_running(tmp_path, capsys, base, variants, message):
     cfg = {**base, "sweep": {**base["sweep"], "variants": variants}}
     out_dir = tmp_path / "v"

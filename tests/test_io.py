@@ -290,7 +290,8 @@ def _kernel_outputs(kernels: dict) -> list:
                      SignalSpec("sinusoid", math.inf, 5e-324), paper_reference_spec()):
             out = np.full((301, 3), 7.25)
             try:
-                kernels[method](p, (0.0, 1.0, 0.0), spec, 0.001, 300, 1, out)
+                kernels[method](p, (0.0, 1.0, 0.0), solver.signal_inputs(spec, 0.001, method),
+                                0.001, 300, 1, out)
                 raised = None
             except DivergedState as exc:
                 raised = exc.time

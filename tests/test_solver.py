@@ -121,7 +121,8 @@ def test_kernels_match_public_step(method, which, mode, alpha3, noisy_spec):
         for stride in (1, 7, solver.CHUNK + 3):
             expected = np.array(stepped[::stride])
             out = np.empty_like(expected)
-            kernel(p, ObserverState(*x0), noisy_spec, h, n, stride, out)
+            kernel(p, ObserverState(*x0), solver.signal_inputs(noisy_spec, h, method), h, n,
+                   stride, out)
             assert np.array_equal(out.view(np.int64), expected.view(np.int64)), (x0, stride)
             cfg = SimConfig(h, n * h, ObserverState(*x0), method, stride)
             _, states = integrate(p, noisy_spec, cfg)
@@ -144,7 +145,8 @@ def test_nonlinear_divergence_stops_at_the_first_nonfinite_record(method, stride
     # the kernel records nothing after the raising row: no later step reaches a record
     out = np.full((n // stride + 1, 3), 7.25)
     with pytest.raises(DivergedState) as err:
-        kernels(which)[method](p, cfg.initial_state, spec, h, n, stride, out)
+        kernels(which)[method](p, cfg.initial_state, solver.signal_inputs(spec, h, method), h,
+                               n, stride, out)
     assert err.value.time == steps * h
     row = steps // stride
     assert not np.isfinite(out[row]).all()
@@ -178,7 +180,8 @@ def test_c_kernel_is_the_python_kernel_on_special_inputs(method, alpha3, spec, x
         for stride in (1, 50):
             out = np.full((n // stride + 1, 3), 7.25)
             try:
-                kernels(which)[method](p, ObserverState(*x0), spec, h, n, stride, out)
+                kernels(which)[method](p, ObserverState(*x0),
+                                       solver.signal_inputs(spec, h, method), h, n, stride, out)
                 raised = None
             except DivergedState as exc:
                 raised = exc.time
@@ -192,6 +195,65 @@ def test_c_kernel_is_the_python_kernel_on_special_inputs(method, alpha3, spec, x
         for i in range(n):
             stepped.append(step(p, stepped[-1], i * h, h, a_fn, method))
         assert runs[0][1] == _bits(np.array(stepped))
+
+
+@pytest.mark.parametrize("which", ["python", "c"])
+@pytest.mark.parametrize("h", [0.3, 7e-4])
+def test_rk4_inputs_at_t_plus_h_are_step_s_on_and_off_the_grid(which, h):
+    # a(t + h) comes from a(t) at the next step time wherever t + h rounds to it, and is
+    # evaluated where it does not; both input sources, signal_inputs and a sweep's Drive,
+    # must give the states step() gives, across chunk edges.  At these steps t + h misses
+    # the grid on many steps (counted below)
+    kernel = kernels(which)["rk4"]
+    p = ObserverParams(0.1, 0.1, 1.0, 1.0, 0.3, "nonlinear")
+    n = solver.CHUNK + 517
+    t = np.arange(n + 1) * h
+    assert 0.1 < np.mean(t[:-1] + h != t[1:]) < 0.9
+    sine = SignalSpec("sinusoid", 2.0, 2.0 * math.pi * 0.37)
+    cfg = SimConfig(h, n * h, ObserverState(0.0, 1.0, 0.0))
+    noisy = paper_reference_spec()
+    for spec, inputs in ((noisy, solver.signal_inputs(noisy, h, "rk4")),
+                         (sine, solver.Drive.of(sine.omega, cfg, True).inputs(sine.amplitude))):
+        a_fn = make_input_fn(spec)
+        stepped = [cfg.initial_state]
+        for i in range(n):
+            stepped.append(step(p, stepped[-1], i * h, h, a_fn))
+        for stride in (1, solver.CHUNK + 3):
+            expected = np.array(stepped[::stride])
+            out = np.empty_like(expected)
+            kernel(p, cfg.initial_state, inputs, h, n, stride, out)
+            assert _bits(out) == _bits(expected), (spec.kind, stride)
+
+
+def test_a_drive_serves_the_inputs_and_closed_form_of_its_sinusoid(nl_params, lin_params):
+    # integrate with a Drive gives the states it gives without, in either mode, for any
+    # amplitude (infinite: nan at t = 0, then inf); one for another sinusoid or grid is refused
+    cfg = SimConfig(0.001, 7.0, ObserverState(0.0, 1.0, 0.0))
+    omega = 2.0 * math.pi * 3.1
+    drive = solver.Drive.of(omega, cfg, True)
+    for p in (nl_params, lin_params):
+        for amplitude in (1.0, 0.5, 2.0, 1e-6, math.inf):
+            spec = SignalSpec("sinusoid", amplitude, omega)
+            try:
+                expected = integrate(p, spec, cfg)[1]
+            except DivergedState as exc:
+                with pytest.raises(DivergedState) as err:
+                    integrate(p, spec, cfg, drive)
+                assert err.value.time == exc.time
+                continue
+            assert _bits(integrate(p, spec, cfg, drive)[1]) == _bits(expected), (p.mode, amplitude)
+    sine = SignalSpec("sinusoid", 1.0, omega)
+    for spec, other, mismatched in (
+            (SignalSpec("sinusoid", 1.0, omega * 2.0), cfg, drive),
+            (paper_reference_spec(), cfg, drive),
+            (sine, replace(cfg, duration=6.0), drive),
+            (sine, replace(cfg, record_stride=7), drive),
+            (sine, replace(cfg, method="euler"), drive),
+            # a drive without step inputs serves closed-form runs only
+            (sine, cfg, solver.Drive.of(omega, cfg, False))):
+        with pytest.raises(ValueError, match="^drive is not the sinusoid of spec"):
+            integrate(nl_params, spec, other, mismatched)
+    integrate(lin_params, sine, cfg, solver.Drive.of(omega, cfg, False))
 
 
 def _bits(a: np.ndarray) -> tuple[list, list]:

@@ -1,26 +1,36 @@
+import dataclasses
 import math
 import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from doubleint import (
     BodeCurve,
     BodeRow,
     ConfigError,
+    DivergedState,
     IllConditioned,
     InvalidParams,
     ObserverParams,
+    SignalSpec,
+    SimConfig,
     SweepConfig,
     bode_from_transfer,
     default_grid,
     fit_sinusoid,
     limit_transfer,
     phase_unwrap,
+    integrate,
     sweep_observer,
+    sweep_observers,
     transfer_eval,
 )
-from doubleint import sweep
+from doubleint import scenarios, sweep
+from doubleint.cli import _build_params, _build_sweep
+from doubleint.solver import STABILITY_LIMIT
 from doubleint.sweep import INIT_KINDS
 
 LIN = ObserverParams(0.1, 0.1, 1.0, 0.2, 1.0, "linear")
@@ -112,22 +122,25 @@ def test_fit_ill_conditioned():
 
 
 def test_a_lane_fits_every_channel_from_one_sine_and_cosine(monkeypatch):
-    # a lane's fits are fit_sinusoid's per channel, bit for bit, from one sin and one cos of
-    # its phases; each channel is a strided column of the lane's states, as in a sweep
+    # a lane's fits are fit_sinusoid's per channel, bit for bit, from the one sin and cos of
+    # its phases its frequency's basis holds: the per-channel solve takes none of its own.
+    # Each channel is a strided column of the lane's states, as in a sweep
     t = sample_times(5000)[500:]
     omega = 2.0 * math.pi * 3.1
     states = np.column_stack([np.sin(omega * t + 0.3), 2.0 * np.cos(omega * t) + 0.1 * t,
                               1e-3 * np.sin(5.0 * omega * t)])
     columns = [states[:, k] for k in range(3)]
     expected = [fit_sinusoid(t, y, omega) for y in columns]
+    basis = sweep._Basis.of(np.sin(omega * t), np.cos(omega * t))
     calls = []
     for name in ("sin", "cos"):
         def counted(x, fn=getattr(np, name), name=name):
             calls.append(name)
             return fn(x)
         monkeypatch.setattr(np, name, counted)
-    assert sweep._fit_sinusoids(t, columns, omega) == expected
-    assert calls == ["sin", "cos"]
+    assert [basis.fit(y) for y in columns] == expected
+    assert calls == []
+
 
 def _curve_from_phases(phases, channel=1):
     rows = tuple(
@@ -380,3 +393,172 @@ def test_bode_from_transfer_metadata():
     assert curve.params["mode"] == "linear"
     assert curve.config["samples"] == 100
     assert [r.f_hz for r in curve.rows] == [0.6, 0.6, 0.6, 1.1, 1.1, 1.1]
+
+
+def _lane_by_lane(p, cfg):
+    """The curve sweep_observer gave before a sweep ran frequency-major: per frequency, one
+    solver.integrate run on a fresh one-lane SimConfig, then fit_sinusoid per channel."""
+    rows = []
+    for f_hz in cfg.freqs_hz:
+        omega = 2.0 * math.pi * f_hz
+        try:
+            x0 = sweep._initial_state(p, cfg, omega)
+            times, states = integrate(p, SignalSpec("sinusoid", cfg.amplitude, omega),
+                                      SimConfig(cfg.step_h, cfg.samples * cfg.step_h, x0,
+                                                cfg.method))
+            lo = int(times.size * cfg.discard_fraction)
+            fits = [fit_sinusoid(times[lo:], states[lo:, ch - 1], omega) for ch in cfg.channels]
+        except (DivergedState, IllConditioned) as exc:
+            flag = "diverged" if isinstance(exc, DivergedState) else "ill_conditioned"
+            rows += [BodeRow(f_hz, omega, ch, math.nan, math.nan, None, None, "sweep", flag)
+                     for ch in cfg.channels]
+            continue
+        for ch, fit in zip(cfg.channels, fits):
+            mag_db = 20.0 * math.log10(fit.amplitude / cfg.amplitude)
+            finite = all(map(math.isfinite, (mag_db, fit.phase, fit.residual_rms)))
+            rows.append(BodeRow(f_hz, omega, ch, mag_db, fit.phase, None, fit.residual_rms,
+                                "sweep", "ok" if finite else "nonfinite_fit"))
+    return phase_unwrap(BodeCurve(tuple(rows), sweep.params_meta(p), dataclasses.asdict(cfg)))
+
+
+NL5 = ObserverParams(0.1, 0.1, 1.0, 0.2, 0.5, "nonlinear")
+
+# (params, amplitude) of a mixed lane list; math.inf diverges at the first step, beside
+# healthy lanes at every frequency
+MIXED = {
+    "zero": [(LIN, 0.5), (NL3, 1.0), (LIN, 2.0), (NL5, 0.5), (NL3, 2.0), (LIN, math.inf),
+             (NL5, 1.0)],
+    "steady_state": [(LIN, 1.0), (NL1, 2.0), (LIN, 0.5), (NL1, math.inf), (LIN, 2.0)],
+}
+
+
+@pytest.mark.filterwarnings("ignore:run length")
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("method", ["rk4", "euler"])
+@pytest.mark.parametrize("discard", [0.0, 0.3])
+@pytest.mark.parametrize("init_state", INIT_KINDS)
+def test_frequency_major_sweep_is_the_lane_by_lane_sweep(init_state, discard, method, workers):
+    # every lane of every variant, read from its frequency's one drive and fitted on its one
+    # basis, has the bits of its own run and fits; repr shows each float to the bit, nan too
+    cfg = SweepConfig(freqs_hz=(0.6, 7.1, 33.1), samples=3000, discard_fraction=discard,
+                      method=method, init_state=init_state)
+    runs = [(p, dataclasses.replace(cfg, amplitude=a)) for p, a in MIXED[init_state]]
+    curves = sweep_observers(runs, workers=workers)
+    assert [repr(c) for c in curves] == [repr(_lane_by_lane(p, c)) for p, c in runs]
+    flags = {r.flag for c in curves for r in c.rows}
+    assert flags == {"ok", "diverged"}
+
+
+@pytest.mark.filterwarnings("ignore:run length")
+def test_a_diverging_lane_is_flagged_before_its_frequencys_ill_conditioned_fit():
+    # one sample is kept after the discard, so no fit is possible at any frequency; a lane
+    # that diverges is still flagged diverged, as its own run and fits flag it
+    cfg = SweepConfig(freqs_hz=(0.1, 5.1), samples=10, discard_fraction=0.95)
+    runs = [(p, dataclasses.replace(cfg, amplitude=a))
+            for p, a in ((LIN, 1.0), (LIN, math.inf), (NL3, math.inf), (NL3, 1.0))]
+    curves = sweep_observers(runs)
+    assert [repr(c) for c in curves] == [repr(_lane_by_lane(p, c)) for p, c in runs]
+    assert [{r.flag for r in c.rows} for c in curves] == [
+        {"ill_conditioned"}, {"diverged"}, {"diverged"}, {"ill_conditioned"}]
+
+
+def test_a_sweep_computes_each_frequencys_sines_once_for_all_its_variants(monkeypatch):
+    # np.sin and np.cos run on a fixed number of arrays per frequency, whatever the number of
+    # variants: the sine and cosine of the grid phases, and for RK4 lanes the sine at the
+    # half steps and at the t + h that miss the grid
+    calls = []
+    for name in ("sin", "cos"):
+        def counted(x, fn=getattr(np, name), name=name):
+            calls.append(name)
+            return fn(x)
+        monkeypatch.setattr(np, name, counted)
+    freqs = (0.6, 7.1, 33.1)
+    variants = [(NL3, 1.0), (LIN, 1.0), (NL5, 2.0), (LIN, 2.0), (NL3, 0.5), (NL1, 1.0)]
+    for method, per_freq in (("rk4", ["sin", "sin", "sin", "cos"]), ("euler", ["sin", "cos"])):
+        cfg = SweepConfig(freqs_hz=freqs, samples=2000, method=method)
+        for count in (1, 2, 6):
+            calls.clear()
+            sweep_observers([(p, dataclasses.replace(cfg, amplitude=a))
+                             for p, a in variants[:count]])
+            assert sorted(calls) == sorted(per_freq * len(freqs)), (method, count)
+    # lanes that only take the closed form need no step inputs
+    cfg = SweepConfig(freqs_hz=freqs, samples=2000)
+    for count in (1, 3):
+        calls.clear()
+        sweep_observers([(LIN, dataclasses.replace(cfg, amplitude=a))
+                         for a in (1.0, 2.0, 3.0)[:count]])
+        assert sorted(calls) == ["cos"] * len(freqs) + ["sin"] * len(freqs)
+
+
+def test_sweep_observers_refuses_runs_that_differ_beyond_amplitude():
+    cfg = SweepConfig(freqs_hz=(5.1,), samples=200)
+    with pytest.raises(ConfigError, match="^runs must share every sweep setting but amplitude$"):
+        sweep_observers([(LIN, cfg), (NL3, dataclasses.replace(cfg, samples=300))])
+    with pytest.raises(ConfigError, match="^runs must not be empty$"):
+        sweep_observers([])
+    # amplitudes may differ: one curve per run, in order
+    curves = sweep_observers([(LIN, cfg), (LIN, dataclasses.replace(cfg, amplitude=2.0))])
+    assert [c.config["amplitude"] for c in curves] == [1.0, 2.0]
+
+
+@pytest.mark.parametrize("amplitude, rate", [(0.01, "15.7"), (1e-6, "9.91e+03")])
+def test_small_amplitudes_of_a_nonlinear_sweep_are_refused(amplitude, rate):
+    # the run at amplitude A and step h is the unit-amplitude run at step h * A^(alpha3 - 1):
+    # at alpha3 = 0.3 and R = 5 these rows were +3 to +49 dB artefacts flagged ok
+    p = ObserverParams.from_rate(0.1, 0.1, 1.0, 5.0, 0.3, "nonlinear")
+    cfg = SweepConfig(freqs_hz=(0.6, 25.1), samples=500, amplitude=amplitude)
+    message = f"^amplitude {amplitude:g} scales the nonlinear step .* = {re.escape(rate)} exceeds"
+    with pytest.raises(ConfigError, match=message):
+        sweep.check_sweep_config(p, cfg)
+    with pytest.raises(ConfigError, match=message):
+        sweep_observer(p, cfg)
+    # the linear observer, and alpha3 = 1, take any amplitude
+    for q in (dataclasses.replace(p, mode="linear", alpha3=1.0),
+              dataclasses.replace(p, alpha3=1.0)):
+        sweep.check_sweep_config(q, cfg)
+
+
+def test_amplitudes_of_at_least_one_keep_the_unit_amplitude_guard():
+    p = ObserverParams.from_rate(0.1, 0.1, 1.0, 5.0, 0.3, "nonlinear")
+    for amplitude in (1.0, 5.0, 1e6, math.inf):
+        sweep.check_sweep_config(p, SweepConfig(freqs_hz=(5.1,), amplitude=amplitude))
+    # a step the unit-amplitude guard refuses is named as the step, at any amplitude
+    for amplitude in (1e-6, 1.0, 1e6):
+        with pytest.raises(ConfigError, match=r"^step_h\*k3/eps\^4 = 3.12 exceeds"):
+            sweep.check_sweep_config(p, SweepConfig(freqs_hz=(5.1,), amplitude=amplitude,
+                                                    step_h=0.005))
+
+
+@pytest.mark.parametrize("name", ["fig1", "fig2"])
+def test_the_amplitude_guard_passes_every_figure_sweep(name):
+    cfg = scenarios.expand_scenario(name)
+    sweep_cfg, variants = _build_sweep(cfg["sweep"])
+    for i, variant in enumerate(variants):
+        over = {k: v for k, v in variant.items() if k != "amplitude"}
+        run = dataclasses.replace(sweep_cfg, amplitude=variant.get("amplitude",
+                                                                   sweep_cfg.amplitude))
+        sweep.check_sweep_config(_build_params(cfg, over, f"sweep.variants[{i}]"), run)
+
+
+@settings(max_examples=300, deadline=None)
+@given(amplitude=st.floats(min_value=5e-324, max_value=1e12),
+       step_h=st.floats(min_value=1e-7, max_value=1e-2),
+       alpha3=st.floats(min_value=1e-3, max_value=1.0),
+       rate=st.sampled_from([3.0, 4.0, 5.0, 20.0]))
+def test_an_accepted_amplitude_maps_to_an_accepted_unit_amplitude_step(amplitude, step_h,
+                                                                      alpha3, rate):
+    # homogeneity: the run at (A, h) is the unit-amplitude run at h * min(1, A)^(alpha3 - 1),
+    # so the guard accepts (A, h) exactly when the unit-amplitude guard accepts that step
+    p = ObserverParams.from_rate(0.1, 0.1, 1.0, rate, alpha3, "nonlinear")
+    cfg = SweepConfig(freqs_hz=(1.0,), samples=10, step_h=step_h, amplitude=amplitude)
+    try:
+        scale = min(1.0, amplitude) ** (alpha3 - 1.0)
+    except OverflowError:
+        scale = math.inf
+    accepted = (step_h * scale) * p.k3 / p.epsilon**4 < STABILITY_LIMIT
+    try:
+        sweep.check_sweep_config(p, cfg)
+    except ConfigError as exc:
+        assert not accepted, exc
+    else:
+        assert accepted
