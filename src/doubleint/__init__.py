@@ -4,7 +4,7 @@ The package simulates two state observers (a nonlinear one and its linear
 degeneration) that estimate the onefold and double integrals of a signal,
 and characterizes them in the frequency domain by driving them with
 sinusoids and least-squares-fitting the outputs.  The linear observer's
-exact transfer function serves as a cross-validation oracle.
+exact transfer function is the cross-validation oracle.
 """
 
 from .analytic import (

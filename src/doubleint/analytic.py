@@ -22,6 +22,7 @@ so its rows are discrete_response to rounding.
 import cmath
 import math
 from dataclasses import dataclass
+from numbers import Real
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -52,10 +53,14 @@ class TransferEval:
     phase: float
 
 
-def check_channel(channel: int) -> None:
-    """Raise DomainError unless channel is one of CHANNELS."""
-    if channel not in CHANNELS:
+def check_channel(channel: int) -> int:
+    """channel as an int; raises DomainError unless it is one of CHANNELS.
+
+    As in errors.config_value, an integral float reads its channel and a bool is none.
+    """
+    if type(channel) is bool or not isinstance(channel, Real) or channel not in CHANNELS:
         raise DomainError(f"channel must be one of {CHANNELS}, got {channel}")
+    return int(channel)
 
 
 def decibels(ratio: float) -> float:
@@ -72,7 +77,7 @@ def transfer_eval(p: ObserverParams, channel: int, omega: float) -> TransferEval
     """Evaluate H_channel(i omega) for a linear-mode parameter set."""
     if p.mode != "linear":
         raise DomainError("transfer_eval requires linear-mode parameters")
-    check_channel(channel)
+    channel = check_channel(channel)
     s = 1j * omega
     den = _denominator(p, s)
     if abs(den) < 1e-300:
@@ -94,7 +99,7 @@ def transfer_eval(p: ObserverParams, channel: int, omega: float) -> TransferEval
 
 def limit_transfer(channel: int, omega: float) -> complex:
     """Ideal response (i omega)^(channel-3): 1/s^2, 1/s or unity at s = i omega."""
-    check_channel(channel)
+    channel = check_channel(channel)
     if channel == 3:
         return complex(1.0, 0.0)
     if omega == 0.0:
@@ -151,7 +156,8 @@ def cutoff_frequency(p: ObserverParams, channel: int, drop_db: float = 3.0,
     check_channel(channel)
     if p.mode != "linear":
         raise DomainError("cutoff_frequency requires linear-mode parameters")
-    thr2 = 10.0 ** (-drop_db / 10.0)
+    # a float64, so that 1 / thr2 reads inf where thr2 underflows (drop_db past ~3240)
+    thr2 = np.float64(10.0 ** (-drop_db / 10.0))
     k1, k2, k3, eps = np.array([p.k1, p.k2, p.k3, p.epsilon])
     with np.errstate(all="ignore"):
         # f / k3^2 in a = k1 eps / k3, b = k2 eps^2 / k3, c = eps^4 / k3, which
@@ -163,10 +169,17 @@ def cutoff_frequency(p: ObserverParams, channel: int, drop_db: float = 3.0,
         g = np.array([thr2, thr2 * (1.0 - 2.0 * b * c) - 1.0, thr2 * (b * b - 2.0 * a) * c * c,
                       thr2 * a * a * c**4])
         # k3 = 0, an overflowing eps^4 or a NaN parameter leaves no gain within drop_db
-        roots = np.roots(g) if np.isfinite(g).all() else np.empty(0)
-        v = roots.real[(roots.imag == 0.0) & (roots.real > 0.0)]
-        # sqrt(u2); inf when it passes the float range, nan when there is no band
-        cut = float(np.sqrt(v.max()) / c) if v.size else math.nan
+        finite = np.isfinite(g).all()
+        if finite and not np.isfinite(g[1] / thr2):
+            # thr2 is (nearly) subnormal or 0, drop_db past ~3080, and np.roots would
+            # overflow: the other roots multiply to -thr2 a^2 c^4, so v2 is -g[1] / thr2
+            # to rounding, whose root is formed without v2, inf where thr2 is 0
+            cut = float(np.sqrt(-g[1]) / np.sqrt(thr2) / c)
+        else:
+            roots = np.roots(g) if finite else np.empty(0)
+            v = roots.real[(roots.imag == 0.0) & (roots.real > 0.0)]
+            # sqrt(u2); inf when it passes the float range, nan when there is no band
+            cut = float(np.sqrt(v.max()) / c) if v.size else math.nan
         # the gain at hi is within drop_db: |D(i hi) / (k3 (i hi)^2)|^2 <= 1 / thr2
         re, im = 1.0 - a / hi / hi, c * hi - b / hi
         hi_within = re * re + im * im <= 1.0 / thr2

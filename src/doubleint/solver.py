@@ -1,25 +1,25 @@
 """Fixed-step integration of an observer against a signal.
 
 The public entry points are simulate(), integrate() (its times and states
-alone) and step().  A linear run does not step: analytic.signal_states gives
-the same discretization's orbit in closed form.  A nonlinear run steps
-through a kernel per method on plain floats: a full nonlinear sweep takes
-~10^7-10^8 RK4 steps, which rules out per-step calls into observers.rhs or
-power_sign.  One step template (_steps) writes the feedback law once, with
-power_sign inlined, and each kernel is one driver (_kernel) over a chunk
-function rendered from it: to Python at import, or to C (_c_source), the
-C library of this module, which native builds with the system cc at the
-first nonlinear run, caches per user and loads.  Runs take the C kernels,
-~5x faster, and the Python ones when cc is missing or fails, after one
-warning.  The input does not depend on the state, so _kernel reads the
-inputs of CHUNK steps at once from an input source, inputs(lo, hi), at the
-float times step() takes them at and to the same bits: signal_inputs
-evaluates signals.input_values a chunk at a time, and a Drive, the unit
-sine of one sweep frequency on a run's grid, serves every lane at that
-frequency from arrays computed once.  Both read a(t + h) from a(t) at the
-next step time wherever t + h rounds to it (_on_grid).  rhs(), step() and
-power_sign stay the readable reference: test_kernels_match_public_step pins
-every kernel to step() bit for bit.
+alone) and step().  integrate() checks a run and orbit() runs it, unchecked:
+a linear run does not step, since analytic.signal_states gives the same
+discretization's orbit in closed form.  A nonlinear run steps through a kernel
+per method on plain floats: a full nonlinear sweep takes ~10^7-10^8 RK4
+steps, which rules out per-step calls into observers.rhs or power_sign.  One
+step template (_steps) writes the feedback law once, with power_sign inlined,
+and each kernel is one driver (_kernel) over a chunk function rendered from
+it: to Python at import, or to C (_c_source), the C library of this module,
+which native builds with the system cc at the first nonlinear run, caches per
+user and loads.  Runs take the C kernels, ~5x faster, and the Python ones
+when cc is missing or fails, after one warning.  The input does not depend on
+the state, so _kernel reads the inputs of CHUNK steps at once from an input
+source, inputs(lo, hi), at the float times step() takes them at and to the
+same bits: signal_inputs evaluates signals.input_values a chunk at a time, and
+a Drive, the unit sine of one sweep frequency on a run's grid, feeds every
+lane at that frequency from arrays computed once.  Both read a(t + h) from
+a(t) at the next step time wherever t + h rounds to it (_on_grid).  rhs(),
+step() and power_sign stay the readable reference:
+test_kernels_match_public_step pins every kernel to step() bit for bit.
 """
 
 import bisect
@@ -137,8 +137,7 @@ class Trajectory:
         DomainError for a channel outside analytic.CHANNELS."""
         if self.errors is None:
             raise UnsupportedTruth("trajectory has no ground truth")
-        analytic.check_channel(channel)
-        return self.errors[:, channel - 1]
+        return self.errors[:, analytic.check_channel(channel) - 1]
 
     def window(self, t_lo: float, t_hi: float) -> np.ndarray:
         """Boolean mask selecting record times in [t_lo, t_hi]."""
@@ -366,16 +365,14 @@ class Drive:
     """The unit sine sin(omega t) of a run of stride 1 on its grid, t_k = k h for k = 0..n.
 
     sin and cos hold sin and cos(omega t_k), k = 0..n; steps holds, for each input a step of
-    method reads, the sine at t_k + f h, k < n (_on_grid), or is () for closed-form runs only.
-    A sweep computes it once per frequency and runs the lane of every variant at that
-    frequency from it (integrate): the kernel's inputs are the amplitude times its slices, and
+    the run's method reads, the sine at t_k + f h, k < n (_on_grid), or is () for closed-form
+    runs only.  A sweep computes it once per frequency and runs the lane of every variant at
+    that frequency from it (orbit): the kernel's inputs are the amplitude times its slices, and
     the closed form reads its sin and cos; both are the bits input_values, np.sin and np.cos
     would give them.
     """
 
     omega: float
-    h: float
-    method: str
     sin: np.ndarray
     cos: np.ndarray
     steps: tuple[np.ndarray, ...]
@@ -387,15 +384,7 @@ class Drive:
         sine = lambda x: np.sin(omega * x)
         sin, steps = (_on_grid(sine, t, cfg.step_h, _fractions(cfg.method)) if stepped
                       else (sine(t), []))
-        return cls(omega, cfg.step_h, cfg.method, sin, np.cos(omega * t), tuple(steps))
-
-    def serves(self, p: ObserverParams, spec: signals.SignalSpec, cfg: SimConfig) -> bool:
-        """Whether this is spec's sinusoid on the grid of cfg's run, with the step inputs the
-        run of p reads."""
-        return ((spec.kind, spec.noise, spec.omega, cfg.step_h, cfg.method, cfg.record_stride,
-                 cfg.steps + 1) == ("sinusoid", (), self.omega, self.h, self.method, 1,
-                                    self.sin.size)
-                and (p.mode == "linear" or bool(self.steps)))
+        return cls(omega, sin, np.cos(omega * t), tuple(steps))
 
     def inputs(self, amplitude: float):
         """inputs(lo, hi) of the kernel against amplitude * sin(omega t), as signal_inputs."""
@@ -490,13 +479,11 @@ def nonlinear_kernel(method: str):
     return (_c_kernels() or _KERNELS)[method]
 
 
-def integrate(p: ObserverParams, spec: signals.SignalSpec, cfg: SimConfig,
-              drive: Drive | None = None) -> tuple[np.ndarray, np.ndarray]:
+def integrate(p: ObserverParams, spec: signals.SignalSpec,
+              cfg: SimConfig) -> tuple[np.ndarray, np.ndarray]:
     """Record times and states of the run simulate records, without its other columns.
 
-    With drive, the Drive of spec's sinusoid on cfg's grid, the run reads its inputs, sines
-    and cosines from it, to the same states.  Raises what simulate raises, and ValueError
-    when the drive does not serve the run (Drive.serves).
+    Raises what simulate raises.
     """
     report = validate_params(p)
     if not report.ok:
@@ -504,19 +491,27 @@ def integrate(p: ObserverParams, spec: signals.SignalSpec, cfg: SimConfig,
     check_config(p, cfg)
     signals.check_horizon(spec, cfg.duration + cfg.step_h)
     signals.check_step(spec, cfg.step_h)
-    times = cfg.record_times()
-    if drive is not None and not drive.serves(p, spec, cfg):
-        raise ValueError("drive is not the sinusoid of spec on the grid of cfg's run")
+    return cfg.record_times(), orbit(p, spec, cfg)
+
+
+def orbit(p: ObserverParams, spec: signals.SignalSpec, cfg: SimConfig,
+          drive: Drive | None = None) -> np.ndarray:
+    """States at cfg.record_times() of cfg's run of p against spec: the closed form of a
+    linear run, the kernel's steps of a nonlinear one.
+
+    The run passed integrate's checks.  With drive, the Drive of spec's sinusoid on cfg's
+    grid, with its step inputs for nonlinear p, the run reads its inputs, sines and cosines
+    from it, to the same states.  Raises DivergedState on blowup.
+    """
     if p.mode == "linear":
         waves = {drive.omega: (drive.sin, drive.cos)} if drive else None
-        states = analytic.signal_states(p, spec, cfg, waves)
-    else:
-        states = np.empty((times.size, 3))
-        inputs = (drive.inputs(spec.amplitude) if drive
-                  else signal_inputs(spec, cfg.step_h, cfg.method))
-        nonlinear_kernel(cfg.method)(p, cfg.initial_state, inputs, cfg.step_h, cfg.steps,
-                                     cfg.record_stride, states)
-    return times, states
+        return analytic.signal_states(p, spec, cfg, waves)
+    states = np.empty((cfg.steps // cfg.record_stride + 1, 3))
+    inputs = (drive.inputs(spec.amplitude) if drive
+              else signal_inputs(spec, cfg.step_h, cfg.method))
+    nonlinear_kernel(cfg.method)(p, cfg.initial_state, inputs, cfg.step_h, cfg.steps,
+                                 cfg.record_stride, states)
+    return states
 
 
 def simulate(p: ObserverParams, spec: signals.SignalSpec, cfg: SimConfig) -> Trajectory:

@@ -3,17 +3,18 @@
 For each grid frequency the observer is driven with A_m sin(2 pi f t), each
 requested output channel is fitted with a single sinusoid at the drive
 frequency by least squares, and the fitted amplitude/phase become one Bode
-row.  Each (variant, frequency) lane is one solver.integrate run, so it steps
-or takes the closed form exactly as a simulation of the same params would.
-A sweep of several variants over one grid (sweep_observers; sweep_observer is
-its one-variant call) runs frequency-major: each frequency computes its
-solver.Drive, the sine and cosine of its phases, and its fit basis once, and
-every variant's lane at that frequency reads them, to the bits it would
-compute alone.  Building the SweepConfig, check_amplitude and
-check_sweep_config are the only checks that can refuse a sweep: a lane that
-passed them ends in rows, flagged when its run diverges or its start state
-overflows.  Frequencies are independent work items and may be computed in
-parallel; output order is always by frequency.
+row.  Building the SweepConfig, validate_params, check_amplitude and
+check_sweep_config are the only checks that can refuse a sweep, and they are
+run once, before any lane: with them every (variant, frequency) lane passes
+solver.integrate's checks, so it is one unchecked solver.orbit run, which
+steps or takes the closed form exactly as a simulation of the same params
+would.  A lane ends in rows, flagged when its run diverges or its start state
+overflows.  A sweep of several variants over one grid (sweep_observers;
+sweep_observer is its one-variant call) runs frequency-major: each frequency
+computes its solver.Drive, the sine and cosine of its phases, and its fit
+basis once, and every variant's lane at that frequency reads them, to the
+bits it would compute alone.  Frequencies are independent work items and may
+be computed in parallel; output order is always by frequency.
 """
 
 import math
@@ -30,8 +31,8 @@ from .errors import (ConfigError, DivergedState, IllConditioned, InvalidParams, 
                      config_value)
 from .observers import ObserverParams, ObserverState, validate_params
 from .signals import MAX_PHASE, SignalSpec, check_step
-from .solver import (MAX_RECORD_ROWS, STABILITY_LIMIT, Drive, SimConfig, check_config, integrate,
-                     nonlinear_kernel)
+from .solver import (MAX_RECORD_ROWS, STABILITY_LIMIT, Drive, SimConfig, check_config,
+                     nonlinear_kernel, orbit)
 
 TWO_PI = 2.0 * math.pi
 
@@ -83,12 +84,12 @@ class SweepConfig:
                               "run length samples*step_h")
         # the run every frequency makes: SimConfig refuses its step_h and method
         sim = _frequency_sim(self)
-        # the phase bound integrate's check_horizon applies to every lane
+        # the phase bound solver.integrate's check_horizon would apply to every lane
         t_end = sim.duration + sim.step_h
         if TWO_PI * freqs[-1] * t_end > MAX_PHASE:
             raise ConfigError(f"freqs_hz {freqs[-1]:g} Hz overflows the phase 2 pi f t "
                               f"within {t_end:g} s")
-        # and the phase step of integrate's check_step, least at the lowest frequency
+        # and the phase step of its check_step, least at the lowest frequency
         check_step(SignalSpec("sinusoid", self.amplitude, TWO_PI * freqs[0]), self.step_h)
 
 
@@ -309,13 +310,14 @@ def _run_frequency(runs: list, f_hz: float) -> list[list[BodeRow]]:
 def _run_lane(p: ObserverParams, cfg: SweepConfig, f_hz: float, sim: SimConfig, drive: Drive,
               lo: int, basis: _Basis | None) -> list[BodeRow]:
     """The rows of p's lane at f_hz: its run from drive, fitted from record lo on by basis,
-    None when the basis is ill-conditioned; a lane that diverges is flagged so first."""
+    None when the basis is ill-conditioned; a lane that diverges is flagged so first.  The
+    run is unchecked (solver.orbit): _sweep checked p and cfg for every frequency."""
     omega = drive.omega
     spec = SignalSpec("sinusoid", cfg.amplitude, omega)
     flag = "ill_conditioned"
     try:
         x0 = _initial_state(p, cfg, omega)
-        states = integrate(p, spec, replace(sim, initial_state=x0), drive)[1]
+        states = orbit(p, spec, replace(sim, initial_state=x0), drive)
     except DivergedState:
         flag, basis = "diverged", None
     if basis is None:

@@ -207,6 +207,13 @@ def test_cutoff_errors():
     # bracket that ends while the gain is still within 3 dB of ideal
     with pytest.raises(CutoffNotFound):
         cutoff_frequency(lin(eps=0.2), 3, bracket=(1e-3, 1.0))
+    # past ~3080 dB thr^2 is subnormal, and past ~3240 dB it underflows to 0: every drop
+    # still ends in a cutoff or in the gain still within it at the bracket's end
+    for drop_db in (3000.0, 3100.0, 4000.0, math.inf):
+        with pytest.raises(CutoffNotFound, match=f"^gain still within {drop_db:g} dB at bracket "
+                                                 "end 100000 rad/s$"):
+            cutoff_frequency(lin(eps=0.2), 1, drop_db)
+    assert cutoff_frequency(lin(eps=0.2), 1, 3100.0, (1e-3, math.inf)) > 1e157
 
 
 def _valid_linear_draws(seed, n):

@@ -10,10 +10,11 @@ import sys
 import tempfile
 import tracemalloc
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
@@ -129,6 +130,53 @@ def test_kernels_match_public_step(method, which, mode, alpha3, noisy_spec):
             assert np.array_equal(states.view(np.int64), expected.view(np.int64)), (x0, stride)
 
 
+# alpha3 = 1, whose step is the linear observer's, at a step the nonlinear guard accepts and
+# the linear one refuses: step() raises at step 36
+DIVERGING = dict(k1=2.0, k3=0.03125, eps=0.875, alpha3=1.0, margin=2.0, rate=1.5,
+                 x0=(0.0, 3.0, 0.0), amplitude=0.0, omega=0.0, method="rk4")
+
+
+@settings(max_examples=200, deadline=None)
+@given(k1=st.floats(0.01, 100.0), k3=st.floats(0.01, 100.0), eps=st.floats(0.05, 0.99),
+       alpha3=st.floats(0.05, 1.0), margin=st.floats(1.001, 100.0), rate=st.floats(1e-3, 1.9),
+       x0=st.tuples(*[st.floats(-10.0, 10.0)] * 3), amplitude=st.floats(0.0, 10.0),
+       omega=st.floats(0.0, 100.0), method=st.sampled_from(solver.METHODS),
+       n=st.integers(1, 300), stride=st.integers(1, 300))
+@example(**DIVERGING, n=40, stride=1)
+@example(**DIVERGING, n=40, stride=7)
+@example(**DIVERGING, n=40, stride=30)
+def test_orbit_is_a_loop_of_step_in_either_kernel(k1, k3, eps, alpha3, margin, rate, x0,
+                                                   amplitude, omega, method, n, stride):
+    # valid nonlinear params at a step the guard accepts, from any start state and at any
+    # stride: orbit's states, through the C kernel and through the Python one, are every
+    # stride-th state of a loop of step(), bit for bit
+    p = ObserverParams(k1, 1.0, k3, eps, alpha3)
+    p = replace(p, k2=margin * p.gain_threshold())
+    assert validate_params(p).ok
+    h = rate * eps**4 / k3
+    cfg = SimConfig(h, n * h, ObserverState(*x0), method, min(stride, n))
+    solver.check_config(p, cfg)
+    spec = SignalSpec("sinusoid", amplitude, omega)
+    a_fn = make_input_fn(spec)
+    stepped = [cfg.initial_state]
+    with contextlib.suppress(DivergedState):
+        while len(stepped) <= cfg.steps:
+            stepped.append(step(p, stepped[-1], (len(stepped) - 1) * h, h, a_fn, method))
+    # the guard is a heuristic, so some of these runs diverge: a non-finite state stays so,
+    # and orbit raises at the first recorded row at or past the step where step() raised
+    late = [k for k in range(0, cfg.steps + 1, cfg.record_stride) if k >= len(stepped)]
+    for c_kernels in (solver._c_kernels, lambda: None):
+        # the C kernel wherever cc builds it, then the Python one
+        with mock.patch.object(solver, "_c_kernels", c_kernels):
+            if late:
+                with pytest.raises(DivergedState) as err:
+                    solver.orbit(p, spec, cfg)
+                assert err.value.time == late[0] * h
+            else:
+                expected = np.array(stepped[::cfg.record_stride])
+                assert _bits(solver.orbit(p, spec, cfg)) == _bits(expected)
+
+
 @pytest.mark.parametrize("method, stride, steps, which", each_kernel(
     [("rk4", 1, 1), ("rk4", 7, 7), ("euler", 1, 2), ("euler", 7, 7)]))
 def test_nonlinear_divergence_stops_at_the_first_nonfinite_record(method, stride, steps, which):
@@ -225,35 +273,27 @@ def test_rk4_inputs_at_t_plus_h_are_step_s_on_and_off_the_grid(which, h):
             assert _bits(out) == _bits(expected), (spec.kind, stride)
 
 
-def test_a_drive_serves_the_inputs_and_closed_form_of_its_sinusoid(nl_params, lin_params):
-    # integrate with a Drive gives the states it gives without, in either mode, for any
-    # amplitude (infinite: nan at t = 0, then inf); one for another sinusoid or grid is refused
+def test_orbit_from_a_drive_is_integrate_bit_for_bit(nl_params, lin_params):
+    # orbit with the Drive of the run's sinusoid gives the states integrate gives without one,
+    # in either mode, for any amplitude (infinite: nan at t = 0, then inf), and diverges at the
+    # same time; closed-form runs read a drive with or without step inputs
     cfg = SimConfig(0.001, 7.0, ObserverState(0.0, 1.0, 0.0))
     omega = 2.0 * math.pi * 3.1
-    drive = solver.Drive.of(omega, cfg, True)
-    for p in (nl_params, lin_params):
+    diverged = []
+    for p, stepped in ((nl_params, True), (lin_params, True), (lin_params, False)):
+        drive = solver.Drive.of(omega, cfg, stepped)
         for amplitude in (1.0, 0.5, 2.0, 1e-6, math.inf):
             spec = SignalSpec("sinusoid", amplitude, omega)
             try:
                 expected = integrate(p, spec, cfg)[1]
             except DivergedState as exc:
                 with pytest.raises(DivergedState) as err:
-                    integrate(p, spec, cfg, drive)
+                    solver.orbit(p, spec, cfg, drive)
                 assert err.value.time == exc.time
+                diverged.append((p.mode, amplitude))
                 continue
-            assert _bits(integrate(p, spec, cfg, drive)[1]) == _bits(expected), (p.mode, amplitude)
-    sine = SignalSpec("sinusoid", 1.0, omega)
-    for spec, other, mismatched in (
-            (SignalSpec("sinusoid", 1.0, omega * 2.0), cfg, drive),
-            (paper_reference_spec(), cfg, drive),
-            (sine, replace(cfg, duration=6.0), drive),
-            (sine, replace(cfg, record_stride=7), drive),
-            (sine, replace(cfg, method="euler"), drive),
-            # a drive without step inputs serves closed-form runs only
-            (sine, cfg, solver.Drive.of(omega, cfg, False))):
-        with pytest.raises(ValueError, match="^drive is not the sinusoid of spec"):
-            integrate(nl_params, spec, other, mismatched)
-    integrate(lin_params, sine, cfg, solver.Drive.of(omega, cfg, False))
+            assert _bits(solver.orbit(p, spec, cfg, drive)) == _bits(expected), (p.mode, amplitude)
+    assert diverged == [(mode, math.inf) for mode in ("nonlinear", "linear", "linear")]
 
 
 def _bits(a: np.ndarray) -> tuple[list, list]:
@@ -703,7 +743,7 @@ def _fake_traj(times, e1):
     return Trajectory(np.asarray(times, float), zeros, np.zeros(n), zeros, errors)
 
 
-@pytest.mark.parametrize("channel", [0, -1, 4])
+@pytest.mark.parametrize("channel", [0, -1, 4, 1.5, True, "1"])
 def test_channel_outside_one_to_three_rejected(channel):
     # errors[:, channel - 1] would read channel 3 at 0 and channel 2 at -1
     traj = _fake_traj([0.0, 1.0], [0.0, 0.0])
@@ -711,6 +751,14 @@ def test_channel_outside_one_to_three_rejected(channel):
         traj.error(channel)
     with pytest.raises(DomainError, match=r"^channel must be one of \(1, 2, 3\), got"):
         settle_time(traj, 0.05, channel)
+
+
+def test_an_integral_float_channel_reads_its_channel():
+    # as a config reads a number: 1.0 is channel 1, where errors[:, 0.0] would raise
+    traj = _fake_traj(np.arange(6) * 1.0, [0.0, 0.2, 0.1, 0.04, 0.01, 0.0])
+    assert np.array_equal(traj.error(1.0), traj.error(1))
+    assert settle_time(traj, 0.05, 1.0) == settle_time(traj, 0.05, 1) == 3.0
+    assert np.array_equal(traj.error(np.float64(3.0)), np.zeros(6))
 
 
 def test_settle_time_semantics():

@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import math
 import re
@@ -28,7 +29,7 @@ from doubleint import (
     sweep_observers,
     transfer_eval,
 )
-from doubleint import scenarios, sweep
+from doubleint import scenarios, solver, sweep
 from doubleint.cli import _build_params, _build_sweep
 from doubleint.solver import STABILITY_LIMIT
 from doubleint.sweep import INIT_KINDS
@@ -488,6 +489,25 @@ def test_a_sweep_computes_each_frequencys_sines_once_for_all_its_variants(monkey
         sweep_observers([(LIN, dataclasses.replace(cfg, amplitude=a))
                          for a in (1.0, 2.0, 3.0)[:count]])
         assert sorted(calls) == ["cos"] * len(freqs) + ["sin"] * len(freqs)
+
+
+def test_a_sweep_checks_each_run_once_whatever_its_frequencies(monkeypatch):
+    # sweep_observers checks every run before any lane, and its lanes run unchecked and never
+    # through solver.integrate: the checks run once per run at one frequency and at five
+    calls = collections.Counter()
+    for module, name in ((sweep, "validate_params"), (sweep, "check_config"),
+                         (solver, "validate_params"), (solver, "check_config"),
+                         (solver, "integrate")):
+        def counted(*args, fn=getattr(module, name), name=name):
+            calls[name] += 1
+            return fn(*args)
+        monkeypatch.setattr(module, name, counted)
+    for freqs in ((7.1,), (2.1, 7.1, 13.1, 21.1, 33.1)):
+        cfg = SweepConfig(freqs_hz=freqs, samples=500)
+        calls.clear()
+        sweep_observers([(NL3, cfg), (LIN, dataclasses.replace(cfg, amplitude=2.0)),
+                         (NL5, dataclasses.replace(cfg, amplitude=0.5))])
+        assert calls == {"validate_params": 3, "check_config": 3}, freqs
 
 
 def test_sweep_observers_refuses_runs_that_differ_beyond_amplitude():
