@@ -5,13 +5,16 @@ configuration, 3 diverged simulation (or a sweep with more than 5% of rows
 flagged).  Config files are JSON; the keys, types and defaults of each
 section are the fields of its dataclass, plus the two keys no dataclass
 holds (R, variants).  Unknown keys are a hard error so typos never pass
-silently; a malformed config names the bad field's path.
+silently; a malformed config names the bad field's path.  Each run is checked
+once, by solver.integrate or sweep.check_sweep_config, the one list of checks of
+its kind, and a refusal is labelled with the path of the field that leads it.
 """
 
 import argparse
 import dataclasses
 import inspect
 import json
+import re
 import sys
 import warnings
 from pathlib import Path
@@ -20,8 +23,7 @@ from . import io, scenarios, signals
 from .errors import ConfigError, DivergedState, DoubleIntError, InvalidParams, config_value
 from .observers import ObserverParams, validate_params
 from .solver import SimConfig, simulate, trajectory_metrics
-from .sweep import (SweepConfig, bode_from_transfer, check_amplitude, check_sweep_config,
-                    sweep_observers)
+from .sweep import SweepConfig, bode_from_transfer, check_sweep_config, run_sweep
 
 EXIT_OK = 0
 EXIT_INVALID_PARAMS = 1
@@ -61,11 +63,14 @@ def _build(cls, obj: dict, path: str):
     return _new(cls, _typed(_fields(cls), obj, path), path)
 
 
-def _at(path: str, fn, /, *args, **kwargs):
-    """fn(*args, **kwargs), a ConfigError it raises led by path, the field's config path."""
+def _at(path, fn, /, *args, **kwargs):
+    """fn(*args, **kwargs), a ConfigError it raises led by path, the field's config path; a
+    dict path maps the field name that leads the error to its path, "" any other name."""
     try:
         return fn(*args, **kwargs)
     except ConfigError as exc:
+        if isinstance(path, dict):
+            path = path.get(re.match(r"\w*", str(exc))[0], path[""])
         raise ConfigError(f"{path}.{exc}") from exc
 
 
@@ -190,10 +195,8 @@ def cmd_simulate(cfg: dict, out_dir) -> int:
         if spec.kind == "paper_reference" and key in signal:
             raise ConfigError(f"signal.{key} is fixed for kind paper_reference; remove it")
     sim_cfg = _build_sim(cfg.get("sim", {}))
-    _at("signal", signals.check_horizon, spec, sim_cfg.duration + sim_cfg.step_h)
-    _at("signal", signals.check_step, spec, sim_cfg.step_h)
-    # with the horizon and the phase step checked, simulate's one ConfigError is the step guard
-    traj = _at("sim", simulate, params, spec, sim_cfg)
+    # simulate refuses the step guard's step_h, and the signal's horizon or phase step
+    traj = _at({"step_h": "sim", "": "signal"}, simulate, params, spec, sim_cfg)
     metrics = trajectory_metrics(traj, sim_cfg.metrics_windows)
     out = _out(io.ensure_dir, out_dir)
     if cfg.get("format", "csv") == "csv":
@@ -218,15 +221,15 @@ def cmd_sweep(cfg: dict, out_dir, workers: int = 1) -> int:
             run_cfg = _at(path, dataclasses.replace, sweep_cfg, amplitude=over.pop("amplitude"))
             amplitude_path = path
         params = _build_params(cfg, over, path if over else "params")
-        report = validate_params(params)
-        if not report.ok:
+        try:
+            # the amplitude guard names the amplitude, the variant's when it sets one; every
+            # other such error depends on the params: the variant's when it sets any
+            _at({"amplitude": amplitude_path, "": path if over else "sweep"},
+                check_sweep_config, params, run_cfg)
+        except InvalidParams as exc:
             # the report names no path: lead with the variant's when its keys set params
-            print(f"{path}: {report}" if over else report, file=sys.stderr)
+            print(f"{path}: {exc.report}" if over else exc.report, file=sys.stderr)
             return EXIT_INVALID_PARAMS
-        # the amplitude guard names the amplitude, the variant's when it sets one; every
-        # other such error depends on the params: the variant's when it sets any
-        _at(amplitude_path, check_amplitude, params, run_cfg)
-        _at(path if over else "sweep", check_sweep_config, params, run_cfg)
         # the stem names mode, alpha3, R and amplitude only: a clash would overwrite files
         tag = f"{params.mode}_a{params.alpha3:g}_R{1.0 / params.epsilon:g}_Am{run_cfg.amplitude:g}"
         if tag in runs:
@@ -238,7 +241,7 @@ def cmd_sweep(cfg: dict, out_dir, workers: int = 1) -> int:
     total = flagged = 0
     written = []
     # one lane list: every variant at each frequency, in one pool when workers > 1
-    curves = sweep_observers(list(runs.values()), workers=workers)
+    curves = run_sweep(list(runs.values()), workers)
     for (tag, (params, run_cfg)), curve in zip(runs.items(), curves):
         written.append(_write_curve(out, f"bode_{tag}", curve, fmt))
         total += len(curve.rows)

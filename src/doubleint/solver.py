@@ -1,12 +1,14 @@
 """Fixed-step integration of an observer against a signal.
 
 The public entry points are simulate(), integrate() (its times and states
-alone) and step().  integrate() checks a run and orbit() runs it, unchecked:
-a linear run does not step, since analytic.signal_states gives the same
-discretization's orbit in closed form.  A nonlinear run steps through a kernel
-per method on plain floats: a full nonlinear sweep takes ~10^7-10^8 RK4
-steps, which rules out per-step calls into observers.rhs or power_sign.  One
-step template (_steps) writes the feedback law once, with power_sign inlined,
+alone) and step().  integrate() holds the one list of a run's checks (the
+signal's phase horizon and step, validate_params, the step guard, in that
+order) and orbit() runs it, unchecked: a linear run does not step, since
+analytic.signal_states gives the same discretization's orbit in closed form.
+A nonlinear run steps through a kernel per method on plain floats: a full
+nonlinear sweep takes ~10^7-10^8 RK4 steps, which rules out per-step calls
+into observers.rhs or power_sign.  One step template (_steps) writes the
+feedback law once, with power_sign inlined,
 and each kernel is one driver (_kernel) over a chunk function rendered from
 it: to Python at import, or to C (_c_source), the C library of this module,
 which native builds with the system cc at the first nonlinear run, caches per
@@ -26,7 +28,7 @@ import bisect
 import functools
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -147,29 +149,39 @@ class Trajectory:
 def check_config(p: ObserverParams, cfg: SimConfig) -> None:
     """Raise ConfigError, its message led by step_h, when the step guard refuses cfg for p.
 
+    Nonlinear params are held to step_h*k3/eps^4 < STABILITY_LIMIT; linear ones, and
+    alpha3 = 1, whose nonlinear step is the linear one, to their step map's rho(M) < 1.
     p must pass validate_params.
     """
-    if p.mode == "nonlinear":
+    nonlinear = p.mode == "nonlinear"
+    if nonlinear:
         rate = cfg.step_h * p.k3 / p.epsilon**4
         if not rate < STABILITY_LIMIT:
             raise ConfigError(
                 f"step_h*k3/eps^4 = {rate:.3g} exceeds the stability limit {STABILITY_LIMIT}"
             )
-    elif not _schur_stable_step(p, cfg.step_h, cfg.method):
-        # valid linear params are Hurwitz, so their stable steps form an interval
-        # (0, h_max): a larger step that passes shows this one is below float
-        # resolution rather than unstable.  No step passes once h*k3/eps^4 >= 9:
-        # trace(A) = -k3/eps^4, so some |h lambda| >= 3 there, outside both
-        # methods' stability regions (within |z| <= 2 for Euler, 2.96 for RK4)
-        h = cfg.step_h
-        while (h := 2.0 * h) * p.k3 / p.epsilon**4 < 9.0:
-            if _schur_stable_step(p, h, cfg.method):
-                raise ConfigError(
-                    f"step_h {cfg.step_h:g} is below float resolution for the linear "
-                    f"{cfg.method} step: its step map's spectral radius rounds to 1 "
-                    f"(step_h {h:g} is accepted)")
-        raise ConfigError(f"step_h {cfg.step_h:g} makes the linear {cfg.method} step "
-                          "unstable: its step map's spectral radius is not below 1")
+        if p.alpha3 != 1.0:
+            return
+        p = replace(p, mode="linear")
+    if _schur_stable_step(p, cfg.step_h, cfg.method):
+        return
+    # valid linear params are Hurwitz, so their stable steps form an interval
+    # (0, h_max): a larger step that passes shows this one is below float
+    # resolution rather than unstable.  No step passes once h*k3/eps^4 >= 9:
+    # trace(A) = -k3/eps^4, so some |h lambda| >= 3 there, outside both
+    # methods' stability regions (within |z| <= 2 for Euler, 2.96 for RK4)
+    h = cfg.step_h
+    while (h := 2.0 * h) * p.k3 / p.epsilon**4 < 9.0:
+        if _schur_stable_step(p, h, cfg.method):
+            if nonlinear:
+                # a stepped run never inverts e^(i omega h) I - M, as the closed form does
+                return
+            raise ConfigError(
+                f"step_h {cfg.step_h:g} is below float resolution for the linear "
+                f"{cfg.method} step: its step map's spectral radius rounds to 1 "
+                f"(step_h {h:g} is accepted)")
+    raise ConfigError(f"step_h {cfg.step_h:g} makes the linear {cfg.method} step "
+                      "unstable: its step map's spectral radius is not below 1")
 
 
 def _schur_stable_step(p: ObserverParams, h: float, method: str) -> bool:
@@ -395,8 +407,8 @@ class Drive:
         return inputs
 
 
-def _kernel(method: str, chunk):
-    """kernel(p, x0, inputs, h, n, stride, out) over method's chunk function (_CHUNK): n steps
+def _kernel(chunk):
+    """kernel(p, x0, inputs, h, n, stride, out) over chunk, a method's _CHUNK function: n steps
     from x0, every stride-th state written into out, a C-contiguous float array of shape
     (n // stride + 1, 3) whose row 0 is x0.  Steps lo..hi-1 read the arrays inputs(lo, hi)
     gives (signal_inputs, Drive.inputs), a chunk of at most CHUNK steps at a time.  The first
@@ -428,7 +440,7 @@ def _python_kernel(method: str):
                            step="".join(f"        {line}\n" for line in _STEPS[method][1]))
     namespace = {"isfinite": math.isfinite}
     exec(compile(source, f"<doubleint.solver {method} chunk>", "exec"), namespace)
-    return _kernel(method, namespace["chunk"])
+    return _kernel(namespace["chunk"])
 
 
 _KERNELS = {method: _python_kernel(method) for method in METHODS}
@@ -463,7 +475,7 @@ def _c_source() -> str:
 def _c_bind(lib) -> dict:
     """The kernels by method over lib, a library built from _c_source()."""
     f64 = native.pointer(np.float64, 1, "C_CONTIGUOUS")
-    return {method: _kernel(method, native.function(
+    return {method: _kernel(native.function(
         lib, f"{method}_chunk", f64, native.pointer(np.float64, 1),
         *[f64] * len(_STEPS[method][0]), int, native.pointer(np.int64, 1), int,
         native.pointer(np.float64, 2))) for method in METHODS}
@@ -485,12 +497,12 @@ def integrate(p: ObserverParams, spec: signals.SignalSpec,
 
     Raises what simulate raises.
     """
+    signals.check_horizon(spec, cfg.duration + cfg.step_h)
+    signals.check_step(spec, cfg.step_h)
     report = validate_params(p)
     if not report.ok:
         raise InvalidParams(report)
     check_config(p, cfg)
-    signals.check_horizon(spec, cfg.duration + cfg.step_h)
-    signals.check_step(spec, cfg.step_h)
     return cfg.record_times(), orbit(p, spec, cfg)
 
 
@@ -517,10 +529,10 @@ def orbit(p: ObserverParams, spec: signals.SignalSpec, cfg: SimConfig,
 def simulate(p: ObserverParams, spec: signals.SignalSpec, cfg: SimConfig) -> Trajectory:
     """Integrate the observer against the signal and record a trajectory.
 
-    Raises InvalidParams when validate_params rejects p, ConfigError on a step
-    the stability guard refuses (rho(M) >= 1 for linear params, step_h*k3/eps^4
-    >= STABILITY_LIMIT for nonlinear) or a phase omega*t that overflows in the
-    run, DivergedState (at the first non-finite recorded sample) on blowup.
+    Raises, in integrate's order: ConfigError on a signal whose phase omega*t
+    overflows in the run or whose phase step check_step refuses; InvalidParams
+    when validate_params rejects p; ConfigError on a step the guard refuses
+    (check_config); DivergedState (at the first non-finite recorded sample) on blowup.
     """
     times, states = integrate(p, spec, cfg)
     inputs = signals.input_values(spec, times)

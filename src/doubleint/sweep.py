@@ -3,18 +3,18 @@
 For each grid frequency the observer is driven with A_m sin(2 pi f t), each
 requested output channel is fitted with a single sinusoid at the drive
 frequency by least squares, and the fitted amplitude/phase become one Bode
-row.  Building the SweepConfig, validate_params, check_amplitude and
-check_sweep_config are the only checks that can refuse a sweep, and they are
-run once, before any lane: with them every (variant, frequency) lane passes
-solver.integrate's checks, so it is one unchecked solver.orbit run, which
-steps or takes the closed form exactly as a simulation of the same params
-would.  A lane ends in rows, flagged when its run diverges or its start state
-overflows.  A sweep of several variants over one grid (sweep_observers;
-sweep_observer is its one-variant call) runs frequency-major: each frequency
-computes its solver.Drive, the sine and cosine of its phases, and its fit
-basis once, and every variant's lane at that frequency reads them, to the
-bits it would compute alone.  Frequencies are independent work items and may
-be computed in parallel; output order is always by frequency.
+row.  Building the SweepConfig and check_sweep_config, the one list of a
+run's checks, are the only checks that can refuse a sweep: sweep_observers
+runs them once per run, then run_sweep runs every (variant, frequency) lane
+as one unchecked solver.orbit run, which steps or takes the closed form
+exactly as a simulation of the same params would.  A lane ends in rows,
+flagged when its run diverges or its start state overflows.  A sweep of
+several variants over one grid (sweep_observers; sweep_observer is its
+one-variant call) runs frequency-major: each frequency computes its
+solver.Drive, the sine and cosine of its phases, and its fit basis once, and
+every variant's lane at that frequency reads them, to the bits it would
+compute alone.  Frequencies are independent work items and may be computed
+in parallel; output order is always by frequency.
 """
 
 import math
@@ -229,17 +229,19 @@ class BodeCurve:
 
 
 def check_sweep_config(p: ObserverParams, cfg: SweepConfig) -> None:
-    """Raise ConfigError, its message led by the field name, when cfg does not suit p.
-
-    These are the steady_state start, the step guard of every frequency's
-    run and check_amplitude; with the checks cfg passed when built, a sweep
-    that passes cannot fail on its configuration part-way through.  p must
-    pass validate_params.
+    """Every check of the sweep of p at cfg past building cfg, in this order: raise
+    InvalidParams when validate_params rejects p, then ConfigError, its message led by the
+    field name, from check_amplitude, the steady_state start or the step guard of every
+    frequency's run.  With the checks cfg passed when built, a sweep that passes cannot
+    fail on its configuration part-way through.
     """
+    report = validate_params(p)
+    if not report.ok:
+        raise InvalidParams(report)
+    check_amplitude(p, cfg)
     if cfg.init_state == "steady_state" and p.mode != "linear" and p.alpha3 != 1.0:
         raise ConfigError("init_state steady_state needs a linear observer (or alpha3=1)")
     check_config(p, _frequency_sim(cfg))
-    check_amplitude(p, cfg)
 
 
 def check_amplitude(p: ObserverParams, cfg: SweepConfig) -> None:
@@ -311,7 +313,7 @@ def _run_lane(p: ObserverParams, cfg: SweepConfig, f_hz: float, sim: SimConfig, 
               lo: int, basis: _Basis | None) -> list[BodeRow]:
     """The rows of p's lane at f_hz: its run from drive, fitted from record lo on by basis,
     None when the basis is ill-conditioned; a lane that diverges is flagged so first.  The
-    run is unchecked (solver.orbit): _sweep checked p and cfg for every frequency."""
+    run is unchecked (solver.orbit): p and cfg passed check_sweep_config."""
     omega = drive.omega
     spec = SignalSpec("sinusoid", cfg.amplitude, omega)
     flag = "ill_conditioned"
@@ -338,7 +340,7 @@ def _run_lane(p: ObserverParams, cfg: SweepConfig, f_hz: float, sim: SimConfig, 
 def sweep_observer(p: ObserverParams, cfg: SweepConfig, workers: int = 1) -> BodeCurve:
     """Run the sweep over the whole grid and assemble the Bode curve: sweep_observers of
     the one run (p, cfg).  Raises what sweep_observers raises."""
-    return _sweep([(p, cfg)], workers)[0]
+    return run_sweep([(p, cfg)], _checked([(p, cfg)], workers))[0]
 
 
 def sweep_observers(runs: list[tuple[ObserverParams, SweepConfig]],
@@ -351,14 +353,14 @@ def sweep_observers(runs: list[tuple[ObserverParams, SweepConfig]],
     sweep continues.  With workers > 1 the frequencies are distributed over one
     process pool of at most one process per frequency; results are identical
     to the sequential run.  Raises ConfigError when workers is not an integer
-    or is below 1, runs is empty, its cfgs differ in more than amplitude, or
-    check_sweep_config refuses a run, and InvalidParams for params that
-    validate_params rejects.
+    or is below 1, runs is empty or its cfgs differ in more than amplitude, and
+    then what check_sweep_config raises for the first run it refuses.
     """
-    return _sweep(runs, workers)
+    return run_sweep(runs, _checked(runs, workers))
 
 
-def _sweep(runs: list, workers) -> list[BodeCurve]:
+def _checked(runs: list, workers) -> int:
+    """workers as an int, once sweep_observers' refusals pass runs and workers."""
     workers = config_value("workers", int, workers)
     if not workers >= 1:
         raise ConfigError(f"workers must be >= 1, got {workers}")
@@ -368,10 +370,13 @@ def _sweep(runs: list, workers) -> list[BodeCurve]:
     if any(replace(other, amplitude=cfg.amplitude) != cfg for _, other in runs):
         raise ConfigError("runs must share every sweep setting but amplitude")
     for p, run_cfg in runs:
-        report = validate_params(p)
-        if not report.ok:
-            raise InvalidParams(report)
         check_sweep_config(p, run_cfg)
+    return workers
+
+
+def run_sweep(runs: list, workers: int) -> list[BodeCurve]:
+    """The curves of sweep_observers(runs, workers), unchecked: runs passed its checks."""
+    cfg = runs[0][1]
     span = cfg.samples * cfg.step_h
     period = 1.0 / cfg.freqs_hz[0]
     if span < period:

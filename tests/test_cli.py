@@ -1,3 +1,4 @@
+import collections
 import contextlib
 import copy
 import dataclasses
@@ -17,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import doubleint
-from doubleint import SignalSpec, SimConfig, SweepConfig, native
+from doubleint import SignalSpec, SimConfig, SweepConfig, cli, native, signals, solver, sweep
 from doubleint.cli import _build, _build_sim, _build_sweep, main
 from doubleint.io import BODE_HEADER, TRAJECTORY_HEADER, write_json
 from doubleint.scenarios import SCENARIO_NAMES, expand_scenario
@@ -769,6 +770,39 @@ def test_sweep_checks_every_variant_before_running(tmp_path, capsys, base, varia
     assert main(["sweep", "--config", write_cfg(tmp_path, cfg), "--out", str(out_dir)]) == 2
     assert f"config error: {message}" in capsys.readouterr().err
     assert not list(out_dir.glob("bode_*")) and not list(out_dir.glob("analytic_*"))
+
+
+def _counted(monkeypatch, names: tuple[str, ...]) -> collections.Counter:
+    """The calls to each of names, wrapped wherever the cli, sweep, solver or signals module
+    looks it up, counted as they come."""
+    calls = collections.Counter()
+    for module in (cli, sweep, solver, signals):
+        for name in names:
+            if hasattr(module, name):
+                def counted(*args, fn=getattr(module, name), name=name):
+                    calls[name] += 1
+                    return fn(*args)
+                monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_a_cli_sweep_checks_each_variant_once(tmp_path, monkeypatch):
+    # check_sweep_config is the one list of a sweep run's checks, and the CLI labels what it
+    # refuses rather than calling its parts before it
+    calls = _counted(monkeypatch, ("validate_params", "check_config", "check_amplitude"))
+    cfg = {**SHORT_SWEEP, "sweep": {**SHORT_SWEEP["sweep"], "variants": [
+        {}, {"R": 4}, {"alpha3": 0.5, "mode": "nonlinear", "amplitude": 0.5}]}}
+    assert main(["sweep", "--config", write_cfg(tmp_path, cfg), "--out", str(tmp_path)]) == 0
+    assert calls == {"validate_params": 3, "check_config": 3, "check_amplitude": 3}
+
+
+def test_a_cli_simulation_checks_its_run_once(tmp_path, monkeypatch):
+    # solver.integrate is the one list of a simulate run's checks
+    calls = _counted(monkeypatch, ("check_horizon", "check_step", "validate_params",
+                                   "check_config"))
+    assert _run("simulate", write_cfg(tmp_path, SMALL_CONFIGS["simulate"]), tmp_path / "o") == 0
+    assert calls == {"check_horizon": 1, "check_step": 1, "validate_params": 1,
+                     "check_config": 1}
 
 
 @pytest.mark.parametrize("variants, tag", [

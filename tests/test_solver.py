@@ -130,9 +130,10 @@ def test_kernels_match_public_step(method, which, mode, alpha3, noisy_spec):
             assert np.array_equal(states.view(np.int64), expected.view(np.int64)), (x0, stride)
 
 
-# alpha3 = 1, whose step is the linear observer's, at a step the nonlinear guard accepts and
-# the linear one refuses: step() raises at step 36
-DIVERGING = dict(k1=2.0, k3=0.03125, eps=0.875, alpha3=1.0, margin=2.0, rate=1.5,
+# alpha3 = 0.999, whose step is close to the linear observer's, at a step the nonlinear guard
+# accepts and the linear one would refuse (at alpha3 = 1 the guard refuses it): step() raises
+# at step 39
+DIVERGING = dict(k1=2.0, k3=0.03125, eps=0.875, alpha3=0.999, margin=2.0, rate=1.5,
                  x0=(0.0, 3.0, 0.0), amplitude=0.0, omega=0.0, method="rk4")
 
 
@@ -155,7 +156,11 @@ def test_orbit_is_a_loop_of_step_in_either_kernel(k1, k3, eps, alpha3, margin, r
     assert validate_params(p).ok
     h = rate * eps**4 / k3
     cfg = SimConfig(h, n * h, ObserverState(*x0), method, min(stride, n))
-    solver.check_config(p, cfg)
+    try:
+        solver.check_config(p, cfg)
+    except ConfigError:
+        # at alpha3 = 1 the guard also holds the step to the linear step map's rho(M) < 1
+        assume(False)
     spec = SignalSpec("sinusoid", amplitude, omega)
     a_fn = make_input_fn(spec)
     stepped = [cfg.initial_state]
@@ -499,11 +504,14 @@ def test_linear_step_must_keep_its_spectral_radius_below_one(method, refused):
     # though h*k3/eps^4 = 1.6 is below the nonlinear rate guard's 2
     p = ObserverParams.from_rate(1.0, 0.2, 1.0, 2.0, 1.0, "linear")
     cfg = SimConfig(0.1, 1.0, method=method)
-    if refused:
-        with pytest.raises(ConfigError, match="^step_h 0.1 makes the linear euler step unstable"):
-            integrate(p, zero_spec(), cfg)
-    else:
-        integrate(p, zero_spec(), cfg)
+    # at alpha3 = 1 the nonlinear step is the linear one: it is held to rho(M) < 1 too
+    for q in (p, replace(p, mode="nonlinear")):
+        if refused:
+            with pytest.raises(ConfigError,
+                               match="^step_h 0.1 makes the linear euler step unstable"):
+                integrate(q, zero_spec(), cfg)
+        else:
+            integrate(q, zero_spec(), cfg)
     # at h = 1e-20 the step map rounds to a spectral radius of 1, yet 2^11 h is stable:
     # the step is below float resolution, not unstable
     with pytest.raises(ConfigError, match=(
@@ -517,7 +525,10 @@ def test_linear_step_must_keep_its_spectral_radius_below_one(method, refused):
                 f"^step_h {shown} is below float resolution for the linear {method} step: "
                 r".* \(step_h \S+ is accepted\)$")):
             integrate(p, zero_spec(), SimConfig(h, 2 * h, method=method))
-    # the nonlinear observer has no step map: only the rate guard applies
+        # a nonlinear run steps, and never inverts the closed form's e^(i omega h) I - M:
+        # at alpha3 = 1 such a step is accepted
+        integrate(replace(p, mode="nonlinear"), zero_spec(), SimConfig(h, 2 * h, method=method))
+    # away from alpha3 = 1 the nonlinear observer has no step map: only the rate guard applies
     integrate(ObserverParams.from_rate(1.0, 0.2, 1.0, 2.0, 0.9), zero_spec(), cfg)
 
 
@@ -603,6 +614,11 @@ def test_invalid_params_rejected():
     bad = ObserverParams(0.1, 0.0, 1.0, 0.2, 1.0, "linear")
     with pytest.raises(InvalidParams):
         simulate(bad, zero_spec(), SimConfig(0.001, 1.0))
+    # integrate checks in the order the CLI reports: the signal's phase horizon and phase
+    # step come before validate_params
+    spec = SignalSpec("sinusoid", 1.0, 1e307)
+    with pytest.raises(ConfigError, match="^omega 1e[+]307 overflows the phase omega[*]t"):
+        simulate(replace(bad, k1=-1.0), spec, SimConfig(0.001, 20.0))
 
 
 def test_divergence_reports_time(lin_params):

@@ -532,6 +532,10 @@ def test_small_amplitudes_of_a_nonlinear_sweep_are_refused(amplitude, rate):
         sweep.check_sweep_config(p, cfg)
     with pytest.raises(ConfigError, match=message):
         sweep_observer(p, cfg)
+    # check_sweep_config checks in the order the CLI reports: the amplitude comes before the
+    # steady_state start, which this observer fails too
+    with pytest.raises(ConfigError, match=message):
+        sweep.check_sweep_config(p, dataclasses.replace(cfg, init_state="steady_state"))
     # the linear observer, and alpha3 = 1, take any amplitude
     for q in (dataclasses.replace(p, mode="linear", alpha3=1.0),
               dataclasses.replace(p, alpha3=1.0)):
