@@ -12,11 +12,14 @@ One fixed Euler or RK4 step of the linear observer is an affine map
 (step_map).  Its forced orbit under e^(i omega t) has the phasor
 discrete_response, the exact discrete-time counterpart of H_j, so the
 response to any signal, a finite sum of sinusoids, has a closed form too
-(signal_states), from which every linear run, simulated or swept, takes its
-states.  It reads the run's step, method, start state and record grid from
-the run's solver.SimConfig, whose construction is the one place they are
-checked.  A steady_state sweep lane starts on that orbit (Im of the phasor),
-so its rows are discrete_response to rounding.
+(signal_states), from which every linear simulation takes its states.  It
+reads the run's step, method, start state and record grid from the run's
+solver.SimConfig, whose construction is the one place they are checked.  A
+linear sweep lane's fit has a closed form too (sweep_row): its forced part
+fits exactly, and its transient's sums over the fit window come from
+doubling, so no sample is formed.  A steady_state sweep lane starts on the
+forced orbit (Im of the phasor), so it has no transient: its rows are
+discrete_response to rounding and its residual is exactly 0.
 """
 
 import cmath
@@ -28,7 +31,8 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from . import signals
-from .errors import CutoffNotFound, DivergedState, DomainError, SingularAtDC, SingularDenominator
+from .errors import (CutoffNotFound, DivergedState, DomainError, IllConditioned, SingularAtDC,
+                     SingularDenominator)
 from .observers import ObserverParams
 
 if TYPE_CHECKING:
@@ -271,8 +275,7 @@ def discrete_response(p: ObserverParams, h: float, method: str, omega: float) ->
     return np.linalg.solve(z * np.eye(3) - m, forcing)
 
 
-def signal_states(p: ObserverParams, spec: signals.SignalSpec, cfg: "SimConfig",
-                  waves: dict | None = None) -> np.ndarray:
+def signal_states(p: ObserverParams, spec: signals.SignalSpec, cfg: "SimConfig") -> np.ndarray:
     """States at cfg.record_times() of cfg's run driven by spec's signal.
 
     The closed form of the orbit of the step map at h = cfg.step_h.  Each
@@ -280,10 +283,8 @@ def signal_states(p: ObserverParams, spec: signals.SignalSpec, cfg: "SimConfig",
     part R of amp e^(i omega t), whose forced orbit is R(P e^(i omega k h))
     with P = amp * discrete_response(p, h, method, omega); the transient
     M^k (x0 - sum R(P)) takes the run from x0 = cfg.initial_state onto them.
-    Row 0 is x0.  waves maps an omega to the arrays sin and cos of omega * t
-    at the record times, which the run then reads in place of computing them
-    (a sweep computes them once per frequency for all its lanes).  Raises
-    DivergedState at the time of the first non-finite row.
+    Row 0 is x0.  Raises DivergedState at the time of the first non-finite
+    row.
     """
     h, x0 = cfg.step_h, cfg.initial_state
     m = step_map(p, h, cfg.method)[0]
@@ -298,11 +299,8 @@ def signal_states(p: ObserverParams, spec: signals.SignalSpec, cfg: "SimConfig",
             forced.append((phasor, omega, is_sine))
         states = _power_rows(np.linalg.matrix_power(m, cfg.record_stride), d, k_h.size)
         for phasor, omega, is_sine in forced:
-            if waves is not None and omega in waves:
-                sin, cos = waves[omega]
-            else:
-                theta = omega * k_h
-                sin, cos = np.sin(theta), np.cos(theta)
+            theta = omega * k_h
+            sin, cos = np.sin(theta), np.cos(theta)
             # Im(P e^(i theta)) = Re P sin + Im P cos; Re(P e^(i theta)) = Re P cos - Im P sin
             if is_sine:
                 states += np.outer(sin, phasor.real)
@@ -315,3 +313,97 @@ def signal_states(p: ObserverParams, spec: signals.SignalSpec, cfg: "SimConfig",
     if not finite.all():
         raise DivergedState(float(k_h[finite.all(axis=1).argmin()]))
     return states
+
+
+def check_normal_matrix(ss: float, cc: float, sc: float) -> None:
+    """Raise IllConditioned when the normal matrix [[ss, sc], [sc, cc]] of a sinusoid fit is
+    not finite or its condition number exceeds 1e8."""
+    if not all(map(math.isfinite, (ss, cc, sc))):
+        raise IllConditioned("normal matrix is not finite")
+    # eigenvalues of the symmetric 2x2 normal matrix give its condition number
+    mean = 0.5 * (ss + cc)
+    half_gap = math.hypot(0.5 * (ss - cc), sc)
+    lo_eig = mean - half_gap
+    hi_eig = mean + half_gap
+    if not (lo_eig > 0.0 and hi_eig / lo_eig <= 1e8):
+        raise IllConditioned(
+            f"normal matrix condition {math.inf if lo_eig <= 0 else hi_eig / lo_eig:.3g} "
+            "exceeds 1e8"
+        )
+
+
+def _transient_sums(m: np.ndarray, theta: float, v: np.ndarray,
+                    n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(G, S) = (sum z^j M^j v, sum (M^j v)(M^j v)^T) over j = 0..n-1, z = e^(i theta).
+
+    By doubling over the bits of n: G(2a) = G(a) + z^a M^a G(a), S(2a) = S(a) +
+    M^a S(a) M^aT, and G(a+1) = G(a) + z^a w, S(a+1) = S(a) + w w^T with w = M^a v.  That
+    is about 2 log2(n) products of 3x3 matrices, and no inverse of I - zM, which nears
+    singular where an eigenvalue of M nears the unit circle (small h, a slow pole).
+    """
+    power = np.eye(3)
+    g = np.zeros(3, dtype=complex)
+    s = np.zeros((3, 3))
+    a = 0
+    for bit in f"{n:b}":
+        if a:
+            g = g + cmath.exp(1j * (theta * a)) * (power @ g)
+            s = s + power @ s @ power.T
+            power = power @ power
+            a *= 2
+        if bit == "1":
+            w = power @ v
+            g = g + cmath.exp(1j * (theta * a)) * w
+            s = s + np.outer(w, w)
+            power = power @ m
+            a += 1
+    return g, s
+
+
+def sweep_row(p: ObserverParams, cfg: "SimConfig", amplitude: float, omega: float,
+              lo: int) -> list[tuple[float, float, float]]:
+    """(c1, c2, residual_rms) of channels 1..3 of the least-squares fit
+    c1 sin(omega t) + c2 cos(omega t) to records lo..N, N = cfg.steps, of cfg's run (of
+    stride 1) of linear p against amplitude * sin(omega t): the fit of signal_states'
+    columns, in closed form, with no record formed.
+
+    With z = e^(i omega h) and P = amplitude * discrete_response, the run is
+    x_k = Im(P z^k) + M^k d, d = x0 - Im P.  Its forced part Re P sin + Im P cos fits
+    exactly, so (c1, c2) is (Re P, Im P) plus the transient's fit: the normal matrix, from
+    e2 = sum z^(2k) over the window, solved against T = sum z^k M^k d, whose Im and Re are
+    the transient's sine and cosine sums.  The residual is the transient's energy
+    sum (M^k d)^2 less its fitted part: 0 at a start on the forced orbit, where d is 0.
+    T and the energy come from _transient_sums from M^lo d.  Raises DivergedState(0.0)
+    when P is not finite and IllConditioned when check_normal_matrix refuses the normal
+    matrix.
+    """
+    m = step_map(p, cfg.step_h, cfg.method)[0]
+    theta = omega * cfg.step_h
+    n = cfg.steps - lo + 1
+    response = discrete_response(p, cfg.step_h, cfg.method, omega)
+    with np.errstate(over="ignore", invalid="ignore"):
+        # an amplitude near the float range overflows P: the lane diverges.  Im P has the
+        # bits of the steady_state start amplitude * response.imag, so d is 0 there
+        re, im = amplitude * response.real, amplitude * response.imag
+    if not (np.isfinite(re).all() and np.isfinite(im).all()):
+        raise DivergedState(0.0)
+    # e2 = sum of z^(2k), k = lo..N: the Dirichlet kernel sin(n theta) / sin(theta) turned
+    # by the window's mid phase (lo + N) theta; every term is 1 where sin(theta) is 0
+    sin_theta = math.sin(theta)
+    e2 = cmath.exp(1j * (theta * (lo + cfg.steps))) * (
+        math.sin(n * theta) / sin_theta if sin_theta else n)
+    ss, cc, sc = 0.5 * (n - e2.real), 0.5 * (n + e2.real), 0.5 * e2.imag
+    check_normal_matrix(ss, cc, sc)
+    det = ss * cc - sc * sc
+    with np.errstate(over="ignore", invalid="ignore"):
+        # a transient near the float range overflows its sums: the sweep flags the
+        # non-finite coefficients or residual nonfinite_fit
+        d = np.asarray(cfg.initial_state, dtype=float) - im
+        t, energy = _transient_sums(m, theta, np.linalg.matrix_power(m, lo) @ d, n)
+        t = cmath.exp(1j * (theta * lo)) * t
+        sy, cy = t.imag, t.real
+        c1 = (cc * sy - sc * cy) / det
+        c2 = (ss * cy - sc * sy) / det
+        resid = np.diagonal(energy) - (c1 * sy + c2 * cy)
+        residual_rms = np.sqrt(np.where(resid < 0.0, 0.0, resid) / n)
+    return list(zip((re + c1).tolist(), (im + c2).tolist(), residual_rms.tolist()))

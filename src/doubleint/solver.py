@@ -18,9 +18,10 @@ the state, so _kernel reads the inputs of CHUNK steps at once from an input
 source, inputs(lo, hi), at the float times step() takes them at and to the
 same bits: signal_inputs evaluates signals.input_values a chunk at a time, and
 a Drive, the unit sine of one sweep frequency on a run's grid, feeds every
-lane at that frequency from arrays computed once.  Both read a(t + h) from
-a(t) at the next step time wherever t + h rounds to it (_on_grid).  rhs(),
-step() and power_sign stay the readable reference:
+nonlinear lane at that frequency from arrays computed once (a linear lane
+takes its fits in closed form, analytic.sweep_row, and reads none).  Both
+read a(t + h) from a(t) at the next step time wherever t + h rounds to it
+(_on_grid).  rhs(), step() and power_sign stay the readable reference:
 test_kernels_match_public_step pins every kernel to step() bit for bit.
 """
 
@@ -374,14 +375,14 @@ def signal_inputs(spec: signals.SignalSpec, h: float, method: str):
 
 @dataclass(frozen=True)
 class Drive:
-    """The unit sine sin(omega t) of a run of stride 1 on its grid, t_k = k h for k = 0..n.
+    """The unit sine sin(omega t) of a stepped run of stride 1 on its grid, t_k = k h for
+    k = 0..n.
 
     sin and cos hold sin and cos(omega t_k), k = 0..n; steps holds, for each input a step of
-    the run's method reads, the sine at t_k + f h, k < n (_on_grid), or is () for closed-form
-    runs only.  A sweep computes it once per frequency and runs the lane of every variant at
-    that frequency from it (orbit): the kernel's inputs are the amplitude times its slices, and
-    the closed form reads its sin and cos; both are the bits input_values, np.sin and np.cos
-    would give them.
+    the run's method reads, the sine at t_k + f h, k < n (_on_grid).  A sweep computes it once
+    per frequency with a nonlinear lane and runs the lane of every nonlinear variant at that
+    frequency from it (orbit): the kernel's inputs are the amplitude times its slices, the
+    bits input_values would give them, and sin and cos are the fit's regressors.
     """
 
     omega: float
@@ -390,12 +391,10 @@ class Drive:
     steps: tuple[np.ndarray, ...]
 
     @classmethod
-    def of(cls, omega: float, cfg: SimConfig, stepped: bool) -> "Drive":
-        """The drive of cfg's run, of stride 1, at omega; with its step inputs when stepped."""
+    def of(cls, omega: float, cfg: SimConfig) -> "Drive":
+        """The drive of cfg's run, of stride 1, at omega."""
         t = cfg.record_times()
-        sine = lambda x: np.sin(omega * x)
-        sin, steps = (_on_grid(sine, t, cfg.step_h, _fractions(cfg.method)) if stepped
-                      else (sine(t), []))
+        sin, steps = _on_grid(lambda x: np.sin(omega * x), t, cfg.step_h, _fractions(cfg.method))
         return cls(omega, sin, np.cos(omega * t), tuple(steps))
 
     def inputs(self, amplitude: float):
@@ -512,12 +511,11 @@ def orbit(p: ObserverParams, spec: signals.SignalSpec, cfg: SimConfig,
     linear run, the kernel's steps of a nonlinear one.
 
     The run passed integrate's checks.  With drive, the Drive of spec's sinusoid on cfg's
-    grid, with its step inputs for nonlinear p, the run reads its inputs, sines and cosines
-    from it, to the same states.  Raises DivergedState on blowup.
+    grid, a nonlinear run reads its inputs from it, to the same states; a linear run takes
+    none.  Raises DivergedState on blowup.
     """
     if p.mode == "linear":
-        waves = {drive.omega: (drive.sin, drive.cos)} if drive else None
-        return analytic.signal_states(p, spec, cfg, waves)
+        return analytic.signal_states(p, spec, cfg)
     states = np.empty((cfg.steps // cfg.record_stride + 1, 3))
     inputs = (drive.inputs(spec.amplitude) if drive
               else signal_inputs(spec, cfg.step_h, cfg.method))

@@ -6,15 +6,18 @@ frequency by least squares, and the fitted amplitude/phase become one Bode
 row.  Building the SweepConfig and check_sweep_config, the one list of a
 run's checks, are the only checks that can refuse a sweep: sweep_observers
 runs them once per run, then run_sweep runs every (variant, frequency) lane
-as one unchecked solver.orbit run, which steps or takes the closed form
-exactly as a simulation of the same params would.  A lane ends in rows,
-flagged when its run diverges or its start state overflows.  A sweep of
-several variants over one grid (sweep_observers; sweep_observer is its
-one-variant call) runs frequency-major: each frequency computes its
+unchecked.  A nonlinear lane is one solver.orbit run, stepped exactly as a
+simulation of the same params would be, and fitted.  A linear lane forms no
+sample: analytic.sweep_row gives its fits in closed form, from the step
+map's phasor and geometric sums over the fit window, the fits of its stepped
+samples to rounding.  A lane ends in rows, flagged when its run diverges or
+its start state overflows.  A sweep of several variants over one grid
+(sweep_observers; sweep_observer is its one-variant call) runs
+frequency-major: each frequency with a nonlinear lane computes its
 solver.Drive, the sine and cosine of its phases, and its fit basis once, and
-every variant's lane at that frequency reads them, to the bits it would
-compute alone.  Frequencies are independent work items and may be computed
-in parallel; output order is always by frequency.
+every nonlinear variant's lane at that frequency reads them, to the bits it
+would compute alone.  Frequencies are independent work items, computed in a
+process pool when some lane steps; output order is always by frequency.
 """
 
 import math
@@ -103,6 +106,11 @@ class SinusoidFit:
     phase: float
     residual_rms: float
 
+    @classmethod
+    def of(cls, c1: float, c2: float, residual_rms: float) -> "SinusoidFit":
+        """The fit of coefficients c1 and c2: amplitude hypot(c1, c2), phase atan2(c2, c1)."""
+        return cls(c1, c2, math.hypot(c1, c2), math.atan2(c2, c1), residual_rms)
+
 
 def _dot(a: np.ndarray, b: np.ndarray) -> float:
     # einsum runs its own loop; a 1-D `@` goes to BLAS ddot, whose thread pool
@@ -152,23 +160,12 @@ class _Basis:
 
     @classmethod
     def of(cls, s: np.ndarray, c: np.ndarray) -> "_Basis":
-        """The basis of s and c; raises IllConditioned when their normal matrix is not
-        finite or its condition number exceeds 1e8."""
+        """The basis of s and c; raises IllConditioned when analytic.check_normal_matrix
+        refuses their normal matrix."""
         ss = _dot(s, s)
         cc = _dot(c, c)
         sc = _dot(s, c)
-        if not all(map(math.isfinite, (ss, cc, sc))):
-            raise IllConditioned("normal matrix is not finite")
-        # eigenvalues of the symmetric 2x2 normal matrix give its condition number
-        mean = 0.5 * (ss + cc)
-        half_gap = math.hypot(0.5 * (ss - cc), sc)
-        lo_eig = mean - half_gap
-        hi_eig = mean + half_gap
-        if not (lo_eig > 0.0 and hi_eig / lo_eig <= 1e8):
-            raise IllConditioned(
-                f"normal matrix condition {math.inf if lo_eig <= 0 else hi_eig / lo_eig:.3g} "
-                "exceeds 1e8"
-            )
+        analytic.check_normal_matrix(ss, cc, sc)
         return cls(s, c, ss, cc, sc)
 
     def fit(self, y: np.ndarray) -> SinusoidFit:
@@ -184,7 +181,7 @@ class _Basis:
             c2 = (ss * cy - sc * sy) / det
             resid = y - c1 * s - c2 * c
             residual_rms = math.sqrt(float(np.mean(resid**2)))
-        return SinusoidFit(c1, c2, math.hypot(c1, c2), math.atan2(c2, c1), residual_rms)
+        return SinusoidFit.of(c1, c2, residual_rms)
 
 
 @dataclass(frozen=True)
@@ -295,39 +292,47 @@ def _frequency_sim(cfg: SweepConfig) -> SimConfig:
 
 
 def _run_frequency(runs: list, f_hz: float) -> list[list[BodeRow]]:
-    """The rows of each run's lane at f_hz, all driven from one Drive of the frequency and
-    fitted on one _Basis, which are freed on return."""
+    """The rows of each run's lane at f_hz.  Linear lanes take their fits in closed form
+    (analytic.sweep_row); nonlinear ones step from one Drive of the frequency and are fitted
+    on one _Basis, which are built only when such a lane runs and are freed on return."""
     omega = TWO_PI * f_hz
     cfg = runs[0][1]
     sim = _frequency_sim(cfg)
-    drive = Drive.of(omega, sim, any(p.mode == "nonlinear" for p, _ in runs))
-    lo = int(drive.sin.size * cfg.discard_fraction)
-    try:
-        basis = _Basis.of(drive.sin[lo:], drive.cos[lo:])
-    except IllConditioned:
-        basis = None
-    return [_run_lane(p, run_cfg, f_hz, sim, drive, lo, basis) for p, run_cfg in runs]
+    lo = int((sim.steps + 1) * cfg.discard_fraction)
+    drive = basis = None
+    if any(p.mode == "nonlinear" for p, _ in runs):
+        drive = Drive.of(omega, sim)
+        try:
+            basis = _Basis.of(drive.sin[lo:], drive.cos[lo:])
+        except IllConditioned:
+            pass
+    return [_run_lane(p, run_cfg, f_hz, sim, lo, drive, basis) for p, run_cfg in runs]
 
 
-def _run_lane(p: ObserverParams, cfg: SweepConfig, f_hz: float, sim: SimConfig, drive: Drive,
-              lo: int, basis: _Basis | None) -> list[BodeRow]:
-    """The rows of p's lane at f_hz: its run from drive, fitted from record lo on by basis,
-    None when the basis is ill-conditioned; a lane that diverges is flagged so first.  The
-    run is unchecked (solver.orbit): p and cfg passed check_sweep_config."""
-    omega = drive.omega
-    spec = SignalSpec("sinusoid", cfg.amplitude, omega)
-    flag = "ill_conditioned"
+def _run_lane(p: ObserverParams, cfg: SweepConfig, f_hz: float, sim: SimConfig, lo: int,
+              drive: Drive | None, basis: _Basis | None) -> list[BodeRow]:
+    """The rows of p's lane at f_hz, fitted from record lo of its run on.  A linear lane's
+    fits are analytic.sweep_row's; a nonlinear one steps from drive and is fitted by basis,
+    None when its normal matrix is ill-conditioned.  A lane that diverges is flagged so
+    first, then an ill-conditioned one.  The run is unchecked: p and cfg passed
+    check_sweep_config."""
+    omega = TWO_PI * f_hz
     try:
-        x0 = _initial_state(p, cfg, omega)
-        states = orbit(p, spec, replace(sim, initial_state=x0), drive)
-    except DivergedState:
-        flag, basis = "diverged", None
-    if basis is None:
+        run = replace(sim, initial_state=_initial_state(p, cfg, omega))
+        if p.mode == "linear":
+            row = analytic.sweep_row(p, run, cfg.amplitude, omega, lo)
+            fits = [SinusoidFit.of(*row[ch - 1]) for ch in cfg.channels]
+        else:
+            states = orbit(p, SignalSpec("sinusoid", cfg.amplitude, omega), run, drive)
+            if basis is None:
+                raise IllConditioned("the frequency's normal matrix is refused")
+            fits = [basis.fit(states[lo:, ch - 1]) for ch in cfg.channels]
+    except (DivergedState, IllConditioned) as exc:
+        flag = "diverged" if isinstance(exc, DivergedState) else "ill_conditioned"
         return [BodeRow(f_hz, omega, ch, math.nan, math.nan, None, None, "sweep", flag)
                 for ch in cfg.channels]
     rows = []
-    for ch in cfg.channels:
-        fit = basis.fit(states[lo:, ch - 1])
+    for ch, fit in zip(cfg.channels, fits):
         mag_db = analytic.decibels(fit.amplitude / cfg.amplitude)
         finite = all(map(math.isfinite, (mag_db, fit.phase, fit.residual_rms)))
         rows.append(
@@ -348,11 +353,12 @@ def sweep_observers(runs: list[tuple[ObserverParams, SweepConfig]],
     """The Bode curve of each (p, cfg) of runs, in order, swept over one shared grid.
 
     The cfgs may differ in amplitude only.  Each grid frequency is one work item
-    that runs every variant's lane from one drive (_run_frequency).  Divergence
-    or an ill-conditioned fit at one frequency flags that lane's rows and the
-    sweep continues.  With workers > 1 the frequencies are distributed over one
-    process pool of at most one process per frequency; results are identical
-    to the sequential run.  Raises ConfigError when workers is not an integer
+    that runs every variant's lane (_run_frequency).  Divergence or an
+    ill-conditioned fit at one frequency flags that lane's rows and the sweep
+    continues.  With workers > 1 and a nonlinear run the frequencies are
+    distributed over one process pool of at most one process per frequency;
+    results are identical to the sequential run, which a sweep of linear runs
+    only always takes.  Raises ConfigError when workers is not an integer
     or is below 1, runs is empty or its cfgs differ in more than amplitude, and
     then what check_sweep_config raises for the first run it refuses.
     """
@@ -386,10 +392,10 @@ def run_sweep(runs: list, workers: int) -> list[BodeCurve]:
         warnings.warn(f"run length {span:g} s is shorter than {what}", stacklevel=3)
     # a fork pool starts all max_workers processes at the first submit
     workers = min(workers, len(cfg.freqs_hz))
-    if workers > 1:
-        if any(p.mode == "nonlinear" for p, _ in runs):
-            # the workers fork with the kernel loaded here: one load, and one warning without cc
-            nonlinear_kernel(cfg.method)
+    # a linear lane takes ~0.3 ms in closed form, less than a pool takes to start
+    if workers > 1 and any(p.mode == "nonlinear" for p, _ in runs):
+        # the workers fork with the kernel loaded here: one load, and one warning without cc
+        nonlinear_kernel(cfg.method)
         with ProcessPoolExecutor(max_workers=workers) as pool:
             per_freq = list(pool.map(_run_frequency, repeat(runs), cfg.freqs_hz))
     else:

@@ -180,6 +180,24 @@ def test_steady_state_sweep_rows_are_the_discrete_response(method, R):
         assert abs(math.remainder(row.phase_rad - cmath.phase(phasor), 2.0 * math.pi)) <= 1e-10
         assert row.residual_rms <= 1e-12 * abs(phasor)
 
+
+@pytest.mark.filterwarnings("ignore:run length")
+@pytest.mark.parametrize("discard", [0.0, 0.3])
+@pytest.mark.parametrize("init", ["zero", "steady_state"])
+@pytest.mark.parametrize("method", ["rk4", "euler"])
+def test_closed_form_rows_are_a_step_loop_fit_at_the_conditioning_edge(method, init, discard,
+                                                                       linear_oracle):
+    # at h = 1e-5 the slow eigenvalues of M lie 2e-8 inside the unit circle, and at 0.1 Hz
+    # z = e^(i omega h) lies 6e-6 from 1, so I - zM is near singular; the closed form sums
+    # its powers by doubling and never inverts it, and its rows are a step() loop's fits
+    # to the bound conftest.fit_tolerances derives
+    p = linear(5.0)
+    cfg = SweepConfig(freqs_hz=(0.1,), step_h=1e-5, method=method, init_state=init,
+                      discard_fraction=discard)
+    z = cmath.exp(2j * math.pi * 0.1 * cfg.step_h)
+    assert np.linalg.cond(np.eye(3) - z * step_map(p, cfg.step_h, method)[0]) > 2e3
+    linear_oracle(p, cfg, sweep_observer(p, cfg).rows)
+
 SIGNALS = {
     "noisy": paper_reference_spec(with_noise=True),
     "cosine": SignalSpec("sinusoid", 0.0, 1.0, (NoiseTerm(0.3, 7.0, "cosine"),)),

@@ -266,7 +266,7 @@ def test_rk4_inputs_at_t_plus_h_are_step_s_on_and_off_the_grid(which, h):
     cfg = SimConfig(h, n * h, ObserverState(0.0, 1.0, 0.0))
     noisy = paper_reference_spec()
     for spec, inputs in ((noisy, solver.signal_inputs(noisy, h, "rk4")),
-                         (sine, solver.Drive.of(sine.omega, cfg, True).inputs(sine.amplitude))):
+                         (sine, solver.Drive.of(sine.omega, cfg).inputs(sine.amplitude))):
         a_fn = make_input_fn(spec)
         stepped = [cfg.initial_state]
         for i in range(n):
@@ -278,15 +278,14 @@ def test_rk4_inputs_at_t_plus_h_are_step_s_on_and_off_the_grid(which, h):
             assert _bits(out) == _bits(expected), (spec.kind, stride)
 
 
-def test_orbit_from_a_drive_is_integrate_bit_for_bit(nl_params, lin_params):
-    # orbit with the Drive of the run's sinusoid gives the states integrate gives without one,
-    # in either mode, for any amplitude (infinite: nan at t = 0, then inf), and diverges at the
-    # same time; closed-form runs read a drive with or without step inputs
+def test_orbit_from_a_drive_is_integrate_bit_for_bit(nl_params):
+    # orbit with the Drive of the run's sinusoid gives the states integrate gives without one
+    # for any amplitude (infinite: nan at t = 0, then inf), and diverges at the same time
     cfg = SimConfig(0.001, 7.0, ObserverState(0.0, 1.0, 0.0))
     omega = 2.0 * math.pi * 3.1
     diverged = []
-    for p, stepped in ((nl_params, True), (lin_params, True), (lin_params, False)):
-        drive = solver.Drive.of(omega, cfg, stepped)
+    for p in (nl_params, replace(nl_params, alpha3=1.0)):
+        drive = solver.Drive.of(omega, cfg)
         for amplitude in (1.0, 0.5, 2.0, 1e-6, math.inf):
             spec = SignalSpec("sinusoid", amplitude, omega)
             try:
@@ -298,7 +297,7 @@ def test_orbit_from_a_drive_is_integrate_bit_for_bit(nl_params, lin_params):
                 diverged.append((p.mode, amplitude))
                 continue
             assert _bits(solver.orbit(p, spec, cfg, drive)) == _bits(expected), (p.mode, amplitude)
-    assert diverged == [(mode, math.inf) for mode in ("nonlinear", "linear", "linear")]
+    assert diverged == [("nonlinear", math.inf)] * 2
 
 
 def _bits(a: np.ndarray) -> tuple[list, list]:

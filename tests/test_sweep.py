@@ -233,20 +233,33 @@ OVERFLOWED_START = SweepConfig(freqs_hz=(0.1, 5.1), samples=200, amplitude=1.7e3
     (LIN, SweepConfig(freqs_hz=(5.1, 10.1), samples=500, amplitude=math.inf),
      ("diverged",) * 6),
     # the 0.1 Hz steady-state start overflows, so that lane diverges at t = 0 in
-    # either mode; at 5.1 Hz the start is finite, and the linear closed form stays
-    # finite while its fit overflows
-    (LIN, OVERFLOWED_START, ("diverged",) * 3 + ("nonfinite_fit",) * 3),
+    # either mode (the linear one: test_an_overflowed_linear_start_diverges_where_it_overflows)
     (NL1, OVERFLOWED_START, ("diverged",) * 6),
-], ids=["infinite-amplitude", "overflowed-start-linear", "overflowed-start-nonlinear"])
+], ids=["infinite-amplitude", "overflowed-start-nonlinear"])
 def test_divergent_rows_flagged_not_fatal(p, cfg, flags):
     curve = sweep_observer(p, cfg)
     assert tuple(r.flag for r in curve.rows) == flags
     assert all(math.isnan(r.magnitude_db) for r in curve.rows if r.flag == "diverged")
     assert curve.flagged_fraction == 1.0
-    # no fit amplitude here is zero, so no row reads -inf dB; a NaN fit amplitude
-    # (channel 3 at 5.1 Hz of the linear overflowed start) reads nan
+    # no fit amplitude here is zero, so no row reads -inf dB
     assert -math.inf not in [r.magnitude_db for r in curve.rows]
     assert math.isnan(curve.rows[-1].magnitude_db)
+
+
+@pytest.mark.filterwarnings("ignore:run length")
+def test_an_overflowed_linear_start_diverges_where_it_overflows():
+    # the 0.1 Hz steady-state start overflows, so that lane diverges at t = 0; at 5.1 Hz the
+    # start is finite and the closed form fits its lane without summing a sample: (c1, c2)
+    # is the amplitude times the unit-amplitude lane's, and the residual 0, where a fit of
+    # the lane's samples overflowed its sums and flagged the rows nonfinite_fit
+    curve = sweep_observer(LIN, OVERFLOWED_START)
+    unit = sweep_observer(LIN, dataclasses.replace(OVERFLOWED_START, amplitude=1.0))
+    assert [r.flag for r in curve.rows] == ["diverged"] * 3 + ["ok"] * 3
+    assert all(math.isnan(r.magnitude_db) for r in curve.rows[:3])
+    for row, ref in zip(curve.rows[3:], unit.rows[3:]):
+        assert abs(row.magnitude_db - ref.magnitude_db) <= 1e-12
+        assert abs(row.phase_rad - ref.phase_rad) <= 1e-12
+        assert row.residual_rms == ref.residual_rms == 0.0
 
 
 def test_too_few_fit_samples_flag_every_row_ill_conditioned():
@@ -266,14 +279,10 @@ def test_parallel_matches_sequential(p):
     assert seq.rows == par.rows
 
 
-@pytest.mark.parametrize("freqs_hz, workers, pools", [
-    ((5.1, 10.1), 100_000, [2]),
-    ((5.1, 10.1, 20.1), 2, [2]),
-    ((5.1,), 8, []),
-])
-def test_pool_is_capped_at_the_lane_count(monkeypatch, freqs_hz, workers, pools):
-    # a fork pool starts every one of max_workers processes at the first submit; a fake
-    # executor records max_workers and maps serially, so no process is started here
+def _record_pools(monkeypatch) -> list:
+    """The max_workers of every pool a sweep starts from now on.  A fork pool starts every one
+    of max_workers processes at the first submit; the fake executor records max_workers and
+    maps serially, so no process is started."""
     started = []
 
     class SerialPool:
@@ -289,9 +298,32 @@ def test_pool_is_capped_at_the_lane_count(monkeypatch, freqs_hz, workers, pools)
         map = staticmethod(map)
 
     monkeypatch.setattr("doubleint.sweep.ProcessPoolExecutor", SerialPool)
+    return started
+
+
+@pytest.mark.parametrize("freqs_hz, workers, pools", [
+    ((5.1, 10.1), 100_000, [2]),
+    ((5.1, 10.1, 20.1), 2, [2]),
+    ((5.1,), 8, []),
+])
+def test_pool_is_capped_at_the_lane_count(monkeypatch, freqs_hz, workers, pools):
+    started = _record_pools(monkeypatch)
     cfg = SweepConfig(freqs_hz=freqs_hz, samples=200)
-    assert sweep_observer(LIN, cfg, workers=workers).rows == sweep_observer(LIN, cfg).rows
+    assert sweep_observer(NL3, cfg, workers=workers).rows == sweep_observer(NL3, cfg).rows
     assert started == pools
+
+
+@pytest.mark.parametrize("workers", [2, 100_000])
+def test_a_sweep_of_closed_form_lanes_starts_no_pool(monkeypatch, workers):
+    # a linear lane takes well under a millisecond, less than a pool takes to start; one
+    # nonlinear lane among them starts the pool for all
+    started = _record_pools(monkeypatch)
+    cfg = SweepConfig(freqs_hz=(5.1, 10.1, 20.1), samples=200)
+    runs = [(LIN, cfg), (LIN, dataclasses.replace(cfg, amplitude=2.0))]
+    assert sweep_observers(runs, workers=workers) == sweep_observers(runs)
+    assert started == []
+    sweep_observers(runs + [(NL3, cfg)], workers=workers)
+    assert started == [min(workers, 3)]
 
 
 @pytest.mark.parametrize("workers", [0, -3])
@@ -397,8 +429,9 @@ def test_bode_from_transfer_metadata():
 
 
 def _lane_by_lane(p, cfg):
-    """The curve sweep_observer gave before a sweep ran frequency-major: per frequency, one
-    solver.integrate run on a fresh one-lane SimConfig, then fit_sinusoid per channel."""
+    """The curve sweep_observer gave a nonlinear p before a sweep ran frequency-major: per
+    frequency, one solver.integrate run on a fresh one-lane SimConfig, then fit_sinusoid per
+    channel."""
     rows = []
     for f_hz in cfg.freqs_hz:
         omega = 2.0 * math.pi * f_hz
@@ -433,40 +466,57 @@ MIXED = {
 }
 
 
+def _assert_lane_by_lane(runs, curves, linear_oracle):
+    """Each curve is its run's own: a nonlinear one has the bits of _lane_by_lane (repr shows
+    each float to the bit, nan too), a linear one the flags and, within the oracle's bound,
+    the fits of a loop of step() (linear_oracle)."""
+    assert len(curves) == len(runs)
+    for (p, cfg), curve in zip(runs, curves):
+        if p.mode == "nonlinear":
+            assert repr(curve) == repr(_lane_by_lane(p, cfg))
+            continue
+        linear_oracle(p, cfg, curve.rows)
+        assert (curve.params, curve.config, curve.source) == (
+            sweep.params_meta(p), dataclasses.asdict(cfg), "sweep")
+        assert repr(phase_unwrap(curve)) == repr(curve)
+
+
 @pytest.mark.filterwarnings("ignore:run length")
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("method", ["rk4", "euler"])
 @pytest.mark.parametrize("discard", [0.0, 0.3])
 @pytest.mark.parametrize("init_state", INIT_KINDS)
-def test_frequency_major_sweep_is_the_lane_by_lane_sweep(init_state, discard, method, workers):
-    # every lane of every variant, read from its frequency's one drive and fitted on its one
-    # basis, has the bits of its own run and fits; repr shows each float to the bit, nan too
+def test_frequency_major_sweep_is_the_lane_by_lane_sweep(init_state, discard, method, workers,
+                                                         linear_oracle):
+    # every nonlinear lane of every variant, read from its frequency's one drive and fitted on
+    # its one basis, has the bits of its own run and fits; every linear lane, in closed form,
+    # is its own step() loop's fits
     cfg = SweepConfig(freqs_hz=(0.6, 7.1, 33.1), samples=3000, discard_fraction=discard,
                       method=method, init_state=init_state)
     runs = [(p, dataclasses.replace(cfg, amplitude=a)) for p, a in MIXED[init_state]]
     curves = sweep_observers(runs, workers=workers)
-    assert [repr(c) for c in curves] == [repr(_lane_by_lane(p, c)) for p, c in runs]
+    _assert_lane_by_lane(runs, curves, linear_oracle)
     flags = {r.flag for c in curves for r in c.rows}
     assert flags == {"ok", "diverged"}
 
 
 @pytest.mark.filterwarnings("ignore:run length")
-def test_a_diverging_lane_is_flagged_before_its_frequencys_ill_conditioned_fit():
+def test_a_diverging_lane_is_flagged_before_its_frequencys_ill_conditioned_fit(linear_oracle):
     # one sample is kept after the discard, so no fit is possible at any frequency; a lane
     # that diverges is still flagged diverged, as its own run and fits flag it
     cfg = SweepConfig(freqs_hz=(0.1, 5.1), samples=10, discard_fraction=0.95)
     runs = [(p, dataclasses.replace(cfg, amplitude=a))
             for p, a in ((LIN, 1.0), (LIN, math.inf), (NL3, math.inf), (NL3, 1.0))]
     curves = sweep_observers(runs)
-    assert [repr(c) for c in curves] == [repr(_lane_by_lane(p, c)) for p, c in runs]
+    _assert_lane_by_lane(runs, curves, linear_oracle)
     assert [{r.flag for r in c.rows} for c in curves] == [
         {"ill_conditioned"}, {"diverged"}, {"diverged"}, {"ill_conditioned"}]
 
 
 def test_a_sweep_computes_each_frequencys_sines_once_for_all_its_variants(monkeypatch):
-    # np.sin and np.cos run on a fixed number of arrays per frequency, whatever the number of
-    # variants: the sine and cosine of the grid phases, and for RK4 lanes the sine at the
-    # half steps and at the t + h that miss the grid
+    # np.sin and np.cos run on a fixed number of arrays per frequency with a nonlinear lane,
+    # whatever the number of variants: the sine and cosine of the grid phases, and for RK4
+    # the sine at the half steps and at the t + h that miss the grid
     calls = []
     for name in ("sin", "cos"):
         def counted(x, fn=getattr(np, name), name=name):
@@ -482,13 +532,14 @@ def test_a_sweep_computes_each_frequencys_sines_once_for_all_its_variants(monkey
             sweep_observers([(p, dataclasses.replace(cfg, amplitude=a))
                              for p, a in variants[:count]])
             assert sorted(calls) == sorted(per_freq * len(freqs)), (method, count)
-    # lanes that only take the closed form need no step inputs
-    cfg = SweepConfig(freqs_hz=freqs, samples=2000)
-    for count in (1, 3):
-        calls.clear()
-        sweep_observers([(LIN, dataclasses.replace(cfg, amplitude=a))
-                         for a in (1.0, 2.0, 3.0)[:count]])
-        assert sorted(calls) == ["cos"] * len(freqs) + ["sin"] * len(freqs)
+    # lanes that only take the closed form compute no sine at all
+    for method in ("rk4", "euler"):
+        cfg = SweepConfig(freqs_hz=freqs, samples=2000, method=method)
+        for count in (1, 3):
+            calls.clear()
+            sweep_observers([(LIN, dataclasses.replace(cfg, amplitude=a))
+                             for a in (1.0, 2.0, 3.0)[:count]])
+            assert calls == [], (method, count)
 
 
 def test_a_sweep_checks_each_run_once_whatever_its_frequencies(monkeypatch):
