@@ -18,8 +18,9 @@ solver.SimConfig, whose construction is the one place they are checked.  A
 linear sweep lane's fit has a closed form too (sweep_row): its forced part
 fits exactly, and its transient's sums over the fit window come from
 doubling, so no sample is formed.  A steady_state sweep lane starts on the
-forced orbit (Im of the phasor), so it has no transient: its rows are
-discrete_response to rounding and its residual is exactly 0.
+forced orbit (Im of the phasor, which sweep_row solves once for the start
+and the fit), so it has no transient: its rows are discrete_response to
+rounding and its residual is exactly 0.
 """
 
 import cmath
@@ -360,45 +361,49 @@ def _transient_sums(m: np.ndarray, theta: float, v: np.ndarray,
     return g, s
 
 
-def sweep_row(p: ObserverParams, cfg: "SimConfig", amplitude: float, omega: float,
-              lo: int) -> list[tuple[float, float, float]]:
+def sweep_row(p: ObserverParams, cfg: "SimConfig", amplitude: float, omega: float, lo: int,
+              steady_state: bool) -> list[tuple[float, float, float]]:
     """(c1, c2, residual_rms) of channels 1..3 of the least-squares fit
     c1 sin(omega t) + c2 cos(omega t) to records lo..N, N = cfg.steps, of cfg's run (of
-    stride 1) of linear p against amplitude * sin(omega t): the fit of signal_states'
-    columns, in closed form, with no record formed.
+    stride 1) of linear p against amplitude * sin(omega t), from a zero start or, with
+    steady_state, from its forced orbit: the fit of signal_states' columns, in closed form,
+    with no record formed.  cfg's initial_state is not read.
 
     With z = e^(i omega h) and P = amplitude * discrete_response, the run is
-    x_k = Im(P z^k) + M^k d, d = x0 - Im P.  Its forced part Re P sin + Im P cos fits
-    exactly, so (c1, c2) is (Re P, Im P) plus the transient's fit: the normal matrix, from
-    e2 = sum z^(2k) over the window, solved against T = sum z^k M^k d, whose Im and Re are
-    the transient's sine and cosine sums.  The residual is the transient's energy
-    sum (M^k d)^2 less its fitted part: 0 at a start on the forced orbit, where d is 0.
-    T and the energy come from _transient_sums from M^lo d.  Raises DivergedState(0.0)
-    when P is not finite and IllConditioned when check_normal_matrix refuses the normal
-    matrix.
+    x_k = Im(P z^k) + M^k d, d = x0 - Im P, x0 = Im P on the forced orbit.  Its forced part
+    Re P sin + Im P cos fits exactly, so (c1, c2) is (Re P, Im P) plus the transient's fit:
+    the normal matrix, from e2 = sum z^(2k) over the window, solved against
+    T = sum z^k M^k d, whose Im and Re are the transient's sine and cosine sums.  The
+    residual is the transient's energy sum (M^k d)^2 less its fitted part: 0 on the forced
+    orbit, where d is 0.  T and the energy come from _transient_sums from M^lo d.  Raises
+    DivergedState(0.0) when P is not finite and IllConditioned when check_normal_matrix
+    refuses the normal matrix.
     """
     m = step_map(p, cfg.step_h, cfg.method)[0]
     theta = omega * cfg.step_h
     n = cfg.steps - lo + 1
     response = discrete_response(p, cfg.step_h, cfg.method, omega)
     with np.errstate(over="ignore", invalid="ignore"):
-        # an amplitude near the float range overflows P: the lane diverges.  Im P has the
-        # bits of the steady_state start amplitude * response.imag, so d is 0 there
+        # an amplitude near the float range overflows P: the lane diverges
         re, im = amplitude * response.real, amplitude * response.imag
     if not (np.isfinite(re).all() and np.isfinite(im).all()):
         raise DivergedState(0.0)
     # e2 = sum of z^(2k), k = lo..N: the Dirichlet kernel sin(n theta) / sin(theta) turned
-    # by the window's mid phase (lo + N) theta; every term is 1 where sin(theta) is 0
-    sin_theta = math.sin(theta)
-    e2 = cmath.exp(1j * (theta * (lo + cfg.steps))) * (
-        math.sin(n * theta) / sin_theta if sin_theta else n)
+    # by the window's mid phase (lo + N) theta.  Within rounding of a multiple j pi both
+    # sines lose every digit, so the kernel is read at phi = theta - j pi, where it is
+    # (-1)^(j (n - 1)) sin(n phi) / sin(phi), and (-1)^(j (n - 1)) n where sin(phi) is 0
+    j = round(theta / math.pi)
+    phi = theta - j * math.pi
+    sin_phi = math.sin(phi)
+    kernel = math.sin(n * phi) / sin_phi if sin_phi else n
+    e2 = cmath.exp(1j * (theta * (lo + cfg.steps))) * (-kernel if j * (n - 1) % 2 else kernel)
     ss, cc, sc = 0.5 * (n - e2.real), 0.5 * (n + e2.real), 0.5 * e2.imag
     check_normal_matrix(ss, cc, sc)
     det = ss * cc - sc * sc
     with np.errstate(over="ignore", invalid="ignore"):
         # a transient near the float range overflows its sums: the sweep flags the
         # non-finite coefficients or residual nonfinite_fit
-        d = np.asarray(cfg.initial_state, dtype=float) - im
+        d = (im if steady_state else 0.0) - im
         t, energy = _transient_sums(m, theta, np.linalg.matrix_power(m, lo) @ d, n)
         t = cmath.exp(1j * (theta * lo)) * t
         sy, cy = t.imag, t.real

@@ -3,25 +3,23 @@
 The public entry points are simulate(), integrate() (its times and states
 alone) and step().  integrate() holds the one list of a run's checks (the
 signal's phase horizon and step, validate_params, the step guard, in that
-order) and orbit() runs it, unchecked: a linear run does not step, since
-analytic.signal_states gives the same discretization's orbit in closed form.
-A nonlinear run steps through a kernel per method on plain floats: a full
-nonlinear sweep takes ~10^7-10^8 RK4 steps, which rules out per-step calls
-into observers.rhs or power_sign.  One step template (_steps) writes the
-feedback law once, with power_sign inlined,
-and each kernel is one driver (_kernel) over a chunk function rendered from
-it: to Python at import, or to C (_c_source), the C library of this module,
-which native builds with the system cc at the first nonlinear run, caches per
-user and loads.  Runs take the C kernels, ~5x faster, and the Python ones
+order), then takes a linear run in closed form (analytic.signal_states, the
+same discretization's orbit) and a nonlinear one from orbit(), the one
+stepped run, unchecked.  orbit() steps through a kernel per method on plain
+floats: a full nonlinear sweep takes ~10^7-10^8 RK4 steps, which rules out
+per-step calls into observers.rhs or power_sign.  One step template (_steps)
+writes the feedback law once, with power_sign inlined, and each kernel is
+one driver (_kernel) over a chunk function rendered from it: to Python at
+import, or to C (_c_source), the C library of this module, which native
+builds with the system cc at the first nonlinear run, caches per user and
+loads.  Runs take the C kernels, ~5x faster, and the Python ones
 when cc is missing or fails, after one warning.  The input does not depend on
 the state, so _kernel reads the inputs of CHUNK steps at once from an input
 source, inputs(lo, hi), at the float times step() takes them at and to the
-same bits: signal_inputs evaluates signals.input_values a chunk at a time, and
-a Drive, the unit sine of one sweep frequency on a run's grid, feeds every
-nonlinear lane at that frequency from arrays computed once (a linear lane
-takes its fits in closed form, analytic.sweep_row, and reads none).  Both
-read a(t + h) from a(t) at the next step time wherever t + h rounds to it
-(_on_grid).  rhs(), step() and power_sign stay the readable reference:
+same bits.  step_inputs is the one rule for those arrays: it reads a(t + h)
+from a(t) at the next step time wherever t + h rounds to it, and
+signal_inputs applies it to signals.input_values a chunk at a time.  rhs(),
+step() and power_sign stay the readable reference:
 test_kernels_match_public_step pins every kernel to step() bit for bit.
 """
 
@@ -335,13 +333,10 @@ int64_t {method}_chunk(const double *p, double *x, {arrays}, int64_t m, int64_t 
 """
 
 
-def _fractions(method: str) -> list[float]:
-    """The fraction f of h past a step's time t of each input method's step reads (_STEPS)."""
-    return [f for _, f in _STEPS[method][0]]
-
-
-def _on_grid(values, t, h: float, fractions) -> tuple[np.ndarray, list[np.ndarray]]:
-    """(values(t), [values(t[:-1] + f * h) for f in fractions]), t the step times and the next.
+def step_inputs(values, t, h: float, method: str) -> tuple[np.ndarray, list[np.ndarray]]:
+    """(values(t), [values(t[:-1] + f * h) for each input of method's step]), t the step times
+    and the next, f the fraction of h past a step's time that step() reads the input at
+    (_STEPS): the arrays method's kernel reads for those steps.
 
     values maps an array of times to an array of values, element by element.  f = 0 is
     values(t)[:-1], and f = 1 reads values(t)[1:] wherever t + h rounds to the next step time
@@ -350,7 +345,7 @@ def _on_grid(values, t, h: float, fractions) -> tuple[np.ndarray, list[np.ndarra
     """
     at = values(t)
     out = []
-    for f in fractions:
+    for _, f in _STEPS[method][0]:
         if f == 0.0:
             out.append(at[:-1])
         elif f == 1.0:
@@ -367,50 +362,16 @@ def _on_grid(values, t, h: float, fractions) -> tuple[np.ndarray, list[np.ndarra
 def signal_inputs(spec: signals.SignalSpec, h: float, method: str):
     """inputs(lo, hi) of method's kernel against spec: the arrays of a(t + f * h) its steps
     lo..hi-1 read, t = arange(lo, hi) * h, from signals.input_values a chunk at a time."""
-    fractions = _fractions(method)
     values = functools.partial(signals.input_values, spec)
-    return lambda lo, hi: _on_grid(values, np.arange(lo, hi + 1, dtype=float) * h, h,
-                                   fractions)[1]
-
-
-@dataclass(frozen=True)
-class Drive:
-    """The unit sine sin(omega t) of a stepped run of stride 1 on its grid, t_k = k h for
-    k = 0..n.
-
-    sin and cos hold sin and cos(omega t_k), k = 0..n; steps holds, for each input a step of
-    the run's method reads, the sine at t_k + f h, k < n (_on_grid).  A sweep computes it once
-    per frequency with a nonlinear lane and runs the lane of every nonlinear variant at that
-    frequency from it (orbit): the kernel's inputs are the amplitude times its slices, the
-    bits input_values would give them, and sin and cos are the fit's regressors.
-    """
-
-    omega: float
-    sin: np.ndarray
-    cos: np.ndarray
-    steps: tuple[np.ndarray, ...]
-
-    @classmethod
-    def of(cls, omega: float, cfg: SimConfig) -> "Drive":
-        """The drive of cfg's run, of stride 1, at omega."""
-        t = cfg.record_times()
-        sin, steps = _on_grid(lambda x: np.sin(omega * x), t, cfg.step_h, _fractions(cfg.method))
-        return cls(omega, sin, np.cos(omega * t), tuple(steps))
-
-    def inputs(self, amplitude: float):
-        """inputs(lo, hi) of the kernel against amplitude * sin(omega t), as signal_inputs."""
-        def inputs(lo, hi):
-            with np.errstate(invalid="ignore"):
-                # an infinite amplitude times sin(0) is nan, as input_values gives it
-                return [amplitude * a[lo:hi] for a in self.steps]
-        return inputs
+    return lambda lo, hi: step_inputs(values, np.arange(lo, hi + 1, dtype=float) * h, h,
+                                      method)[1]
 
 
 def _kernel(chunk):
     """kernel(p, x0, inputs, h, n, stride, out) over chunk, a method's _CHUNK function: n steps
     from x0, every stride-th state written into out, a C-contiguous float array of shape
     (n // stride + 1, 3) whose row 0 is x0.  Steps lo..hi-1 read the arrays inputs(lo, hi)
-    gives (signal_inputs, Drive.inputs), a chunk of at most CHUNK steps at a time.  The first
+    gives (step_inputs), a chunk of at most CHUNK steps at a time.  The first
     non-finite recorded row raises DivergedState at its time; no step follows."""
 
     def kernel(p, x0, inputs, h, n, stride, out):
@@ -492,7 +453,8 @@ def nonlinear_kernel(method: str):
 
 def integrate(p: ObserverParams, spec: signals.SignalSpec,
               cfg: SimConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Record times and states of the run simulate records, without its other columns.
+    """Record times and states of the run simulate records, without its other columns: the
+    closed form of a linear run (analytic.signal_states), the orbit of a nonlinear one.
 
     Raises what simulate raises.
     """
@@ -502,23 +464,19 @@ def integrate(p: ObserverParams, spec: signals.SignalSpec,
     if not report.ok:
         raise InvalidParams(report)
     check_config(p, cfg)
-    return cfg.record_times(), orbit(p, spec, cfg)
-
-
-def orbit(p: ObserverParams, spec: signals.SignalSpec, cfg: SimConfig,
-          drive: Drive | None = None) -> np.ndarray:
-    """States at cfg.record_times() of cfg's run of p against spec: the closed form of a
-    linear run, the kernel's steps of a nonlinear one.
-
-    The run passed integrate's checks.  With drive, the Drive of spec's sinusoid on cfg's
-    grid, a nonlinear run reads its inputs from it, to the same states; a linear run takes
-    none.  Raises DivergedState on blowup.
-    """
     if p.mode == "linear":
-        return analytic.signal_states(p, spec, cfg)
+        return cfg.record_times(), analytic.signal_states(p, spec, cfg)
+    return cfg.record_times(), orbit(p, cfg, signal_inputs(spec, cfg.step_h, cfg.method))
+
+
+def orbit(p: ObserverParams, cfg: SimConfig, inputs) -> np.ndarray:
+    """States at cfg.record_times() of cfg's stepped run of p, its steps lo..hi-1 reading the
+    arrays inputs(lo, hi) (step_inputs), through the kernel of cfg.method.
+
+    The run is unchecked: it passed integrate's checks, or a sweep's.  Raises DivergedState
+    on blowup.
+    """
     states = np.empty((cfg.steps // cfg.record_stride + 1, 3))
-    inputs = (drive.inputs(spec.amplitude) if drive
-              else signal_inputs(spec, cfg.step_h, cfg.method))
     nonlinear_kernel(cfg.method)(p, cfg.initial_state, inputs, cfg.step_h, cfg.steps,
                                  cfg.record_stride, states)
     return states

@@ -13,11 +13,13 @@ map's phasor and geometric sums over the fit window, the fits of its stepped
 samples to rounding.  A lane ends in rows, flagged when its run diverges or
 its start state overflows.  A sweep of several variants over one grid
 (sweep_observers; sweep_observer is its one-variant call) runs
-frequency-major: each frequency with a nonlinear lane computes its
-solver.Drive, the sine and cosine of its phases, and its fit basis once, and
-every nonlinear variant's lane at that frequency reads them, to the bits it
-would compute alone.  Frequencies are independent work items, computed in a
-process pool when some lane steps; output order is always by frequency.
+frequency-major: each frequency with a nonlinear lane computes the arrays of
+the unit sine its steps read (solver.step_inputs, the rule a simulation's
+inputs follow too), the cosine of its phases and its fit basis once, and
+every nonlinear variant's lane at that frequency reads them, scaled by its
+amplitude, to the bits it would compute alone.  Frequencies are independent
+work items, computed in a process pool when some lane steps; output order is
+always by frequency.
 """
 
 import math
@@ -34,8 +36,8 @@ from .errors import (ConfigError, DivergedState, IllConditioned, InvalidParams, 
                      config_value)
 from .observers import ObserverParams, ObserverState, validate_params
 from .signals import MAX_PHASE, SignalSpec, check_step
-from .solver import (MAX_RECORD_ROWS, STABILITY_LIMIT, Drive, SimConfig, check_config,
-                     nonlinear_kernel, orbit)
+from .solver import (MAX_RECORD_ROWS, STABILITY_LIMIT, SimConfig, check_config,
+                     nonlinear_kernel, orbit, step_inputs)
 
 TWO_PI = 2.0 * math.pi
 
@@ -271,7 +273,8 @@ def check_amplitude(p: ObserverParams, cfg: SweepConfig) -> None:
 
 
 def _initial_state(p: ObserverParams, cfg: SweepConfig, omega: float) -> ObserverState:
-    """The lane's start state; raises DivergedState(0.0) when it is not finite."""
+    """A nonlinear lane's start state (a linear lane's run starts inside analytic.sweep_row);
+    raises DivergedState(0.0) when it is not finite."""
     if cfg.init_state == "zero":
         return ObserverState(0.0, 0.0, 0.0)
     # the lane's own orbit, with no transient: the linear step map's forced steady state
@@ -293,37 +296,57 @@ def _frequency_sim(cfg: SweepConfig) -> SimConfig:
 
 def _run_frequency(runs: list, f_hz: float) -> list[list[BodeRow]]:
     """The rows of each run's lane at f_hz.  Linear lanes take their fits in closed form
-    (analytic.sweep_row); nonlinear ones step from one Drive of the frequency and are fitted
-    on one _Basis, which are built only when such a lane runs and are freed on return."""
+    (analytic.sweep_row); nonlinear ones step from the frequency's unit sine (_unit_sine)
+    and are fitted on its one _Basis, which are built only when such a lane runs and are
+    freed on return."""
     omega = TWO_PI * f_hz
     cfg = runs[0][1]
     sim = _frequency_sim(cfg)
     lo = int((sim.steps + 1) * cfg.discard_fraction)
-    drive = basis = None
+    sine = basis = None
     if any(p.mode == "nonlinear" for p, _ in runs):
-        drive = Drive.of(omega, sim)
-        try:
-            basis = _Basis.of(drive.sin[lo:], drive.cos[lo:])
-        except IllConditioned:
-            pass
-    return [_run_lane(p, run_cfg, f_hz, sim, lo, drive, basis) for p, run_cfg in runs]
+        sine, basis = _unit_sine(omega, sim, lo)
+    return [_run_lane(p, run_cfg, f_hz, sim, lo, sine, basis) for p, run_cfg in runs]
+
+
+def _unit_sine(omega: float, sim: SimConfig, lo: int) -> tuple[list[np.ndarray], _Basis | None]:
+    """(the arrays of sin(omega t) the steps of sim's run read (solver.step_inputs), the fit
+    basis of its records lo on, None when its normal matrix is ill-conditioned).  sim has
+    stride 1, so its record times are its step times."""
+    t = sim.record_times()
+    sin, steps = step_inputs(lambda x: np.sin(omega * x), t, sim.step_h, sim.method)
+    try:
+        return steps, _Basis.of(sin[lo:], np.cos(omega * t[lo:]))
+    except IllConditioned:
+        return steps, None
+
+
+def _scaled(sine: list[np.ndarray], amplitude: float):
+    """inputs(lo, hi) of solver.orbit against amplitude * sin(omega t), from the unit sine's
+    step arrays: the bits solver.signal_inputs gives them."""
+    def inputs(lo, hi):
+        with np.errstate(invalid="ignore"):
+            # an infinite amplitude times sin(0) is nan, as input_values gives it
+            return [amplitude * a[lo:hi] for a in sine]
+    return inputs
 
 
 def _run_lane(p: ObserverParams, cfg: SweepConfig, f_hz: float, sim: SimConfig, lo: int,
-              drive: Drive | None, basis: _Basis | None) -> list[BodeRow]:
+              sine: list[np.ndarray] | None, basis: _Basis | None) -> list[BodeRow]:
     """The rows of p's lane at f_hz, fitted from record lo of its run on.  A linear lane's
-    fits are analytic.sweep_row's; a nonlinear one steps from drive and is fitted by basis,
-    None when its normal matrix is ill-conditioned.  A lane that diverges is flagged so
-    first, then an ill-conditioned one.  The run is unchecked: p and cfg passed
-    check_sweep_config."""
+    fits are analytic.sweep_row's; a nonlinear one steps from sine, the unit sine's step
+    arrays, and is fitted by basis, None when its normal matrix is ill-conditioned.  A lane
+    that diverges is flagged so first, then an ill-conditioned one.  The run is unchecked:
+    p and cfg passed check_sweep_config."""
     omega = TWO_PI * f_hz
     try:
-        run = replace(sim, initial_state=_initial_state(p, cfg, omega))
         if p.mode == "linear":
-            row = analytic.sweep_row(p, run, cfg.amplitude, omega, lo)
+            row = analytic.sweep_row(p, sim, cfg.amplitude, omega, lo,
+                                     cfg.init_state == "steady_state")
             fits = [SinusoidFit.of(*row[ch - 1]) for ch in cfg.channels]
         else:
-            states = orbit(p, SignalSpec("sinusoid", cfg.amplitude, omega), run, drive)
+            run = replace(sim, initial_state=_initial_state(p, cfg, omega))
+            states = orbit(p, run, _scaled(sine, cfg.amplitude))
             if basis is None:
                 raise IllConditioned("the frequency's normal matrix is refused")
             fits = [basis.fit(states[lo:, ch - 1]) for ch in cfg.channels]

@@ -1,13 +1,16 @@
 import cmath
 import functools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from doubleint import (DivergedState, IllConditioned, ObserverParams, ObserverState, SignalSpec,
-                       discrete_response, fit_sinusoid, paper_reference_spec, step, step_map)
+                       SimConfig, discrete_response, fit_sinusoid, paper_reference_spec, step,
+                       step_map)
 from doubleint.signals import make_input_fn
+from doubleint.solver import orbit, signal_inputs
 from doubleint.sweep import _initial_state
 
 # Gains shared by every reproduction scenario.
@@ -52,6 +55,18 @@ def step_lane(p: ObserverParams, cfg, f_hz: float) -> np.ndarray:
     for i in range(cfg.samples):
         x = states[i + 1] = step(p, x, i * h, h, a_fn, cfg.method)
     return states
+
+
+def kernel_lane(p: ObserverParams, cfg, f_hz: float) -> np.ndarray:
+    """step_lane of linear p through solver.orbit of the nonlinear kernel at alpha3 = 1, whose
+    step is the linear one: test_orbit_is_a_loop_of_step_in_either_kernel pins that kernel to
+    step(), and it runs a lane of 50 000 samples in milliseconds."""
+    omega = 2.0 * math.pi * f_hz
+    run = SimConfig(cfg.step_h, cfg.samples * cfg.step_h, _initial_state(p, cfg, omega),
+                    cfg.method)
+    return orbit(replace(p, mode="nonlinear"), run,
+                 signal_inputs(SignalSpec("sinusoid", cfg.amplitude, omega), cfg.step_h,
+                               cfg.method))
 
 
 @functools.cache
@@ -113,11 +128,11 @@ def assert_row_near_fit(row, fit, amplitude: float,
     assert abs(r * r - r_fit * r_fit) <= (2.0 * r_fit + resid) * resid + energy, (row, fit)
 
 
-def check_linear_rows(p: ObserverParams, cfg, rows) -> None:
+def check_linear_rows(p: ObserverParams, cfg, rows, stepped=step_lane) -> None:
     """Assert that rows, the curve of p's linear sweep at cfg (a SweepConfig), are the fits of
-    its lanes' step() states (step_lane): a lane that diverges there, or whose window holds
-    too few samples for fit_sinusoid, is flagged so, and every other row is ok and within
-    the fit_tolerances of fit_sinusoid's fit."""
+    its lanes' stepped states, stepped(p, cfg, f_hz) (step_lane or kernel_lane): a lane that
+    diverges there, or whose window holds too few samples for fit_sinusoid, is flagged so,
+    and every other row is ok and within the fit_tolerances of fit_sinusoid's fit."""
     assert [(r.f_hz, r.channel) for r in rows] == [(f, ch) for f in cfg.freqs_hz
                                                    for ch in cfg.channels]
     lo = int((cfg.samples + 1) * cfg.discard_fraction)
@@ -127,7 +142,7 @@ def check_linear_rows(p: ObserverParams, cfg, rows) -> None:
         omega = 2.0 * math.pi * f_hz
         assert all(r.omega == omega for r in lane)
         try:
-            states = step_lane(p, cfg, f_hz)
+            states = stepped(p, cfg, f_hz)
             fits = [fit_sinusoid(times[lo:], states[lo:, ch - 1], omega) for ch in cfg.channels]
         except (DivergedState, IllConditioned) as exc:
             flag = "diverged" if isinstance(exc, DivergedState) else "ill_conditioned"
@@ -144,3 +159,10 @@ def check_linear_rows(p: ObserverParams, cfg, rows) -> None:
 def linear_oracle():
     """check_linear_rows: a linear sweep curve against a loop of step() and fit_sinusoid."""
     return check_linear_rows
+
+
+@pytest.fixture
+def kernel_oracle():
+    """check_linear_rows against the nonlinear kernel at alpha3 = 1 (kernel_lane), for runs
+    too long for a loop of step()."""
+    return functools.partial(check_linear_rows, stepped=kernel_lane)

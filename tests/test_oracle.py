@@ -11,6 +11,7 @@ fitted rows are the step map's frequency response, solved here from step_map.
 import cmath
 import functools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -34,6 +35,8 @@ from doubleint import (
     sweep_observer,
 )
 from doubleint.analytic import BLOCK, is_schur_stable
+from doubleint.cli import _build_params, _build_sweep
+from doubleint.scenarios import _fig1_variants, expand_scenario
 from doubleint.signals import REFERENCE_NOISE, make_input_fn
 from doubleint.sweep import _initial_state
 
@@ -197,6 +200,40 @@ def test_closed_form_rows_are_a_step_loop_fit_at_the_conditioning_edge(method, i
     z = cmath.exp(2j * math.pi * 0.1 * cfg.step_h)
     assert np.linalg.cond(np.eye(3) - z * step_map(p, cfg.step_h, method)[0]) > 2e3
     linear_oracle(p, cfg, sweep_observer(p, cfg).rows)
+
+@pytest.mark.parametrize("samples", [6, 33, 100])
+@pytest.mark.parametrize("init", ["zero", "steady_state"])
+@pytest.mark.parametrize("method", ["rk4", "euler"])
+def test_closed_form_rows_at_multiples_of_the_nyquist_frequency_are_flagged_as_stepped(
+        method, init, samples, linear_oracle):
+    # at h = 1e-3, 500, 1000 and 1500 Hz put omega h within rounding of pi, 2 pi and 3 pi,
+    # where math.sin(omega h) is ~1e-16, not 0: sin(n omega h) / sin(omega h) keeps no digit
+    # there.  Every sample then lies at a zero of the sine, so a step() loop's fit is
+    # ill_conditioned, and the closed form's rows must be flagged so too
+    p = linear(5.0)
+    cfg = SweepConfig(freqs_hz=(500.0, 1000.0, 1500.0), samples=samples, method=method,
+                      init_state=init)
+    assert all(0.0 < abs(math.sin(2.0 * math.pi * f * H)) < 4e-16 for f in cfg.freqs_hz)
+    rows = sweep_observer(p, cfg).rows
+    linear_oracle(p, cfg, rows)
+    assert {r.flag for r in rows} == {"ill_conditioned"}
+
+
+@pytest.mark.parametrize("variant", [v for v in _fig1_variants() if v["mode"] == "linear"],
+                         ids=lambda v: f"R{v['R']:g}")
+def test_fig1_linear_rows_are_the_fits_of_the_kernel_at_alpha3_1(variant, kernel_oracle):
+    # fig1's linear variants at its own settings, 50 000 RK4 samples from a zero start, at
+    # every 20th grid frequency: each closed-form row lies within conftest.fit_tolerances of
+    # the fit of the nonlinear kernel's orbit at alpha3 = 1 (conftest.kernel_lane)
+    scenario = expand_scenario("fig1")
+    cfg = _build_sweep(scenario["sweep"])[0]
+    assert (cfg.samples, cfg.method, cfg.init_state, cfg.amplitude) == (50000, "rk4", "zero",
+                                                                         1.0)
+    cfg = replace(cfg, freqs_hz=cfg.freqs_hz[::20])
+    assert len(cfg.freqs_hz) == 10
+    p = _build_params(scenario, variant, "sweep.variants")
+    kernel_oracle(p, cfg, sweep_observer(p, cfg).rows)
+
 
 SIGNALS = {
     "noisy": paper_reference_spec(with_noise=True),

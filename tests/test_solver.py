@@ -39,7 +39,7 @@ from doubleint import (
     trajectory_metrics,
     validate_params,
 )
-from doubleint import cli, native
+from doubleint import cli, native, sweep
 from doubleint import io as writers
 from doubleint.signals import make_input_fn, paper_reference_spec, truth_arrays
 from doubleint.sweep import _frequency_sim
@@ -170,16 +170,17 @@ def test_orbit_is_a_loop_of_step_in_either_kernel(k1, k3, eps, alpha3, margin, r
     # the guard is a heuristic, so some of these runs diverge: a non-finite state stays so,
     # and orbit raises at the first recorded row at or past the step where step() raised
     late = [k for k in range(0, cfg.steps + 1, cfg.record_stride) if k >= len(stepped)]
+    inputs = solver.signal_inputs(spec, h, method)
     for c_kernels in (solver._c_kernels, lambda: None):
         # the C kernel wherever cc builds it, then the Python one
         with mock.patch.object(solver, "_c_kernels", c_kernels):
             if late:
                 with pytest.raises(DivergedState) as err:
-                    solver.orbit(p, spec, cfg)
+                    solver.orbit(p, cfg, inputs)
                 assert err.value.time == late[0] * h
             else:
                 expected = np.array(stepped[::cfg.record_stride])
-                assert _bits(solver.orbit(p, spec, cfg)) == _bits(expected)
+                assert _bits(solver.orbit(p, cfg, inputs)) == _bits(expected)
 
 
 @pytest.mark.parametrize("method, stride, steps, which", each_kernel(
@@ -254,9 +255,9 @@ def test_c_kernel_is_the_python_kernel_on_special_inputs(method, alpha3, spec, x
 @pytest.mark.parametrize("h", [0.3, 7e-4])
 def test_rk4_inputs_at_t_plus_h_are_step_s_on_and_off_the_grid(which, h):
     # a(t + h) comes from a(t) at the next step time wherever t + h rounds to it, and is
-    # evaluated where it does not; both input sources, signal_inputs and a sweep's Drive,
-    # must give the states step() gives, across chunk edges.  At these steps t + h misses
-    # the grid on many steps (counted below)
+    # evaluated where it does not (solver.step_inputs); both input sources, signal_inputs
+    # and a sweep's scaled unit sine, must give the states step() gives, across chunk
+    # edges.  At these steps t + h misses the grid on many steps (counted below)
     kernel = kernels(which)["rk4"]
     p = ObserverParams(0.1, 0.1, 1.0, 1.0, 0.3, "nonlinear")
     n = solver.CHUNK + 517
@@ -265,8 +266,9 @@ def test_rk4_inputs_at_t_plus_h_are_step_s_on_and_off_the_grid(which, h):
     sine = SignalSpec("sinusoid", 2.0, 2.0 * math.pi * 0.37)
     cfg = SimConfig(h, n * h, ObserverState(0.0, 1.0, 0.0))
     noisy = paper_reference_spec()
+    unit_sine = sweep._unit_sine(sine.omega, cfg, 0)[0]
     for spec, inputs in ((noisy, solver.signal_inputs(noisy, h, "rk4")),
-                         (sine, solver.Drive.of(sine.omega, cfg).inputs(sine.amplitude))):
+                         (sine, sweep._scaled(unit_sine, sine.amplitude))):
         a_fn = make_input_fn(spec)
         stepped = [cfg.initial_state]
         for i in range(n):
@@ -279,24 +281,26 @@ def test_rk4_inputs_at_t_plus_h_are_step_s_on_and_off_the_grid(which, h):
 
 
 def test_orbit_from_a_drive_is_integrate_bit_for_bit(nl_params):
-    # orbit with the Drive of the run's sinusoid gives the states integrate gives without one
-    # for any amplitude (infinite: nan at t = 0, then inf), and diverges at the same time
+    # orbit from a sweep's drive, the unit sine of its frequency scaled by the amplitude,
+    # gives the states integrate gives for the run's sinusoid, for any amplitude (infinite:
+    # nan at t = 0, then inf), and diverges at the same time
     cfg = SimConfig(0.001, 7.0, ObserverState(0.0, 1.0, 0.0))
     omega = 2.0 * math.pi * 3.1
+    unit_sine = sweep._unit_sine(omega, cfg, 0)[0]
     diverged = []
     for p in (nl_params, replace(nl_params, alpha3=1.0)):
-        drive = solver.Drive.of(omega, cfg)
         for amplitude in (1.0, 0.5, 2.0, 1e-6, math.inf):
             spec = SignalSpec("sinusoid", amplitude, omega)
+            inputs = sweep._scaled(unit_sine, amplitude)
             try:
                 expected = integrate(p, spec, cfg)[1]
             except DivergedState as exc:
                 with pytest.raises(DivergedState) as err:
-                    solver.orbit(p, spec, cfg, drive)
+                    solver.orbit(p, cfg, inputs)
                 assert err.value.time == exc.time
                 diverged.append((p.mode, amplitude))
                 continue
-            assert _bits(solver.orbit(p, spec, cfg, drive)) == _bits(expected), (p.mode, amplitude)
+            assert _bits(solver.orbit(p, cfg, inputs)) == _bits(expected), (p.mode, amplitude)
     assert diverged == [("nonlinear", math.inf)] * 2
 
 

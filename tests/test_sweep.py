@@ -29,7 +29,7 @@ from doubleint import (
     sweep_observers,
     transfer_eval,
 )
-from doubleint import scenarios, solver, sweep
+from doubleint import analytic, scenarios, solver, sweep
 from doubleint.cli import _build_params, _build_sweep
 from doubleint.solver import STABILITY_LIMIT
 from doubleint.sweep import INIT_KINDS
@@ -540,6 +540,20 @@ def test_a_sweep_computes_each_frequencys_sines_once_for_all_its_variants(monkey
             sweep_observers([(LIN, dataclasses.replace(cfg, amplitude=a))
                              for a in (1.0, 2.0, 3.0)[:count]])
             assert calls == [], (method, count)
+
+
+@pytest.mark.parametrize("init_state", INIT_KINDS)
+def test_a_linear_lane_solves_its_discrete_response_once(monkeypatch, init_state):
+    # a linear lane's closed form takes its start, zero or on its forced orbit, from its own
+    # phasor: one solve of analytic.discrete_response per lane, whatever the start
+    calls = []
+    def counted(*args, fn=analytic.discrete_response):
+        calls.append(args)
+        return fn(*args)
+    monkeypatch.setattr(analytic, "discrete_response", counted)
+    cfg = SweepConfig(freqs_hz=(0.6, 7.1, 33.1), samples=2000, init_state=init_state)
+    sweep_observers([(LIN, cfg), (LIN, dataclasses.replace(cfg, amplitude=2.0))])
+    assert len(calls) == 2 * len(cfg.freqs_hz)
 
 
 def test_a_sweep_checks_each_run_once_whatever_its_frequencies(monkeypatch):
