@@ -49,7 +49,6 @@ from .signals import (
 from .solver import (
     SimConfig,
     Trajectory,
-    integrate,
     settle_time,
     simulate,
     step,

@@ -6,7 +6,7 @@ flagged).  Config files are JSON; the keys, types and defaults of each
 section are the fields of its dataclass, plus the two keys no dataclass
 holds (R, variants).  Unknown keys are a hard error so typos never pass
 silently; a malformed config names the bad field's path.  Each run is checked
-once, by solver.integrate or sweep.check_sweep_config, the one list of checks of
+once, by solver.simulate or sweep.check_sweep_config, the one list of checks of
 its kind, and a refusal is labelled with the path of the field that leads it.
 """
 

@@ -1,25 +1,28 @@
 """Fixed-step integration of an observer against a signal.
 
-The public entry points are simulate(), integrate() (its times and states
-alone) and step().  integrate() holds the one list of a run's checks (the
-signal's phase horizon and step, validate_params, the step guard, in that
-order), then takes a linear run in closed form (analytic.signal_states, the
-same discretization's orbit) and a nonlinear one from orbit(), the one
-stepped run, unchecked.  orbit() steps through a kernel per method on plain
-floats: a full nonlinear sweep takes ~10^7-10^8 RK4 steps, which rules out
-per-step calls into observers.rhs or power_sign.  One step template (_steps)
-writes the feedback law once, with power_sign inlined, and each kernel is
-one driver (_kernel) over a chunk function rendered from it: to Python at
-import, or to C (_c_source), the C library of this module, which native
-builds with the system cc at the first nonlinear run, caches per user and
-loads.  Runs take the C kernels, ~5x faster, and the Python ones
-when cc is missing or fails, after one warning.  The input does not depend on
-the state, so _kernel reads the inputs of CHUNK steps at once from an input
-source, inputs(lo, hi), at the float times step() takes them at and to the
-same bits.  step_inputs is the one rule for those arrays: it reads a(t + h)
-from a(t) at the next step time wherever t + h rounds to it, and
-signal_inputs applies it to signals.input_values a chunk at a time.  rhs(),
-step() and power_sign stay the readable reference:
+The public entry points are simulate() and step().  simulate() holds the one
+list of a run's checks (the signal's phase horizon and step, validate_params,
+the step guard, in that order), then takes a linear run in closed form
+(analytic.signal_states, the same discretization's orbit) and a nonlinear one
+from orbit(), the one stepped run, unchecked.  orbit() steps through a kernel
+per method on plain floats: a full nonlinear sweep takes ~10^7-10^8 RK4 steps,
+which rules out per-step calls into observers.rhs or power_sign.  One step
+template (_steps) writes the feedback law once, with power_sign inlined, and
+each kernel is one driver (_kernel) over a chunk function rendered from it: to
+Python at import, or to C (_c_source, each step line ending in `;`), the C
+library of this module, which native builds with the system cc at the first
+nonlinear run, caches per user and loads.  Runs take the C kernels, ~5x
+faster, and the Python ones when cc is missing or fails, after one warning.
+A chunk function, chunk(p, x, *arrays, m, c, j, stride, out), takes m steps
+from the state x, which it updates, and records every stride-th state into
+out; _kernel hands it c, the steps to its next record, and j, the flat index
+in out of its last recorded row, both known from its first step.  The input
+does not depend on the state, so _kernel reads the inputs of CHUNK steps at
+once from an input source, inputs(lo, hi), at the float times step() takes
+them at and to the same bits.  step_inputs is the one rule for those arrays:
+it reads a(t + h) from a(t) at the next step time wherever t + h rounds to it,
+and signal_inputs applies it to signals.input_values a chunk at a time.
+rhs(), step() and power_sign stay the readable reference:
 test_kernels_match_public_step pins every kernel to step() bit for bit.
 """
 
@@ -194,28 +197,33 @@ def _schur_stable_step(p: ObserverParams, h: float, method: str) -> bool:
 
 def step(p: ObserverParams, state: ObserverState, t: float, h: float, a_fn,
          method: str = "rk4") -> ObserverState:
-    """One integration step from time t; a_fn(t) supplies the input signal."""
+    """One integration step from time t; a_fn(t) supplies the input signal.  A state or input
+    it reads, or the state it gives, that is not finite raises DivergedState at t + h."""
     if not 0.0 < h < math.inf:
         raise ConfigError(f"h must be finite and positive, got {h!r}")
-    if method == "euler":
-        d1, d2, d3 = rhs(p, state, a_fn(t))
-        out = ObserverState(state.x1 + h * d1, state.x2 + h * d2, state.x3 + h * d3)
-    elif method == "rk4":
-        x = state
-        ka = rhs(p, x, a_fn(t))
-        xb = ObserverState(x.x1 + 0.5 * h * ka[0], x.x2 + 0.5 * h * ka[1], x.x3 + 0.5 * h * ka[2])
-        kb = rhs(p, xb, a_fn(t + 0.5 * h))
-        xc = ObserverState(x.x1 + 0.5 * h * kb[0], x.x2 + 0.5 * h * kb[1], x.x3 + 0.5 * h * kb[2])
-        kc = rhs(p, xc, a_fn(t + 0.5 * h))
-        xd = ObserverState(x.x1 + h * kc[0], x.x2 + h * kc[1], x.x3 + h * kc[2])
-        kd = rhs(p, xd, a_fn(t + h))
-        out = ObserverState(
-            x.x1 + h * (ka[0] + 2.0 * (kb[0] + kc[0]) + kd[0]) / 6.0,
-            x.x2 + h * (ka[1] + 2.0 * (kb[1] + kc[1]) + kd[1]) / 6.0,
-            x.x3 + h * (ka[2] + 2.0 * (kb[2] + kc[2]) + kd[2]) / 6.0,
-        )
-    else:
+    if method not in METHODS:
         raise ConfigError(f"method must be one of {METHODS}, got {method!r}")
+    x = state
+    try:
+        ka = rhs(p, x, a_fn(t))
+        if method == "euler":
+            out = ObserverState(x.x1 + h * ka[0], x.x2 + h * ka[1], x.x3 + h * ka[2])
+        else:
+            hh = 0.5 * h
+            xb = ObserverState(x.x1 + hh * ka[0], x.x2 + hh * ka[1], x.x3 + hh * ka[2])
+            kb = rhs(p, xb, a_fn(t + hh))
+            xc = ObserverState(x.x1 + hh * kb[0], x.x2 + hh * kb[1], x.x3 + hh * kb[2])
+            kc = rhs(p, xc, a_fn(t + hh))
+            xd = ObserverState(x.x1 + h * kc[0], x.x2 + h * kc[1], x.x3 + h * kc[2])
+            kd = rhs(p, xd, a_fn(t + h))
+            out = ObserverState(
+                x.x1 + h * (ka[0] + 2.0 * (kb[0] + kc[0]) + kd[0]) / 6.0,
+                x.x2 + h * (ka[1] + 2.0 * (kb[1] + kc[1]) + kd[1]) / 6.0,
+                x.x3 + h * (ka[2] + 2.0 * (kb[2] + kc[2]) + kd[2]) / 6.0,
+            )
+    except DivergedState as exc:
+        # rhs refuses a non-finite state or input without a time of its own
+        raise DivergedState(t + h, f"state diverged at t={t + h:.6g} s: {exc}") from exc
     if not all(map(math.isfinite, out)):
         raise DivergedState(t + h)
     return out
@@ -253,12 +261,14 @@ def _steps(power_sign: str) -> dict[str, tuple[tuple[tuple[str, float], ...], li
             "y2 = x2 + hh * x3",
             "y3 = x3 + hh * d3a",
             *feedback("d3b", "y1", "y2", "y3", "a_m"),
-            "d1b, d2b = y2, y3",
+            "d1b = y2",
+            "d2b = y3",
             "y1 = x1 + hh * d1b",
             "y2 = x2 + hh * d2b",
             "y3 = x3 + hh * d3b",
             *feedback("d3c", "y1", "y2", "y3", "a_m"),
-            "d1c, d2c = y2, y3",
+            "d1c = y2",
+            "d2c = y3",
             "y1 = x1 + h * d1c",
             "y2 = x2 + h * d2c",
             "y3 = x3 + h * d3c",
@@ -285,13 +295,13 @@ CHUNK = 4096
 _PARAMS = ("k1", "k2", "k3", "a1", "a2", "a3", "eps", "e2", "inv", "h", "hh")
 
 # One chunk of m steps of a method, from _STEPS, in Python: p holds the _PARAMS, {arrays} the
-# inputs, x the state and counts the stride countdown and the last recorded row's index in out,
-# carried between chunks.  It returns the first step whose recorded row is not finite, or -1.
+# inputs and x the state, carried between chunks; c is the number of steps to the next record and
+# j the flat index in out of the last recorded row.  It returns the first step whose recorded row
+# is not finite, or -1.
 _CHUNK = """\
-def chunk(p, x, {arrays}, m, counts, stride, out):
+def chunk(p, x, {arrays}, m, c, j, stride, out):
     {params} = p.tolist()
     x1, x2, x3 = x.tolist()
-    c, j = counts.tolist()
     rec = memoryview(out).cast("B").cast("d")
     for k, {inputs} in zip(range(m), *[v.tolist() for v in ({arrays},)]):
 {step}
@@ -303,19 +313,17 @@ def chunk(p, x, {arrays}, m, counts, stride, out):
             if not (isfinite(x1) and isfinite(x2) and isfinite(x3)):
                 return k
     x[0], x[1], x[2] = x1, x2, x3
-    counts[0], counts[1] = c, j
     return -1
 """
 
 # The same chunk function in C, rendered by _c_source.
 _C_CHUNK = """\
-int64_t {method}_chunk(const double *p, double *x, {arrays}, int64_t m, int64_t *counts,
+int64_t {method}_chunk(const double *p, double *x, {arrays}, int64_t m, int64_t c, int64_t j,
                        int64_t stride, double *out)
 {{
     const double {constants};
     double x1 = x[0], x2 = x[1], x3 = x[2];
     double {temps};
-    int64_t c = counts[0], j = counts[1];
     for (int64_t k = 0; k < m; k++) {{
 {step}
         if (!--c) {{
@@ -327,7 +335,6 @@ int64_t {method}_chunk(const double *p, double *x, {arrays}, int64_t m, int64_t 
         }}
     }}
     x[0] = x1; x[1] = x2; x[2] = x3;
-    counts[0] = c; counts[1] = j;
     return -1;
 }}
 """
@@ -382,10 +389,10 @@ def _kernel(chunk):
                            eps, eps * eps, 1.0 / eps**4, h, 0.5 * h])
         x = np.array(x0, dtype=float)
         out[0] = x
-        counts = np.array([stride, 0], dtype=np.int64)
         for lo in range(0, n, CHUNK):
             hi = min(lo + CHUNK, n)
-            k = chunk(params, x, *inputs(lo, hi), hi - lo, counts, stride, out)
+            k = chunk(params, x, *inputs(lo, hi), hi - lo, stride - lo % stride,
+                      3 * (lo // stride), stride, out)
             if k >= 0:
                 raise DivergedState((lo + k + 1) * h)
 
@@ -409,20 +416,13 @@ _KERNELS = {method: _python_kernel(method) for method in METHODS}
 @functools.cache
 def _c_source() -> str:
     """C of every method's chunk function, from _steps(_C_POWER_SIGN): the C of this module's
-    library.  In a chunk function the one tuple assignment, which reads none of its targets,
-    becomes a statement per target, and every other line only gains a `;`."""
+    library.  Each step line gains a `;`, and the target of each ` = ` line is a temporary."""
     parts = ["#include <math.h>\n#include <stdint.h>\n"]
     for method, (inputs, lines) in _steps(_C_POWER_SIGN).items():
         statements = [f"const double {name} = {name}_v[k];" for name, _ in inputs]
-        temps: list[str] = []
-        for line in lines:
-            target, assign, value = line.partition(" = ")
-            names = target.split(", ")
-            temps += [name for name in names if assign and name not in temps]
-            if len(names) > 1:
-                statements += [f"{n} = {v};" for n, v in zip(names, value.split(", "))]
-            else:
-                statements.append(f"{line};")
+        statements += [f"{line};" for line in lines]
+        temps = list(dict.fromkeys(target for target, assign, _ in
+                                   (line.partition(" = ") for line in lines) if assign))
         read = set(re.findall(r"\w+", " ".join(lines)))
         parts.append(_C_CHUNK.format(
             method=method, arrays=", ".join(f"const double *{name}_v" for name, _ in inputs),
@@ -437,7 +437,7 @@ def _c_bind(lib) -> dict:
     f64 = native.pointer(np.float64, 1, "C_CONTIGUOUS")
     return {method: _kernel(native.function(
         lib, f"{method}_chunk", f64, native.pointer(np.float64, 1),
-        *[f64] * len(_STEPS[method][0]), int, native.pointer(np.int64, 1), int,
+        *[f64] * len(_STEPS[method][0]), int, int, int, int,
         native.pointer(np.float64, 2))) for method in METHODS}
 
 
@@ -451,29 +451,11 @@ def nonlinear_kernel(method: str):
     return (_c_kernels() or _KERNELS)[method]
 
 
-def integrate(p: ObserverParams, spec: signals.SignalSpec,
-              cfg: SimConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Record times and states of the run simulate records, without its other columns: the
-    closed form of a linear run (analytic.signal_states), the orbit of a nonlinear one.
-
-    Raises what simulate raises.
-    """
-    signals.check_horizon(spec, cfg.duration + cfg.step_h)
-    signals.check_step(spec, cfg.step_h)
-    report = validate_params(p)
-    if not report.ok:
-        raise InvalidParams(report)
-    check_config(p, cfg)
-    if p.mode == "linear":
-        return cfg.record_times(), analytic.signal_states(p, spec, cfg)
-    return cfg.record_times(), orbit(p, cfg, signal_inputs(spec, cfg.step_h, cfg.method))
-
-
 def orbit(p: ObserverParams, cfg: SimConfig, inputs) -> np.ndarray:
     """States at cfg.record_times() of cfg's stepped run of p, its steps lo..hi-1 reading the
     arrays inputs(lo, hi) (step_inputs), through the kernel of cfg.method.
 
-    The run is unchecked: it passed integrate's checks, or a sweep's.  Raises DivergedState
+    The run is unchecked: it passed simulate's checks, or a sweep's.  Raises DivergedState
     on blowup.
     """
     states = np.empty((cfg.steps // cfg.record_stride + 1, 3))
@@ -483,14 +465,25 @@ def orbit(p: ObserverParams, cfg: SimConfig, inputs) -> np.ndarray:
 
 
 def simulate(p: ObserverParams, spec: signals.SignalSpec, cfg: SimConfig) -> Trajectory:
-    """Integrate the observer against the signal and record a trajectory.
+    """Integrate the observer against the signal and record a trajectory: the closed form of a
+    linear run (analytic.signal_states), the orbit of a nonlinear one.
 
-    Raises, in integrate's order: ConfigError on a signal whose phase omega*t
-    overflows in the run or whose phase step check_step refuses; InvalidParams
-    when validate_params rejects p; ConfigError on a step the guard refuses
-    (check_config); DivergedState (at the first non-finite recorded sample) on blowup.
+    Raises, in this order: ConfigError on a signal whose phase omega*t overflows in the
+    run or whose phase step check_step refuses; InvalidParams when validate_params
+    rejects p; ConfigError on a step the guard refuses (check_config); DivergedState
+    (at the first non-finite recorded sample) on blowup.
     """
-    times, states = integrate(p, spec, cfg)
+    signals.check_horizon(spec, cfg.duration + cfg.step_h)
+    signals.check_step(spec, cfg.step_h)
+    report = validate_params(p)
+    if not report.ok:
+        raise InvalidParams(report)
+    check_config(p, cfg)
+    if p.mode == "linear":
+        states = analytic.signal_states(p, spec, cfg)
+    else:
+        states = orbit(p, cfg, signal_inputs(spec, cfg.step_h, cfg.method))
+    times = cfg.record_times()
     inputs = signals.input_values(spec, times)
     truths = errors = None
     if signals.supports_truth(spec):
@@ -521,7 +514,7 @@ def trajectory_metrics(traj: Trajectory, windows: list[tuple[float, float]] | No
     """Per-channel RMS/max error metrics plus the end-window drift ratio.
 
     The drift ratio is max|e1| over the last 10% of the run divided by
-    max|e1| over the [50%, 60%] window (0/0 counts as 0: no drift); it is
+    max|e1| over the [50%, 60%] window (0/0 is taken as 0: no drift); it is
     None when the [50%, 60%] window holds no recorded sample.
     """
     if traj.errors is None:

@@ -89,7 +89,7 @@ class SweepConfig:
                               "run length samples*step_h")
         # the run every frequency makes: SimConfig refuses its step_h and method
         sim = _frequency_sim(self)
-        # the phase bound solver.integrate's check_horizon would apply to every lane
+        # the phase bound solver.simulate's check_horizon would apply to every lane
         t_end = sim.duration + sim.step_h
         if TWO_PI * freqs[-1] * t_end > MAX_PHASE:
             raise ConfigError(f"freqs_hz {freqs[-1]:g} Hz overflows the phase 2 pi f t "

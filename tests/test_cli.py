@@ -797,7 +797,7 @@ def test_a_cli_sweep_checks_each_variant_once(tmp_path, monkeypatch):
 
 
 def test_a_cli_simulation_checks_its_run_once(tmp_path, monkeypatch):
-    # solver.integrate is the one list of a simulate run's checks
+    # solver.simulate holds the one list of a simulate run's checks
     calls = _counted(monkeypatch, ("check_horizon", "check_step", "validate_params",
                                    "check_config"))
     assert _run("simulate", write_cfg(tmp_path, SMALL_CONFIGS["simulate"]), tmp_path / "o") == 0

@@ -27,9 +27,9 @@ from doubleint import (
     SweepConfig,
     default_grid,
     fit_sinusoid,
-    integrate,
     paper_reference_spec,
     signal_states,
+    simulate,
     step,
     step_map,
     sweep_observer,
@@ -221,15 +221,19 @@ def test_closed_form_rows_at_multiples_of_the_nyquist_frequency_are_flagged_as_s
 
 @pytest.mark.parametrize("variant", [v for v in _fig1_variants() if v["mode"] == "linear"],
                          ids=lambda v: f"R{v['R']:g}")
-def test_fig1_linear_rows_are_the_fits_of_the_kernel_at_alpha3_1(variant, kernel_oracle):
-    # fig1's linear variants at its own settings, 50 000 RK4 samples from a zero start, at
-    # every 20th grid frequency: each closed-form row lies within conftest.fit_tolerances of
-    # the fit of the nonlinear kernel's orbit at alpha3 = 1 (conftest.kernel_lane)
+@pytest.mark.parametrize("init", ["zero", "steady_state"])
+@pytest.mark.parametrize("method", ["rk4", "euler"])
+def test_fig1_linear_rows_are_the_fits_of_the_kernel_at_alpha3_1(method, init, variant,
+                                                                 kernel_oracle):
+    # fig1's linear variants at its own settings, 50 000 samples, at every 20th grid
+    # frequency, by either method from either start: each closed-form row lies within
+    # conftest.fit_tolerances of the fit of the nonlinear kernel's orbit at alpha3 = 1
+    # (conftest.kernel_lane)
     scenario = expand_scenario("fig1")
     cfg = _build_sweep(scenario["sweep"])[0]
     assert (cfg.samples, cfg.method, cfg.init_state, cfg.amplitude) == (50000, "rk4", "zero",
                                                                          1.0)
-    cfg = replace(cfg, freqs_hz=cfg.freqs_hz[::20])
+    cfg = replace(cfg, freqs_hz=cfg.freqs_hz[::20], method=method, init_state=init)
     assert len(cfg.freqs_hz) == 10
     p = _build_params(scenario, variant, "sweep.variants")
     kernel_oracle(p, cfg, sweep_observer(p, cfg).rows)
@@ -256,10 +260,11 @@ def signal_lane(signal: str, x0: str, method: str) -> np.ndarray:
 @pytest.mark.parametrize("signal", list(SIGNALS))
 def test_signal_states_match_public_step(signal, x0, stride, method):
     # cosine terms, omega = 0 terms of both phases and the 5-term reference;
-    # integrate() takes every linear run from signal_states
+    # simulate() takes every linear run from signal_states
     assert STEPS % BLOCK and (STEPS // stride + 1) % BLOCK
-    times, closed = integrate(linear(5.0), SIGNALS[signal],
-                              SimConfig(H, STEPS * H, STARTS[x0], method, stride))
+    traj = simulate(linear(5.0), SIGNALS[signal],
+                    SimConfig(H, STEPS * H, STARTS[x0], method, stride))
+    times, closed = traj.times, traj.states
     rows = STEPS // stride + 1
     # row j is at the float time i * H that step i = j * stride starts at
     assert np.array_equal(times, (np.arange(rows) * stride) * H)

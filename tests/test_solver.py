@@ -30,7 +30,6 @@ from doubleint import (
     SweepConfig,
     Trajectory,
     UnsupportedTruth,
-    integrate,
     rhs,
     settle_time,
     simulate,
@@ -108,9 +107,11 @@ def each_kernel(cases: list[tuple]) -> list:
 @pytest.mark.parametrize("method, which", each_kernel([("rk4",), ("euler",)]))
 @pytest.mark.parametrize("mode,alpha3", [("nonlinear", 0.3)])
 def test_kernels_match_public_step(method, which, mode, alpha3, noisy_spec):
-    # the nonlinear kernels, and integrate(), must agree bit for bit with step()/rhs();
+    # the nonlinear kernels, and simulate(), must agree bit for bit with step()/rhs();
     # linear runs are closed form, checked against step() in test_oracle.py.  The run
-    # crosses two chunk edges, and stride CHUNK + 3 records across each of them
+    # crosses two chunk edges, and stride CHUNK + 3 records across each of them; at stride
+    # CHUNK the last chunk starts after the last record and writes no row, and stride n
+    # records the last step alone
     kernel = kernels(which)[method]
     p = ObserverParams(0.1, 0.1, 1.0, 0.2, alpha3, mode)
     h, n = 0.001, 2 * solver.CHUNK + 37
@@ -119,14 +120,14 @@ def test_kernels_match_public_step(method, which, mode, alpha3, noisy_spec):
         stepped = [ObserverState(*x0)]
         for i in range(n):
             stepped.append(step(p, stepped[-1], i * h, h, a_fn, method))
-        for stride in (1, 7, solver.CHUNK + 3):
+        for stride in (1, 7, solver.CHUNK, solver.CHUNK + 3, n):
             expected = np.array(stepped[::stride])
             out = np.empty_like(expected)
             kernel(p, ObserverState(*x0), solver.signal_inputs(noisy_spec, h, method), h, n,
                    stride, out)
             assert np.array_equal(out.view(np.int64), expected.view(np.int64)), (x0, stride)
             cfg = SimConfig(h, n * h, ObserverState(*x0), method, stride)
-            _, states = integrate(p, noisy_spec, cfg)
+            states = simulate(p, noisy_spec, cfg).states
             assert np.array_equal(states.view(np.int64), expected.view(np.int64)), (x0, stride)
 
 
@@ -194,7 +195,7 @@ def test_nonlinear_divergence_stops_at_the_first_nonfinite_record(method, stride
     spec = SignalSpec("sinusoid", math.inf, 1.0)
     cfg = SimConfig(h, n * h, ObserverState(0.0, 1.0, 0.0), method, stride)
     with pytest.raises(DivergedState) as err:
-        integrate(p, spec, cfg)
+        simulate(p, spec, cfg)
     assert err.value.time == steps * h
     # the kernel records nothing after the raising row: no later step reaches a record
     out = np.full((n // stride + 1, 3), 7.25)
@@ -280,9 +281,9 @@ def test_rk4_inputs_at_t_plus_h_are_step_s_on_and_off_the_grid(which, h):
             assert _bits(out) == _bits(expected), (spec.kind, stride)
 
 
-def test_orbit_from_a_drive_is_integrate_bit_for_bit(nl_params):
+def test_orbit_from_a_drive_is_simulate_bit_for_bit(nl_params):
     # orbit from a sweep's drive, the unit sine of its frequency scaled by the amplitude,
-    # gives the states integrate gives for the run's sinusoid, for any amplitude (infinite:
+    # gives the states simulate gives for the run's sinusoid, for any amplitude (infinite:
     # nan at t = 0, then inf), and diverges at the same time
     cfg = SimConfig(0.001, 7.0, ObserverState(0.0, 1.0, 0.0))
     omega = 2.0 * math.pi * 3.1
@@ -293,7 +294,7 @@ def test_orbit_from_a_drive_is_integrate_bit_for_bit(nl_params):
             spec = SignalSpec("sinusoid", amplitude, omega)
             inputs = sweep._scaled(unit_sine, amplitude)
             try:
-                expected = integrate(p, spec, cfg)[1]
+                expected = simulate(p, spec, cfg).states
             except DivergedState as exc:
                 with pytest.raises(DivergedState) as err:
                     solver.orbit(p, cfg, inputs)
@@ -330,7 +331,7 @@ def test_without_a_compiler_the_python_kernels_run_after_one_warning(
             monkeypatch.setattr(native, "_LOADED", {})
         capsys.readouterr()
         outputs = [_reproduce_fig3(tmp_path / f"{which}-{m}", m) for m in solver.METHODS]
-        states = integrate(nl_params, noisy_spec, cfg)[1]
+        states = simulate(nl_params, noisy_spec, cfg).states
         runs.append((outputs, states.view(np.int64).tolist(), capsys.readouterr().err))
     (c_outputs, c_states, _), (outputs, states, err) = runs
     assert outputs == c_outputs
@@ -512,27 +513,27 @@ def test_linear_step_must_keep_its_spectral_radius_below_one(method, refused):
         if refused:
             with pytest.raises(ConfigError,
                                match="^step_h 0.1 makes the linear euler step unstable"):
-                integrate(q, zero_spec(), cfg)
+                simulate(q, zero_spec(), cfg)
         else:
-            integrate(q, zero_spec(), cfg)
+            simulate(q, zero_spec(), cfg)
     # at h = 1e-20 the step map rounds to a spectral radius of 1, yet 2^11 h is stable:
     # the step is below float resolution, not unstable
     with pytest.raises(ConfigError, match=(
             f"^step_h 1e-20 is below float resolution for the linear {method} step: its step "
             r"map's spectral radius rounds to 1 \(step_h 2\.048e-17 is accepted\)$")):
-        integrate(p, zero_spec(), SimConfig(1e-20, 1e-19, method=method))
+        simulate(p, zero_spec(), SimConfig(1e-20, 1e-19, method=method))
     # so are steps over 2^900 times too small: the search stops at the stability radius,
     # not after a fixed number of doublings
     for h, shown in ((1e-300, "1e-300"), (5e-324, "4.94066e-324")):
         with pytest.raises(ConfigError, match=(
                 f"^step_h {shown} is below float resolution for the linear {method} step: "
                 r".* \(step_h \S+ is accepted\)$")):
-            integrate(p, zero_spec(), SimConfig(h, 2 * h, method=method))
+            simulate(p, zero_spec(), SimConfig(h, 2 * h, method=method))
         # a nonlinear run steps, and never inverts the closed form's e^(i omega h) I - M:
         # at alpha3 = 1 such a step is accepted
-        integrate(replace(p, mode="nonlinear"), zero_spec(), SimConfig(h, 2 * h, method=method))
+        simulate(replace(p, mode="nonlinear"), zero_spec(), SimConfig(h, 2 * h, method=method))
     # away from alpha3 = 1 the nonlinear observer has no step map: only the rate guard applies
-    integrate(ObserverParams.from_rate(1.0, 0.2, 1.0, 2.0, 0.9), zero_spec(), cfg)
+    simulate(ObserverParams.from_rate(1.0, 0.2, 1.0, 2.0, 0.9), zero_spec(), cfg)
 
 
 @pytest.mark.parametrize("method", solver.METHODS)
@@ -571,7 +572,7 @@ def test_run_shorter_than_its_step_or_stride_rejected(duration, stride, field):
 
 
 def test_run_of_exactly_its_stride_records_both_ends(lin_params):
-    times, _ = integrate(lin_params, zero_spec(), SimConfig(0.001, 0.003, record_stride=3))
+    times = simulate(lin_params, zero_spec(), SimConfig(0.001, 0.003, record_stride=3)).times
     assert times.tolist() == [0.0, 0.003]
 
 
@@ -617,7 +618,7 @@ def test_invalid_params_rejected():
     bad = ObserverParams(0.1, 0.0, 1.0, 0.2, 1.0, "linear")
     with pytest.raises(InvalidParams):
         simulate(bad, zero_spec(), SimConfig(0.001, 1.0))
-    # integrate checks in the order the CLI reports: the signal's phase horizon and phase
+    # simulate checks in the order the CLI reports: the signal's phase horizon and phase
     # step come before validate_params
     spec = SignalSpec("sinusoid", 1.0, 1e307)
     with pytest.raises(ConfigError, match="^omega 1e[+]307 overflows the phase omega[*]t"):
@@ -634,6 +635,15 @@ def test_divergence_reports_time(lin_params):
 def test_step_nonfinite_raises(lin_params):
     with pytest.raises(DivergedState):
         step(lin_params, ObserverState(math.inf, 0.0, 0.0), 0.0, 0.001, lambda t: 0.0)
+    # rhs refuses a non-finite input, here nan at t = 0 and inf after, with no time of its
+    # own: step() raises at the time of the state it would give, with rhs's reason
+    a_fn = make_input_fn(INF_INPUT)
+    for method in solver.METHODS:
+        for t in (0.0, 0.25):
+            with pytest.raises(DivergedState, match=f"^state diverged at t={t + 0.001:g} s: "
+                               "non-finite state or input passed to rhs$") as err:
+                step(lin_params, ObserverState(0.0, 1.0, 0.0), t, 0.001, a_fn, method)
+            assert err.value.time == t + 0.001
 
 
 @pytest.mark.parametrize("method", ["euler", "rk4"])
@@ -699,7 +709,7 @@ def test_window_holding_only_the_last_record_time_builds(lin_params):
     t_end = SimConfig(0.001, 1.0, record_stride=100).record_times()[-1]
     cfg = SimConfig(0.001, 1.0, record_stride=100, metrics_windows=((t_end, t_end),))
     traj = simulate(lin_params, zero_spec(), cfg)
-    # integrate records on the grid the config was checked against
+    # simulate records on the grid the config was checked against
     assert np.array_equal(traj.times, cfg.record_times())
     assert trajectory_metrics(traj, cfg.metrics_windows)["windows"][0]["t_lo"] == t_end
 

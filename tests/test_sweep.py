@@ -24,7 +24,7 @@ from doubleint import (
     fit_sinusoid,
     limit_transfer,
     phase_unwrap,
-    integrate,
+    simulate,
     sweep_observer,
     sweep_observers,
     transfer_eval,
@@ -430,16 +430,16 @@ def test_bode_from_transfer_metadata():
 
 def _lane_by_lane(p, cfg):
     """The curve sweep_observer gave a nonlinear p before a sweep ran frequency-major: per
-    frequency, one solver.integrate run on a fresh one-lane SimConfig, then fit_sinusoid per
+    frequency, one solver.simulate run on a fresh one-lane SimConfig, then fit_sinusoid per
     channel."""
     rows = []
     for f_hz in cfg.freqs_hz:
         omega = 2.0 * math.pi * f_hz
         try:
             x0 = sweep._initial_state(p, cfg, omega)
-            times, states = integrate(p, SignalSpec("sinusoid", cfg.amplitude, omega),
-                                      SimConfig(cfg.step_h, cfg.samples * cfg.step_h, x0,
-                                                cfg.method))
+            traj = simulate(p, SignalSpec("sinusoid", cfg.amplitude, omega),
+                            SimConfig(cfg.step_h, cfg.samples * cfg.step_h, x0, cfg.method))
+            times, states = traj.times, traj.states
             lo = int(times.size * cfg.discard_fraction)
             fits = [fit_sinusoid(times[lo:], states[lo:, ch - 1], omega) for ch in cfg.channels]
         except (DivergedState, IllConditioned) as exc:
@@ -558,11 +558,11 @@ def test_a_linear_lane_solves_its_discrete_response_once(monkeypatch, init_state
 
 def test_a_sweep_checks_each_run_once_whatever_its_frequencies(monkeypatch):
     # sweep_observers checks every run before any lane, and its lanes run unchecked and never
-    # through solver.integrate: the checks run once per run at one frequency and at five
+    # through solver.simulate: the checks run once per run at one frequency and at five
     calls = collections.Counter()
     for module, name in ((sweep, "validate_params"), (sweep, "check_config"),
                          (solver, "validate_params"), (solver, "check_config"),
-                         (solver, "integrate")):
+                         (solver, "simulate")):
         def counted(*args, fn=getattr(module, name), name=name):
             calls[name] += 1
             return fn(*args)
