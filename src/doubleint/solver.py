@@ -4,24 +4,24 @@ The public entry points are simulate() and step().  simulate() holds the one
 list of a run's checks (the signal's phase horizon and step, validate_params,
 the step guard, in that order), then takes a linear run in closed form
 (analytic.signal_states, the same discretization's orbit) and a nonlinear one
-from orbit(), the one stepped run, unchecked.  orbit() steps through a kernel
-per method on plain floats: a full nonlinear sweep takes ~10^7-10^8 RK4 steps,
-which rules out per-step calls into observers.rhs or power_sign.  One step
-template (_steps) writes the feedback law once, with power_sign inlined, and
-each kernel is one driver (_kernel) over a chunk function rendered from it: to
-Python at import, or to C (_c_source, each step line ending in `;`), the C
-library of this module, which native builds with the system cc at the first
-nonlinear run, caches per user and loads.  Runs take the C kernels, ~5x
-faster, and the Python ones when cc is missing or fails, after one warning.
-A chunk function, chunk(p, x, *arrays, m, c, j, stride, out), takes m steps
-from the state x, which it updates, and records every stride-th state into
-out; _kernel hands it c, the steps to its next record, and j, the flat index
-in out of its last recorded row, both known from its first step.  The input
-does not depend on the state, so _kernel reads the inputs of CHUNK steps at
-once from an input source, inputs(lo, hi), at the float times step() takes
-them at and to the same bits.  step_inputs is the one rule for those arrays:
-it reads a(t + h) from a(t) at the next step time wherever t + h rounds to it,
-and signal_inputs applies it to signals.input_values a chunk at a time.
+from orbit(), the one stepped run, unchecked.  orbit() steps through a chunk
+function per method on plain floats: a full nonlinear sweep takes ~10^7-10^8
+RK4 steps, which rules out per-step calls into observers.rhs or power_sign.
+One step template (_steps) writes the feedback law once, with power_sign
+inlined, and each method's chunk function is rendered from it: to Python at
+import, or to C (_c_source, each step line ending in `;`), the C library of
+this module, which native builds with the system cc at the first nonlinear
+run, caches per user and loads.  Runs take the C chunk functions, ~5x faster,
+and the Python ones when cc is missing or fails, after one warning.  A chunk
+function, chunk(p, x, *arrays, m, c, j, stride, out), takes m steps from the
+state x, which it updates, and records every stride-th state into out; orbit
+hands it c, the steps to its next record, and j, the flat index in out of its
+last recorded row, both known from its first step.  The input does not depend
+on the state, so orbit reads the inputs of CHUNK steps at once from an input
+source, inputs(lo, hi), at the float times step() takes them at and to the
+same bits.  step_inputs is the one rule for those arrays: it reads a(t + h)
+from a(t) at the next step time wherever t + h rounds to it, and
+signal_inputs applies it to signals.input_values a chunk at a time.
 rhs(), step() and power_sign stay the readable reference:
 test_kernels_match_public_step pins every kernel to step() bit for bit.
 """
@@ -81,12 +81,13 @@ class SimConfig:
             raise ConfigError(f"method must be one of {METHODS}, got {self.method!r}")
         if stride < 1:
             raise ConfigError("record_stride must be >= 1")
-        if d / h >= MAX_RECORD_ROWS * stride:
-            raise ConfigError(f"record_stride {stride} keeps over {MAX_RECORD_ROWS} rows "
-                              "(1 GiB): raise it or shorten duration")
+        # no stride brings a run under MAX_STEPS, so that refusal comes first
         if d / h >= MAX_STEPS:
             raise ConfigError(f"duration {d:g} takes over {MAX_STEPS} steps of {h:g}: "
                               "shorten it or raise step_h")
+        if d / h >= MAX_RECORD_ROWS * stride:
+            raise ConfigError(f"record_stride {stride} keeps over {MAX_RECORD_ROWS} rows "
+                              "(1 GiB): raise it or shorten duration")
         if d < h:
             raise ConfigError(f"duration {d:g} is shorter than one step_h {h:g}")
         if stride > self.steps:
@@ -250,7 +251,7 @@ def _feedback(d3: str, y1: str, y2: str, y3: str, a: str, power_sign: str) -> li
 def _steps(power_sign: str) -> dict[str, tuple[tuple[tuple[str, float], ...], list[str]]]:
     """One step of each method from (x1, x2, x3) at time t = i*h, in step()'s operation order:
     method -> (inputs, lines), where inputs names each a(t) value the lines read and the
-    fraction f of h past t that step() takes it at, t + f * h (_kernel).  power_sign is
+    fraction f of h past t that step() takes it at, t + f * h (orbit).  power_sign is
     _POWER_SIGN or _C_POWER_SIGN; every other line is both Python and, with a `;` added, C
     (_c_source)."""
     feedback = functools.partial(_feedback, power_sign=power_sign)
@@ -288,11 +289,20 @@ def _steps(power_sign: str) -> dict[str, tuple[tuple[tuple[str, float], ...], li
 
 _STEPS = _steps(_POWER_SIGN)
 
-# Steps per input evaluation: a kernel evaluates the inputs of CHUNK steps at once.
+# Steps per input evaluation: orbit evaluates the inputs of CHUNK steps at once.
 CHUNK = 4096
 
-# The values of p and h a chunk function reads, in the order _kernel passes them.
+# The values of p and h a chunk function reads, in the order of its vector p (_param_vector).
 _PARAMS = ("k1", "k2", "k3", "a1", "a2", "a3", "eps", "e2", "inv", "h", "hh")
+
+
+def _param_vector(p: ObserverParams, h: float) -> np.ndarray:
+    """The _PARAMS of p and the step h, the vector p of a chunk function."""
+    eps = p.epsilon
+    values = dict(k1=p.k1, k2=p.k2, k3=p.k3, a1=p.alpha1, a2=p.alpha2, a3=p.alpha3, eps=eps,
+                  e2=eps * eps, inv=1.0 / eps**4, h=h, hh=0.5 * h)
+    return np.array([values[name] for name in _PARAMS])
+
 
 # One chunk of m steps of a method, from _STEPS, in Python: p holds the _PARAMS, {arrays} the
 # inputs and x the state, carried between chunks; c is the number of steps to the next record and
@@ -374,40 +384,15 @@ def signal_inputs(spec: signals.SignalSpec, h: float, method: str):
                                       method)[1]
 
 
-def _kernel(chunk):
-    """kernel(p, x0, inputs, h, n, stride, out) over chunk, a method's _CHUNK function: n steps
-    from x0, every stride-th state written into out, a C-contiguous float array of shape
-    (n // stride + 1, 3) whose row 0 is x0.  Steps lo..hi-1 read the arrays inputs(lo, hi)
-    gives (step_inputs), a chunk of at most CHUNK steps at a time.  The first
-    non-finite recorded row raises DivergedState at its time; no step follows."""
-
-    def kernel(p, x0, inputs, h, n, stride, out):
-        if out.shape != (n // stride + 1, 3):
-            raise ValueError(f"out has shape {out.shape}, not ({n // stride + 1}, 3)")
-        eps = p.epsilon
-        params = np.array([p.k1, p.k2, p.k3, p.alpha1, p.alpha2, p.alpha3,
-                           eps, eps * eps, 1.0 / eps**4, h, 0.5 * h])
-        x = np.array(x0, dtype=float)
-        out[0] = x
-        for lo in range(0, n, CHUNK):
-            hi = min(lo + CHUNK, n)
-            k = chunk(params, x, *inputs(lo, hi), hi - lo, stride - lo % stride,
-                      3 * (lo // stride), stride, out)
-            if k >= 0:
-                raise DivergedState((lo + k + 1) * h)
-
-    return kernel
-
-
 def _python_kernel(method: str):
-    """kernel of method over _CHUNK rendered to Python."""
+    """The chunk function of method, _CHUNK rendered to Python."""
     names = [name for name, _ in _STEPS[method][0]]
     source = _CHUNK.format(params=", ".join(_PARAMS), arrays=", ".join(f"{n}_v" for n in names),
                            inputs=", ".join(names),
                            step="".join(f"        {line}\n" for line in _STEPS[method][1]))
     namespace = {"isfinite": math.isfinite}
     exec(compile(source, f"<doubleint.solver {method} chunk>", "exec"), namespace)
-    return _kernel(namespace["chunk"])
+    return namespace["chunk"]
 
 
 _KERNELS = {method: _python_kernel(method) for method in METHODS}
@@ -433,34 +418,43 @@ def _c_source() -> str:
 
 
 def _c_bind(lib) -> dict:
-    """The kernels by method over lib, a library built from _c_source()."""
+    """The chunk functions by method of lib, a library built from _c_source()."""
     f64 = native.pointer(np.float64, 1, "C_CONTIGUOUS")
-    return {method: _kernel(native.function(
-        lib, f"{method}_chunk", f64, native.pointer(np.float64, 1),
-        *[f64] * len(_STEPS[method][0]), int, int, int, int,
-        native.pointer(np.float64, 2))) for method in METHODS}
+    return {method: native.function(lib, f"{method}_chunk", f64, native.pointer(np.float64, 1),
+                                    *[f64] * len(_STEPS[method][0]), int, int, int, int,
+                                    native.pointer(np.float64, 2)) for method in METHODS}
 
 
 def _c_kernels() -> dict | None:
-    """The C kernels by method (native.load), or None without cc, after one warning."""
+    """The C chunk functions by method (native.load), or None without cc, after one warning."""
     return native.load(_c_source(), _c_bind)
 
 
 def nonlinear_kernel(method: str):
-    """The kernel of method (_kernel): the C one, else the Python one."""
+    """The chunk function of method: the C one, else the Python one."""
     return (_c_kernels() or _KERNELS)[method]
 
 
 def orbit(p: ObserverParams, cfg: SimConfig, inputs) -> np.ndarray:
     """States at cfg.record_times() of cfg's stepped run of p, its steps lo..hi-1 reading the
-    arrays inputs(lo, hi) (step_inputs), through the kernel of cfg.method.
+    arrays inputs(lo, hi) (step_inputs), through the chunk function of cfg.method on at most
+    CHUNK steps at a time.
 
-    The run is unchecked: it passed simulate's checks, or a sweep's.  Raises DivergedState
-    on blowup.
+    The run is unchecked: it passed simulate's checks, or a sweep's.  The first non-finite
+    recorded row raises DivergedState at its time; no step follows.
     """
-    states = np.empty((cfg.steps // cfg.record_stride + 1, 3))
-    nonlinear_kernel(cfg.method)(p, cfg.initial_state, inputs, cfg.step_h, cfg.steps,
-                                 cfg.record_stride, states)
+    h, n, stride = cfg.step_h, cfg.steps, cfg.record_stride
+    chunk = nonlinear_kernel(cfg.method)
+    params = _param_vector(p, h)
+    x = np.array(cfg.initial_state, dtype=float)
+    states = np.empty((n // stride + 1, 3))
+    states[0] = x
+    for lo in range(0, n, CHUNK):
+        hi = min(lo + CHUNK, n)
+        k = chunk(params, x, *inputs(lo, hi), hi - lo, stride - lo % stride, 3 * (lo // stride),
+                  stride, states)
+        if k >= 0:
+            raise DivergedState((lo + k + 1) * h)
     return states
 
 

@@ -10,7 +10,7 @@ from doubleint import (DivergedState, IllConditioned, ObserverParams, ObserverSt
                        SimConfig, discrete_response, fit_sinusoid, paper_reference_spec, step,
                        step_map)
 from doubleint.signals import make_input_fn
-from doubleint.solver import orbit, signal_inputs
+from doubleint.solver import CHUNK, _param_vector, orbit, signal_inputs
 from doubleint.sweep import _initial_state
 
 # Gains shared by every reproduction scenario.
@@ -67,6 +67,21 @@ def kernel_lane(p: ObserverParams, cfg, f_hz: float) -> np.ndarray:
     return orbit(replace(p, mode="nonlinear"), run,
                  signal_inputs(SignalSpec("sinusoid", cfg.amplitude, omega), cfg.step_h,
                                cfg.method))
+
+
+def run_first_chunk(chunk, p: ObserverParams, x0, inputs, h: float, n: int,
+                    stride: int) -> tuple[float | None, np.ndarray]:
+    """(time, record) of one call of chunk, a method's chunk function in C or in Python, on
+    the n <= CHUNK steps of orbit's first chunk: from x0 at step 0, reading the arrays
+    inputs(0, n), every stride-th state written into a record of 7.25s whose row 0 is x0.
+    time is when orbit would raise DivergedState, at the first non-finite recorded row, or
+    None; the rows after it keep their 7.25s."""
+    assert n <= CHUNK
+    out = np.full((n // stride + 1, 3), 7.25)
+    x = np.array(x0, dtype=float)
+    out[0] = x
+    k = chunk(_param_vector(p, h), x, *inputs(0, n), n, stride, 0, stride, out)
+    return (None if k < 0 else (k + 1) * h), out
 
 
 @functools.cache
@@ -159,6 +174,12 @@ def check_linear_rows(p: ObserverParams, cfg, rows, stepped=step_lane) -> None:
 def linear_oracle():
     """check_linear_rows: a linear sweep curve against a loop of step() and fit_sinusoid."""
     return check_linear_rows
+
+
+@pytest.fixture
+def first_chunk():
+    """run_first_chunk: what a chunk function, C or Python, records in orbit's first chunk."""
+    return run_first_chunk
 
 
 @pytest.fixture

@@ -260,8 +260,9 @@ def test_threads_flag_not_read_or_below_one_exits_2(tmp_path, capsys, scenario, 
 
 
 def test_pooled_sweep_without_a_compiler_warns_once(tmp_path, capfd, monkeypatch):
-    # the parent loads the kernels before each variant's pool forks, so no worker loads them
-    # again or warns again; forked workers write to the same stderr, which capfd reads
+    # the parent loads the kernels before the one pool that serves every variant forks, so no
+    # worker loads them again or warns again; forked workers write to the same stderr, which
+    # capfd reads
     monkeypatch.setattr(shutil, "which", lambda *args, **kwargs: None)
     cfg = write_cfg(tmp_path, {"params": NONLINEAR_PARAMS, "sweep": {
         "freqs_hz": [1.1, 20.1, 40.1], "samples": 2000, "variants": [{"alpha3": 0.5}, {"R": 4}]}})
@@ -445,7 +446,7 @@ MALFORMED = [
     ("simulate", "sim", "duration", "nan", "sim.duration"),
     ("simulate", "sim", "duration", math.nan, "sim.duration"),
     ("simulate", "sim", "duration", math.inf, "sim.duration"),
-    ("simulate", "sim", "duration", 1e300, "sim.record_stride"),
+    ("simulate", "sim", "duration", 1e300, "sim.duration"),
     ("simulate", "signal", "noise", [{"omega": 10.0}], "signal.noise[0].amp"),
     ("simulate", "params", "R", 0, "params.R"),
     ("validate", "params", "k1", None, "params.k1"),

@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from doubleint import DivergedState, ObserverParams, cli, io, native, scenarios, signals, solver
+from doubleint import ObserverParams, cli, io, native, scenarios, signals, solver
 from doubleint.signals import SignalSpec, paper_reference_spec
 from doubleint.solver import Trajectory, simulate
 from doubleint.sweep import BodeCurve, BodeRow
@@ -272,29 +272,25 @@ def test_c_formatters_write_python_text_on_a_million_values():
 
 
 def _c_library(path: str | None) -> dict:
-    """The entry points of the C libraries _build made in the directory path, the kernels by
-    method and the formatters by name, or the cached libraries' for None."""
+    """The entry points of the C libraries _build made in the directory path, the chunk
+    functions by method and the formatters by name, or the cached libraries' for None."""
     if path is None:
         return {**solver._c_kernels(), **io._c_formatters()}
     return {**solver._c_bind(ctypes.CDLL(os.path.join(path, "kernels.so"))),
             **io._c_bind(ctypes.CDLL(os.path.join(path, "formatters.so")))}
 
 
-def _kernel_outputs(kernels: dict) -> list:
+def _kernel_outputs(kernels: dict, first_chunk) -> list:
     """300 steps of each chunk function on an input that diverges, one that is nan at every
-    step and the noisy reference, with the time each raises at."""
+    step and the noisy reference, with the time each raises at, run by first_chunk
+    (conftest.run_first_chunk)."""
     outputs = []
     p = ObserverParams(0.1, 0.1, 1.0, 0.2, 0.3, "nonlinear")
     for method in solver.METHODS:
         for spec in (SignalSpec("sinusoid", math.inf, 1.0),
                      SignalSpec("sinusoid", math.inf, 5e-324), paper_reference_spec()):
-            out = np.full((301, 3), 7.25)
-            try:
-                kernels[method](p, (0.0, 1.0, 0.0), solver.signal_inputs(spec, 0.001, method),
-                                0.001, 300, 1, out)
-                raised = None
-            except DivergedState as exc:
-                raised = exc.time
+            raised, out = first_chunk(kernels[method], p, (0.0, 1.0, 0.0),
+                                      solver.signal_inputs(spec, 0.001, method), 0.001, 300, 1)
             # which sign a NaN gets is the compiler's choice (it may negate an operand in place
             # of a product), and an instrumented build chooses differently: NaNs compare as
             # NaNs, every other state by its bits
@@ -303,7 +299,7 @@ def _kernel_outputs(kernels: dict) -> list:
     return outputs
 
 
-def _c_library_outputs(path: str | None) -> tuple:
+def _c_library_outputs(path: str | None, first_chunk) -> tuple:
     """What the C libraries in the directory path, or the cached ones for None, make of the
     cases where a port is easy to get wrong: csv_cells on _sweep_values() and on its values
     that are not subnormal, json_items on _sweep_values(), and _kernel_outputs."""
@@ -311,7 +307,8 @@ def _c_library_outputs(path: str | None) -> tuple:
     values = _sweep_values()
     return (_c_text(kernels["csv_cells"], "csv_cells", values),
             _c_text(kernels["csv_cells"], "csv_cells", values[~_subnormal(values)]),
-            _c_text(kernels["json_items"], "json_items", values), *_kernel_outputs(kernels))
+            _c_text(kernels["json_items"], "json_items", values),
+            *_kernel_outputs(kernels, first_chunk))
 
 
 def _build(tmp_path: Path, *flags: str) -> subprocess.CompletedProcess:
@@ -328,23 +325,24 @@ def _build(tmp_path: Path, *flags: str) -> subprocess.CompletedProcess:
 
 
 @needs_cc
-def test_c_library_has_no_undefined_behaviour(tmp_path):
+def test_c_library_has_no_undefined_behaviour(tmp_path, first_chunk):
     # the libraries built with UBSan, which ends its process at the first shift, overflow or
     # conversion that C leaves undefined, run in a process of their own, and write the same
     # bytes and step to the same bits as the cached libraries
     proc = _build(tmp_path, "-fsanitize=undefined", "-fno-sanitize-recover=all")
     if proc.returncode != 0:
         pytest.skip(f"cc does not build with UBSan: {proc.stderr.strip()[-200:]}")
-    code = ("import pickle, sys, test_io; "
-            f"sys.stdout.buffer.write(pickle.dumps(test_io._c_library_outputs({str(tmp_path)!r})))")
+    # the tests directory comes first on the process's path, so conftest is this directory's
+    code = ("import conftest, pickle, sys, test_io; sys.stdout.buffer.write(pickle.dumps("
+            f"test_io._c_library_outputs({str(tmp_path)!r}, conftest.run_first_chunk)))")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(Path(__file__).parent), *sys.path])}
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, env=env)
     assert proc.returncode == 0, proc.stderr.decode(errors="replace")[-2000:]
-    assert pickle.loads(proc.stdout) == _c_library_outputs(None)
+    assert pickle.loads(proc.stdout) == _c_library_outputs(None, first_chunk)
 
 
 @needs_cc
-def test_c_library_without_128_bit_integers_leaves_every_cell_to_python(tmp_path):
+def test_c_library_without_128_bit_integers_leaves_every_cell_to_python(tmp_path, first_chunk):
     # a host whose cc has no unsigned __int128 builds the formatters' stubs, which format no
     # cell, so both formatters refuse every chunk, and the same chunk functions
     proc = _build(tmp_path, "-U__SIZEOF_INT128__", "-Wall", "-Wextra", "-Werror")
@@ -354,7 +352,8 @@ def test_c_library_without_128_bit_integers_leaves_every_cell_to_python(tmp_path
     for name in sorted(_COVERED):
         assert _c_text(kernels[name], name, values) == (
             _python_text(name, values), [*range(0, values.size, _LAYOUT[name][0])])
-    assert _kernel_outputs(kernels) == _kernel_outputs(solver._c_kernels())
+    assert (_kernel_outputs(kernels, first_chunk)
+            == _kernel_outputs(solver._c_kernels(), first_chunk))
 
 
 @needs_cc

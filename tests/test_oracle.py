@@ -10,6 +10,7 @@ fitted rows are the step map's frequency response, solved here from step_map.
 
 import cmath
 import functools
+import itertools
 import math
 from dataclasses import replace
 
@@ -219,22 +220,28 @@ def test_closed_form_rows_at_multiples_of_the_nyquist_frequency_are_flagged_as_s
     assert {r.flag for r in rows} == {"ill_conditioned"}
 
 
-@pytest.mark.parametrize("variant", [v for v in _fig1_variants() if v["mode"] == "linear"],
-                         ids=lambda v: f"R{v['R']:g}")
-@pytest.mark.parametrize("init", ["zero", "steady_state"])
-@pytest.mark.parametrize("method", ["rk4", "euler"])
-def test_fig1_linear_rows_are_the_fits_of_the_kernel_at_alpha3_1(method, init, variant,
+# fig1's linear variants by either method from either start, in a fixed order
+FIG1_LINEAR_CASES = [
+    pytest.param(method, init, variant, i, id=f"{method}-{init}-R{variant['R']:g}")
+    for i, (method, init, variant) in enumerate(itertools.product(
+        ["rk4", "euler"], ["zero", "steady_state"],
+        [v for v in _fig1_variants() if v["mode"] == "linear"]))]
+
+
+@pytest.mark.parametrize("method, init, variant, i", FIG1_LINEAR_CASES)
+def test_fig1_linear_rows_are_the_fits_of_the_kernel_at_alpha3_1(method, init, variant, i,
                                                                  kernel_oracle):
-    # fig1's linear variants at its own settings, 50 000 samples, at every 20th grid
-    # frequency, by either method from either start: each closed-form row lies within
-    # conftest.fit_tolerances of the fit of the nonlinear kernel's orbit at alpha3 = 1
-    # (conftest.kernel_lane)
+    # fig1's linear variants at its own settings, 50 000 samples, by either method from
+    # either start: each closed-form row lies within conftest.fit_tolerances of the fit of
+    # the nonlinear kernel's orbit at alpha3 = 1 (conftest.kernel_lane).  Case i checks every
+    # 12th grid frequency from the i-th, so the cases together check each of the 200 once
     scenario = expand_scenario("fig1")
     cfg = _build_sweep(scenario["sweep"])[0]
     assert (cfg.samples, cfg.method, cfg.init_state, cfg.amplitude) == (50000, "rk4", "zero",
                                                                          1.0)
-    cfg = replace(cfg, freqs_hz=cfg.freqs_hz[::20], method=method, init_state=init)
-    assert len(cfg.freqs_hz) == 10
+    cases = len(FIG1_LINEAR_CASES)
+    cfg = replace(cfg, freqs_hz=cfg.freqs_hz[i::cases], method=method, init_state=init)
+    assert len(cfg.freqs_hz) == (17 if i < 200 % cases else 16)
     p = _build_params(scenario, variant, "sweep.variants")
     kernel_oracle(p, cfg, sweep_observer(p, cfg).rows)
 

@@ -87,8 +87,8 @@ def test_rk4_step_matches_matrix_exponential():
 
 
 def kernels(which: str) -> dict:
-    """The nonlinear kernels by method: "python", the template rendered to Python, or "c",
-    the C rendering, which must build wherever cc is on PATH."""
+    """The nonlinear chunk functions by method: "python", the template rendered to Python, or
+    "c", the C rendering, which must build wherever cc is on PATH."""
     if which == "python":
         return solver._KERNELS
     if shutil.which("cc") is None:
@@ -96,6 +96,13 @@ def kernels(which: str) -> dict:
     built = solver._c_kernels()
     assert built is not None, "cc is on PATH, yet the C kernels did not build"
     return built
+
+
+def kernel_runs(which: str):
+    """A context in which orbit, and so simulate, steps through the chunk functions of which
+    (kernels)."""
+    chunks = kernels(which)
+    return mock.patch.object(solver, "_c_kernels", lambda: chunks)
 
 
 # each case once per kernel, the C kernel's id ending in -c
@@ -112,7 +119,6 @@ def test_kernels_match_public_step(method, which, mode, alpha3, noisy_spec):
     # crosses two chunk edges, and stride CHUNK + 3 records across each of them; at stride
     # CHUNK the last chunk starts after the last record and writes no row, and stride n
     # records the last step alone
-    kernel = kernels(which)[method]
     p = ObserverParams(0.1, 0.1, 1.0, 0.2, alpha3, mode)
     h, n = 0.001, 2 * solver.CHUNK + 37
     a_fn = make_input_fn(noisy_spec)
@@ -122,18 +128,18 @@ def test_kernels_match_public_step(method, which, mode, alpha3, noisy_spec):
             stepped.append(step(p, stepped[-1], i * h, h, a_fn, method))
         for stride in (1, 7, solver.CHUNK, solver.CHUNK + 3, n):
             expected = np.array(stepped[::stride])
-            out = np.empty_like(expected)
-            kernel(p, ObserverState(*x0), solver.signal_inputs(noisy_spec, h, method), h, n,
-                   stride, out)
-            assert np.array_equal(out.view(np.int64), expected.view(np.int64)), (x0, stride)
             cfg = SimConfig(h, n * h, ObserverState(*x0), method, stride)
-            states = simulate(p, noisy_spec, cfg).states
+            with kernel_runs(which):
+                out = solver.orbit(p, cfg, solver.signal_inputs(noisy_spec, h, method))
+                states = simulate(p, noisy_spec, cfg).states
+            assert np.array_equal(out.view(np.int64), expected.view(np.int64)), (x0, stride)
             assert np.array_equal(states.view(np.int64), expected.view(np.int64)), (x0, stride)
 
 
 # alpha3 = 0.999, whose step is close to the linear observer's, at a step the nonlinear guard
 # accepts and the linear one would refuse (at alpha3 = 1 the guard refuses it): step() raises
-# at step 39
+# at step 39.  With Euler at rate 0.003 it raises after 9 483 steps, and orbit at stride 7 in
+# its third chunk, at the record of step 9 485
 DIVERGING = dict(k1=2.0, k3=0.03125, eps=0.875, alpha3=0.999, margin=2.0, rate=1.5,
                  x0=(0.0, 3.0, 0.0), amplitude=0.0, omega=0.0, method="rk4")
 
@@ -147,6 +153,7 @@ DIVERGING = dict(k1=2.0, k3=0.03125, eps=0.875, alpha3=0.999, margin=2.0, rate=1
 @example(**DIVERGING, n=40, stride=1)
 @example(**DIVERGING, n=40, stride=7)
 @example(**DIVERGING, n=40, stride=30)
+@example(**{**DIVERGING, "rate": 0.003, "method": "euler"}, n=10000, stride=7)
 def test_orbit_is_a_loop_of_step_in_either_kernel(k1, k3, eps, alpha3, margin, rate, x0,
                                                    amplitude, omega, method, n, stride):
     # valid nonlinear params at a step the guard accepts, from any start state and at any
@@ -186,7 +193,8 @@ def test_orbit_is_a_loop_of_step_in_either_kernel(k1, k3, eps, alpha3, margin, r
 
 @pytest.mark.parametrize("method, stride, steps, which", each_kernel(
     [("rk4", 1, 1), ("rk4", 7, 7), ("euler", 1, 2), ("euler", 7, 7)]))
-def test_nonlinear_divergence_stops_at_the_first_nonfinite_record(method, stride, steps, which):
+def test_nonlinear_divergence_stops_at_the_first_nonfinite_record(method, stride, steps, which,
+                                                                  first_chunk):
     # a(0) = inf * sin(0) is nan, which power_sign maps to 0, and a(t > 0) is inf: RK4's
     # state is non-finite after one step, Euler's x3 alone after two.  The run stops at
     # the first recorded row that is not finite, that of step `steps`
@@ -194,15 +202,13 @@ def test_nonlinear_divergence_stops_at_the_first_nonfinite_record(method, stride
     h, n = 0.001, 1000
     spec = SignalSpec("sinusoid", math.inf, 1.0)
     cfg = SimConfig(h, n * h, ObserverState(0.0, 1.0, 0.0), method, stride)
-    with pytest.raises(DivergedState) as err:
+    with kernel_runs(which), pytest.raises(DivergedState) as err:
         simulate(p, spec, cfg)
     assert err.value.time == steps * h
-    # the kernel records nothing after the raising row: no later step reaches a record
-    out = np.full((n // stride + 1, 3), 7.25)
-    with pytest.raises(DivergedState) as err:
-        kernels(which)[method](p, cfg.initial_state, solver.signal_inputs(spec, h, method), h,
-                               n, stride, out)
-    assert err.value.time == steps * h
+    # the chunk function records nothing after the raising row: no later step reaches a record
+    time, out = first_chunk(kernels(which)[method], p, cfg.initial_state,
+                            solver.signal_inputs(spec, h, method), h, n, stride)
+    assert time == steps * h
     row = steps // stride
     assert not np.isfinite(out[row]).all()
     assert np.all(out[row + 1:] == 7.25)
@@ -222,7 +228,7 @@ TINY = 5e-324
 @pytest.mark.parametrize("x0", [(0.0, -0.0, 0.0), (-0.0, -0.0, -0.0), (TINY, -TINY, 1e-310),
                                 (-2.2250738585072014e-308, 1e-320, -TINY)],
                          ids=["zeros", "negative_zeros", "subnormals", "subnormals_2"])
-def test_c_kernel_is_the_python_kernel_on_special_inputs(method, alpha3, spec, x0):
+def test_c_kernel_is_the_python_kernel_on_special_inputs(method, alpha3, spec, x0, first_chunk):
     # nan inputs take power_sign's 0.0 branch and keep the state finite; inf inputs take
     # its pow branches to inf, and the state passes through inf and nan between records;
     # +-0 and subnormal states start it.  Each recorded row, the non-finite one included,
@@ -233,13 +239,8 @@ def test_c_kernel_is_the_python_kernel_on_special_inputs(method, alpha3, spec, x
     runs = []
     for which in ("c", "python"):
         for stride in (1, 50):
-            out = np.full((n // stride + 1, 3), 7.25)
-            try:
-                kernels(which)[method](p, ObserverState(*x0),
-                                       solver.signal_inputs(spec, h, method), h, n, stride, out)
-                raised = None
-            except DivergedState as exc:
-                raised = exc.time
+            raised, out = first_chunk(kernels(which)[method], p, x0,
+                                      solver.signal_inputs(spec, h, method), h, n, stride)
             runs.append((raised, _bits(out)))
     assert runs[:2] == runs[2:]
     assert (runs[0][0] is None) == (spec is not INF_INPUT)
@@ -259,7 +260,6 @@ def test_rk4_inputs_at_t_plus_h_are_step_s_on_and_off_the_grid(which, h):
     # evaluated where it does not (solver.step_inputs); both input sources, signal_inputs
     # and a sweep's scaled unit sine, must give the states step() gives, across chunk
     # edges.  At these steps t + h misses the grid on many steps (counted below)
-    kernel = kernels(which)["rk4"]
     p = ObserverParams(0.1, 0.1, 1.0, 1.0, 0.3, "nonlinear")
     n = solver.CHUNK + 517
     t = np.arange(n + 1) * h
@@ -276,8 +276,8 @@ def test_rk4_inputs_at_t_plus_h_are_step_s_on_and_off_the_grid(which, h):
             stepped.append(step(p, stepped[-1], i * h, h, a_fn))
         for stride in (1, solver.CHUNK + 3):
             expected = np.array(stepped[::stride])
-            out = np.empty_like(expected)
-            kernel(p, cfg.initial_state, inputs, h, n, stride, out)
+            with kernel_runs(which):
+                out = solver.orbit(p, replace(cfg, record_stride=stride), inputs)
             assert _bits(out) == _bits(expected), (spec.kind, stride)
 
 
@@ -564,9 +564,15 @@ def test_config_validation(lin_params):
 @pytest.mark.parametrize("duration, stride, field", [(0.0009, 1, "duration"),
                                                       (5e-324, 1, "duration"),
                                                       (0.003, 5, "record_stride"),
-                                                      (0.0024, 3, "record_stride")])
-def test_run_shorter_than_its_step_or_stride_rejected(duration, stride, field):
-    # 0.003 s at stride 5 would run 3 steps and record only t = 0
+                                                      (0.0024, 3, "record_stride"),
+                                                      (2e6, 1, "duration"),
+                                                      (2e6, 100, "duration"),
+                                                      (1e300, 1, "duration"),
+                                                      (2e4, 1, "record_stride")])
+def test_run_too_short_or_too_long_rejected_by_the_field_to_change(duration, stride, field):
+    # 0.003 s at stride 5 would run 3 steps and record only t = 0.  No stride brings a run
+    # under MAX_STEPS, so 2e6 s is refused by its duration at any stride; 2e4 s is under it,
+    # and a larger stride does keep its rows under MAX_RECORD_ROWS
     with pytest.raises(ConfigError, match=f"^{field} "):
         SimConfig(0.001, duration, record_stride=stride)
 
