@@ -21,15 +21,25 @@ on the state, so orbit reads the inputs of CHUNK steps at once from an input
 source, inputs(lo, hi), at the float times step() takes them at and to the
 same bits.  step_inputs is the one rule for those arrays: it reads a(t + h)
 from a(t) at the next step time wherever t + h rounds to it, and
-signal_inputs applies it to signals.input_values a chunk at a time.
+signal_inputs applies it to signals.input_values a chunk at a time.  With
+the C kernels, simulate uses a second core: one worker thread computes the
+inputs of two chunks in three, up to AHEAD chunks ahead, while the C chunk
+function, which releases the GIL, steps the current one (_ahead).  The
+caller computes the third in place, and any chunk the worker has not
+finished, without waiting for it.  Sweep lanes, whose inputs are slices of
+one unit sine, and the Python kernels, which hold the GIL, read theirs in
+place.
 rhs(), step() and power_sign stay the readable reference:
 test_kernels_match_public_step pins every kernel to step() bit for bit.
 """
 
 import bisect
+import contextlib
+import contextvars
 import functools
 import math
 import re
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -51,9 +61,10 @@ STABILITY_LIMIT = 2.0
 # runs whose record would exceed 1 GiB are refused before allocating it.
 MAX_RECORD_ROWS = 2**30 // (11 * 8)
 
-# The C kernels run ~2x10^6 RK4 steps per second, inputs included (0.4-0.7 us per step
-# on the noisy reference, 2-core x86-64), so 10^9 steps is 8-12 minutes of RK4, and about
-# an hour in the Python kernels; longer runs are refused before they start.
+# A simulation in the C kernels takes 0.3-0.5 us per RK4 step on the noisy reference, two
+# chunks' inputs in three computed on a second core (0.4-0.6 us with all of them in place;
+# 2-core x86-64), so 10^9 steps is 5-8 minutes of RK4, and about an hour in the Python
+# kernels; longer runs are refused before they start.
 MAX_STEPS = 10**9
 
 
@@ -458,6 +469,66 @@ def orbit(p: ObserverParams, cfg: SimConfig, inputs) -> np.ndarray:
     return states
 
 
+# _ahead's worker computes the inputs of up to AHEAD chunks past the one being stepped, two
+# chunks of every IN_PLACE; the rest are computed in place.  On a shared 2-vCPU x86-64 guest a
+# 500 s fig4 run is only as fast as its second vCPU is free.  In two sessions of 10 alternating
+# 20 s runs: with every chunk's inputs on the worker, simulate_long's wall_s read 0.65x the
+# serial run's, and its steps per second spread from run to run by 0.8-1.0x the benchmark's
+# bound (the serial run's by 0.30x); with one chunk in three in place, 0.82x and 0.09x (the
+# serial run's 0.17x).  With one chunk ahead the worker had yet to finish up to half the
+# chunks it was given when the kernel reached them.
+AHEAD = 2
+IN_PLACE = 3
+
+
+@contextlib.contextmanager
+def _ahead(inputs, n: int):
+    """inputs of an n-step orbit with the arrays of the next AHEAD chunks computed on one
+    worker thread while the kernel steps the current one: a call inputs(lo, hi) takes the
+    arrays of lo..hi-1 from the worker if it has finished them, else computes them in place,
+    and then submits each chunk up to AHEAD past it that is not submitted yet, but for every
+    IN_PLACE-th chunk of the run, the first included, which is computed in place.
+
+    The caller never waits for the worker: a chunk the worker has not finished is cancelled,
+    or left to run if it has started, and computed in place, so a worker whose core is busy
+    elsewhere leaves the run about as fast as a serial one, not slower.  Each submit runs in a copy
+    of the caller's context, so its np.errstate holds there too, and a prefetched chunk's
+    exception is raised by the call that asks for it.  No thread is left when the context
+    exits: pending jobs are cancelled and a running one waited for.  The worker starts at
+    the first submit, so a run of one chunk starts none.
+    """
+    if _c_kernels() is None:
+        # the Python kernel holds the GIL, so a worker thread only contends with it: a 500 s
+        # fig4 run took a median 1.31 s with one and 1.20 s without
+        yield inputs
+        return
+    pool = ThreadPoolExecutor(1)
+    jobs = {}
+    submitted = 0
+
+    def source(lo, hi):
+        nonlocal submitted
+        job = jobs.pop((lo, hi), None)
+        if job is not None and job.done():
+            arrays = job.result()
+        else:
+            if job is not None:
+                job.cancel()
+            arrays = inputs(lo, hi)
+        submitted = max(submitted, hi)
+        while submitted < min(hi + AHEAD * CHUNK, n):
+            span = submitted, min(submitted + CHUNK, n)
+            if submitted // CHUNK % IN_PLACE:
+                jobs[span] = pool.submit(contextvars.copy_context().run, inputs, *span)
+            submitted = span[1]
+        return arrays
+
+    try:
+        yield source
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
 def simulate(p: ObserverParams, spec: signals.SignalSpec, cfg: SimConfig) -> Trajectory:
     """Integrate the observer against the signal and record a trajectory: the closed form of a
     linear run (analytic.signal_states), the orbit of a nonlinear one.
@@ -476,7 +547,8 @@ def simulate(p: ObserverParams, spec: signals.SignalSpec, cfg: SimConfig) -> Tra
     if p.mode == "linear":
         states = analytic.signal_states(p, spec, cfg)
     else:
-        states = orbit(p, cfg, signal_inputs(spec, cfg.step_h, cfg.method))
+        with _ahead(signal_inputs(spec, cfg.step_h, cfg.method), cfg.steps) as inputs:
+            states = orbit(p, cfg, inputs)
     times = cfg.record_times()
     inputs = signals.input_values(spec, times)
     truths = errors = None

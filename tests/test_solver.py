@@ -8,6 +8,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import threading
 import tracemalloc
 from dataclasses import replace
 from unittest import mock
@@ -303,6 +304,186 @@ def test_orbit_from_a_drive_is_simulate_bit_for_bit(nl_params):
                 continue
             assert _bits(solver.orbit(p, cfg, inputs)) == _bits(expected), (p.mode, amplitude)
     assert diverged == [("nonlinear", math.inf)] * 2
+
+
+def simulate_runs(which: str):
+    """A context in which simulate steps as with cc ("c": the C kernels, each chunk's head
+    computed while the chunk before steps) or without it ("python": _c_kernels() is None, so
+    the Python kernels, each chunk's inputs computed in place)."""
+    if which == "c":
+        return kernel_runs("c")
+    return mock.patch.object(solver, "_c_kernels", lambda: None)
+
+
+@contextlib.contextmanager
+def spied_inputs(fail_at: int | None = None):
+    """A context in which simulate's input source records, in the list it yields, each call's
+    (lo, hi), whether it ran on the main thread and np.geterr()["under"] there, and releases
+    the semaphore it yields as each call off the main thread ends.  The call at lo == fail_at
+    raises RuntimeError."""
+    calls, ended = [], threading.Semaphore(0)
+    signal_inputs = solver.signal_inputs
+
+    def spy(spec, h, method):
+        inputs = signal_inputs(spec, h, method)
+
+        def source(lo, hi):
+            main = threading.current_thread() is threading.main_thread()
+            calls.append((lo, hi, main, np.geterr()["under"]))
+            try:
+                if lo == fail_at:
+                    raise RuntimeError(f"no inputs for steps {lo}..{hi - 1}")
+                return inputs(lo, hi)
+            finally:
+                if not main:
+                    ended.release()
+        return source
+
+    with mock.patch.object(solver, "signal_inputs", spy):
+        yield calls, ended
+
+
+def paced_runs(which: str, method: str, chunks: int, ended: threading.Semaphore):
+    """simulate_runs(which), where with cc the C chunk function of method steps chunk k of a
+    run of chunks only once a call off the main thread has ended for each chunk the worker
+    was given up to k + AHEAD: the worker has then finished (or failed) every chunk submitted
+    so far, as it does when its core is free."""
+    if which == "python":
+        return simulate_runs(which)
+    chunk, count, waited = kernels("c")[method], itertools.count(), [0]
+    given = [j for j in range(1, chunks) if j % solver.IN_PLACE]
+
+    def paced(*args):
+        k = next(count)
+        due = sum(j <= k + solver.AHEAD for j in given)
+        while waited[0] < due:
+            assert ended.acquire(timeout=10.0)
+            waited[0] += 1
+        return chunk(*args)
+    return mock.patch.object(solver, "_c_kernels", lambda: {method: paced})
+
+
+@pytest.mark.parametrize("which", ["python", "c"])
+@pytest.mark.parametrize("method", solver.METHODS)
+def test_simulate_is_the_serial_orbit_bit_for_bit(method, which, nl_params, noisy_spec):
+    # with cc simulate computes the inputs of the next chunks while the kernel steps one, and
+    # a chunk's in place when the worker has not finished it; its states are those of orbit
+    # reading the same source in place, for a run of one chunk, of exactly one, of one step
+    # more and of several, at every stride
+    h = 0.001
+    for n in (1000, solver.CHUNK, solver.CHUNK + 1, 3 * solver.CHUNK + 17):
+        for stride in (1, 7, 100):
+            cfg = SimConfig(h, n * h, ObserverState(0.0, 1.0, 0.0), method, stride)
+            with simulate_runs(which):
+                states = simulate(nl_params, noisy_spec, cfg).states
+                expected = solver.orbit(nl_params, cfg,
+                                        solver.signal_inputs(noisy_spec, h, method))
+            assert np.array_equal(states.view(np.int64), expected.view(np.int64)), (n, stride)
+
+
+@pytest.mark.parametrize("which", ["python", "c"])
+def test_inputs_are_computed_ahead_off_the_main_thread_only_with_the_c_kernels(
+        which, nl_params, noisy_spec):
+    # with cc the inputs of the second and third chunks are computed on the worker thread, in
+    # the caller's np.errstate, and those of the first and fourth (every IN_PLACE-th) in
+    # place; without it, where the Python kernel holds the GIL, every chunk's are computed in
+    # place.  No thread is left after the run
+    h, n, c = 0.001, 3 * solver.CHUNK + 17, solver.CHUNK
+    cfg = SimConfig(h, n * h, ObserverState(0.0, 1.0, 0.0), "rk4", 7)
+    threads = threading.active_count()
+    with spied_inputs() as (calls, ended), paced_runs(which, "rk4", 4, ended), \
+            np.errstate(under="raise"):
+        simulate(nl_params, noisy_spec, cfg)
+    assert threading.active_count() == threads
+    assert [(lo, hi) for lo, hi, _, _ in calls] == [(0, c), (c, 2 * c), (2 * c, 3 * c), (3 * c, n)]
+    on_main = [main for _, _, main, _ in calls]
+    assert on_main == ([True, False, False, True] if which == "c" else [True] * 4)
+    assert [under for *_, under in calls] == ["raise"] * 4
+    # a run of one chunk has no next chunk to compute, and starts no thread
+    with simulate_runs(which), spied_inputs() as (calls, _), \
+            mock.patch.object(threading.Thread, "start", side_effect=AssertionError):
+        simulate(nl_params, noisy_spec, replace(cfg, duration=c * h))
+    assert [(lo, hi, main) for lo, hi, main, _ in calls] == [(0, c, True)]
+
+
+def test_the_caller_never_waits_for_the_worker(nl_params, noisy_spec):
+    # the worker is held on the second chunk until the kernel reaches the last: the caller
+    # computes that chunk and the rest in place meanwhile, the chunks queued behind the held
+    # one are cancelled unrun, and the states are the serial run's
+    h, n, c = 0.001, 3 * solver.CHUNK + 17, solver.CHUNK
+    cfg = SimConfig(h, n * h, ObserverState(0.0, 1.0, 0.0), "rk4", 7)
+    calls, started, hold = [], threading.Event(), threading.Event()
+    signal_inputs, chunk, count = solver.signal_inputs, kernels("c")["rk4"], itertools.count()
+
+    def spy(spec, h, method):
+        inputs = signal_inputs(spec, h, method)
+
+        def source(lo, hi):
+            calls.append((lo, hi, threading.current_thread() is threading.main_thread()))
+            if not calls[-1][2]:
+                started.set()
+                assert hold.wait(10.0)
+            return inputs(lo, hi)
+        return source
+
+    def held(*args):
+        k = next(count)
+        if k == 0:
+            assert started.wait(10.0)
+        if k == 3:
+            hold.set()
+        return chunk(*args)
+    threads = threading.active_count()
+    with mock.patch.object(solver, "signal_inputs", spy), \
+            mock.patch.object(solver, "_c_kernels", lambda: {"rk4": held}):
+        states = simulate(nl_params, noisy_spec, cfg).states
+    assert threading.active_count() == threads
+    assert calls == [(0, c, True), (c, 2 * c, False), (c, 2 * c, True), (2 * c, 3 * c, True),
+                     (3 * c, n, True)]
+    with kernel_runs("c"):
+        expected = solver.orbit(nl_params, cfg, signal_inputs(noisy_spec, h, "rk4"))
+    assert np.array_equal(states.view(np.int64), expected.view(np.int64))
+
+
+def diverging_run(n: int) -> tuple[ObserverParams, SignalSpec, SimConfig]:
+    """DIVERGING's late case as a simulate run of n steps: Euler at rate 0.003 on zero input
+    from (0, 3, 0) at stride 7, whose record of step 9 485, in its third chunk, is the first
+    that is not finite."""
+    p = ObserverParams(DIVERGING["k1"], 1.0, DIVERGING["k3"], DIVERGING["eps"],
+                       DIVERGING["alpha3"])
+    p = replace(p, k2=DIVERGING["margin"] * p.gain_threshold())
+    h = 0.003 * DIVERGING["eps"]**4 / DIVERGING["k3"]
+    cfg = SimConfig(h, n * h, ObserverState(*DIVERGING["x0"]), "euler", 7)
+    return p, SignalSpec("sinusoid", 0.0, 0.0), cfg
+
+
+@pytest.mark.parametrize("which", ["python", "c"])
+def test_simulate_raises_a_late_divergence_at_its_record(which):
+    p, spec, cfg = diverging_run(10_000)
+    threads = threading.active_count()
+    with simulate_runs(which), pytest.raises(DivergedState) as err:
+        simulate(p, spec, cfg)
+    assert err.value.time == 9485 * cfg.step_h
+    assert threading.active_count() == threads
+
+
+@pytest.mark.parametrize("which", ["python", "c"])
+def test_divergence_is_raised_before_the_next_chunks_failure(which):
+    # the inputs of the fifth chunk, the first the worker is given after the diverging third,
+    # fail.  With cc the worker raises RuntimeError on them while the kernel steps the third
+    # chunk, which waits for it here, and the caller sees DivergedState as without cc, where
+    # those inputs are never computed
+    p, spec, cfg = diverging_run(5 * solver.CHUNK + 17)
+    c = solver.CHUNK
+    threads = threading.active_count()
+    with spied_inputs(fail_at=4 * c) as (calls, ended), paced_runs(which, "euler", 6, ended):
+        with pytest.raises(DivergedState) as err:
+            simulate(p, spec, cfg)
+    assert err.value.time == 9485 * cfg.step_h
+    spans = [(lo, hi) for lo, hi, _, _ in calls]
+    assert spans == ([(0, c), (c, 2 * c), (2 * c, 3 * c), (4 * c, 5 * c)] if which == "c" else
+                     [(0, c), (c, 2 * c), (2 * c, 3 * c)])
+    assert threading.active_count() == threads
 
 
 def _bits(a: np.ndarray) -> tuple[list, list]:
