@@ -24,7 +24,7 @@ from a(t) at the next step time wherever t + h rounds to it, and
 signal_inputs applies it to signals.input_values a chunk at a time.  With
 the C kernels, simulate uses a second core: one worker thread computes the
 inputs of two chunks in three, up to AHEAD chunks ahead, while the C chunk
-function, which releases the GIL, steps the current one (_ahead).  The
+function, which releases the GIL, steps the current one (_orbit_ahead).  The
 caller computes the third in place, and any chunk the worker has not
 finished, without waiting for it.  Sweep lanes, whose inputs are slices of
 one unit sine, and the Python kernels, which hold the GIL, read theirs in
@@ -34,7 +34,6 @@ test_kernels_match_public_step pins every kernel to step() bit for bit.
 """
 
 import bisect
-import contextlib
 import contextvars
 import functools
 import math
@@ -469,9 +468,9 @@ def orbit(p: ObserverParams, cfg: SimConfig, inputs) -> np.ndarray:
     return states
 
 
-# _ahead's worker computes the inputs of up to AHEAD chunks past the one being stepped, two
-# chunks of every IN_PLACE; the rest are computed in place.  On a shared 2-vCPU x86-64 guest a
-# 500 s fig4 run is only as fast as its second vCPU is free.  In two sessions of 10 alternating
+# _orbit_ahead's worker computes the inputs of up to AHEAD chunks past the one being stepped,
+# two chunks of every IN_PLACE; the rest are computed in place.  On a shared 2-vCPU x86-64 guest
+# a 500 s fig4 run is only as fast as its second vCPU is free.  In two sessions of 10 alternating
 # 20 s runs: with every chunk's inputs on the worker, simulate_long's wall_s read 0.65x the
 # serial run's, and its steps per second spread from run to run by 0.8-1.0x the benchmark's
 # bound (the serial run's by 0.30x); with one chunk in three in place, 0.82x and 0.09x (the
@@ -481,50 +480,43 @@ AHEAD = 2
 IN_PLACE = 3
 
 
-@contextlib.contextmanager
-def _ahead(inputs, n: int):
-    """inputs of an n-step orbit with the arrays of the next AHEAD chunks computed on one
-    worker thread while the kernel steps the current one: a call inputs(lo, hi) takes the
-    arrays of lo..hi-1 from the worker if it has finished them, else computes them in place,
-    and then submits each chunk up to AHEAD past it that is not submitted yet, but for every
-    IN_PLACE-th chunk of the run, the first included, which is computed in place.
+def _orbit_ahead(p: ObserverParams, cfg: SimConfig, inputs) -> np.ndarray:
+    """orbit(p, cfg, inputs), with the C kernels on a second core: as the kernel steps chunk i,
+    one worker thread computes the arrays of each chunk j in i+1..i+AHEAD of the run, but every
+    IN_PLACE-th, that it was not given yet.  Chunk i's arrays come from the worker if it has
+    finished them, else they are computed in place, as the first chunk's always are.
 
     The caller never waits for the worker: a chunk the worker has not finished is cancelled,
     or left to run if it has started, and computed in place, so a worker whose core is busy
-    elsewhere leaves the run about as fast as a serial one, not slower.  Each submit runs in a copy
+    elsewhere leaves the run about as fast as a serial one, not slower.  Each job runs in a copy
     of the caller's context, so its np.errstate holds there too, and a prefetched chunk's
-    exception is raised by the call that asks for it.  No thread is left when the context
-    exits: pending jobs are cancelled and a running one waited for.  The worker starts at
-    the first submit, so a run of one chunk starts none.
+    exception is raised by the call that asks for it.  No thread is left when the run ends or
+    raises: pending jobs are cancelled and a running one waited for.  The worker starts at
+    its first job, so a run of one chunk starts none.
     """
     if _c_kernels() is None:
         # the Python kernel holds the GIL, so a worker thread only contends with it: a 500 s
         # fig4 run took a median 1.31 s with one and 1.20 s without
-        yield inputs
-        return
-    pool = ThreadPoolExecutor(1)
-    jobs = {}
-    submitted = 0
+        return orbit(p, cfg, inputs)
+    n, pool, jobs = cfg.steps, ThreadPoolExecutor(1), {}
 
     def source(lo, hi):
-        nonlocal submitted
-        job = jobs.pop((lo, hi), None)
+        i = lo // CHUNK
+        job = jobs.pop(i, None)
         if job is not None and job.done():
             arrays = job.result()
         else:
             if job is not None:
                 job.cancel()
             arrays = inputs(lo, hi)
-        submitted = max(submitted, hi)
-        while submitted < min(hi + AHEAD * CHUNK, n):
-            span = submitted, min(submitted + CHUNK, n)
-            if submitted // CHUNK % IN_PLACE:
-                jobs[span] = pool.submit(contextvars.copy_context().run, inputs, *span)
-            submitted = span[1]
+        for j in range(i + 1, i + AHEAD + 1):
+            if j * CHUNK < n and j % IN_PLACE and j not in jobs:
+                jobs[j] = pool.submit(contextvars.copy_context().run, inputs, j * CHUNK,
+                                      min(j * CHUNK + CHUNK, n))
         return arrays
 
     try:
-        yield source
+        return orbit(p, cfg, source)
     finally:
         pool.shutdown(cancel_futures=True)
 
@@ -547,8 +539,7 @@ def simulate(p: ObserverParams, spec: signals.SignalSpec, cfg: SimConfig) -> Tra
     if p.mode == "linear":
         states = analytic.signal_states(p, spec, cfg)
     else:
-        with _ahead(signal_inputs(spec, cfg.step_h, cfg.method), cfg.steps) as inputs:
-            states = orbit(p, cfg, inputs)
+        states = _orbit_ahead(p, cfg, signal_inputs(spec, cfg.step_h, cfg.method))
     times = cfg.record_times()
     inputs = signals.input_values(spec, times)
     truths = errors = None

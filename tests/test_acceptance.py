@@ -214,6 +214,28 @@ def test_c07_short_horizon_error_and_noise_attenuation(fig3_traj, fig4_traj):
     )
 
 
+
+def _fig3_rms(p: di.ObserverParams, h: float) -> float:
+    """fig3's e1 RMS over [10, 20] s at step h (RK4), on a 0.01 s record grid."""
+    traj = di.simulate(p, NOISY, di.SimConfig(h, 20.0, X0, "rk4", round(0.01 / h)))
+    m = traj.window(10.0, 20.0)
+    return math.sqrt(float(np.mean(traj.errors[m, 0] ** 2)))
+
+
+# C7's limit is twice the converged RMS, which h = 1e-3 understates: the nonlinear e1 RMS over
+# [10, 20] is 4.0274 at h = 1e-3, 8.4927 at 5e-4, 10.0146 at 2.5e-4, 10.4402 at 1e-4 and
+# 10.4437 at 5e-5; the linear twin's is 3.8874 at 1e-3 and 1e-4 (README, "Nonlinear mode and
+# step size")
+def test_c07_rms_limit_is_the_converged_rms_not_that_of_h_1e3():
+    coarse, fine, finer = (_fig3_rms(NL5, h) for h in (1e-3, 1e-4, 5e-5))
+    linear = _fig3_rms(LIN5, 1e-3)
+    assert fine == pytest.approx(finer, rel=1e-3)
+    assert finer == pytest.approx(E1_RMS_LIMIT / 2.0, rel=1e-2)
+    assert coarse < 0.5 * finer
+    assert finer > 2.0 * linear
+    print(f"\n[PASS] C7 step: RMS(e1,[10,20]) = {coarse:.3f} at h = 1e-3, {fine:.4f} at 1e-4, "
+          f"{finer:.4f} at 5e-5 (limit / 2 = {E1_RMS_LIMIT / 2.0:.4f}); linear {linear:.3f}")
+
 # C8 and C9 pin properties of the step h = 1e-3, not of the observer it discretizes: fig4's
 # max|e1| over [1800, 2000] is 0.0069 at h = 1e-3 and 146.6 at 2.5e-4, and its settle_time(0.05)
 # 137.3 s at 1e-3, 1036.6 s at 5e-4 and inf at 2.5e-4, where `late <= 2 * early` and
@@ -239,6 +261,17 @@ def test_c09_linear_convergence_slower(fig4_traj, linear_long_traj):
     print(f"\n[PASS] C9 estimation delay: |e1| enters the 0.05 tube at "
           f"{t_nl:.1f} s (alpha3=0.3) vs {t_lin:.1f} s (alpha3=1)")
 
+
+
+# C9's NONLINEAR_SETTLE_S is fig4's tube entry at h = 1e-3: at h = 5e-4 the nonlinear e1 enters
+# the 0.05 tube at 1036.57 s, 7.55x later, and at 2.5e-4 not within 2000 s
+def test_c09_nonlinear_settle_time_is_that_of_h_1e3(fig4_traj):
+    t_nl = di.settle_time(fig4_traj, 0.05)
+    half = di.simulate(NL5, NOISY, di.SimConfig(5e-4, 2000.0, X0, "rk4", 20))
+    t_half = di.settle_time(half, 0.05)
+    assert t_half >= 5.0 * t_nl
+    print(f"\n[PASS] C9 step: |e1| enters the 0.05 tube at {t_nl:.1f} s at h = 1e-3 and "
+          f"{t_half:.1f} s at 5e-4")
 
 def test_c10_amplitude_dependence():
     freqs = (0.1, 0.35, 0.6, 1.1, 2.1, 3.6, 6.1, 10.1, 20.1)

@@ -41,7 +41,7 @@ from doubleint import (
 )
 from doubleint import cli, native, sweep
 from doubleint import io as writers
-from doubleint.signals import make_input_fn, paper_reference_spec, truth_arrays
+from doubleint.signals import NoiseTerm, make_input_fn, paper_reference_spec, truth_arrays
 from doubleint.sweep import _frequency_sim
 
 
@@ -112,27 +112,37 @@ def each_kernel(cases: list[tuple]) -> list:
             for which in ("python", "c") for case in cases]
 
 
+NOISY_STEPS = 2 * solver.CHUNK + 37
+
+
 @pytest.mark.parametrize("method, which", each_kernel([("rk4",), ("euler",)]))
 @pytest.mark.parametrize("mode,alpha3", [("nonlinear", 0.3)])
-def test_kernels_match_public_step(method, which, mode, alpha3, noisy_spec):
+@pytest.mark.parametrize("spec, n, strides", [
+    (paper_reference_spec(with_noise=True), NOISY_STEPS,
+     (1, 7, solver.CHUNK, solver.CHUNK + 3, NOISY_STEPS)),
+    (SignalSpec("composite", 0.7, 3.0, (NoiseTerm(0.2, 20.0, "cosine"),
+                                        NoiseTerm(0.05, 200.0, "sine"))),
+     4 * solver.CHUNK + 37, (1, 7))], ids=["noisy", "composite"])
+def test_kernels_match_public_step(method, which, mode, alpha3, spec, n, strides):
     # the nonlinear kernels, and simulate(), must agree bit for bit with step()/rhs();
-    # linear runs are closed form, checked against step() in test_oracle.py.  The run
+    # linear runs are closed form, checked against step() in test_oracle.py.  The noisy run
     # crosses two chunk edges, and stride CHUNK + 3 records across each of them; at stride
     # CHUNK the last chunk starts after the last record and writes no row, and stride n
-    # records the last step alone
+    # records the last step alone.  The composite run reaches the second in-place chunk and
+    # the worker's chunk after it
     p = ObserverParams(0.1, 0.1, 1.0, 0.2, alpha3, mode)
-    h, n = 0.001, 2 * solver.CHUNK + 37
-    a_fn = make_input_fn(noisy_spec)
+    h = 0.001
+    a_fn = make_input_fn(spec)
     for x0 in ((0.0, 1.0, 0.0), (0.0, -0.0, 0.0)):
         stepped = [ObserverState(*x0)]
         for i in range(n):
             stepped.append(step(p, stepped[-1], i * h, h, a_fn, method))
-        for stride in (1, 7, solver.CHUNK, solver.CHUNK + 3, n):
+        for stride in strides:
             expected = np.array(stepped[::stride])
             cfg = SimConfig(h, n * h, ObserverState(*x0), method, stride)
             with kernel_runs(which):
-                out = solver.orbit(p, cfg, solver.signal_inputs(noisy_spec, h, method))
-                states = simulate(p, noisy_spec, cfg).states
+                out = solver.orbit(p, cfg, solver.signal_inputs(spec, h, method))
+                states = simulate(p, spec, cfg).states
             assert np.array_equal(out.view(np.int64), expected.view(np.int64)), (x0, stride)
             assert np.array_equal(states.view(np.int64), expected.view(np.int64)), (x0, stride)
 
@@ -382,23 +392,31 @@ def test_simulate_is_the_serial_orbit_bit_for_bit(method, which, nl_params, nois
 
 
 @pytest.mark.parametrize("which", ["python", "c"])
+@pytest.mark.parametrize("n", [3 * solver.CHUNK + 17, 6 * solver.CHUNK, 6 * solver.CHUNK + 17,
+                               7 * solver.CHUNK, 7 * solver.CHUNK + 17],
+                         ids=["3C+17", "6C", "6C+17", "7C", "7C+17"])
 def test_inputs_are_computed_ahead_off_the_main_thread_only_with_the_c_kernels(
-        which, nl_params, noisy_spec):
-    # with cc the inputs of the second and third chunks are computed on the worker thread, in
-    # the caller's np.errstate, and those of the first and fourth (every IN_PLACE-th) in
-    # place; without it, where the Python kernel holds the GIL, every chunk's are computed in
-    # place.  No thread is left after the run
-    h, n, c = 0.001, 3 * solver.CHUNK + 17, solver.CHUNK
+        n, which, nl_params, noisy_spec):
+    # with cc the inputs of every IN_PLACE-th chunk (the first included) are computed in place
+    # and those of the rest on the worker thread, in the caller's np.errstate; without it,
+    # where the Python kernel holds the GIL, every chunk's are computed in place.
+    # Runs ending on a chunk edge and past one: no span past the run is computed.  The worker
+    # computes chunk 4 before the caller computes chunk 3, so the calls are sorted by span.
+    # No thread is left after the run
+    h, c = 0.001, solver.CHUNK
+    chunks = -(-n // c)
     cfg = SimConfig(h, n * h, ObserverState(0.0, 1.0, 0.0), "rk4", 7)
     threads = threading.active_count()
-    with spied_inputs() as (calls, ended), paced_runs(which, "rk4", 4, ended), \
+    with spied_inputs() as (calls, ended), paced_runs(which, "rk4", chunks, ended), \
             np.errstate(under="raise"):
         simulate(nl_params, noisy_spec, cfg)
     assert threading.active_count() == threads
-    assert [(lo, hi) for lo, hi, _, _ in calls] == [(0, c), (c, 2 * c), (2 * c, 3 * c), (3 * c, n)]
+    calls.sort()
+    assert [(lo, hi) for lo, hi, _, _ in calls] == [(j * c, min(j * c + c, n))
+                                                    for j in range(chunks)]
     on_main = [main for _, _, main, _ in calls]
-    assert on_main == ([True, False, False, True] if which == "c" else [True] * 4)
-    assert [under for *_, under in calls] == ["raise"] * 4
+    assert on_main == [which == "python" or j % solver.IN_PLACE == 0 for j in range(chunks)]
+    assert [under for *_, under in calls] == ["raise"] * chunks
     # a run of one chunk has no next chunk to compute, and starts no thread
     with simulate_runs(which), spied_inputs() as (calls, _), \
             mock.patch.object(threading.Thread, "start", side_effect=AssertionError):
