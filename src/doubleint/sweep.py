@@ -295,10 +295,10 @@ def _frequency_sim(cfg: SweepConfig) -> SimConfig:
 
 
 def _run_frequency(runs: list, f_hz: float) -> list[list[BodeRow]]:
-    """The rows of each run's lane at f_hz.  Linear lanes take their fits in closed form
-    (analytic.sweep_row); nonlinear ones step from the frequency's unit sine (_unit_sine)
-    and are fitted on its one _Basis, which are built only when such a lane runs and are
-    freed on return."""
+    """The rows of each run's lane at f_hz.  A linear lane's fits are analytic.sweep_row's;
+    a nonlinear one steps from the frequency's unit sine (_unit_sine) and is fitted on its
+    one _Basis, both built only when such a lane runs.  A lane that diverges is flagged so
+    first, then an ill-conditioned one.  The runs are unchecked: they passed check_sweep_config."""
     omega = TWO_PI * f_hz
     cfg = runs[0][1]
     sim = _frequency_sim(cfg)
@@ -306,7 +306,33 @@ def _run_frequency(runs: list, f_hz: float) -> list[list[BodeRow]]:
     sine = basis = None
     if any(p.mode == "nonlinear" for p, _ in runs):
         sine, basis = _unit_sine(omega, sim, lo)
-    return [_run_lane(p, run_cfg, f_hz, sim, lo, sine, basis) for p, run_cfg in runs]
+    lanes = []
+    for p, run_cfg in runs:
+        try:
+            if p.mode == "linear":
+                row = analytic.sweep_row(p, sim, run_cfg.amplitude, omega, lo,
+                                         cfg.init_state == "steady_state")
+                fits = [SinusoidFit.of(*row[ch - 1]) for ch in cfg.channels]
+            else:
+                run = replace(sim, initial_state=_initial_state(p, run_cfg, omega))
+                states = orbit(p, run, _scaled(sine, run_cfg.amplitude))
+                if basis is None:
+                    raise IllConditioned("the frequency's normal matrix is refused")
+                fits = [basis.fit(states[lo:, ch - 1]) for ch in cfg.channels]
+                del states  # freed before the next lane's run allocates its own
+        except (DivergedState, IllConditioned) as exc:
+            flag = "diverged" if isinstance(exc, DivergedState) else "ill_conditioned"
+            lanes.append([BodeRow(f_hz, omega, ch, math.nan, math.nan, None, None, "sweep", flag)
+                          for ch in cfg.channels])
+            continue
+        rows = []
+        for ch, fit in zip(cfg.channels, fits):
+            mag_db = analytic.decibels(fit.amplitude / run_cfg.amplitude)
+            finite = all(map(math.isfinite, (mag_db, fit.phase, fit.residual_rms)))
+            rows.append(BodeRow(f_hz, omega, ch, mag_db, fit.phase, None, fit.residual_rms,
+                                "sweep", "ok" if finite else "nonfinite_fit"))
+        lanes.append(rows)
+    return lanes
 
 
 def _unit_sine(omega: float, sim: SimConfig, lo: int) -> tuple[list[np.ndarray], _Basis | None]:
@@ -329,40 +355,6 @@ def _scaled(sine: list[np.ndarray], amplitude: float):
             # an infinite amplitude times sin(0) is nan, as input_values gives it
             return [amplitude * a[lo:hi] for a in sine]
     return inputs
-
-
-def _run_lane(p: ObserverParams, cfg: SweepConfig, f_hz: float, sim: SimConfig, lo: int,
-              sine: list[np.ndarray] | None, basis: _Basis | None) -> list[BodeRow]:
-    """The rows of p's lane at f_hz, fitted from record lo of its run on.  A linear lane's
-    fits are analytic.sweep_row's; a nonlinear one steps from sine, the unit sine's step
-    arrays, and is fitted by basis, None when its normal matrix is ill-conditioned.  A lane
-    that diverges is flagged so first, then an ill-conditioned one.  The run is unchecked:
-    p and cfg passed check_sweep_config."""
-    omega = TWO_PI * f_hz
-    try:
-        if p.mode == "linear":
-            row = analytic.sweep_row(p, sim, cfg.amplitude, omega, lo,
-                                     cfg.init_state == "steady_state")
-            fits = [SinusoidFit.of(*row[ch - 1]) for ch in cfg.channels]
-        else:
-            run = replace(sim, initial_state=_initial_state(p, cfg, omega))
-            states = orbit(p, run, _scaled(sine, cfg.amplitude))
-            if basis is None:
-                raise IllConditioned("the frequency's normal matrix is refused")
-            fits = [basis.fit(states[lo:, ch - 1]) for ch in cfg.channels]
-    except (DivergedState, IllConditioned) as exc:
-        flag = "diverged" if isinstance(exc, DivergedState) else "ill_conditioned"
-        return [BodeRow(f_hz, omega, ch, math.nan, math.nan, None, None, "sweep", flag)
-                for ch in cfg.channels]
-    rows = []
-    for ch, fit in zip(cfg.channels, fits):
-        mag_db = analytic.decibels(fit.amplitude / cfg.amplitude)
-        finite = all(map(math.isfinite, (mag_db, fit.phase, fit.residual_rms)))
-        rows.append(
-            BodeRow(f_hz, omega, ch, mag_db, fit.phase, None, fit.residual_rms, "sweep",
-                    "ok" if finite else "nonfinite_fit")
-        )
-    return rows
 
 
 def sweep_observer(p: ObserverParams, cfg: SweepConfig, workers: int = 1) -> BodeCurve:

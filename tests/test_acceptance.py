@@ -273,6 +273,31 @@ def test_c09_nonlinear_settle_time_is_that_of_h_1e3(fig4_traj):
     print(f"\n[PASS] C9 step: |e1| enters the 0.05 tube at {t_nl:.1f} s at h = 1e-3 and "
           f"{t_half:.1f} s at 5e-4")
 
+
+def _fig1_nonlinear_db(f_hz: float, channel: int, h: float) -> float:
+    """The fig1 R = 5 nonlinear row at f_hz (zero start, 50 s) swept at step h."""
+    cfg = di.SweepConfig(freqs_hz=(f_hz,), step_h=h, samples=round(50.0 / h))
+    return di.sweep_observer(NL5, cfg).channel_rows(channel)[0].magnitude_db
+
+
+# fig1's nonlinear rows are h = 1e-3 values too: channel 3 at 25.1 Hz reads -0.3152, -0.0783
+# and -0.0194 dB at h = 1e-3, 5e-4 and 2.5e-4 (4.03x and 4.04x per halving), so its dip below
+# 0 dB is step error of order ~2; channel 1 at 0.6 Hz reads -22.93, -25.65 and -17.38 dB, moving
+# 2.7 and 8.3 dB per halving (README, "Nonlinear mode and step size")
+def test_fig1_nonlinear_rows_move_with_the_step():
+    steps = (1e-3, 5e-4, 2.5e-4)
+    dip = [_fig1_nonlinear_db(25.1, 3, h) for h in steps]
+    low = [_fig1_nonlinear_db(0.6, 1, h) for h in steps]
+    for coarse, fine in zip(dip, dip[1:]):
+        assert 3.0 <= abs(coarse) / abs(fine) <= 5.0, dip
+    assert abs(dip[-1]) < 0.025
+    for coarse, fine in zip(low, low[1:]):
+        assert abs(coarse - fine) > 2.0, low
+    print(f"\n[PASS] fig1 step: channel 3 at 25.1 Hz reads "
+          f"{', '.join(f'{db:.4f}' for db in dip)} dB and channel 1 at 0.6 Hz "
+          f"{', '.join(f'{db:.2f}' for db in low)} dB at h = 1e-3, 5e-4, 2.5e-4")
+
+
 def test_c10_amplitude_dependence():
     freqs = (0.1, 0.35, 0.6, 1.1, 2.1, 3.6, 6.1, 10.1, 20.1)
     cfg = di.SweepConfig(freqs_hz=freqs, discard_fraction=0.5, channels=(3,))
@@ -292,6 +317,34 @@ def test_c10_amplitude_dependence():
     assert spread_lin <= 1e-6
     print(f"\n[PASS] C10 amplitude dependence: nonlinear curves spread {spread_nl:.2f} dB "
           f"across A_m in (0.5, 1, 5); linear spread {spread_lin:.2e} dB")
+
+
+# the dilation behind C10: with m = alpha3 - 1, the run at (A, omega, h) is, with state j scaled
+# by A^r_j, r = (3 - 2 alpha3, 2 - alpha3, 1), the unit-amplitude run at (omega A^-m, h A^m)
+# (sweep.check_amplitude).  Both sweeps step the same phases omega*t, to rounding.  The worst
+# gaps, 1.64e-4 dB and 2.82e-5 rad, are on the lane that chatters (alpha3 = 0.3, A = 0.5,
+# 20.1 Hz); most lanes agree to 1e-10
+def test_c10_sweep_at_amplitude_a_is_the_unit_sweep_dilated():
+    freqs = (0.6, 5.1, 20.1, 60.1)
+    worst_db = worst_rad = 0.0
+    for p in (NL3, dataclasses.replace(NL3, alpha3=0.5)):
+        r = (3.0 - 2.0 * p.alpha3, 2.0 - p.alpha3, 1.0)
+        for amp in (0.5, 5.0):
+            swept = di.sweep_observer(p, di.SweepConfig(freqs_hz=freqs, amplitude=amp))
+            unit = di.sweep_observer(p, di.SweepConfig(
+                freqs_hz=tuple(f * amp ** (1.0 - p.alpha3) for f in freqs),
+                step_h=1e-3 * amp ** (p.alpha3 - 1.0)))
+            assert len(swept.rows) == len(unit.rows) == 12
+            for row, twin in zip(swept.rows, unit.rows):
+                assert (row.channel, row.flag, twin.flag) == (twin.channel, "ok", "ok")
+                offset = 20.0 * (r[row.channel - 1] - 1.0) * math.log10(amp)
+                worst_db = max(worst_db, abs(row.magnitude_db - (twin.magnitude_db + offset)))
+                worst_rad = max(worst_rad, abs(math.remainder(row.phase_rad - twin.phase_rad,
+                                                              2.0 * math.pi)))
+    assert worst_db <= 5e-4
+    assert worst_rad <= 5e-4
+    print(f"\n[PASS] C10 dilation: sweeps at A_m in (0.5, 5) are the unit sweeps at f A^(1-a3), "
+          f"h A^(a3-1), within {worst_db:.2e} dB and {worst_rad:.2e} rad")
 
 
 def test_c11_solver_order():

@@ -152,24 +152,28 @@ def test_kernels_match_public_step(method, which, mode, alpha3, spec, n, strides
 # at step 39.  With Euler at rate 0.003 it raises after 9 483 steps, and orbit at stride 7 in
 # its third chunk, at the record of step 9 485
 DIVERGING = dict(k1=2.0, k3=0.03125, eps=0.875, alpha3=0.999, margin=2.0, rate=1.5,
-                 x0=(0.0, 3.0, 0.0), amplitude=0.0, omega=0.0, method="rk4")
+                 x0=(0.0, 3.0, 0.0), amplitude=0.0, omega=0.0, noise=(), method="rk4")
 
 
 @settings(max_examples=200, deadline=None)
 @given(k1=st.floats(0.01, 100.0), k3=st.floats(0.01, 100.0), eps=st.floats(0.05, 0.99),
        alpha3=st.floats(0.05, 1.0), margin=st.floats(1.001, 100.0), rate=st.floats(1e-3, 1.9),
        x0=st.tuples(*[st.floats(-10.0, 10.0)] * 3), amplitude=st.floats(0.0, 10.0),
-       omega=st.floats(0.0, 100.0), method=st.sampled_from(solver.METHODS),
-       n=st.integers(1, 300), stride=st.integers(1, 300))
+       omega=st.floats(0.0, 100.0),
+       noise=st.lists(st.tuples(st.floats(0, 10), st.floats(0, 1000),
+                                st.sampled_from(("sine", "cosine"))), max_size=3),
+       method=st.sampled_from(solver.METHODS), n=st.integers(1, 300),
+       stride=st.integers(1, 300))
 @example(**DIVERGING, n=40, stride=1)
 @example(**DIVERGING, n=40, stride=7)
 @example(**DIVERGING, n=40, stride=30)
 @example(**{**DIVERGING, "rate": 0.003, "method": "euler"}, n=10000, stride=7)
 def test_orbit_is_a_loop_of_step_in_either_kernel(k1, k3, eps, alpha3, margin, rate, x0,
-                                                   amplitude, omega, method, n, stride):
-    # valid nonlinear params at a step the guard accepts, from any start state and at any
-    # stride: orbit's states, through the C kernel and through the Python one, are every
-    # stride-th state of a loop of step(), bit for bit
+                                                   amplitude, omega, noise, method, n,
+                                                   stride):
+    # valid nonlinear params at a step the guard accepts, from any start state, at any
+    # stride and on a sinusoid or a composite signal: orbit's states, through the C kernel
+    # and through the Python one, are every stride-th state of a loop of step(), bit for bit
     p = ObserverParams(k1, 1.0, k3, eps, alpha3)
     p = replace(p, k2=margin * p.gain_threshold())
     assert validate_params(p).ok
@@ -180,7 +184,8 @@ def test_orbit_is_a_loop_of_step_in_either_kernel(k1, k3, eps, alpha3, margin, r
     except ConfigError:
         # at alpha3 = 1 the guard also holds the step to the linear step map's rho(M) < 1
         assume(False)
-    spec = SignalSpec("sinusoid", amplitude, omega)
+    spec = SignalSpec("composite" if noise else "sinusoid", amplitude, omega,
+                      tuple(NoiseTerm(*t) for t in noise))
     a_fn = make_input_fn(spec)
     stepped = [cfg.initial_state]
     with contextlib.suppress(DivergedState):
