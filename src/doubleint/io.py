@@ -13,9 +13,11 @@ truth or error keys, and a non-finite Bode value is null.
 trajectory_to_dict gives a trajectory's columns as 1-D float arrays, which
 write_json writes as the JSON lists of their tolist().  This module owns
 the C of its number formatters (_C_FORMAT), which native builds, caches and
-loads at the first trajectory write.  Both writers run one chunk loop,
-_text: each chunk is written by a C formatter, to the bytes Python gives, or,
-where the formatter refuses it or there is no library, by Python.
+loads at the first trajectory write.  Both writers open their file in binary
+mode and run one chunk loop, _text: each chunk is written by a C formatter,
+to the bytes Python gives, and goes to the file from the formatter's buffer,
+or, where the formatter refuses it or there is no library, by Python, its
+text encoded as ASCII, which all text of these files is.
 """
 
 import functools
@@ -50,8 +52,8 @@ def write_trajectory_csv(path, traj: Trajectory) -> None:
     missing = len(TRAJECTORY_COLUMNS) - len(cols)
     row_end = "," * missing + "\n"
     row = ",".join(["%.8e"] * len(cols)) + row_end
-    with open(path, "w", newline="") as f:
-        f.write(TRAJECTORY_HEADER + "\n")
+    with open(path, "wb") as f:
+        f.write(TRAJECTORY_HEADER.encode("ascii") + b"\n")
         f.writelines(_text((_c_formatters() or {}).get("csv_cells"),
                            lambda chunk: row * (chunk.size // len(cols)) % tuple(chunk.tolist()),
                            np.column_stack(cols).ravel(), CSV_CHUNK * len(cols),
@@ -111,15 +113,16 @@ JSON_SEP = ",\n    "
 # C of the trajectory writers' number text, byte for byte as Python writes it: csv_cells writes
 # "%.8e" (9 digits, half to even) and json_items the shortest repr that reads back as the
 # same double.  Each writes the n cells of v, a chunk, into buf with their separators and returns
-# the bytes written, or -1 at the first cell it does not cover.  Both take their
-# digits from one routine, shortest(), Schubfach (R. Giulietti, "The Schubfach way to render
-# doubles", 2020): three 64x128-bit products with a table of 10^-k to 128 bits, rounding up
-# (POW10, which _c_source renders from exact integers) give x and the ends of its rounding
-# interval at 10^k to the precision their comparisons need, and of the decimals in the interval
-# it keeps the one with the fewest digits, then the nearest to x, then the even one, as repr
-# does, for every finite double.  csv_cells rounds those digits to 9 for every normal double and
-# refuses a chunk that holds a subnormal, whose interval is too wide for that.  Without 128-bit
-# integers both refuse every chunk.
+# the bytes written, or -1 at the first cell it does not cover.  Both rest on Schubfach's product
+# (R. Giulietti, "The Schubfach way to render doubles", 2020): x = m * 2^e times 10^-k from a
+# table rounded up to 128 bits (POW10, which _c_source renders from exact integers), rounded to
+# odd, orders against even integers as the exact 4x * 10^-k does.  json_items takes three, for x
+# and the ends of its rounding interval, in shortest(), which keeps of the decimals in the
+# interval the one with the fewest digits, then the nearest to x, then the even one, as repr
+# does, for every finite double.  csv_cells takes the one of x and divides it down to 9 digits,
+# for every normal double; it refuses a chunk that holds a subnormal, whose x * 10^-k may have
+# fewer than the 16 digits that division needs.  Without 128-bit integers both refuse every
+# chunk.
 _C_FORMAT = """\
 #include <stdint.h>
 #include <string.h>
@@ -127,11 +130,20 @@ _C_FORMAT = """\
 #ifdef __SIZEOF_INT128__
 typedef unsigned __int128 u128;
 
-/* the p digits of c at s, most significant first */
+/* "00", "01", ..., "99" */
+static const char PAIRS[] =
+    "00010203040506070809101112131415161718192021222324252627282930313233343536373839"
+    "40414243444546474849505152535455565758596061626364656667686970717273747576777879"
+    "8081828384858687888990919293949596979899";
+
+/* the p digits of c at s, most significant first, two at a time */
 static char *digits(uint64_t c, int p, char *s)
 {
-    for (int i = p - 1; i >= 0; i--, c /= 10)
-        s[i] = (char)('0' + c % 10);
+    int i = p;
+    for (; i >= 2; i -= 2, c /= 100)
+        memcpy(s + i - 2, PAIRS + 2 * (c % 100), 2);
+    if (i)
+        s[0] = (char)('0' + c % 10);
     return s + p;
 }
 
@@ -188,9 +200,8 @@ static uint64_t round_to_odd(const uint64_t *g, uint64_t cp)
 }
 
 /* The decimal f * 10^k that repr writes for x = m * 2^e > 0, by Schubfach: of the decimals that
-   read back as x, the fewest digits, then the nearest to x, then the even last digit.  It returns
-   the sign of x - f * 10^k, from vb against 4f at the scale of vb (an even integer) */
-static int shortest(uint64_t m, int e, uint64_t *f, int *k)
+   read back as x, the fewest digits, then the nearest to x, then the even last digit */
+static void shortest(uint64_t m, int e, uint64_t *f, int *k)
 {
     /* below a power of two the next double is half as far, except at the least normal one; the
        rounding interval's ends read back as x when m is even */
@@ -213,36 +224,42 @@ static int shortest(uint64_t m, int e, uint64_t *f, int *k)
         if (up != wp) {
             *f = sp + wp;
             ++*k;
-            return (vb > 40 * *f) - (vb < 40 * *f);
+            return;
         }
     }
-    /* otherwise s or s + 1, whichever of the two lies in the interval, or the nearer of the two,
-       ties to the even one */
-    int u = lower <= 4 * s, w = 4 * s + 4 <= upper;
-    *f = s + (u != w ? w : vb > 4 * s + 2 || (vb == 4 * s + 2 && (s & 1)));
-    return (vb > 4 * *f) - (vb < 4 * *f);
+    /* otherwise s or s + 1: the one of the two that lies in the interval, else the nearer of the
+       two, ties to the even one; chosen by bit operations, as branches here mispredict */
+    int u = lower <= 4 * s, w = 4 * s + 4 <= upper, one = u ^ w;
+    int nearer = (vb > 4 * s + 2) | ((vb == 4 * s + 2) & (int)(s & 1));
+    *f = s + (uint64_t)((one & w) | (~one & nearer));
 }
 
-/* "%.8e" of v at s: the end of its text, or NULL for a subnormal.  A normal x's rounding interval
-   is under 2^-52 * x wide, narrower than the 1e-10 * x between 10-digit decimals, so a 10-digit
-   decimal ending in 5, where 9 digits round, lies in it only as its shortest decimal d: x's 9
-   digits are d's, to nearest, and where d is such a midpoint the sign of x - d decides, half to
-   even when x == d */
+/* "%.8e" of v at s: the end of its text, or NULL for a subnormal.  With k = floor(log10(2^e)),
+   vb, 4x * 10^-k by one product as in shortest(), orders against even integers as 4x * 10^-k
+   does, and a normal x * 10^-k has 16 or 17 digits before its point, p = 7 or 8 of them past the
+   first 9.  So vb / d, d = 4 * 10^p, is those 9 digits q, and the rest r against d / 2 rounds q
+   to nearest, half to even, as d and d / 2 are even; x is q * 10^(k + p) */
 static char *csv_cell(double v, char *s)
 {
-    uint64_t m, f;
-    int e, k;
+    uint64_t m;
+    int e;
     if (!split(v, &s, "nan", "inf", "0.00000000e+00", &m, &e))
         return s;
     if (!(m >> 52))
         return NULL;
-    int side = shortest(m, e, &f, &k);
-    /* f has 15 to 17 digits; padded to 17, q is its first 9 and r the other 8 */
-    for (; f < UINT64_C(10000000000000000); f *= 10)
-        k--;
-    uint64_t q = f / 100000000, r = f % 100000000;
-    q += r > 50000000 || (r == 50000000 && (side > 0 || (side == 0 && (q & 1))));
-    k += 16;
+    int k = e * 1262611 >> 22;
+    int h = e + (-k * 1741647 >> 19) + 1;
+    uint64_t vb = round_to_odd(POW10[-k - POW10_MIN], 4 * m << h);
+    int p = vb >= UINT64_C(40000000000000000) ? 8 : 7;
+    /* vb / d as two divisions by constants, which compile to products */
+    uint64_t q = vb / UINT64_C(40000000), d = UINT64_C(40000000);
+    if (p == 8) {
+        q /= 10;
+        d *= 10;
+    }
+    uint64_t r = vb - q * d;
+    q += (r > d / 2) | ((r == d / 2) & (q & 1));
+    k += p + 8;
     if (q == 1000000000) {
         q = 100000000;
         k++;
@@ -253,6 +270,14 @@ static char *csv_cell(double v, char *s)
     return exponent(k, s + 10);
 }
 
+/* 10^1 to 10^16: f has one digit more than the number of these it reaches */
+static const uint64_t TENS[] = {
+    UINT64_C(10), UINT64_C(100), UINT64_C(1000), UINT64_C(10000), UINT64_C(100000),
+    UINT64_C(1000000), UINT64_C(10000000), UINT64_C(100000000), UINT64_C(1000000000),
+    UINT64_C(10000000000), UINT64_C(100000000000), UINT64_C(1000000000000),
+    UINT64_C(10000000000000), UINT64_C(100000000000000), UINT64_C(1000000000000000),
+    UINT64_C(10000000000000000)};
+
 /* repr of v at s: the end of its text */
 static char *json_item(double v, char *s)
 {
@@ -262,12 +287,13 @@ static char *json_item(double v, char *s)
     if (!split(v, &s, "NaN", "Infinity", "0.0", &m, &e))
         return s;
     shortest(m, e, &f, &k);
-    for (uint64_t ten = 10; nd < 17 && f >= ten; ten *= 10)
-        nd++;
+    for (int i = 0; i < 16; i++)
+        nd += f >= TENS[i];
     int decpt = nd + k;
     digits(f, nd, dig);
-    while (nd > 1 && dig[nd - 1] == '0')
-        nd--;
+    while (nd > 2 && !memcmp(dig + nd - 2, "00", 2))
+        nd -= 2;
+    nd -= nd > 1 && dig[nd - 1] == '0';
     if (decpt <= -4 || decpt > 16) {
         *s++ = dig[0];
         if (nd > 1) {
@@ -373,18 +399,20 @@ def _c_formatters() -> dict | None:
     return native.load(_c_source(), _c_bind)
 
 def _text(formatter, python_text, values: np.ndarray, step: int, width: int, sep: str, *args):
-    """The text of the C-contiguous float64 array values, step cells at a time with sep between
-    chunks.  formatter, one of _c_formatters() (name(chunk, n, *args, buf)), writes each chunk
-    into one reused buffer of step * width bytes, width bounding a cell's text and its
-    separator; python_text(chunk) writes a chunk it refuses, and every chunk when formatter is
-    None (no library)."""
+    """The ASCII bytes of the C-contiguous float64 array values, step cells at a time with sep
+    between chunks.  formatter, one of _c_formatters() (name(chunk, n, *args, buf)), writes each
+    chunk into one reused buffer of step * width bytes, width bounding a cell's text and its
+    separator, and such a chunk is a view of that buffer, valid until the next is made;
+    python_text(chunk) writes a chunk it refuses, and every chunk when formatter is None (no
+    library)."""
     buf = np.empty(min(step, values.size) * width, np.uint8)
+    view, sep = memoryview(buf), sep.encode("ascii")
     for lo in range(0, values.size, step):
         chunk = values[lo:lo + step]
         n = formatter(chunk, chunk.size, *args, buf) if formatter else -1
         if lo:
             yield sep
-        yield str(buf[:n], "ascii") if n >= 0 else python_text(chunk)
+        yield view[:n] if n >= 0 else python_text(chunk).encode("ascii")
 
 
 def write_json(path, obj) -> None:
@@ -398,32 +426,31 @@ def write_json(path, obj) -> None:
     no ", ", so that encoder's item separator marks the indented layout's line
     breaks.
     """
-    with open(path, "w", newline="") as f:
+    with open(path, "wb") as f:
         if type(obj) is dict and obj and all(type(k) is str for k in obj):
             sep = "{\n  "
             for key in sorted(obj):
-                f.write(f"{sep}{json.dumps(key)}: ")
+                f.write(f"{sep}{json.dumps(key)}: ".encode("ascii"))
                 _write_value(f, obj[key])
                 sep = ",\n  "
-            f.write("\n}")
+            f.write(b"\n}\n")
         else:
-            json.dump(obj, f, indent=2, sort_keys=True)
-        f.write("\n")
+            f.write(json.dumps(obj, indent=2, sort_keys=True).encode("ascii") + b"\n")
 
 
 def _write_value(f, v) -> None:
     """v as an indented value one level into the top-level dict."""
     if not (type(v) is np.ndarray and v.dtype == np.float64 and v.ndim == 1):
-        f.write(json.dumps(v, indent=2, sort_keys=True).replace("\n", "\n  "))
+        f.write(json.dumps(v, indent=2, sort_keys=True).replace("\n", "\n  ").encode("ascii"))
         return
     if not v.size:
-        f.write("[]")
+        f.write(b"[]")
         return
-    f.write("[\n    ")
+    f.write(b"[\n    ")
     f.writelines(_text((_c_formatters() or {}).get("json_items"),
                        lambda chunk: json.dumps(chunk.tolist())[1:-1].replace(", ", JSON_SEP),
                        np.ascontiguousarray(v), JSON_CHUNK, JSON_ITEM + len(JSON_SEP), JSON_SEP))
-    f.write("\n  ]")
+    f.write(b"\n  ]")
 
 
 def ensure_dir(path) -> Path:

@@ -193,7 +193,9 @@ def _c_text(formatter, name: str, values: np.ndarray) -> tuple[str, list[int]]:
         refused.append((chunk.ctypes.data - values.ctypes.data) // values.itemsize)
         return _python_text(name, chunk)
 
-    return "".join(io._text(formatter, python_text, values, *_LAYOUT[name])), refused
+    # each chunk is copied as it comes: a C-written one is a view of a buffer the next reuses
+    chunks = [bytes(chunk) for chunk in io._text(formatter, python_text, values, *_LAYOUT[name])]
+    return b"".join(chunks).decode("ascii"), refused
 
 
 def _subnormal(values: np.ndarray) -> np.ndarray:
@@ -244,8 +246,13 @@ def _sweep_values() -> np.ndarray:
     # nearest float: 9 digits round at them by the sign of the float's distance to them
     midpoints = np.array([float(f"{10 * q + 5}e{e - 9}") for e in range(-307, 309)
                           for q in rng.integers(10**8, 10**9, 20).tolist()])
+    # carries into the exponent at every normal decade E: "%.8e" writes the double below 10^E
+    # as 1.00000000e{E}, and those about 9.999999995e{E} as 9.99999999e{E} or 1.00000000e{E + 1}
+    carries = np.array([float(f"{lead}e{e}") for e in range(-307, 309)
+                        for lead in ("1", "9.999999995")])
     base = np.concatenate([ties, twos, decades, special, grid, logs, wide, edges, rounded,
-                           subnormals, binades, midpoints[np.isfinite(midpoints)]])
+                           subnormals, binades, midpoints[np.isfinite(midpoints)],
+                           carries[np.isfinite(carries)]])
     with np.errstate(over="ignore"):
         # the largest float's next one up is inf
         near = np.concatenate([base, np.nextafter(base, 0.0), np.nextafter(base, math.inf)])
@@ -432,3 +439,38 @@ def test_trajectory_files_are_the_python_writers_bytes(tmp_path, monkeypatch, sc
         io.write_json(tmp_path / f"{which}.json", io.trajectory_to_dict(traj))
         files.append([(tmp_path / f"{which}.{ext}").read_bytes() for ext in ("csv", "json")])
     assert files[0] == files[1]
+
+
+@needs_cc
+def test_a_file_of_c_written_and_refused_chunks_is_the_python_writers_bytes(tmp_path,
+                                                                          monkeypatch):
+    # one subnormal cell, in rows 1024..2047: csv_cells writes the first and third CSV chunks
+    # and refuses the second, so the CSV file joins C bytes, Python's text and C bytes
+    if _c_cell("csv_cells", 1.0) is None:
+        pytest.skip("the C library was built without 128-bit integers: Python formats every cell")
+    rows = 3 * io.CSV_CHUNK - 5
+    rng = np.random.default_rng(11)
+    states, truths = rng.uniform(-2.0, 2.0, (2, rows, 3))
+    states[io.CSV_CHUNK + 300, 1] = -2.5e-320
+    traj = Trajectory(np.arange(rows) * 0.001, states, rng.uniform(-1.0, 1.0, rows), truths,
+                      states - truths)
+    formatters, written = io._c_formatters(), []
+
+    def csv_cells(*args):
+        n = formatters["csv_cells"](*args)
+        written.append(n >= 0)
+        return n
+
+    files = []
+    for patched in ({**formatters, "csv_cells": csv_cells}, None):
+        monkeypatch.setattr(io, "_c_formatters", lambda: patched)
+        io.write_trajectory_csv(tmp_path / "t.csv", traj)
+        io.write_json(tmp_path / "t.json", io.trajectory_to_dict(traj))
+        files.append([(tmp_path / name).read_bytes() for name in ("t.csv", "t.json")])
+    assert written == [True, False, True]
+    assert files[0] == files[1]
+    table = np.column_stack(io._columns(traj)).tolist()
+    assert files[1][0].decode() == io.TRAJECTORY_HEADER + "\n" + "".join(
+        ",".join("%.8e" % v for v in row) + "\n" for row in table)
+    as_lists = {k: v.tolist() for k, v in io.trajectory_to_dict(traj).items()}
+    assert files[1][1].decode() == json.dumps(as_lists, indent=2, sort_keys=True) + "\n"
